@@ -18,9 +18,11 @@
 //! * jobs are sharded across worker threads (`std::thread::scope` with an
 //!   atomic work-stealing cursor; worker count from [`EngineConfig`],
 //!   defaulting to the available hardware parallelism);
-//! * every job builds its own access stream and prefetcher from the job
-//!   description on the executing thread, so parallel results are
-//!   **bit-identical** to the serial path;
+//! * every job builds its own prefetcher from the job description on the
+//!   executing thread and reads exactly the accesses of its trace source —
+//!   a synthetic trace that several jobs of a list read is generated once
+//!   per run and replayed by each of them — so parallel
+//!   results are **bit-identical** to the serial path;
 //! * results are merged deterministically back into submission order, each
 //!   carrying the run's [`memsim::RunSummary`], an open serializable
 //!   [`ProbeReport`] (`{kind, data}` — density histograms, oracle misses,
@@ -63,6 +65,7 @@ pub mod hash;
 pub mod plugin;
 pub mod runner;
 pub mod segment;
+mod shared;
 pub mod spec;
 pub mod speculate;
 pub mod telemetry;

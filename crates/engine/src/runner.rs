@@ -1,27 +1,31 @@
 //! The job executor: runs a list of [`SimJob`]s serially or sharded across
 //! worker threads, with a deterministic merge of the results.
 //!
-//! Every job is self-contained — it builds its own system, resolves its
-//! prefetcher spec through a plugin [`Registry`] and opens its trace source
-//! (synthetic generator or streamed file) on whichever thread executes it —
-//! so the parallel path is bit-identical to the serial path and the result
-//! order never depends on scheduling.
+//! Every job builds its own system and resolves its prefetcher spec through
+//! a plugin [`Registry`] on whichever thread executes it, and reads exactly
+//! the accesses its trace source yields — from its own generator or file,
+//! or from the run's shared recording of a synthetic trace several jobs
+//! read — so the parallel path is bit-identical to the serial
+//! path and the result order never depends on scheduling.
 //!
 //! Jobs and results are serializable end to end: a [`JobList`] round-trips
 //! through a JSON spec file (`sms-experiments run --spec jobs.json`), and a
 //! `Vec<JobResult>` is the JSON the engine writes back out.
 
 use crate::plugin::{PluginError, ProbeReport, Registry};
-use crate::segment::{run_job_segmented_observed, SegmentPlan};
+use crate::segment::{run_job_segmented_on, SegmentPlan};
+use crate::shared::{SharedTraces, LIVE_CAP_BYTES};
 use crate::spec::PrefetcherSpec;
 use crate::telemetry::{EngineMetrics, JobMetrics, WorkerMetrics};
 use memsim::{MultiCpuSystem, RunSummary};
 use metrics::{MetricsConfig, Stopwatch};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::io;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use timing::{TimingConfig, TimingModel, TimingResult};
+use trace::BoxedStream;
 use tracelog::{Recorder, Trace};
 
 /// Timing-model parameters attached to a job that should run through the
@@ -462,6 +466,18 @@ pub fn run_job_metered(
     registry: &Registry,
     metrics: &MetricsConfig,
 ) -> Result<(JobResult, JobMetrics), EngineError> {
+    run_job_on(index, job, registry, metrics, || job.sim.source.open())
+}
+
+/// [`run_job_metered`] over the stream `open` yields, opened where a lone
+/// job opens its source: after the prefetcher builds.
+pub(crate) fn run_job_on(
+    index: usize,
+    job: &SimJob,
+    registry: &Registry,
+    metrics: &MetricsConfig,
+    open: impl FnOnce() -> io::Result<BoxedStream>,
+) -> Result<(JobResult, JobMetrics), EngineError> {
     let sim = &job.sim;
     let trace_error = |message: String| EngineError::Trace {
         job_index: index,
@@ -475,7 +491,7 @@ pub fn run_job_metered(
                 job_index: index,
                 error,
             })?;
-    let mut stream = sim.source.open().map_err(|e| trace_error(e.to_string()))?;
+    let mut stream = open().map_err(|e| trace_error(e.to_string()))?;
     let (mut result, job_metrics) = match &job.timing {
         Some(spec) => {
             let model = TimingModel::new(sim.hierarchy, sim.cpus, spec.config);
@@ -571,7 +587,8 @@ pub fn run_jobs_with(jobs: &[SimJob], config: &EngineConfig) -> Vec<JobResult> {
 ///
 /// With one effective worker the engine runs serially on the calling thread;
 /// either way the results are bit-identical, because each job builds its own
-/// access stream and prefetcher from the job description.
+/// prefetcher from the job description and reads exactly its source's
+/// accesses.
 ///
 /// # Errors
 ///
@@ -596,27 +613,35 @@ type TaggedOutcome = (usize, Result<(JobResult, JobMetrics), EngineError>);
 /// usual lowest-index-error semantics instead of tearing down the worker
 /// thread and every job queued behind it.
 ///
+/// This is the one place every run mode opens a job's stream, through the
+/// run's `shared` trace table, and tells the table when the job is done.
+///
 /// Segmented and speculative jobs run their helper threads inside a
 /// [`std::thread::scope`], which joins them before the owning panic
 /// propagates out, so nothing outlives the catch.  `AssertUnwindSafe` is
 /// sound: the job's system, prefetcher and stream are constructed inside
-/// the closure and dropped with it, and the shared `registry`, `metrics`
-/// and `trace` are only read through `&` references.
-fn exec_job_isolated(
+/// the closure and dropped with it; the shared `registry`, `metrics` and
+/// `trace` are only read through `&` references; and a panic while recording
+/// leaves the table's group unrecorded, so the next job records it afresh.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn exec_job_isolated(
     index: usize,
     job: &SimJob,
     registry: &Registry,
     metrics: &MetricsConfig,
     plan: Option<SegmentPlan>,
     trace: &Trace,
+    shared: &SharedTraces,
     rec: &Recorder,
 ) -> Result<(JobResult, JobMetrics), EngineError> {
     let mut span = rec.span("job");
     span.arg_u64("job", index as u64);
+    let open = || shared.open(index, job);
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match plan {
-        Some(p) => run_job_segmented_observed(index, job, registry, metrics, p, trace),
-        None => run_job_metered(index, job, registry, metrics),
+        Some(p) => run_job_segmented_on(index, job, registry, metrics, p, trace, open),
+        None => run_job_on(index, job, registry, metrics, open),
     }));
+    shared.finish(index);
     match outcome {
         Ok(result) => result,
         Err(payload) => {
@@ -682,8 +707,9 @@ pub fn run_jobs_observed(
         Some(p) => config.segmented_job_workers(jobs.len(), p),
         None => config.effective_workers(jobs.len()),
     };
+    let shared = SharedTraces::plan(jobs, LIVE_CAP_BYTES);
     let exec = |index: usize, job: &SimJob, rec: &Recorder| {
-        exec_job_isolated(index, job, registry, metrics, plan, trace, rec)
+        exec_job_isolated(index, job, registry, metrics, plan, trace, &shared, rec)
     };
     if workers <= 1 {
         let recorder = trace.recorder("engine");
@@ -877,8 +903,9 @@ pub fn run_jobs_streamed_observed(
         Some(p) => config.segmented_job_workers(jobs.len(), p),
         None => config.effective_workers(jobs.len()),
     };
+    let shared = SharedTraces::plan(jobs, LIVE_CAP_BYTES);
     let exec = |index: usize, job: &SimJob, rec: &Recorder| {
-        exec_job_isolated(index, job, registry, metrics, plan, trace, rec)
+        exec_job_isolated(index, job, registry, metrics, plan, trace, &shared, rec)
     };
 
     if workers <= 1 {
@@ -1023,7 +1050,7 @@ pub fn run_jobs_streamed_observed(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ghb::GhbConfig;
     use memsim::HierarchyConfig;
@@ -1500,7 +1527,7 @@ mod tests {
         }
     }
 
-    fn chaos_registry() -> Registry {
+    pub(crate) fn chaos_registry() -> Registry {
         let mut registry = Registry::with_builtins();
         registry.register(std::sync::Arc::new(PanicAtPlugin));
         registry

@@ -191,6 +191,22 @@ pub fn run_job_segmented_observed(
     plan: SegmentPlan,
     trace: &Trace,
 ) -> Result<(JobResult, JobMetrics), EngineError> {
+    run_job_segmented_on(index, job, registry, metrics, plan, trace, || {
+        job.sim.source.open()
+    })
+}
+
+/// [`run_job_segmented_observed`] over the stream `open` yields, opened
+/// where a lone job opens its source: after the prefetcher builds.
+pub(crate) fn run_job_segmented_on(
+    index: usize,
+    job: &SimJob,
+    registry: &Registry,
+    metrics: &MetricsConfig,
+    plan: SegmentPlan,
+    trace: &Trace,
+    open: impl FnOnce() -> io::Result<BoxedStream>,
+) -> Result<(JobResult, JobMetrics), EngineError> {
     let sim = &job.sim;
     let trace_error = |message: String| EngineError::Trace {
         job_index: index,
@@ -214,7 +230,7 @@ pub fn run_job_segmented_observed(
     // kind-consuming probe's sink travels with the *account* stage, which
     // replays the authoritative kinds into it segment by segment.
     let sink = prefetcher.take_kind_sink();
-    let stream = sim.source.open().map_err(|e| trace_error(e.to_string()))?;
+    let stream = open().map_err(|e| trace_error(e.to_string()))?;
 
     let pipeline = Pipeline {
         system: MultiCpuSystem::new(sim.cpus, &sim.hierarchy),

@@ -44,23 +44,74 @@ pub struct AccessOutcome {
     pub evicted: Option<EvictedLine>,
 }
 
+/// One cache line in 16 bytes: the tag, and the LRU stamp with the line's
+/// three state bits packed above it.
 #[derive(Debug, Clone, Copy)]
 struct Line {
     tag: u64,
-    valid: bool,
-    dirty: bool,
-    prefetched_unused: bool,
-    lru: u64,
+    meta: u64,
 }
 
 impl Line {
-    const INVALID: Line = Line {
-        tag: 0,
-        valid: false,
-        dirty: false,
-        prefetched_unused: false,
-        lru: 0,
-    };
+    const VALID: u64 = 1 << 63;
+    const DIRTY: u64 = 1 << 62;
+    const PREFETCHED: u64 = 1 << 61;
+    /// The LRU stamp's bits; the clock must stay below 2^61.
+    const LRU: u64 = Self::PREFETCHED - 1;
+
+    const INVALID: Line = Line { tag: 0, meta: 0 };
+
+    fn new(tag: u64, dirty: bool, prefetched_unused: bool) -> Line {
+        let mut line = Line {
+            tag,
+            meta: Self::VALID,
+        };
+        line.set(Self::DIRTY, dirty);
+        line.set(Self::PREFETCHED, prefetched_unused);
+        line
+    }
+
+    fn set(&mut self, bit: u64, on: bool) {
+        if on {
+            self.meta |= bit;
+        } else {
+            self.meta &= !bit;
+        }
+    }
+
+    fn valid(&self) -> bool {
+        self.meta & Self::VALID != 0
+    }
+
+    fn dirty(&self) -> bool {
+        self.meta & Self::DIRTY != 0
+    }
+
+    fn prefetched_unused(&self) -> bool {
+        self.meta & Self::PREFETCHED != 0
+    }
+
+    fn lru(&self) -> u64 {
+        self.meta & Self::LRU
+    }
+
+    fn set_lru(&mut self, tick: u64) {
+        debug_assert!(tick <= Self::LRU, "LRU clock overflowed its 61 bits");
+        self.meta = (self.meta & !Self::LRU) | tick;
+    }
+
+    /// How the line departs when evicted or invalidated.
+    fn departed(&self) -> EvictedLine {
+        EvictedLine {
+            block_addr: self.tag,
+            dirty: self.dirty(),
+            state: if self.prefetched_unused() {
+                CacheLineState::PrefetchedUnused
+            } else {
+                CacheLineState::Demand
+            },
+        }
+    }
 }
 
 /// A set-associative cache model.
@@ -99,13 +150,13 @@ impl SetAssocCache {
 
     fn touch(&mut self, index: usize) {
         self.tick += 1;
-        self.lines[index].lru = self.tick;
+        self.lines[index].set_lru(self.tick);
     }
 
     fn find(&self, addr: u64) -> Option<usize> {
         let tag = self.tag(addr);
         self.set_range(addr)
-            .find(|&i| self.lines[i].valid && self.lines[i].tag == tag)
+            .find(|&i| self.lines[i].valid() && self.lines[i].tag == tag)
     }
 
     /// Returns `true` if the block containing `addr` is present.
@@ -116,7 +167,7 @@ impl SetAssocCache {
     /// Returns the usage state of the block containing `addr`, if present.
     pub fn line_state(&self, addr: u64) -> Option<CacheLineState> {
         self.find(addr).map(|i| {
-            if self.lines[i].prefetched_unused {
+            if self.lines[i].prefetched_unused() {
                 CacheLineState::PrefetchedUnused
             } else {
                 CacheLineState::Demand
@@ -138,22 +189,20 @@ impl SetAssocCache {
     /// modelled.
     pub fn access(&mut self, addr: u64, kind: AccessKind) -> AccessOutcome {
         if let Some(i) = self.find(addr) {
-            let was_prefetched = self.lines[i].prefetched_unused;
+            let line = &mut self.lines[i];
+            let was_prefetched = line.prefetched_unused();
+            line.set(Line::PREFETCHED, false);
+            if kind.is_write() {
+                line.set(Line::DIRTY, true);
+            }
+            self.touch(i);
             if kind.is_write() && was_prefetched {
-                self.lines[i].prefetched_unused = false;
-                self.lines[i].dirty = true;
-                self.touch(i);
                 return AccessOutcome {
                     hit: false,
                     hit_on_prefetched: false,
                     evicted: None,
                 };
             }
-            self.lines[i].prefetched_unused = false;
-            if kind.is_write() {
-                self.lines[i].dirty = true;
-            }
-            self.touch(i);
             return AccessOutcome {
                 hit: true,
                 hit_on_prefetched: was_prefetched,
@@ -183,7 +232,7 @@ impl SetAssocCache {
     pub fn fill(&mut self, addr: u64, dirty: bool) -> Option<EvictedLine> {
         if let Some(i) = self.find(addr) {
             if dirty {
-                self.lines[i].dirty = true;
+                self.lines[i].set(Line::DIRTY, true);
             }
             self.touch(i);
             return None;
@@ -199,37 +248,22 @@ impl SetAssocCache {
         let mut best_lru = u64::MAX;
         let mut found_invalid = false;
         for i in range {
-            if !self.lines[i].valid {
+            if !self.lines[i].valid() {
                 victim = i;
                 found_invalid = true;
                 break;
             }
-            if self.lines[i].lru < best_lru {
-                best_lru = self.lines[i].lru;
+            if self.lines[i].lru() < best_lru {
+                best_lru = self.lines[i].lru();
                 victim = i;
             }
         }
         let evicted = if found_invalid {
             None
         } else {
-            let old = self.lines[victim];
-            Some(EvictedLine {
-                block_addr: old.tag,
-                dirty: old.dirty,
-                state: if old.prefetched_unused {
-                    CacheLineState::PrefetchedUnused
-                } else {
-                    CacheLineState::Demand
-                },
-            })
+            Some(self.lines[victim].departed())
         };
-        self.lines[victim] = Line {
-            tag,
-            valid: true,
-            dirty,
-            prefetched_unused: prefetched,
-            lru: 0,
-        };
+        self.lines[victim] = Line::new(tag, dirty, prefetched);
         self.touch(victim);
         evicted
     }
@@ -239,15 +273,7 @@ impl SetAssocCache {
         let i = self.find(addr)?;
         let old = self.lines[i];
         self.lines[i] = Line::INVALID;
-        Some(EvictedLine {
-            block_addr: old.tag,
-            dirty: old.dirty,
-            state: if old.prefetched_unused {
-                CacheLineState::PrefetchedUnused
-            } else {
-                CacheLineState::Demand
-            },
-        })
+        Some(old.departed())
     }
 
     /// Feeds every mutable field — the LRU clock and each line's tag, state
@@ -257,21 +283,21 @@ impl SetAssocCache {
         fp.mix(self.lines.len() as u64);
         for line in &self.lines {
             fp.mix(line.tag);
-            fp.mix_bool(line.valid);
-            fp.mix_bool(line.dirty);
-            fp.mix_bool(line.prefetched_unused);
-            fp.mix(line.lru);
+            fp.mix_bool(line.valid());
+            fp.mix_bool(line.dirty());
+            fp.mix_bool(line.prefetched_unused());
+            fp.mix(line.lru());
         }
     }
 
     /// Number of valid lines currently resident (mainly for tests/debugging).
     pub fn resident_lines(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.lines.iter().filter(|l| l.valid()).count()
     }
 
     /// Iterates over the block addresses of all resident lines.
     pub fn resident_blocks(&self) -> impl Iterator<Item = u64> + '_ {
-        self.lines.iter().filter(|l| l.valid).map(|l| l.tag)
+        self.lines.iter().filter(|l| l.valid()).map(|l| l.tag)
     }
 }
 
@@ -391,6 +417,11 @@ mod tests {
         assert_eq!(c.resident_lines(), 2);
         let blocks: Vec<u64> = c.resident_blocks().collect();
         assert!(blocks.contains(&0x0000) && blocks.contains(&0x1000));
+    }
+
+    #[test]
+    fn a_line_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Line>(), 16);
     }
 
     #[test]

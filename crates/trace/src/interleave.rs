@@ -23,6 +23,8 @@ pub struct Interleaver {
     current: usize,
     remaining_in_burst: usize,
     exhausted: Vec<bool>,
+    /// Number of streams not yet exhausted.
+    live: usize,
 }
 
 impl std::fmt::Debug for Interleaver {
@@ -67,19 +69,23 @@ impl Interleaver {
             current: 0,
             remaining_in_burst: 0,
             exhausted: vec![false; n],
+            live: n,
         }
     }
 
+    /// Starts a burst on a random live stream.  The `k`-th live stream is
+    /// drawn from `0..live`, so the draws are those of indexing a list of the
+    /// live streams, without building one.
     fn pick_next_stream(&mut self) {
-        let live: Vec<usize> = (0..self.streams.len())
-            .filter(|&i| !self.exhausted[i])
-            .collect();
-        if live.is_empty() {
-            self.remaining_in_burst = 0;
-            return;
-        }
-        let idx = live[self.rng.gen_range(0..live.len())];
-        self.current = idx;
+        let k = self.rng.gen_range(0..self.live);
+        self.current = if self.live == self.streams.len() {
+            k
+        } else {
+            (0..self.streams.len())
+                .filter(|&i| !self.exhausted[i])
+                .nth(k)
+                .expect("k is below the live count")
+        };
         self.remaining_in_burst = self.rng.gen_range(1..=self.burst);
     }
 }
@@ -89,14 +95,11 @@ impl Iterator for Interleaver {
 
     fn next(&mut self) -> Option<MemAccess> {
         loop {
-            if self.exhausted.iter().all(|&e| e) {
+            if self.live == 0 {
                 return None;
             }
             if self.remaining_in_burst == 0 || self.exhausted[self.current] {
                 self.pick_next_stream();
-                if self.exhausted.iter().all(|&e| e) {
-                    return None;
-                }
             }
             match self.streams[self.current].next() {
                 Some(access) => {
@@ -105,6 +108,7 @@ impl Iterator for Interleaver {
                 }
                 None => {
                     self.exhausted[self.current] = true;
+                    self.live -= 1;
                     self.remaining_in_burst = 0;
                 }
             }

@@ -37,6 +37,7 @@ pub mod access;
 pub mod config;
 pub mod interleave;
 pub mod io;
+pub mod recording;
 pub mod rng;
 pub mod source;
 pub mod stream;
@@ -46,6 +47,7 @@ pub mod workloads;
 pub use access::{AccessKind, Addr, MemAccess, Pc};
 pub use config::GeneratorConfig;
 pub use interleave::Interleaver;
+pub use recording::{Recording, RecordingStream};
 pub use source::{retry_transient, ReplayStream, TraceSource};
 pub use stream::{fill_segment, AccessStream, BoxedStream};
 pub use suite::{Application, ApplicationClass};

@@ -255,52 +255,6 @@ impl PatternLibrary {
     }
 }
 
-/// A reusable per-CPU generator skeleton: buffers bursts of accesses produced
-/// by a workload-specific closure.
-pub struct BurstBuffer {
-    queue: VecDeque<MemAccess>,
-}
-
-impl std::fmt::Debug for BurstBuffer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BurstBuffer")
-            .field("buffered", &self.queue.len())
-            .finish()
-    }
-}
-
-impl BurstBuffer {
-    /// Creates an empty buffer.
-    pub fn new() -> Self {
-        Self {
-            queue: VecDeque::new(),
-        }
-    }
-
-    /// Pops the next buffered access, refilling via `refill` when empty.
-    pub fn next_with(
-        &mut self,
-        mut refill: impl FnMut(&mut VecDeque<MemAccess>),
-    ) -> Option<MemAccess> {
-        if self.queue.is_empty() {
-            refill(&mut self.queue);
-        }
-        self.queue.pop_front()
-    }
-
-    /// Direct access to the underlying queue (used by generators that fill
-    /// eagerly).
-    pub fn queue_mut(&mut self) -> &mut VecDeque<MemAccess> {
-        &mut self.queue
-    }
-}
-
-impl Default for BurstBuffer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// Creates a deterministic per-CPU RNG for workload `workload_id`.
 pub fn cpu_rng(seed: u64, workload_id: u64, cpu: u8) -> ChaCha8Rng {
     stream_rng(
@@ -387,21 +341,5 @@ mod tests {
     #[should_panic(expected = "at least one offset")]
     fn empty_pattern_rejected() {
         let _ = CanonicalPattern::new(vec![]);
-    }
-
-    #[test]
-    fn burst_buffer_refills() {
-        let mut buf = BurstBuffer::new();
-        let mut calls = 0;
-        for _ in 0..6 {
-            let a = buf.next_with(|q| {
-                calls += 1;
-                for i in 0..3 {
-                    q.push_back(MemAccess::read(0, 1, i * 64));
-                }
-            });
-            assert!(a.is_some());
-        }
-        assert_eq!(calls, 2);
     }
 }

@@ -25,6 +25,7 @@ use crate::workloads::common::{
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Which TPC-H query to model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -109,6 +110,53 @@ impl DssQuery {
             DssQuery::Qry17 => "dss-qry17",
         }
     }
+
+    /// The query plan's scan and probe pattern libraries.  All CPUs run the
+    /// same plan, so the libraries are drawn from a CPU-independent RNG and
+    /// shared.
+    pub fn libraries(self, seed: u64) -> DssLibraries {
+        let params = self.params();
+        let mut lib_rng = cpu_rng(seed, 0x10 + self as u64, 255);
+        let region_blocks = (DSS_REGION_BYTES / BLOCK_BYTES) as u32;
+        let scan_paths: Vec<CodePath> = (0..params.scan_paths)
+            .map(|i| CodePath::new("dss-scan", 0x0060_0000 + (i as u64) * 0x40))
+            .collect();
+        let probe_paths: Vec<CodePath> = (0..params.probe_paths)
+            .map(|i| CodePath::new("dss-probe", 0x0068_0000 + (i as u64) * 0x40))
+            .collect();
+        let scan = PatternLibrary::generate(
+            &mut lib_rng,
+            scan_paths,
+            &PatternLibraryConfig {
+                region_blocks,
+                variants_per_path: 2,
+                min_density: params.scan_min_density,
+                max_density: params.scan_max_density,
+                contiguous_fraction: 0.85,
+            },
+        );
+        let probe = PatternLibrary::generate(
+            &mut lib_rng,
+            probe_paths,
+            &PatternLibraryConfig {
+                region_blocks,
+                variants_per_path: 3,
+                min_density: params.probe_min_density,
+                max_density: params.probe_max_density,
+                contiguous_fraction: 0.3,
+            },
+        );
+        DssLibraries { scan, probe }
+    }
+}
+
+/// The pattern libraries of one DSS query plan.
+#[derive(Debug)]
+pub struct DssLibraries {
+    /// Layouts the scan operators touch per page.
+    scan: PatternLibrary,
+    /// Layouts the hash-probe operators touch per bucket.
+    probe: PatternLibrary,
 }
 
 #[derive(Debug, Clone)]
@@ -135,8 +183,7 @@ pub struct DssCpuStream {
     name: String,
     cpu: u8,
     rng: ChaCha8Rng,
-    scan_lib: PatternLibrary,
-    probe_lib: PatternLibrary,
+    libs: Arc<DssLibraries>,
     params: DssParams,
     /// Next region index in this CPU's partition of the scanned table.
     scan_cursor: u64,
@@ -160,40 +207,17 @@ impl std::fmt::Debug for DssCpuStream {
 }
 
 impl DssCpuStream {
-    /// Creates the stream for one processor.
-    pub fn new(query: DssQuery, seed: u64, config: &GeneratorConfig, cpu: u8) -> Self {
+    /// Creates the stream for one processor over the query plan's shared
+    /// pattern libraries ([`DssQuery::libraries`]).
+    pub fn new(
+        query: DssQuery,
+        seed: u64,
+        config: &GeneratorConfig,
+        cpu: u8,
+        libs: Arc<DssLibraries>,
+    ) -> Self {
         let params = query.params();
         let rng = cpu_rng(seed, 0x10 + query as u64, cpu);
-        let mut lib_rng = cpu_rng(seed, 0x10 + query as u64, 255);
-        let region_blocks = (DSS_REGION_BYTES / BLOCK_BYTES) as u32;
-        let scan_paths: Vec<CodePath> = (0..params.scan_paths)
-            .map(|i| CodePath::new("dss-scan", 0x0060_0000 + (i as u64) * 0x40))
-            .collect();
-        let probe_paths: Vec<CodePath> = (0..params.probe_paths)
-            .map(|i| CodePath::new("dss-probe", 0x0068_0000 + (i as u64) * 0x40))
-            .collect();
-        let scan_lib = PatternLibrary::generate(
-            &mut lib_rng,
-            scan_paths,
-            &PatternLibraryConfig {
-                region_blocks,
-                variants_per_path: 2,
-                min_density: params.scan_min_density,
-                max_density: params.scan_max_density,
-                contiguous_fraction: 0.85,
-            },
-        );
-        let probe_lib = PatternLibrary::generate(
-            &mut lib_rng,
-            probe_paths,
-            &PatternLibraryConfig {
-                region_blocks,
-                variants_per_path: 3,
-                min_density: params.probe_min_density,
-                max_density: params.probe_max_density,
-                contiguous_fraction: 0.3,
-            },
-        );
         // The scanned table is much larger than the generated trace so that
         // scan pages really are visited only once; size it at 16x the
         // configured data set and partition it across CPUs.
@@ -204,8 +228,7 @@ impl DssCpuStream {
             name: format!("{}-cpu{cpu}", query.label()),
             cpu,
             rng,
-            scan_lib,
-            probe_lib,
+            libs,
             params,
             scan_cursor: 0,
             scan_regions,
@@ -248,10 +271,10 @@ impl DssCpuStream {
         // One scan operator instance uses the same few code paths for the
         // whole sweep: derive the path from the cursor coarsely so a long
         // run of pages shares a path, as a tight scan loop would.
-        let path = ((self.scan_cursor / 512) as usize) % self.scan_lib.num_paths();
+        let path = ((self.scan_cursor / 512) as usize) % self.libs.scan.num_paths();
         let variant = zipf_index(&mut self.rng, 2, 0.5);
         let mut queue = std::mem::take(&mut self.queue);
-        self.scan_lib.emit(
+        self.libs.scan.emit(
             &mut self.rng,
             &mut queue,
             self.cpu,
@@ -268,10 +291,10 @@ impl DssCpuStream {
     fn emit_hash_probe(&mut self) {
         let bucket = self.rng.gen_range(0..self.hash_regions);
         let region = self.hash_table_base() + bucket * DSS_REGION_BYTES;
-        let path = self.rng.gen_range(0..self.probe_lib.num_paths());
+        let path = self.rng.gen_range(0..self.libs.probe.num_paths());
         let variant = zipf_index(&mut self.rng, 3, 0.6);
         let mut queue = std::mem::take(&mut self.queue);
-        self.probe_lib.emit(
+        self.libs.probe.emit(
             &mut self.rng,
             &mut queue,
             self.cpu,
@@ -316,10 +339,19 @@ impl AccessStream for DssCpuStream {
     }
 }
 
+/// The per-CPU streams of one generator, all over one pair of libraries.
+fn cpu_streams(query: DssQuery, seed: u64, config: &GeneratorConfig) -> Vec<DssCpuStream> {
+    let libs = Arc::new(query.libraries(seed));
+    (0..config.cpus)
+        .map(|cpu| DssCpuStream::new(query, seed, config, cpu as u8, Arc::clone(&libs)))
+        .collect()
+}
+
 /// Builds the globally-interleaved DSS stream over all configured CPUs.
 pub fn stream(query: DssQuery, seed: u64, config: &GeneratorConfig) -> Interleaver {
-    let streams: Vec<BoxedStream> = (0..config.cpus)
-        .map(|cpu| Box::new(DssCpuStream::new(query, seed, config, cpu as u8)) as BoxedStream)
+    let streams: Vec<BoxedStream> = cpu_streams(query, seed, config)
+        .into_iter()
+        .map(|s| Box::new(s) as BoxedStream)
         .collect();
     // DSS queries run long pipeline stages per CPU, so use longer bursts
     // than OLTP when interleaving processors.
@@ -412,6 +444,16 @@ mod tests {
         let a: Vec<_> = stream(DssQuery::Qry16, 5, &config).take(4000).collect();
         let b: Vec<_> = stream(DssQuery::Qry16, 5, &config).take(4000).collect();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn every_cpu_shares_one_pair_of_libraries() {
+        let config = GeneratorConfig::default().with_cpus(4);
+        let streams = cpu_streams(DssQuery::Qry17, 3, &config);
+        assert_eq!(streams.len(), 4);
+        assert!(streams
+            .iter()
+            .all(|s| Arc::ptr_eq(&s.libs, &streams[0].libs)));
     }
 
     #[test]

@@ -23,11 +23,12 @@ use crate::interleave::Interleaver;
 use crate::rng::{coin, zipf_index};
 use crate::stream::{AccessStream, BoxedStream};
 use crate::workloads::common::{
-    cpu_rng, BurstBuffer, CodePath, PatternLibrary, PatternLibraryConfig, BLOCK_BYTES,
+    cpu_rng, CodePath, PatternLibrary, PatternLibraryConfig, BLOCK_BYTES,
 };
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Which commercial DBMS configuration to model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -76,6 +77,27 @@ impl OltpVariant {
             OltpVariant::Oracle => "oltp-oracle",
         }
     }
+
+    /// The pattern library of this DBMS binary.  All CPUs run the same code,
+    /// so the library is drawn from a CPU-independent RNG and shared.
+    pub fn library(self, seed: u64) -> PatternLibrary {
+        let params = self.params();
+        let mut lib_rng = cpu_rng(seed, 0x01 + self as u64, 255);
+        let paths: Vec<CodePath> = (0..params.code_paths)
+            .map(|i| CodePath::new("oltp", 0x0040_0000 + (i as u64) * 0x40))
+            .collect();
+        PatternLibrary::generate(
+            &mut lib_rng,
+            paths,
+            &PatternLibraryConfig {
+                region_blocks: (OLTP_REGION_BYTES / BLOCK_BYTES) as u32,
+                variants_per_path: params.variants_per_path,
+                min_density: params.min_density,
+                max_density: params.max_density,
+                contiguous_fraction: params.contiguous_fraction,
+            },
+        )
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -101,14 +123,13 @@ pub struct OltpCpuStream {
     name: String,
     cpu: u8,
     rng: ChaCha8Rng,
-    lib: PatternLibrary,
+    lib: Arc<PatternLibrary>,
     params: OltpParams,
     num_regions: u64,
     /// Log region private to this CPU; appended sequentially.
     log_cursor: u64,
     contexts: Vec<VecDeque<MemAccess>>,
     current_context: usize,
-    buffer: BurstBuffer,
 }
 
 impl std::fmt::Debug for OltpCpuStream {
@@ -122,27 +143,17 @@ impl std::fmt::Debug for OltpCpuStream {
 }
 
 impl OltpCpuStream {
-    /// Creates the stream for one processor.
-    pub fn new(variant: OltpVariant, seed: u64, config: &GeneratorConfig, cpu: u8) -> Self {
+    /// Creates the stream for one processor over the generator's shared
+    /// pattern library ([`OltpVariant::library`]).
+    pub fn new(
+        variant: OltpVariant,
+        seed: u64,
+        config: &GeneratorConfig,
+        cpu: u8,
+        lib: Arc<PatternLibrary>,
+    ) -> Self {
         let params = variant.params();
         let mut rng = cpu_rng(seed, 0x01 + variant as u64, cpu);
-        // All CPUs share the same pattern library (same binary / same code),
-        // so build it from a CPU-independent RNG.
-        let mut lib_rng = cpu_rng(seed, 0x01 + variant as u64, 255);
-        let paths: Vec<CodePath> = (0..params.code_paths)
-            .map(|i| CodePath::new("oltp", 0x0040_0000 + (i as u64) * 0x40))
-            .collect();
-        let lib = PatternLibrary::generate(
-            &mut lib_rng,
-            paths,
-            &PatternLibraryConfig {
-                region_blocks: (OLTP_REGION_BYTES / BLOCK_BYTES) as u32,
-                variants_per_path: params.variants_per_path,
-                min_density: params.min_density,
-                max_density: params.max_density,
-                contiguous_fraction: params.contiguous_fraction,
-            },
-        );
         let num_regions = (config.data_set_bytes / OLTP_REGION_BYTES).max(64);
         let contexts = (0..params.concurrent_transactions)
             .map(|_| VecDeque::new())
@@ -158,7 +169,6 @@ impl OltpCpuStream {
             log_cursor: 0,
             contexts,
             current_context: 0,
-            buffer: BurstBuffer::new(),
         }
     }
 
@@ -236,9 +246,6 @@ impl Iterator for OltpCpuStream {
         }
         let access = self.contexts[ctx].pop_front();
         debug_assert!(access.is_some(), "refill must produce at least one access");
-        // The buffer field exists to keep symmetry with other generators and
-        // to allow future multi-access bursts.
-        let _ = &self.buffer;
         access
     }
 }
@@ -249,10 +256,19 @@ impl AccessStream for OltpCpuStream {
     }
 }
 
+/// The per-CPU streams of one generator, all over one pattern library.
+fn cpu_streams(variant: OltpVariant, seed: u64, config: &GeneratorConfig) -> Vec<OltpCpuStream> {
+    let lib = Arc::new(variant.library(seed));
+    (0..config.cpus)
+        .map(|cpu| OltpCpuStream::new(variant, seed, config, cpu as u8, Arc::clone(&lib)))
+        .collect()
+}
+
 /// Builds the globally-interleaved OLTP stream over all configured CPUs.
 pub fn stream(variant: OltpVariant, seed: u64, config: &GeneratorConfig) -> Interleaver {
-    let streams: Vec<BoxedStream> = (0..config.cpus)
-        .map(|cpu| Box::new(OltpCpuStream::new(variant, seed, config, cpu as u8)) as BoxedStream)
+    let streams: Vec<BoxedStream> = cpu_streams(variant, seed, config)
+        .into_iter()
+        .map(|s| Box::new(s) as BoxedStream)
         .collect();
     Interleaver::new(variant.label(), streams, seed)
 }
@@ -326,6 +342,14 @@ mod tests {
         let a = take(OltpVariant::Db2, 5000);
         let b = take(OltpVariant::Oracle, 5000);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn every_cpu_shares_one_pattern_library() {
+        let config = GeneratorConfig::default().with_cpus(4);
+        let streams = cpu_streams(OltpVariant::Db2, 3, &config);
+        assert_eq!(streams.len(), 4);
+        assert!(streams.iter().all(|s| Arc::ptr_eq(&s.lib, &streams[0].lib)));
     }
 
     #[test]

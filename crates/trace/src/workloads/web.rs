@@ -25,6 +25,7 @@ use crate::workloads::common::{
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Which web server configuration to model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -75,6 +76,53 @@ impl WebServer {
             WebServer::Zeus => "web-zeus",
         }
     }
+
+    /// The server binary's packet-buffer and shared-structure pattern
+    /// libraries.  All CPUs run the same code, so the libraries are drawn
+    /// from a CPU-independent RNG and shared.
+    pub fn libraries(self, seed: u64) -> WebLibraries {
+        let params = self.params();
+        let mut lib_rng = cpu_rng(seed, 0x20 + self as u64, 255);
+        let region_blocks = (WEB_REGION_BYTES / BLOCK_BYTES) as u32;
+        let packet_paths: Vec<CodePath> = (0..params.packet_paths)
+            .map(|i| CodePath::new("web-pkt", 0x0080_0000 + (i as u64) * 0x40))
+            .collect();
+        let shared_paths: Vec<CodePath> = (0..params.shared_paths)
+            .map(|i| CodePath::new("web-shared", 0x0088_0000 + (i as u64) * 0x40))
+            .collect();
+        let packet = PatternLibrary::generate(
+            &mut lib_rng,
+            packet_paths,
+            &PatternLibraryConfig {
+                region_blocks,
+                variants_per_path: 4,
+                min_density: params.packet_min_density,
+                max_density: params.packet_max_density,
+                contiguous_fraction: 0.45,
+            },
+        );
+        let shared = PatternLibrary::generate(
+            &mut lib_rng,
+            shared_paths,
+            &PatternLibraryConfig {
+                region_blocks,
+                variants_per_path: 5,
+                min_density: params.shared_min_density,
+                max_density: params.shared_max_density,
+                contiguous_fraction: 0.2,
+            },
+        );
+        WebLibraries { packet, shared }
+    }
+}
+
+/// The pattern libraries of one web-server binary.
+#[derive(Debug)]
+pub struct WebLibraries {
+    /// Layouts request handlers touch per packet buffer.
+    packet: PatternLibrary,
+    /// Layouts the shared server tables are walked in.
+    shared: PatternLibrary,
 }
 
 #[derive(Debug, Clone)]
@@ -101,8 +149,7 @@ pub struct WebCpuStream {
     name: String,
     cpu: u8,
     rng: ChaCha8Rng,
-    packet_lib: PatternLibrary,
-    shared_lib: PatternLibrary,
+    libs: Arc<WebLibraries>,
     params: WebParams,
     /// Pool of recently-freed buffer regions available for reuse.
     free_buffers: Vec<u64>,
@@ -125,40 +172,17 @@ impl std::fmt::Debug for WebCpuStream {
 }
 
 impl WebCpuStream {
-    /// Creates the stream for one processor.
-    pub fn new(server: WebServer, seed: u64, config: &GeneratorConfig, cpu: u8) -> Self {
+    /// Creates the stream for one processor over the server's shared
+    /// pattern libraries ([`WebServer::libraries`]).
+    pub fn new(
+        server: WebServer,
+        seed: u64,
+        config: &GeneratorConfig,
+        cpu: u8,
+        libs: Arc<WebLibraries>,
+    ) -> Self {
         let params = server.params();
         let rng = cpu_rng(seed, 0x20 + server as u64, cpu);
-        let mut lib_rng = cpu_rng(seed, 0x20 + server as u64, 255);
-        let region_blocks = (WEB_REGION_BYTES / BLOCK_BYTES) as u32;
-        let packet_paths: Vec<CodePath> = (0..params.packet_paths)
-            .map(|i| CodePath::new("web-pkt", 0x0080_0000 + (i as u64) * 0x40))
-            .collect();
-        let shared_paths: Vec<CodePath> = (0..params.shared_paths)
-            .map(|i| CodePath::new("web-shared", 0x0088_0000 + (i as u64) * 0x40))
-            .collect();
-        let packet_lib = PatternLibrary::generate(
-            &mut lib_rng,
-            packet_paths,
-            &PatternLibraryConfig {
-                region_blocks,
-                variants_per_path: 4,
-                min_density: params.packet_min_density,
-                max_density: params.packet_max_density,
-                contiguous_fraction: 0.45,
-            },
-        );
-        let shared_lib = PatternLibrary::generate(
-            &mut lib_rng,
-            shared_paths,
-            &PatternLibraryConfig {
-                region_blocks,
-                variants_per_path: 5,
-                min_density: params.shared_min_density,
-                max_density: params.shared_max_density,
-                contiguous_fraction: 0.2,
-            },
-        );
         let shared_regions = (config.data_set_bytes / 8 / WEB_REGION_BYTES).max(64);
         let contexts = (0..params.concurrent_connections)
             .map(|_| VecDeque::new())
@@ -167,8 +191,7 @@ impl WebCpuStream {
             name: format!("{}-cpu{cpu}", server.label()),
             cpu,
             rng,
-            packet_lib,
-            shared_lib,
+            libs,
             params,
             free_buffers: Vec::new(),
             next_buffer: 0,
@@ -212,10 +235,10 @@ impl WebCpuStream {
         let steps = self.rng.gen_range(1..=3);
         for step in 0..steps {
             let path = (request_kind * 37 + step * 11 + zipf_index(&mut self.rng, 8, 0.6))
-                % self.packet_lib.num_paths();
+                % self.libs.packet.num_paths();
             let variant = (buffer_id + zipf_index(&mut self.rng, 2, 0.5)) % 4;
             let mut queue = std::mem::take(&mut self.contexts[ctx]);
-            self.packet_lib.emit(
+            self.libs.packet.emit(
                 &mut self.rng,
                 &mut queue,
                 self.cpu,
@@ -234,10 +257,10 @@ impl WebCpuStream {
             // Shared server tables are walked by the same few code paths,
             // and each table entry repeats its layout on every visit.
             let path = (region_idx as usize * 13 + zipf_index(&mut self.rng, 6, 0.6))
-                % self.shared_lib.num_paths();
+                % self.libs.shared.num_paths();
             let variant = (region_idx as usize + zipf_index(&mut self.rng, 2, 0.5)) % 5;
             let mut queue = std::mem::take(&mut self.contexts[ctx]);
-            self.shared_lib.emit(
+            self.libs.shared.emit(
                 &mut self.rng,
                 &mut queue,
                 self.cpu,
@@ -277,10 +300,19 @@ impl AccessStream for WebCpuStream {
     }
 }
 
+/// The per-CPU streams of one generator, all over one pair of libraries.
+fn cpu_streams(server: WebServer, seed: u64, config: &GeneratorConfig) -> Vec<WebCpuStream> {
+    let libs = Arc::new(server.libraries(seed));
+    (0..config.cpus)
+        .map(|cpu| WebCpuStream::new(server, seed, config, cpu as u8, Arc::clone(&libs)))
+        .collect()
+}
+
 /// Builds the globally-interleaved web-server stream over all configured CPUs.
 pub fn stream(server: WebServer, seed: u64, config: &GeneratorConfig) -> Interleaver {
-    let streams: Vec<BoxedStream> = (0..config.cpus)
-        .map(|cpu| Box::new(WebCpuStream::new(server, seed, config, cpu as u8)) as BoxedStream)
+    let streams: Vec<BoxedStream> = cpu_streams(server, seed, config)
+        .into_iter()
+        .map(|s| Box::new(s) as BoxedStream)
         .collect();
     Interleaver::new(server.label(), streams, seed)
 }
@@ -357,6 +389,16 @@ mod tests {
         let a: Vec<_> = stream(WebServer::Zeus, 4, &config).take(4000).collect();
         let b: Vec<_> = stream(WebServer::Zeus, 4, &config).take(4000).collect();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn every_cpu_shares_one_pair_of_libraries() {
+        let config = GeneratorConfig::default().with_cpus(4);
+        let streams = cpu_streams(WebServer::Zeus, 3, &config);
+        assert_eq!(streams.len(), 4);
+        assert!(streams
+            .iter()
+            .all(|s| Arc::ptr_eq(&s.libs, &streams[0].libs)));
     }
 
     #[test]

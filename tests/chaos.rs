@@ -313,3 +313,74 @@ fn an_idle_chaos_registry_changes_no_bytes() {
         "registering the chaos plugin must not perturb healthy runs"
     );
 }
+
+#[test]
+fn a_panic_inside_a_shared_trace_group_fails_only_its_own_job() {
+    // Jobs that read one synthetic source replay one recording of it per
+    // run.  A panicking job in such a group — the one that records the
+    // trace, or one that replays it — fails alone, with the usual
+    // lowest-index error, and the group's delivered jobs match runs alone.
+    let registry = faultinject::registry();
+    let shared = |prefetcher, accesses| {
+        SimJob::new(memsim::SimJob::synthetic(
+            Application::OltpDb2,
+            GeneratorConfig::default().with_cpus(2),
+            4242,
+            2,
+            HierarchyConfig::scaled(),
+            prefetcher,
+            accesses,
+        ))
+    };
+    let other = |prefetcher| job(1, prefetcher, 1_500);
+    let panic = Fault::Panic { after: 300 }.spec();
+    let cases = [
+        // The panicking job replays the recording an earlier job made.
+        (
+            vec![
+                shared(PrefetcherSpec::null(), 2_000),
+                other(PrefetcherSpec::null()),
+                shared(PrefetcherSpec::sms_paper_default(), 1_000),
+                other(PrefetcherSpec::sms_paper_default()),
+                shared(panic.clone(), 2_000),
+                shared(PrefetcherSpec::null(), 500),
+            ],
+            4,
+        ),
+        // The panicking job is the first reader: it records, then panics.
+        (
+            vec![
+                other(PrefetcherSpec::null()),
+                shared(panic, 2_000),
+                shared(PrefetcherSpec::null(), 1_000),
+                other(PrefetcherSpec::sms_paper_default()),
+            ],
+            1,
+        ),
+    ];
+    for (jobs, panicking) in cases {
+        for workers in [1, 2] {
+            let mut delivered = Vec::new();
+            let err = engine::run_jobs_streamed(
+                &jobs,
+                &EngineConfig::with_workers(workers),
+                &registry,
+                &metrics::MetricsConfig::disabled(),
+                &engine::CancelToken::new(),
+                &mut |result, _| delivered.push(result),
+            )
+            .expect_err("the panicking job fails the run");
+            assert_eq!(
+                err.to_string(),
+                format!("job {panicking}: panicked: injected chaos panic at access 300"),
+                "workers = {workers}"
+            );
+            let alone: Vec<_> = jobs[..panicking]
+                .iter()
+                .enumerate()
+                .map(|(index, job)| engine::run_job(index, job, &registry).expect("healthy job"))
+                .collect();
+            assert_eq!(delivered, alone, "workers = {workers}");
+        }
+    }
+}
