@@ -6,14 +6,16 @@
 //! contain at least one demand miss, which bounds from below the miss rate
 //! any real spatial predictor can reach at that region size.
 
+use crate::pattern::SpatialPattern;
 use crate::region::RegionConfig;
-use memsim::{PrefetchRequest, Prefetcher, SystemOutcome};
-use std::collections::{HashMap, HashSet};
+use memsim::{FastMap, PrefetchRequest, Prefetcher, SystemOutcome};
 use trace::MemAccess;
 
-#[derive(Debug, Default, Clone)]
+/// One live generation: the region's blocks accessed so far, as a bitmap,
+/// and whether any access of the generation missed.
+#[derive(Debug, Clone, Copy)]
 struct LiveGeneration {
-    accessed_blocks: HashSet<u64>,
+    accessed: SpatialPattern,
     missed: bool,
 }
 
@@ -22,7 +24,9 @@ struct LiveGeneration {
 #[derive(Debug, Clone)]
 pub struct OracleOpportunity {
     region: RegionConfig,
-    live: Vec<HashMap<u64, LiveGeneration>>,
+    // Deterministic fast map; the counters only add up, and nothing ever
+    // iterates the map, so its order never reaches a result.
+    live: Vec<FastMap<u64, LiveGeneration>>,
     generations: u64,
     oracle_misses: u64,
     demand_misses: u64,
@@ -33,12 +37,17 @@ impl OracleOpportunity {
     ///
     /// # Panics
     ///
-    /// Panics if `num_cpus` is zero.
+    /// Panics if `num_cpus` is zero or a region holds more than
+    /// [`SpatialPattern::MAX_BLOCKS`] blocks.
     pub fn new(num_cpus: usize, region: RegionConfig) -> Self {
         assert!(num_cpus > 0, "need at least one cpu");
+        assert!(
+            region.blocks_per_region() <= SpatialPattern::MAX_BLOCKS,
+            "region holds more blocks than a spatial pattern"
+        );
         Self {
             region,
-            live: vec![HashMap::new(); num_cpus],
+            live: vec![FastMap::default(); num_cpus],
             generations: 0,
             oracle_misses: 0,
             demand_misses: 0,
@@ -48,16 +57,16 @@ impl OracleOpportunity {
     /// Observes a demand access and whether it missed at this level.
     pub fn on_access(&mut self, cpu: u8, addr: u64, was_miss: bool) {
         let base = self.region.region_base(addr);
-        let block = self.region.block_addr(addr);
-        let live = &mut self.live[cpu as usize];
-        let generation = match live.get_mut(&base) {
-            Some(g) => g,
-            None => {
-                self.generations += 1;
-                live.entry(base).or_default()
+        let offset = self.region.region_offset(addr);
+        let blocks = self.region.blocks_per_region();
+        let generation = self.live[cpu as usize].entry(base).or_insert_with(|| {
+            self.generations += 1;
+            LiveGeneration {
+                accessed: SpatialPattern::new(blocks),
+                missed: false,
             }
-        };
-        generation.accessed_blocks.insert(block);
+        });
+        generation.accessed.set(offset);
         if was_miss {
             self.demand_misses += 1;
             if !generation.missed {
@@ -71,12 +80,10 @@ impl OracleOpportunity {
     /// enclosing generation if that block was accessed during it.
     pub fn on_block_removed(&mut self, cpu: u8, block_addr: u64) {
         let base = self.region.region_base(block_addr);
-        let block = self.region.block_addr(block_addr);
+        let offset = self.region.region_offset(block_addr);
         let live = &mut self.live[cpu as usize];
-        if let Some(generation) = live.get(&base) {
-            if generation.accessed_blocks.contains(&block) {
-                live.remove(&base);
-            }
+        if live.get(&base).is_some_and(|g| g.accessed.get(offset)) {
+            live.remove(&base);
         }
     }
 
@@ -202,6 +209,24 @@ mod tests {
         o.on_block_removed(0, base + 31 * 64);
         o.on_access(0, base + 64, true);
         assert_eq!(o.generations(), 1);
+    }
+
+    #[test]
+    fn upper_half_of_an_8k_region_ends_generations_by_accessed_block() {
+        // 128 blocks: offsets 64..128 live in the pattern's second word.
+        let mut o = OracleOpportunity::new(1, RegionConfig::new(8192, 64));
+        let base = 0x10_0000u64;
+        o.on_access(0, base + 100 * 64, true);
+        // Neither an unaccessed upper block nor the lower-word block at the
+        // same bit position ends the generation.
+        o.on_block_removed(0, base + 101 * 64);
+        o.on_block_removed(0, base + 36 * 64);
+        o.on_access(0, base + 64, true);
+        assert_eq!(o.generations(), 1);
+        o.on_block_removed(0, base + 100 * 64);
+        o.on_access(0, base + 64, true);
+        assert_eq!(o.generations(), 2);
+        assert_eq!(o.oracle_misses(), 2);
     }
 
     #[test]

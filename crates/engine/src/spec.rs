@@ -23,7 +23,7 @@ use memsim::{NullPrefetcher, PrefetchRequest, Prefetcher, SystemOutcome};
 use serde::{Deserialize, Serialize};
 use sms::{
     DensityObserver, IndexScheme, OracleObserver, PhtCapacity, RegionConfig, SmsConfig,
-    SmsPrefetcher, TrainerKind, TrainingPrefetcher,
+    SmsPrefetcher, SpatialPattern, TrainerKind, TrainingPrefetcher,
 };
 use std::sync::Arc;
 use trace::MemAccess;
@@ -354,6 +354,24 @@ impl PrefetcherPlugin for OracleProbePlugin {
         num_cpus: usize,
     ) -> Result<BuiltPrefetcher, PluginError> {
         let spec: OracleProbeSpec = decode_params(self.name(), params)?;
+        // Each oracle keeps a generation's accessed blocks in a spatial
+        // pattern; refuse a region that would not fit instead of panicking
+        // mid-run.
+        if let Some(region) = spec
+            .regions
+            .iter()
+            .find(|region| region.blocks_per_region() > SpatialPattern::MAX_BLOCKS)
+        {
+            return Err(PluginError::BadParams {
+                plugin: self.name().to_string(),
+                message: format!(
+                    "a {} B region of {} B blocks holds more than {} blocks",
+                    region.region_bytes,
+                    region.block_bytes,
+                    SpatialPattern::MAX_BLOCKS
+                ),
+            });
+        }
         Ok(BuiltPrefetcher::new(MultiOracle {
             oracles: spec
                 .regions
@@ -474,6 +492,29 @@ mod tests {
         };
         let err = registry.build(&spec, 1).expect_err("bad params");
         assert!(matches!(&err, PluginError::BadParams { plugin, .. } if plugin == "sms"));
+    }
+
+    #[test]
+    fn oracle_probe_refuses_regions_wider_than_a_pattern() {
+        let registry = Registry::builtin();
+        let spec = |region_bytes| {
+            PrefetcherSpec::oracle_probe(&OracleProbeSpec {
+                regions: vec![
+                    RegionConfig::paper_default(),
+                    RegionConfig::new(region_bytes, 64),
+                ],
+                read_only: true,
+            })
+        };
+        assert!(
+            registry.build(&spec(8192), 2).is_ok(),
+            "8 kB = 128 blocks fits"
+        );
+        let err = registry.build(&spec(16384), 2).expect_err("256 blocks");
+        assert!(
+            matches!(&err, PluginError::BadParams { plugin, .. } if plugin == "oracle-probe"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -153,7 +153,8 @@ impl SetAssocCache {
         self.lines[index].set_lru(self.tick);
     }
 
-    fn find(&self, addr: u64) -> Option<usize> {
+    /// The way holding the block containing `addr`, if present.
+    pub(crate) fn find(&self, addr: u64) -> Option<usize> {
         let tag = self.tag(addr);
         self.set_range(addr)
             .find(|&i| self.lines[i].valid() && self.lines[i].tag == tag)
@@ -175,6 +176,35 @@ impl SetAssocCache {
         })
     }
 
+    /// One pass over the set holding `addr`: `Ok` with the way that holds
+    /// the block, or `Err` with the way a fill would replace — the first
+    /// invalid way, else the least-recently-used one.
+    fn lookup(&self, addr: u64) -> Result<usize, usize> {
+        let tag = self.tag(addr);
+        let range = self.set_range(addr);
+        let mut victim = range.start;
+        let mut victim_rank = u64::MAX;
+        for i in range {
+            let line = &self.lines[i];
+            // Valid lines carry LRU stamps of at least 1 (`touch` advances
+            // the clock before stamping), so ranking an invalid way 0 makes
+            // the first invalid way win and the LRU way win otherwise.
+            let rank = if line.valid() {
+                if line.tag == tag {
+                    return Ok(i);
+                }
+                line.lru()
+            } else {
+                0
+            };
+            if rank < victim_rank {
+                victim_rank = rank;
+                victim = i;
+            }
+        }
+        Err(victim)
+    }
+
     /// Performs a demand access (load or store) to `addr`.
     ///
     /// On a miss the block is allocated (write-allocate) and the displaced
@@ -188,92 +218,86 @@ impl SetAssocCache {
     /// is reported as a miss so upgrade latency and store-buffer pressure are
     /// modelled.
     pub fn access(&mut self, addr: u64, kind: AccessKind) -> AccessOutcome {
-        if let Some(i) = self.find(addr) {
-            let line = &mut self.lines[i];
-            let was_prefetched = line.prefetched_unused();
-            line.set(Line::PREFETCHED, false);
-            if kind.is_write() {
-                line.set(Line::DIRTY, true);
-            }
-            self.touch(i);
-            if kind.is_write() && was_prefetched {
-                return AccessOutcome {
-                    hit: false,
-                    hit_on_prefetched: false,
+        match self.lookup(addr) {
+            Ok(i) => {
+                let line = &mut self.lines[i];
+                let was_prefetched = line.prefetched_unused();
+                line.set(Line::PREFETCHED, false);
+                if kind.is_write() {
+                    line.set(Line::DIRTY, true);
+                }
+                self.touch(i);
+                let upgrade = kind.is_write() && was_prefetched;
+                AccessOutcome {
+                    hit: !upgrade,
+                    hit_on_prefetched: was_prefetched && !upgrade,
                     evicted: None,
-                };
+                }
             }
-            return AccessOutcome {
-                hit: true,
-                hit_on_prefetched: was_prefetched,
-                evicted: None,
-            };
-        }
-        let evicted = self.fill_internal(addr, kind.is_write(), false);
-        AccessOutcome {
-            hit: false,
-            hit_on_prefetched: false,
-            evicted,
+            Err(victim) => AccessOutcome {
+                hit: false,
+                hit_on_prefetched: false,
+                evicted: self.replace(victim, addr, kind.is_write(), false),
+            },
         }
     }
 
     /// Fills `addr` as a prefetch/stream request.  Does nothing if the block
     /// is already present.  Returns the displaced line, if any.
     pub fn prefetch_fill(&mut self, addr: u64) -> Option<EvictedLine> {
-        if self.contains(addr) {
-            return None;
-        }
-        self.fill_internal(addr, false, true)
+        self.prefetch_fill_absent(addr).flatten()
+    }
+
+    /// [`prefetch_fill`](Self::prefetch_fill) that tells the caller whether
+    /// it filled: `None` if the block was already present, otherwise `Some`
+    /// of the displaced line, if any.
+    pub(crate) fn prefetch_fill_absent(&mut self, addr: u64) -> Option<Option<EvictedLine>> {
+        let victim = self.lookup(addr).err()?;
+        Some(self.replace(victim, addr, false, true))
     }
 
     /// Fills `addr` without counting a demand access (used for write-backs
     /// arriving from an upper level).  Does nothing if the block is already
     /// present, other than marking it dirty when `dirty` is set.
     pub fn fill(&mut self, addr: u64, dirty: bool) -> Option<EvictedLine> {
-        if let Some(i) = self.find(addr) {
-            if dirty {
-                self.lines[i].set(Line::DIRTY, true);
+        match self.lookup(addr) {
+            Ok(i) => {
+                if dirty {
+                    self.lines[i].set(Line::DIRTY, true);
+                }
+                self.touch(i);
+                None
             }
-            self.touch(i);
-            return None;
+            Err(victim) => self.replace(victim, addr, dirty, false),
         }
-        self.fill_internal(addr, dirty, false)
     }
 
-    fn fill_internal(&mut self, addr: u64, dirty: bool, prefetched: bool) -> Option<EvictedLine> {
-        let tag = self.tag(addr);
-        let range = self.set_range(addr);
-        // Prefer an invalid way; otherwise evict the LRU way.
-        let mut victim = range.start;
-        let mut best_lru = u64::MAX;
-        let mut found_invalid = false;
-        for i in range {
-            if !self.lines[i].valid() {
-                victim = i;
-                found_invalid = true;
-                break;
-            }
-            if self.lines[i].lru() < best_lru {
-                best_lru = self.lines[i].lru();
-                victim = i;
-            }
-        }
-        let evicted = if found_invalid {
-            None
-        } else {
-            Some(self.lines[victim].departed())
-        };
-        self.lines[victim] = Line::new(tag, dirty, prefetched);
+    /// Installs `addr` in way `victim`, returning the valid line it held.
+    fn replace(
+        &mut self,
+        victim: usize,
+        addr: u64,
+        dirty: bool,
+        prefetched: bool,
+    ) -> Option<EvictedLine> {
+        let old = self.lines[victim];
+        self.lines[victim] = Line::new(self.tag(addr), dirty, prefetched);
         self.touch(victim);
-        evicted
+        old.valid().then(|| old.departed())
     }
 
     /// Invalidates the block containing `addr`, returning the removed line.
     pub fn invalidate(&mut self, addr: u64) -> Option<EvictedLine> {
-        let i = self.find(addr)?;
-        let old = self.lines[i];
-        self.lines[i] = Line::INVALID;
-        Some(old.departed())
+        let way = self.find(addr)?;
+        Some(self.invalidate_way(way))
+    }
+
+    /// Invalidates way `way` (a valid line [`find`](Self::find) returned),
+    /// returning the removed line.
+    pub(crate) fn invalidate_way(&mut self, way: usize) -> EvictedLine {
+        let old = self.lines[way];
+        self.lines[way] = Line::INVALID;
+        old.departed()
     }
 
     /// Feeds every mutable field — the LRU clock and each line's tag, state
@@ -335,6 +359,29 @@ mod tests {
         assert!(c.contains(a));
         assert!(!c.contains(b));
         assert!(c.contains(d));
+    }
+
+    #[test]
+    fn fill_takes_first_invalid_way_then_evicts_lru() {
+        // 4 sets x 4 ways x 64B; blocks 256 B apart share set 0.
+        let mut c = SetAssocCache::new(CacheConfig::new(1024, 4, 64));
+        let [a, b, d, e, f, g, h] = [0x000, 0x100, 0x200, 0x300, 0x400, 0x500, 0x600];
+        for addr in [a, b, d, e] {
+            assert!(c.fill(addr, false).is_none());
+        }
+        // Ways: a, -, d, - (holes between and after valid lines).
+        c.invalidate(b);
+        c.invalidate(e);
+        assert!(c.fill(f, false).is_none());
+        let ways: Vec<u64> = c.resident_blocks().collect();
+        assert_eq!(ways, vec![a, f, d], "the first invalid way is taken");
+        assert!(c.fill(g, false).is_none());
+        // Full set a, f, d, g; re-touch a so d (filled before f and g) is LRU.
+        assert!(c.access(a, AccessKind::Read).hit);
+        let evicted = c.fill(h, false).expect("set was full");
+        assert_eq!(evicted.block_addr, d, "the LRU way is evicted");
+        let ways: Vec<u64> = c.resident_blocks().collect();
+        assert_eq!(ways, vec![a, f, h, g]);
     }
 
     #[test]

@@ -18,9 +18,24 @@
 //! replays the tape later (typically on another thread) with bit-identical
 //! results, because [`MissAccounting::replay`] applies exactly the updates the
 //! inline path applies, in exactly the same order.
+//!
+//! # How the history is stored
+//!
+//! A miss is cold when its processor has never cached the block at that
+//! level, so the classifier remembers, per processor, every block it has ever
+//! cached.  Traces bring in a new block every few accesses, so that history
+//! grows for the whole run and is probed on every L1 and off-chip miss.  It
+//! is kept as a bitmap per group of 64 consecutive blocks (block index =
+//! `addr >> log2(block_bytes)`, group = index >> 6) in a map from group to
+//! one 64-bit word: programs touch blocks in clusters, so each group holds
+//! several blocks and the map is several times smaller than a set of block
+//! addresses, and a lookup is one probe of that smaller map plus a bit
+//! test-and-set.  Invalidations are rare (tens per thousand accesses), so
+//! the blocks awaiting a sharing miss stay in a sparse map from block to the
+//! remote writer's address.
 
 use crate::config::HierarchyConfig;
-use crate::fasthash::{FastMap, FastSet};
+use crate::fasthash::FastMap;
 use crate::fingerprint::{scramble, FingerprintBuilder};
 use serde::{Deserialize, Serialize};
 use trace::MemAccess;
@@ -40,14 +55,34 @@ pub enum MissKind {
     FalseSharing,
 }
 
+/// A set of block indices stored as one bit per block in a map from each
+/// group of 64 consecutive blocks to its 64-bit word.
+#[derive(Debug, Clone, Default)]
+struct BlockSet {
+    groups: FastMap<u64, u64>,
+}
+
+impl BlockSet {
+    /// Adds block `index`; returns whether it was absent.
+    #[inline]
+    fn insert(&mut self, index: u64) -> bool {
+        let word = self.groups.entry(index >> 6).or_insert(0);
+        let bit = 1 << (index & 63);
+        let absent = *word & bit == 0;
+        *word |= bit;
+        absent
+    }
+}
+
 /// Classifies misses for one cache level across all processors.
 #[derive(Debug, Clone)]
 pub struct MissClassifier {
-    block_bytes: u64,
+    /// `log2(block_bytes)`: an address shifted right by it is a block index.
+    block_shift: u32,
     /// Per-CPU set of blocks that have been cached at some point.
-    seen: Vec<FastSet<u64>>,
-    /// Per-CPU map from invalidated block to the 64 B chunk address the
-    /// remote writer touched.
+    seen: Vec<BlockSet>,
+    /// Per-CPU map from invalidated block index to the address the remote
+    /// writer touched.
     invalidated: Vec<FastMap<u64, u64>>,
 }
 
@@ -65,14 +100,14 @@ impl MissClassifier {
             "block size must be a power of two"
         );
         Self {
-            block_bytes,
-            seen: vec![FastSet::default(); cpus],
+            block_shift: block_bytes.trailing_zeros(),
+            seen: vec![BlockSet::default(); cpus],
             invalidated: vec![FastMap::default(); cpus],
         }
     }
 
     fn block(&self, addr: u64) -> u64 {
-        addr & !(self.block_bytes - 1)
+        addr >> self.block_shift
     }
 
     fn chunk(addr: u64) -> u64 {
@@ -91,14 +126,14 @@ impl MissClassifier {
     pub fn classify_miss(&mut self, cpu: u8, addr: u64) -> MissKind {
         let block = self.block(addr);
         let cpu_idx = cpu as usize;
+        let first_fill = self.seen[cpu_idx].insert(block);
         if let Some(written) = self.invalidated[cpu_idx].remove(&block) {
-            self.seen[cpu_idx].insert(block);
             if Self::chunk(written) == Self::chunk(addr) {
                 return MissKind::TrueSharing;
             }
             return MissKind::FalseSharing;
         }
-        if self.seen[cpu_idx].insert(block) {
+        if first_fill {
             MissKind::Cold
         } else {
             MissKind::Replacement
@@ -114,31 +149,23 @@ impl MissClassifier {
 
     /// The block granularity this classifier operates at.
     pub fn block_bytes(&self) -> u64 {
-        self.block_bytes
+        1 << self.block_shift
     }
 
     /// Feeds the classifier's history into a state fingerprint.
     ///
-    /// The per-CPU sets and maps iterate in hash order, so each entry is
-    /// scrambled individually and the results combined commutatively before
-    /// mixing — two classifiers with equal contents fingerprint identically
-    /// regardless of insertion order.
+    /// The per-CPU maps iterate in hash order, so each entry is scrambled
+    /// individually and the results combined commutatively before mixing —
+    /// two classifiers with equal contents fingerprint identically regardless
+    /// of insertion order.
     pub(crate) fn fingerprint_into(&self, fp: &mut FingerprintBuilder) {
-        fp.mix(self.block_bytes);
-        for seen in &self.seen {
-            let mut sum = 0u64;
-            for &block in seen {
-                sum = sum.wrapping_add(scramble(block));
-            }
-            fp.mix(seen.len() as u64);
-            fp.mix(sum);
-        }
-        for invalidated in &self.invalidated {
-            let mut sum = 0u64;
-            for (&block, &written) in invalidated {
-                sum = sum.wrapping_add(scramble(scramble(block).wrapping_add(written)));
-            }
-            fp.mix(invalidated.len() as u64);
+        fp.mix(u64::from(self.block_shift));
+        let seen = self.seen.iter().map(|set| &set.groups);
+        for map in seen.chain(&self.invalidated) {
+            let sum = map.iter().fold(0u64, |sum, (&key, &value)| {
+                sum.wrapping_add(scramble(scramble(key).wrapping_add(value)))
+            });
+            fp.mix(map.len() as u64);
             fp.mix(sum);
         }
     }

@@ -1,18 +1,19 @@
 //! A fast, deterministic hasher for the simulator's hot-path tables.
 //!
-//! The classifier sets, the AGT, and the unbounded PHT hash a `u64` key on
-//! every miss (or every access); `std`'s default SipHash is hardening against
-//! adversarial keys the simulator does not need, and its per-lookup cost is
-//! measurable at trace scale.  [`FxHasher`] is the multiply-xor hash used by
-//! rustc's `FxHashMap`: one rotate, one xor and one multiply per word, with
-//! solid dispersion on block/region addresses (whose low bits are zero).
+//! The miss classifiers' block-group bitmaps, the AGT, the unbounded PHT and
+//! the generation probes hash a `u64` key on every miss (or every access);
+//! `std`'s default SipHash is hardening against adversarial keys the
+//! simulator does not need, and its per-lookup cost is measurable at trace
+//! scale.  [`FxHasher`] is the multiply-xor hash used by rustc's
+//! `FxHashMap`: one rotate, one xor and one multiply per word, with solid
+//! dispersion on block/region addresses (whose low bits are zero).
 //!
 //! Swapping hashers is behavior-preserving for every table in this workspace:
 //! none of them depends on iteration order (the AGT's LRU victim scans pick a
 //! unique minimum tick), so simulated results stay bit-identical — pinned by
 //! the golden hashes in `tests/deterministic_replay.rs`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// The multiplier from Fx hashing (derived from the golden ratio, as in
@@ -90,16 +91,14 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// A `HashMap` keyed with the fast hasher.
 pub type FastMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
-/// A `HashSet` keyed with the fast hasher.
-pub type FastSet<T> = HashSet<T, FxBuildHasher>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     #[test]
     fn deterministic_and_dispersed() {
-        let mut seen = FastSet::default();
+        let mut seen: HashSet<u64, FxBuildHasher> = HashSet::default();
         // Block-aligned addresses (low 6 bits zero) must not collide in the
         // low bits the table indexes with.
         let mut low_bits = HashSet::new();

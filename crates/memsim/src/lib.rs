@@ -59,7 +59,7 @@ pub use driver::{
     summarize_segmented, DriverMeter, DriverMetrics, PrefetcherFactory, RunSummary, SegmentCounts,
     SimJob,
 };
-pub use fasthash::{FastMap, FastSet, FxBuildHasher, FxHasher};
+pub use fasthash::{FastMap, FxBuildHasher, FxHasher};
 pub use fingerprint::{FingerprintBuilder, StateFingerprint};
 pub use hierarchy::{CpuHierarchy, HierarchyOutcome};
 pub use mshr::MshrFile;

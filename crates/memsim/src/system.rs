@@ -185,19 +185,16 @@ impl MultiCpuSystem {
                     continue;
                 }
                 let other_cpu = other as u8;
-                let had_l1 = self.cpus[other].l1().contains(access.addr);
-                let had_l2 = self.cpus[other].l2().contains(access.addr);
-                if had_l1 || had_l2 {
-                    self.cpus[other].invalidate(access.addr);
+                let (l1_line, l2_line) = self.cpus[other].invalidate(access.addr);
+                if l1_line.is_some() || l2_line.is_some() {
                     match sink {
                         ClassifySink::Inline => {
                             self.accounting.on_invalidation(other_cpu, access.addr)
                         }
                         ClassifySink::Tape(tape) => tape.push_invalidation(other_cpu),
                     }
-                    if had_l1 {
-                        let block = self.config.l1.block_addr(access.addr);
-                        remote_invalidations.push((other_cpu, block));
+                    if let Some(line) = l1_line {
+                        remote_invalidations.push((other_cpu, line.block_addr));
                     }
                 }
             }
