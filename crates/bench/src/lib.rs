@@ -31,7 +31,6 @@ pub fn bench_config() -> ExperimentConfig {
         hierarchy: HierarchyConfig::scaled(),
         workers: 1,
         segment_size: None,
-        speculate: 0,
     }
 }
 

@@ -14,12 +14,11 @@
 //!   [`canonical_json`], so a reordered or reformatted spec file hashes
 //!   identically.
 //!
-//! `segment_size` and `speculate` are **included** even though they, too,
-//! preserve results by construction: they select different execution code
-//! paths, and a cache keyed on them stays trustworthy even while one of
-//! those paths is being debugged.  Two submissions differing only in
-//! workers share a cache line; differing in any job field, segment size or
-//! speculation depth do not.
+//! `segment_size` is **included** even though it, too, preserves results by
+//! construction: it selects a different execution code path, and a cache
+//! keyed on it stays trustworthy even while that path is being debugged.
+//! Two submissions differing only in workers share a cache line; differing
+//! in any job field or in segment size do not.
 
 use crate::runner::{EngineConfig, JobList, SimJob};
 use serde::Serialize;
@@ -67,8 +66,8 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
 
 /// The content-addressed identity of a job submission: a 16-hex-digit
 /// fingerprint of the canonical JSON of the jobs plus the engine-relevant
-/// execution parameters (`segment_size`, `speculate` — never `workers`, see
-/// the module docs for the rationale).
+/// execution parameter `segment_size` (never `workers`, see the module docs
+/// for the rationale).
 ///
 /// Equal fingerprints ⇒ byte-identical results, because jobs are
 /// deterministic and the canonicalization erases only non-semantic JSON
@@ -82,10 +81,6 @@ pub fn spec_fingerprint(jobs: &[SimJob], config: &EngineConfig) -> String {
                 Some(size) => Value::UInt(size as u64),
                 None => Value::Null,
             },
-        ),
-        (
-            "speculate".to_string(),
-            Value::UInt(config.speculate as u64),
         ),
     ]);
     format!("{:016x}", fnv1a_64(canonical_json(&keyed).as_bytes()))
@@ -168,13 +163,10 @@ mod tests {
         tweaked[0].sim.accesses += 1;
         assert_ne!(spec_fingerprint(&tweaked, &config), baseline);
 
-        // Execution-strategy parameters that select different code paths.
+        // The execution-strategy parameter that selects a different code
+        // path.
         assert_ne!(
             spec_fingerprint(&jobs(), &config.with_segment_size(10_000)),
-            baseline
-        );
-        assert_ne!(
-            spec_fingerprint(&jobs(), &config.with_speculation(4)),
             baseline
         );
         assert_ne!(

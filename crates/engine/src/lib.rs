@@ -23,6 +23,10 @@
 //!   a synthetic trace that several jobs of a list read is generated once
 //!   per run and replayed by each of them — so parallel
 //!   results are **bit-identical** to the serial path;
+//! * with a segment size set, each job's stream is additionally cut into
+//!   segments that flow through a pull → simulate → account pipeline on up
+//!   to three threads ([`segment`]) — the same computation in the same
+//!   order, so results stay bit-identical;
 //! * results are merged deterministically back into submission order, each
 //!   carrying the run's [`memsim::RunSummary`], an open serializable
 //!   [`ProbeReport`] (`{kind, data}` — density histograms, oracle misses,
@@ -67,7 +71,6 @@ pub mod runner;
 pub mod segment;
 mod shared;
 pub mod spec;
-pub mod speculate;
 pub mod telemetry;
 
 pub use hash::{canonical_json, fnv1a_64, list_fingerprint, spec_fingerprint};
@@ -80,6 +83,6 @@ pub use runner::{
     run_jobs_streamed, run_jobs_streamed_observed, run_jobs_with, CancelToken, EngineConfig,
     EngineError, JobList, JobResult, JobWarning, SimJob, SpecError, TimingSpec,
 };
-pub use segment::{run_job_segmented, run_job_segmented_observed, SegmentPlan};
+pub use segment::SegmentPlan;
 pub use spec::{MultiOracle, OracleProbeSpec, PrefetcherSpec, TrainingSpec};
 pub use telemetry::{EngineMetrics, JobMetrics, WorkerMetrics};

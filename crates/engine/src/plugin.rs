@@ -49,7 +49,7 @@ pub trait Probe: Prefetcher + Send {
     /// feeds the sink itself: inline with each outcome on serial runs,
     /// or from the accounting stage's bit-identical
     /// [`MissAccounting::replay_with_kinds`](memsim::MissAccounting::replay_with_kinds)
-    /// pass on segmented and speculative runs.  The probe's own `on_access`
+    /// pass on segmented runs.  The probe's own `on_access`
     /// must **not** read the two kind fields — they are `None` whenever
     /// classification is deferred.
     ///
@@ -73,18 +73,6 @@ pub trait Probe: Prefetcher + Send {
     /// so [`into_report`](Self::into_report) sees its accumulated state.
     /// Called exactly once, just before the report is extracted.
     fn restore_kind_sink(&mut self, _sink: Box<dyn KindSink>) {}
-
-    /// Clones this probe's live state for a speculative rollback snapshot,
-    /// if the probe supports it.
-    ///
-    /// The speculative executor pairs a forked probe with a cloned
-    /// `MultiCpuSystem` so a mispredicted segment can be re-simulated from
-    /// the snapshot.  `None` (the default) means the probe's state cannot be
-    /// cheaply duplicated; speculation still runs, but the fault-injection
-    /// test knob skips jobs with unforkable probes.
-    fn fork(&self) -> Option<Box<dyn Probe>> {
-        None
-    }
 }
 
 /// The detachable kind-consuming component of a probe that declares
@@ -94,8 +82,8 @@ pub trait Probe: Prefetcher + Send {
 /// per simulated (non-skipped) access, in stream order, with exactly the
 /// `(l1, l2)` miss kinds the serial inline path reports: `Some` for
 /// classified read misses, `None` for hits and write misses.  On serial runs
-/// the feed happens inline; on segmented and speculative runs it happens on
-/// the accounting stage, where the kinds are recomputed bit-identically from
+/// the feed happens inline; on segmented runs it happens on the accounting
+/// stage, where the kinds are recomputed bit-identically from
 /// the outcome tape.
 pub trait KindSink: Send {
     /// Consumes one access's miss-kind classifications.
@@ -188,18 +176,6 @@ impl BuiltPrefetcher {
     pub fn restore_kind_sink(&mut self, sink: Box<dyn KindSink>) {
         debug_assert!(self.sink.is_none(), "restoring over an attached sink");
         self.sink = Some(sink);
-    }
-
-    /// Clones the live probe state for a speculative rollback snapshot, if
-    /// the inner probe supports [`Probe::fork`].
-    ///
-    /// The forked copy carries no kind sink: forks are only taken while the
-    /// pipeline holds the sink detached (deferred classification), so the
-    /// snapshot's sink state lives with the accounting stage, not here.
-    pub fn fork(&self) -> Option<BuiltPrefetcher> {
-        self.inner
-            .fork()
-            .map(|inner| BuiltPrefetcher { inner, sink: None })
     }
 }
 

@@ -315,33 +315,19 @@ pub struct EngineConfig {
     pub workers: usize,
     /// When set (> 0), every eligible job runs through the intra-job
     /// segment pipeline with this many accesses per segment (see
-    /// [`run_job_segmented`](crate::segment::run_job_segmented)).  The
+    /// [`crate::segment`]).  The
     /// thread budget named by `workers` is then split between job-level
     /// parallelism and the up-to-three pipeline stages of each running job.
     /// `None` (the default) keeps the pre-segmentation behavior exactly.
     pub segment_size: Option<usize>,
-    /// Speculative run-ahead depth for segmented jobs: how many segments
-    /// the simulate stage may run ahead of the verified commit frontier
-    /// (see [`crate::speculate`]).  `0` (the default) disables speculation.
-    /// A depth > 0 implies segmentation: when no explicit `segment_size` is
-    /// set, jobs are segmented at
-    /// [`DEFAULT_SPECULATIVE_SEGMENT`](EngineConfig::DEFAULT_SPECULATIVE_SEGMENT)
-    /// accesses.  Speculation still requires at least two threads in the
-    /// per-job budget; below that the plan degrades to the inline pipeline.
-    pub speculate: usize,
 }
 
 impl EngineConfig {
-    /// Accesses per segment when speculation is requested without an
-    /// explicit segment size.
-    pub const DEFAULT_SPECULATIVE_SEGMENT: usize = 10_000;
-
     /// One worker per available hardware thread.
     pub fn auto() -> Self {
         Self {
             workers: 0,
             segment_size: None,
-            speculate: 0,
         }
     }
 
@@ -350,7 +336,6 @@ impl EngineConfig {
         Self {
             workers: 1,
             segment_size: None,
-            speculate: 0,
         }
     }
 
@@ -359,7 +344,6 @@ impl EngineConfig {
         Self {
             workers,
             segment_size: None,
-            speculate: 0,
         }
     }
 
@@ -371,15 +355,6 @@ impl EngineConfig {
         } else {
             None
         };
-        self
-    }
-
-    /// Returns a copy with speculative run-ahead at the given depth (`0`
-    /// disables it).  A depth > 0 with no explicit segment size segments
-    /// jobs at [`DEFAULT_SPECULATIVE_SEGMENT`](EngineConfig::DEFAULT_SPECULATIVE_SEGMENT)
-    /// accesses.
-    pub fn with_speculation(mut self, depth: usize) -> Self {
-        self.speculate = depth;
         self
     }
 
@@ -404,20 +379,11 @@ impl EngineConfig {
     /// all: the per-job [`SegmentPlan`] grants each running job up to three
     /// pipeline threads out of the total budget.
     pub fn segment_plan(&self) -> Option<SegmentPlan> {
-        let segment_size = match self.segment_size.filter(|&s| s > 0) {
-            Some(size) => size,
-            // Speculation implies segmentation: a bare `--speculate N` gets
-            // the default segment size rather than silently doing nothing.
-            None if self.speculate > 0 => Self::DEFAULT_SPECULATIVE_SEGMENT,
-            None => return None,
-        };
-        // Speculation dedicates a fourth thread to the run-ahead simulate
-        // worker when the budget allows.
-        let max_threads = if self.speculate > 0 { 4 } else { 3 };
-        Some(
-            SegmentPlan::new(segment_size, self.resolved_workers().clamp(1, max_threads))
-                .with_speculation(self.speculate),
-        )
+        let segment_size = self.segment_size.filter(|&s| s > 0)?;
+        Some(SegmentPlan::new(
+            segment_size,
+            self.resolved_workers().clamp(1, 3),
+        ))
     }
 
     /// Job-level worker count when segmentation is active: the thread
@@ -607,8 +573,8 @@ pub fn run_jobs_in(
 type TaggedOutcome = (usize, Result<(JobResult, JobMetrics), EngineError>);
 
 /// Executes one job with panic isolation: a panic anywhere inside the job —
-/// plugin build, probe callback, segmented pipeline helper, speculative
-/// worker — is caught at this boundary and surfaced as
+/// plugin build, probe callback, segmented pipeline helper — is caught at
+/// this boundary and surfaced as
 /// [`EngineError::Panicked`], so a broken plugin fails its own job with the
 /// usual lowest-index-error semantics instead of tearing down the worker
 /// thread and every job queued behind it.
@@ -616,7 +582,7 @@ type TaggedOutcome = (usize, Result<(JobResult, JobMetrics), EngineError>);
 /// This is the one place every run mode opens a job's stream, through the
 /// run's `shared` trace table, and tells the table when the job is done.
 ///
-/// Segmented and speculative jobs run their helper threads inside a
+/// Segmented jobs run their helper threads inside a
 /// [`std::thread::scope`], which joins them before the owning panic
 /// propagates out, so nothing outlives the catch.  `AssertUnwindSafe` is
 /// sound: the job's system, prefetcher and stream are constructed inside
@@ -844,8 +810,8 @@ impl CancelToken {
 /// through `cancel`.
 ///
 /// The per-job results handed to the sink are bit-identical to what
-/// [`run_jobs_metered`] would return for every worker count, segmentation
-/// and speculation setting — workers tag outcomes with the submission index
+/// [`run_jobs_metered`] would return for every worker count and segmentation
+/// setting — workers tag outcomes with the submission index
 /// and the calling thread reorders them into a strictly in-order stream, so
 /// a consumer can forward each result over a socket as it lands.  Because
 /// workers claim jobs from an atomic cursor, the claimed set is always a
@@ -1115,29 +1081,6 @@ pub(crate) mod tests {
         assert_eq!(EngineConfig::with_workers(8).effective_workers(3), 3);
         assert_eq!(EngineConfig::with_workers(2).effective_workers(0), 1);
         assert!(EngineConfig::auto().effective_workers(64) >= 1);
-    }
-
-    #[test]
-    fn speculation_implies_a_segment_plan() {
-        // No segmentation, no speculation: no plan.
-        assert!(EngineConfig::with_workers(4).segment_plan().is_none());
-        // A bare speculation request must segment at the default size
-        // instead of silently running unsegmented (and unspeculated).
-        let plan = EngineConfig::with_workers(4)
-            .with_speculation(4)
-            .segment_plan()
-            .expect("speculation implies segmentation");
-        assert_eq!(plan.segment_size, EngineConfig::DEFAULT_SPECULATIVE_SEGMENT);
-        assert_eq!(plan.threads, 4);
-        assert_eq!(plan.speculation, 4);
-        // An explicit segment size wins over the implied default.
-        let plan = EngineConfig::with_workers(2)
-            .with_segment_size(1_234)
-            .with_speculation(2)
-            .segment_plan()
-            .expect("explicit segmentation");
-        assert_eq!(plan.segment_size, 1_234);
-        assert_eq!(plan.threads, 2);
     }
 
     #[test]
@@ -1589,18 +1532,15 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn panic_is_isolated_under_segmentation_and_speculation() {
-        // The panic fires on a pipeline thread (segmented) or a speculative
-        // worker; either way it must surface as the job's structured error,
-        // not tear down the engine.
+    fn panic_is_isolated_under_segmentation() {
+        // The panic fires in the simulate stage while the pipeline's helper
+        // threads are live (one shared helper at two workers, split
+        // pull/account helpers at three); either way it must surface as the
+        // job's structured error, not tear down the engine.
         let registry = chaos_registry();
         let jobs = vec![panic_job()];
-        for config in [
-            EngineConfig::with_workers(2).with_segment_size(1_000),
-            EngineConfig::with_workers(4)
-                .with_segment_size(1_000)
-                .with_speculation(2),
-        ] {
+        for workers in [2, 3] {
+            let config = EngineConfig::with_workers(workers).with_segment_size(1_000);
             let err = run_jobs_in(&jobs, &config, &registry)
                 .expect_err("panicking plugin must fail the run");
             assert!(

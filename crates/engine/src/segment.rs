@@ -26,32 +26,25 @@
 //! `tests/deterministic_replay.rs` pin this.
 //!
 //! What parallelism buys: while segment `k` simulates, segment `k+1` is
-//! being pulled and segment `k-1` is being accounted on other threads.
-//! Profiling puts trace generation at 7–16% and miss classification at
-//! 26–60% of the serial loop, so the pipeline's steady-state wall-clock
-//! approaches the simulate stage alone — a 1.4–2x single-job speedup at 2–3
-//! threads on unloaded cores, and exactly the serial bits either way.
+//! being pulled and segment `k-1` is being accounted on other threads, so
+//! the pipeline's steady-state wall-clock approaches the simulate stage
+//! alone.  The benchmark's traced runs put pulling the trace at 9–22% and
+//! miss classification at 8–16% of the serial loop, which caps a single
+//! job's speedup at roughly 1.3–1.4x; the results are exactly the serial
+//! bits either way.
 //!
 //! The pipeline degrades gracefully: with one thread the three stages run
 //! in-line per segment (same code, same hand-off, no concurrency); with two
 //! threads the pull and account stages share one helper, which the stage
 //! cost profile above makes the natural split.
 //!
-//! With [`SegmentPlan::with_speculation`] the simulate stage additionally
-//! runs **speculatively ahead** of the commit frontier on a dedicated worker
-//! thread: each segment's result is committed only after its start
-//! fingerprint is verified against the committed state, and a failed
-//! verification discards the speculative work and replays the segment from
-//! the authoritative state (see [`crate::speculate`]).  Committed results
-//! are bit-identical to the serial run by the same hand-off argument.
-//!
 //! A probe that declares
 //! [`wants_miss_kinds`](crate::plugin::Probe::wants_miss_kinds) hands its
 //! [`KindSink`](crate::plugin::KindSink) to the engine; on segmented runs
 //! the **account stage** feeds that sink the authoritative miss kinds while
 //! replaying each tape (via `MissAccounting::replay_with_kinds`), so
-//! kind-consuming probes segment — and speculate — like any other probe with
-//! no serial fallback.
+//! kind-consuming probes segment like any other probe with no serial
+//! fallback.
 
 use crate::plugin::{BuiltPrefetcher, KindSink, Registry};
 use crate::runner::{EngineError, JobResult, JobWarning, SimJob};
@@ -71,7 +64,7 @@ use tracelog::{Recorder, Trace};
 
 /// Converts a stopwatch reading to the whole microseconds the histograms
 /// bucket.
-pub(crate) fn as_micros(seconds: f64) -> u64 {
+fn as_micros(seconds: f64) -> u64 {
     (seconds * 1e6) as u64
 }
 
@@ -86,73 +79,42 @@ pub struct SegmentPlan {
     /// Accesses per segment (the last segment of a trace may be shorter).
     pub segment_size: usize,
     /// Threads the pipeline may use, *including* the calling thread
-    /// (clamped to `1..=3` without speculation — the pipeline has three
-    /// stages — and `1..=4` with it, the fourth thread being the
-    /// speculative simulate worker).
+    /// (clamped to `1..=3`: the pipeline has three stages).
     pub threads: usize,
-    /// Speculative run-ahead depth: how many segments the simulate worker
-    /// may run ahead of the verified commit frontier.  `0` disables
-    /// speculation; any depth needs at least two threads (it is ignored on
-    /// an inline pipeline).
-    pub speculation: usize,
-    /// Test-only fault injection: when nonzero, every `mispredict_every`-th
-    /// speculatively simulated segment is started from a deliberately
-    /// perturbed state so its verification fails and the replay path runs.
-    /// Has no effect on committed results — that is the point.
-    #[doc(hidden)]
-    pub mispredict_every: u64,
 }
 
 impl SegmentPlan {
-    /// A plan with no speculation.
+    /// A plan of `segment_size`-access segments on up to `threads` threads.
     pub fn new(segment_size: usize, threads: usize) -> Self {
         Self {
             segment_size,
             threads,
-            speculation: 0,
-            mispredict_every: 0,
         }
-    }
-
-    /// Returns a copy with speculative run-ahead at the given depth
-    /// (`0` disables it).
-    pub fn with_speculation(mut self, depth: usize) -> Self {
-        self.speculation = depth;
-        self
-    }
-
-    /// Returns a copy with test-only mispredict fault injection (`0`
-    /// disables it).
-    #[doc(hidden)]
-    pub fn with_mispredict_every(mut self, every: u64) -> Self {
-        self.mispredict_every = every;
-        self
     }
 }
 
 /// Per-job stage telemetry of a segmented run (merged into [`JobMetrics`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub(crate) struct SegmentTelemetry {
-    pub(crate) segments: u64,
-    pub(crate) pull_seconds: f64,
-    pub(crate) account_seconds: f64,
-    pub(crate) spec_commits: u64,
-    pub(crate) spec_mispredicts: u64,
-    pub(crate) spec_replayed_accesses: u64,
+struct SegmentTelemetry {
+    segments: u64,
+    pull_seconds: f64,
+    account_seconds: f64,
     /// Per-segment stage latency distributions, microseconds.
-    pub(crate) pull_hist: Histogram,
-    pub(crate) simulate_hist: Histogram,
-    pub(crate) account_hist: Histogram,
+    pull_hist: Histogram,
+    simulate_hist: Histogram,
+    account_hist: Histogram,
 }
 
-/// Runs one job through the segment pipeline, resolving its prefetcher spec
-/// through `registry`.
+/// Runs one job through the segment pipeline over the stream `open`
+/// yields, resolving its prefetcher spec through `registry`; the stream is
+/// opened where a lone job opens its source, after the prefetcher builds.
+/// Each pipeline thread records per-segment stage spans (`seg.pull`,
+/// `seg.simulate`, `seg.account`) into `trace`.
 ///
 /// The result — summary, probe report, timing result, warnings — is
 /// bit-identical to [`run_job_metered`](crate::runner::run_job_metered) for
-/// every thread count, segment size and speculation depth, including a
-/// segment boundary exactly at the trace end and segments larger than the
-/// whole trace.
+/// every thread count and segment size, including a segment boundary
+/// exactly at the trace end and segments larger than the whole trace.
 ///
 /// A job whose probe [`wants_miss_kinds`](crate::plugin::Probe::wants_miss_kinds)
 /// runs segmented like any other: its [`KindSink`] is detached from the
@@ -165,39 +127,6 @@ pub(crate) struct SegmentTelemetry {
 /// failures, and a corrupt record anywhere in the trace — even inside a late
 /// segment — fails the whole job with the same `corrupt mid-stream` error
 /// the serial path raises (never a silently shortened summary).
-pub fn run_job_segmented(
-    index: usize,
-    job: &SimJob,
-    registry: &Registry,
-    metrics: &MetricsConfig,
-    plan: SegmentPlan,
-) -> Result<(JobResult, JobMetrics), EngineError> {
-    run_job_segmented_observed(index, job, registry, metrics, plan, &Trace::disabled())
-}
-
-/// [`run_job_segmented`] with span tracing: each pipeline thread records
-/// per-segment stage spans (`seg.pull`, `seg.simulate`, `seg.account`,
-/// `seg.speculate`) and the speculative owner records commit/mispredict/
-/// replay events.  With a disabled trace this *is* [`run_job_segmented`].
-///
-/// # Errors
-///
-/// As [`run_job_segmented`].
-pub fn run_job_segmented_observed(
-    index: usize,
-    job: &SimJob,
-    registry: &Registry,
-    metrics: &MetricsConfig,
-    plan: SegmentPlan,
-    trace: &Trace,
-) -> Result<(JobResult, JobMetrics), EngineError> {
-    run_job_segmented_on(index, job, registry, metrics, plan, trace, || {
-        job.sim.source.open()
-    })
-}
-
-/// [`run_job_segmented_observed`] over the stream `open` yields, opened
-/// where a lone job opens its source: after the prefetcher builds.
 pub(crate) fn run_job_segmented_on(
     index: usize,
     job: &SimJob,
@@ -306,9 +235,6 @@ pub(crate) fn run_job_segmented_on(
         }
     };
     job_metrics.segments = telemetry.segments;
-    job_metrics.spec_commits = telemetry.spec_commits;
-    job_metrics.spec_mispredicts = telemetry.spec_mispredicts;
-    job_metrics.spec_replayed_accesses = telemetry.spec_replayed_accesses;
     Ok((result, job_metrics))
 }
 
@@ -323,16 +249,16 @@ enum Task {
 
 /// The account stage's owned state: classifiers, the optional timing model,
 /// and (for kind-consuming probes) the probe's detached [`KindSink`].
-pub(crate) struct AccountState {
-    pub(crate) accounting: MissAccounting,
-    pub(crate) timing: Option<TimingAccounting>,
-    pub(crate) sink: Option<Box<dyn KindSink>>,
+struct AccountState {
+    accounting: MissAccounting,
+    timing: Option<TimingAccounting>,
+    sink: Option<Box<dyn KindSink>>,
 }
 
 impl AccountState {
     /// Replays one segment into the accounting state — classifiers, the
     /// probe's kind sink, and the timing model when present.
-    pub(crate) fn replay_segment(&mut self, accesses: &[MemAccess], tape: &OutcomeTape) {
+    fn replay_segment(&mut self, accesses: &[MemAccess], tape: &OutcomeTape) {
         let Self {
             accounting,
             timing,
@@ -440,44 +366,35 @@ impl HelperState {
 }
 
 /// Everything the pipeline hands back to be merged into the job result.
-pub(crate) struct PipelineEnd {
-    pub(crate) system: MultiCpuSystem,
-    pub(crate) prefetcher: BuiltPrefetcher,
-    pub(crate) counts: SegmentCounts,
-    pub(crate) account: AccountState,
-    pub(crate) stream_error: Option<io::Error>,
+struct PipelineEnd {
+    system: MultiCpuSystem,
+    prefetcher: BuiltPrefetcher,
+    counts: SegmentCounts,
+    account: AccountState,
+    stream_error: Option<io::Error>,
 }
 
 /// One job's pipeline, owning all three stages' states before they are
 /// distributed across threads.
-pub(crate) struct Pipeline {
-    pub(crate) system: MultiCpuSystem,
-    pub(crate) prefetcher: BuiltPrefetcher,
-    pub(crate) stream: BoxedStream,
-    pub(crate) budget: usize,
-    pub(crate) account: AccountState,
-    pub(crate) plan: SegmentPlan,
+struct Pipeline {
+    system: MultiCpuSystem,
+    prefetcher: BuiltPrefetcher,
+    stream: BoxedStream,
+    budget: usize,
+    account: AccountState,
+    plan: SegmentPlan,
     /// Submission index of the job, used to label per-thread trace tracks.
-    pub(crate) job: usize,
+    job: usize,
     /// Span trace the pipeline threads record into (disabled = free no-op).
-    pub(crate) trace: Trace,
+    trace: Trace,
 }
 
 impl Pipeline {
     /// Executes pull → simulate → account over the whole stream.  The
     /// calling thread always runs the simulate stage (it owns the
     /// heavyweight simulator state); helpers take the other stages
-    /// according to `plan.threads`.  With speculation enabled and at least
-    /// two threads, the simulate stage instead runs ahead on a dedicated
-    /// worker under the verify-commit-replay protocol of
-    /// [`crate::speculate`].
-    pub(crate) fn run<M: DriverMeter>(self, meter: &mut M) -> (PipelineEnd, SegmentTelemetry) {
-        if self.plan.speculation > 0 {
-            let threads = self.plan.threads.clamp(1, 4);
-            if threads >= 2 {
-                return crate::speculate::run_speculative(self, meter, threads);
-            }
-        }
+    /// according to `plan.threads`.
+    fn run<M: DriverMeter>(self, meter: &mut M) -> (PipelineEnd, SegmentTelemetry) {
         match self.plan.threads.clamp(1, 3) {
             1 => self.run_inline(meter),
             threads => self.run_threaded(meter, threads),
@@ -809,7 +726,7 @@ impl Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run_jobs_in, run_jobs_metered, run_jobs_with, EngineConfig};
+    use crate::runner::{run_jobs_in, run_jobs_with, EngineConfig};
     use crate::spec::{OracleProbeSpec, PrefetcherSpec};
     use ghb::GhbConfig;
     use memsim::HierarchyConfig;
@@ -872,114 +789,11 @@ mod tests {
     }
 
     #[test]
-    fn speculative_results_are_bit_identical_and_commit() {
-        let jobs = job_list();
-        let serial = run_jobs_with(&jobs, &EngineConfig::serial());
-        // Thread budgets hit the owner-does-everything (2), account-helper
-        // (3) and fully split (4+) speculative topologies.
-        for depth in [1, 3] {
-            for workers in [2, 3, 4, 8] {
-                let config = EngineConfig::with_workers(workers)
-                    .with_segment_size(1_000)
-                    .with_speculation(depth);
-                let (speculative, metrics) = run_jobs_metered(
-                    &jobs,
-                    &config,
-                    Registry::builtin(),
-                    &metrics::MetricsConfig::enabled(),
-                )
-                .expect("jobs prepare");
-                assert_eq!(
-                    serial, speculative,
-                    "depth={depth} workers={workers} diverged from serial"
-                );
-                let a = serde_json::to_string(&serial).expect("serialize");
-                let b = serde_json::to_string(&speculative).expect("serialize");
-                assert_eq!(a, b, "byte-level divergence at depth={depth}/{workers}");
-                for m in &metrics.jobs {
-                    assert!(
-                        m.spec_commits > 0,
-                        "depth={depth} workers={workers} job={} committed nothing",
-                        m.job_index
-                    );
-                    assert_eq!(m.spec_commits, m.segments);
-                    assert_eq!(
-                        m.spec_mispredicts, 0,
-                        "chained speculation never mispredicts without fault injection"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn forced_mispredicts_replay_and_stay_bit_identical() {
-        let jobs = job_list();
-        let serial = run_jobs_with(&jobs, &EngineConfig::serial());
-        // `mispredict_every = 1` faults every speculatively dispatched
-        // segment (maximal wrong-path work); 3 faults periodically with
-        // clean commits in between.
-        for every in [1, 3] {
-            for (index, job) in jobs.iter().enumerate() {
-                let plan = SegmentPlan::new(500, 4)
-                    .with_speculation(3)
-                    .with_mispredict_every(every);
-                let (result, m) = run_job_segmented(
-                    index,
-                    job,
-                    Registry::builtin(),
-                    &MetricsConfig::enabled(),
-                    plan,
-                )
-                .expect("job runs");
-                assert_eq!(serial[index], result, "every={every} job={index}");
-                assert!(m.spec_mispredicts > 0, "fault injection must fire");
-                assert!(m.spec_replayed_accesses > 0);
-                assert_eq!(m.spec_commits, m.segments, "every segment still commits");
-            }
-        }
-    }
-
-    #[test]
-    fn unforkable_probes_skip_fault_injection_but_still_speculate() {
-        // The training prefetcher deliberately has no `fork` (sectored tag
-        // arrays are not cheaply cloneable), so the fault-injection knob is
-        // a no-op for it — clean-path speculation needs no snapshots and
-        // still runs and commits.
-        let jobs = vec![job(
-            Application::Ocean,
-            PrefetcherSpec::training(&crate::spec::TrainingSpec {
-                trainer: sms::TrainerKind::LogicalSectored,
-                region: RegionConfig::paper_default(),
-                index_scheme: sms::IndexScheme::PcOffset,
-                pht: sms::PhtCapacity::paper_default(),
-                l1_capacity_bytes: 64 * 1024,
-            }),
-        )];
-        let serial = run_jobs_with(&jobs, &EngineConfig::serial());
-        let plan = SegmentPlan::new(1_000, 4)
-            .with_speculation(2)
-            .with_mispredict_every(1);
-        let (result, m) = run_job_segmented(
-            0,
-            &jobs[0],
-            Registry::builtin(),
-            &MetricsConfig::enabled(),
-            plan,
-        )
-        .expect("job runs");
-        assert_eq!(serial[0], result);
-        assert_eq!(m.spec_mispredicts, 0, "no fork, no injected faults");
-        assert!(m.spec_commits > 0);
-    }
-
-    #[test]
     fn segment_plan_splits_the_thread_budget() {
         let config = EngineConfig::with_workers(6).with_segment_size(1_000);
         let plan = config.segment_plan().expect("segmentation on");
         assert_eq!(plan.threads, 3);
         assert_eq!(plan.segment_size, 1_000);
-        assert_eq!(plan.speculation, 0);
         assert!(EngineConfig::with_workers(6).segment_plan().is_none());
         assert!(EngineConfig::with_workers(6)
             .with_segment_size(0)
@@ -993,16 +807,6 @@ mod tests {
             serial_plan.threads, 1,
             "one worker means an inline pipeline"
         );
-        // Speculation grants the pipeline a fourth thread (the speculative
-        // simulate worker) when the budget allows.
-        let spec_plan = EngineConfig::with_workers(6)
-            .with_segment_size(1_000)
-            .with_speculation(4)
-            .segment_plan()
-            .expect("segmentation on");
-        assert_eq!(spec_plan.threads, 4);
-        assert_eq!(spec_plan.speculation, 4);
-        assert_eq!(spec_plan.mispredict_every, 0);
     }
 
     fn temp_file(tag: &str) -> std::path::PathBuf {
@@ -1045,13 +849,6 @@ mod tests {
             assert_eq!(serial, segmented, "workers={workers}");
             assert!(segmented[0].warnings.is_empty(), "no short-trace warning");
         }
-        let speculative = run_jobs_with(
-            &jobs,
-            &EngineConfig::with_workers(4)
-                .with_segment_size(1_000)
-                .with_speculation(2),
-        );
-        assert_eq!(serial, speculative, "speculative boundary run");
         std::fs::remove_file(&path).ok();
     }
 
@@ -1077,13 +874,6 @@ mod tests {
             );
             assert_eq!(serial, segmented, "workers={workers}");
         }
-        let speculative = run_jobs_with(
-            &jobs,
-            &EngineConfig::with_workers(4)
-                .with_segment_size(10_000)
-                .with_speculation(3),
-        );
-        assert_eq!(serial, speculative, "speculative oversize run");
         std::fs::remove_file(&path).ok();
     }
 
@@ -1112,22 +902,13 @@ mod tests {
             assert_eq!(serial_err, err, "workers={workers}");
             assert!(err.to_string().contains("corrupt mid-stream"), "{err}");
         }
-        let err = run_jobs_in(
-            &jobs,
-            &EngineConfig::with_workers(4)
-                .with_segment_size(1_000)
-                .with_speculation(2),
-            Registry::builtin(),
-        )
-        .expect_err("corrupt trace must fail speculatively");
-        assert_eq!(serial_err, err, "speculative corrupt-late run");
         std::fs::remove_file(&path).ok();
     }
 
     /// The engine-owned half of the kind-counting probe: the [`KindSink`]
     /// that receives inline miss kinds from whichever stage classifies —
     /// the simulator itself on the serial path, the account stage's tape
-    /// replay on segmented and speculative paths.
+    /// replay on segmented paths.
     struct KindCounter {
         classified: u64,
     }
@@ -1214,7 +995,7 @@ mod tests {
     }
 
     #[test]
-    fn miss_kind_probes_segment_and_speculate_with_identical_kinds() {
+    fn miss_kind_probes_segment_with_identical_kinds() {
         let mut registry = Registry::with_builtins();
         registry.register(std::sync::Arc::new(KindCountingPlugin));
         let jobs = vec![job(
@@ -1230,15 +1011,13 @@ mod tests {
             .decode("kind-counter")
             .expect("kind-counter report");
         assert!(classified > 0, "the serial path delivers inline kinds");
-        for (workers, speculate) in [(3, 0), (2, 2), (4, 3)] {
-            let config = EngineConfig::with_workers(workers)
-                .with_segment_size(1_000)
-                .with_speculation(speculate);
+        for workers in [1, 2, 3] {
+            let config = EngineConfig::with_workers(workers).with_segment_size(1_000);
             let segmented = run_jobs_in(&jobs, &config, &registry).expect("runs segmented");
             assert_eq!(
                 serial, segmented,
-                "workers={workers} speculate={speculate}: the account stage \
-                 must feed the sink exactly the inline kinds"
+                "workers={workers}: the account stage must feed the sink \
+                 exactly the inline kinds"
             );
         }
     }
@@ -1246,8 +1025,7 @@ mod tests {
     #[test]
     fn density_and_oracle_probes_segment_equivalently() {
         // Passive measurement probes (Figures 4 and 5) exercise the probe
-        // report path through the segment pipeline and the speculative
-        // worker's state hand-off.
+        // report path through the segment pipeline.
         let jobs = vec![
             job(
                 Application::OltpDb2,
@@ -1262,15 +1040,10 @@ mod tests {
             ),
         ];
         let serial = run_jobs_with(&jobs, &EngineConfig::serial());
-        for (workers, speculate) in [(1, 0), (3, 0), (4, 2)] {
-            let config = EngineConfig::with_workers(workers)
-                .with_segment_size(777)
-                .with_speculation(speculate);
+        for workers in [1, 2, 3] {
+            let config = EngineConfig::with_workers(workers).with_segment_size(777);
             let segmented = run_jobs_with(&jobs, &config);
-            assert_eq!(
-                serial, segmented,
-                "workers={workers} speculate={speculate} diverged"
-            );
+            assert_eq!(serial, segmented, "workers={workers} diverged");
         }
     }
 }

@@ -148,31 +148,16 @@ impl Prefetcher for MultiOracle {
 // Probe implementations for the built-in prefetchers
 // ---------------------------------------------------------------------------
 
-impl Probe for NullPrefetcher {
-    fn fork(&self) -> Option<Box<dyn Probe>> {
-        Some(Box::new(self.clone()))
-    }
-}
+impl Probe for NullPrefetcher {}
 
-impl Probe for GhbPrefetcher {
-    fn fork(&self) -> Option<Box<dyn Probe>> {
-        Some(Box::new(self.clone()))
-    }
-}
+impl Probe for GhbPrefetcher {}
 
 impl Probe for SmsPrefetcher {
     fn into_report(self: Box<Self>) -> ProbeReport {
         ProbeReport::new("sms", &self.total_stats())
     }
-
-    fn fork(&self) -> Option<Box<dyn Probe>> {
-        Some(Box::new(self.clone()))
-    }
 }
 
-// `TrainingPrefetcher` keeps no `fork`: its sectored tag arrays are not
-// cheaply cloneable, so speculative fault injection skips training jobs
-// (clean-path speculation still applies — it needs no snapshots).
 impl Probe for TrainingPrefetcher {
     fn into_report(self: Box<Self>) -> ProbeReport {
         ProbeReport::new(
@@ -190,19 +175,9 @@ impl Probe for DensityObserver {
         let (l1, l2) = (*self).finish();
         ProbeReport::new("density", &DensityReport { l1, l2 })
     }
-
-    fn fork(&self) -> Option<Box<dyn Probe>> {
-        Some(Box::new(self.clone()))
-    }
 }
 
 impl Probe for MultiOracle {
-    fn fork(&self) -> Option<Box<dyn Probe>> {
-        Some(Box::new(MultiOracle {
-            oracles: self.oracles.clone(),
-        }))
-    }
-
     fn into_report(self: Box<Self>) -> ProbeReport {
         ProbeReport::new(
             "oracle",

@@ -46,15 +46,6 @@ pub struct JobMetrics {
     /// Busy seconds the segment pipeline's account stage spent replaying
     /// outcome tapes (zero for unsegmented execution).
     pub account_seconds: f64,
-    /// Speculatively simulated segments that passed fingerprint
-    /// verification and were committed (zero outside speculative runs).
-    pub spec_commits: u64,
-    /// Speculatively simulated segments whose verification failed and whose
-    /// outcome was discarded and replayed (nonzero only under test-only
-    /// fault injection — clean-path chained speculation always verifies).
-    pub spec_mispredicts: u64,
-    /// Accesses re-simulated on the replay path after failed verifications.
-    pub spec_replayed_accesses: u64,
     /// Per-segment pull-stage latency distribution, microseconds (empty for
     /// unsegmented execution or disabled metrics).
     pub pull_segment_us: Histogram,
@@ -79,9 +70,6 @@ impl JobMetrics {
             segments: 0,
             pull_seconds: 0.0,
             account_seconds: 0.0,
-            spec_commits: 0,
-            spec_mispredicts: 0,
-            spec_replayed_accesses: 0,
             pull_segment_us: Histogram::new(),
             simulate_segment_us: Histogram::new(),
             account_segment_us: Histogram::new(),
@@ -108,9 +96,6 @@ impl JobMetrics {
             segments: 0,
             pull_seconds: 0.0,
             account_seconds: 0.0,
-            spec_commits: 0,
-            spec_mispredicts: 0,
-            spec_replayed_accesses: 0,
             pull_segment_us: Histogram::new(),
             simulate_segment_us: Histogram::new(),
             account_segment_us: Histogram::new(),

@@ -2,8 +2,7 @@
 //! each one declares, and a machine-readable listing for external tooling.
 //!
 //! This is the single source of job construction shared by the CLI's direct
-//! run path, `--emit-spec`, and the bench pipeline, so the three can never
-//! drift apart.
+//! run path and `--emit-spec`, so the two can never drift apart.
 
 use crate::common::ExperimentConfig;
 use crate::{
@@ -52,16 +51,6 @@ pub fn figure_jobs(
         "fig12" | "fig13" => Some(fig12_speedup::jobs(config, &Application::ALL)),
         _ => None,
     }
-}
-
-/// The experiments that declare engine jobs, each listed once (`fig13`
-/// shares `fig12`'s job list and is omitted).  This is the suite the bench
-/// pipeline measures.
-pub fn job_bearing_experiments() -> Vec<&'static str> {
-    EXPERIMENTS
-        .into_iter()
-        .filter(|name| !matches!(*name, "all" | "table1" | "fig13"))
-        .collect()
 }
 
 /// One registered prefetcher plugin, as listed by `sms-experiments list`.
@@ -126,13 +115,13 @@ mod tests {
     #[test]
     fn every_job_bearing_experiment_declares_jobs() {
         let config = ExperimentConfig::tiny();
-        for name in job_bearing_experiments() {
+        for name in EXPERIMENTS {
+            if matches!(name, "all" | "table1") {
+                assert!(figure_jobs(name, &config, true).is_none(), "{name}");
+                continue;
+            }
             let jobs = figure_jobs(name, &config, true).expect("job-bearing experiment");
             assert!(!jobs.is_empty(), "{name} declares no jobs");
         }
-        assert!(figure_jobs("table1", &config, true).is_none());
-        assert!(figure_jobs("all", &config, true).is_none());
-        // fig13 rides on fig12's job list and is measured once.
-        assert!(!job_bearing_experiments().contains(&"fig13"));
     }
 }

@@ -35,12 +35,6 @@ pub struct ExperimentConfig {
     /// set, each job runs through the engine's segment pipeline — results
     /// are bit-identical, long jobs just stop pinning one worker.
     pub segment_size: Option<usize>,
-    /// Speculative run-ahead depth for segmented jobs (`0` = off).  A
-    /// nonzero depth without an explicit segment size segments jobs at the
-    /// engine's default speculative segment size; results stay
-    /// bit-identical — the engine verifies every speculative segment
-    /// against the authoritative state before committing it.
-    pub speculate: usize,
 }
 
 impl ExperimentConfig {
@@ -53,7 +47,6 @@ impl ExperimentConfig {
             hierarchy: HierarchyConfig::scaled(),
             workers: 0,
             segment_size: None,
-            speculate: 0,
         }
     }
 
@@ -66,7 +59,6 @@ impl ExperimentConfig {
             hierarchy: HierarchyConfig::scaled(),
             workers: 0,
             segment_size: None,
-            speculate: 0,
         }
     }
 
@@ -79,7 +71,6 @@ impl ExperimentConfig {
             hierarchy: HierarchyConfig::scaled(),
             workers: 0,
             segment_size: None,
-            speculate: 0,
         }
     }
 
@@ -100,13 +91,6 @@ impl ExperimentConfig {
         self
     }
 
-    /// Returns a copy with speculative run-ahead at the given depth (`0`
-    /// disables it).
-    pub fn with_speculation(mut self, depth: usize) -> Self {
-        self.speculate = depth;
-        self
-    }
-
     /// The generator configuration implied by this experiment configuration.
     pub fn generator(&self) -> GeneratorConfig {
         GeneratorConfig::default().with_cpus(self.cpus)
@@ -114,9 +98,7 @@ impl ExperimentConfig {
 
     /// The engine configuration implied by this experiment configuration.
     pub fn engine(&self) -> EngineConfig {
-        EngineConfig::with_workers(self.workers)
-            .with_segment_size(self.segment_size.unwrap_or(0))
-            .with_speculation(self.speculate)
+        EngineConfig::with_workers(self.workers).with_segment_size(self.segment_size.unwrap_or(0))
     }
 
     /// A job running `app` with `prefetcher` on this configuration's
@@ -330,14 +312,5 @@ mod tests {
     fn worker_override_threads_through() {
         let cfg = ExperimentConfig::tiny().with_workers(3);
         assert_eq!(cfg.engine().workers, 3);
-    }
-
-    #[test]
-    fn speculation_override_threads_through() {
-        let cfg = ExperimentConfig::tiny().with_workers(4).with_speculation(3);
-        let engine = cfg.engine();
-        assert_eq!(engine.speculate, 3);
-        let plan = engine.segment_plan().expect("speculation implies a plan");
-        assert_eq!(plan.speculation, 3);
     }
 }

@@ -22,20 +22,21 @@
 //! sms-experiments run --spec jobs.json --out raw.json
 //! sms-experiments list                 # experiments + prefetcher plugins
 //! sms-experiments list --json          # machine-readable catalog
-//! sms-experiments bench --out BENCH_x.json   # perf telemetry report
 //! ```
 //!
 //! Absolute numbers differ from the paper — the substrate is a trace-driven
 //! simulator fed by synthetic workloads rather than FLEXUS running the
 //! commercial stacks — but the qualitative shape of every result (who wins,
-//! by roughly what factor, where the crossovers are) is preserved; see
-//! `EXPERIMENTS.md` at the repository root for the side-by-side record.
+//! by roughly what factor, where the crossovers are) is meant to hold; each
+//! module's docs name the paper result it reproduces.
+//!
+//! The repository's performance benchmark is not here: it lives in
+//! `benchmark/` and drives the `sms-experiments` binary from outside.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod agt_size;
-pub mod bench;
 pub mod catalog;
 pub mod common;
 pub mod fig04_block_size;

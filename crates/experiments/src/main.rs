@@ -6,26 +6,20 @@
 //!
 //! ```text
 //! sms-experiments <experiment> [--quick] [--jobs N] [--segment-size N]
-//!                 [--speculate N] [--json <path>] [--out <path>]
-//!                 [--emit-spec <path>] [--trace-out <path>]
+//!                 [--json <path>] [--out <path>] [--emit-spec <path>]
+//!                 [--trace-out <path>]
 //! sms-experiments --figure <experiment> [same flags]
 //! sms-experiments run --spec <jobs.json> [--jobs N] [--segment-size N]
-//!                 [--speculate N] [--timeout MS] [--out <path>]
-//!                 [--trace-out <path>]
+//!                 [--timeout MS] [--out <path>] [--trace-out <path>]
 //! sms-experiments list [--json]
-//! sms-experiments bench [--quick] [--jobs N] [--segment-size N]
-//!                 [--speculate N] [--repeat N] [--name NAME] [--out <path>]
-//!                 [--trace-out <path>]
-//!                 [--against OLD.json [--threshold F] [--diff-out <path>]]
-//! sms-experiments bench --check <path>
 //! sms-experiments serve (--socket PATH | --tcp ADDR) [--quota N] [--jobs N]
 //!                 [--cache-max-entries N] [--cache-max-bytes N]
 //!                 [--queue-max N] [--cache-dir DIR]
 //!                 [--metrics-out <path>] [--trace-out <path>]
 //! sms-experiments submit (--socket PATH | --tcp ADDR) --spec <jobs.json>
 //!                 [--client NAME] [--priority N] [--jobs N]
-//!                 [--segment-size N] [--speculate N] [--timeout MS]
-//!                 [--retries N] [--out <path>] [--expect-cache-hit]
+//!                 [--segment-size N] [--timeout MS] [--retries N]
+//!                 [--out <path>] [--expect-cache-hit]
 //! sms-experiments submit (--socket PATH | --tcp ADDR) --status [--json]
 //! sms-experiments submit (--socket PATH | --tcp ADDR) --shutdown
 //! sms-experiments trace-check <trace.json> [--require NAME]...
@@ -35,11 +29,6 @@
 //! list           print the experiments and the registered prefetcher plugins
 //!                (--json: the machine-readable catalog)
 //! run --spec P   execute a serialized engine job list (see --emit-spec)
-//! bench          measure serial / job-parallel / segment-parallel /
-//!                speculative throughput of the experiment suite and the
-//!                batched hot path; write a schema-versioned
-//!                BENCH_<name>.json
-//! bench --check  validate an existing bench report against its schema
 //! serve          start the resident job server on a unix-domain socket
 //!                and/or loopback TCP; submissions stream back results as
 //!                jobs finish, identical resubmissions are answered from the
@@ -59,11 +48,6 @@
 //! trace-check P  validate a Chrome trace-event file produced by --trace-out:
 //!                well-formed JSON, spans paired and monotonic, and every
 //!                --require NAME present among the span names (repeatable)
-//! bench --against OLD.json
-//!                additionally diff per-figure throughput against a previous
-//!                report; exit non-zero when any figure drops below
-//!                --threshold (default 0.8) of its old throughput, and write
-//!                the diff next to the report (or to --diff-out PATH)
 //! --figure NAME  name the experiment as a flag instead of positionally
 //! --quick        use shorter traces and representative applications per class
 //! --jobs N       engine worker threads (default: all hardware threads;
@@ -72,11 +56,6 @@
 //!                run every job through the intra-job segment pipeline with
 //!                N accesses per segment (results are bit-identical; long
 //!                jobs stop pinning one worker)
-//! --speculate N  let the segment pipeline simulate up to N segments ahead
-//!                of the verified commit frontier (implies --segment-size at
-//!                a default size when not given; results stay bit-identical
-//!                because every speculative segment is verified against the
-//!                authoritative state before it commits)
 //! --timeout MS   (run, submit) deadline for the whole job list in
 //!                milliseconds: a run that exceeds it is cancelled at the
 //!                next job boundary and fails with a structured
@@ -96,9 +75,6 @@
 //!                entry files and reload them on start, so a restarted
 //!                server answers repeat submissions from disk; corrupt or
 //!                truncated entries are skipped and recomputed, never fatal
-//! --repeat N     (bench) measure each figure N times and record best-of-N
-//!                wall-clock per configuration plus the relative spread of
-//!                the parallel-throughput samples (default 1)
 //! --trace-out PATH
 //!                record spans of the run (workers, jobs, segment pipeline
 //!                stages, server submissions) and write them as Chrome
@@ -117,9 +93,9 @@ use engine::{EngineConfig, JobList, JobResult, Registry};
 use experiments::catalog::{catalog, figure_jobs, EXPERIMENTS};
 use experiments::common::ExperimentConfig;
 use experiments::{
-    agt_size, bench, fig04_block_size, fig05_density, fig06_indexing, fig07_pht_size,
-    fig08_training, fig09_pht_training, fig10_region_size, fig11_ghb_comparison, fig12_speedup,
-    fig13_breakdown, table1,
+    agt_size, fig04_block_size, fig05_density, fig06_indexing, fig07_pht_size, fig08_training,
+    fig09_pht_training, fig10_region_size, fig11_ghb_comparison, fig12_speedup, fig13_breakdown,
+    table1,
 };
 use serde::Serialize;
 use server::{Endpoint, Server, ServerConfig, ServerMetrics, SubmitOptions};
@@ -147,16 +123,13 @@ struct JsonDump {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: sms-experiments <all|table1|fig4|fig5|fig6|fig7|fig8|fig9|fig10|agt-size|fig11|fig12|fig13> \
-         [--quick] [--jobs N] [--segment-size N] [--speculate N] [--json PATH] [--out PATH] [--emit-spec PATH] [--trace-out PATH]\n\
-       \x20      sms-experiments run --spec JOBS.json [--jobs N] [--segment-size N] [--speculate N] [--timeout MS] [--out PATH] [--trace-out PATH]\n\
+         [--quick] [--jobs N] [--segment-size N] [--json PATH] [--out PATH] [--emit-spec PATH] [--trace-out PATH]\n\
+       \x20      sms-experiments run --spec JOBS.json [--jobs N] [--segment-size N] [--timeout MS] [--out PATH] [--trace-out PATH]\n\
        \x20      sms-experiments list [--json]\n\
-       \x20      sms-experiments bench [--quick] [--jobs N] [--segment-size N] [--speculate N] [--repeat N] [--name NAME] [--out PATH]\n\
-       \x20                            [--trace-out PATH] [--against OLD.json [--threshold F] [--diff-out PATH]]\n\
-       \x20      sms-experiments bench --check PATH\n\
        \x20      sms-experiments serve (--socket PATH | --tcp ADDR) [--quota N] [--jobs N] [--cache-max-entries N]\n\
        \x20                            [--cache-max-bytes N] [--queue-max N] [--cache-dir DIR] [--metrics-out PATH] [--trace-out PATH]\n\
        \x20      sms-experiments submit (--socket PATH | --tcp ADDR) --spec JOBS.json [--client NAME] [--priority N]\n\
-       \x20                             [--jobs N] [--segment-size N] [--speculate N] [--timeout MS] [--retries N]\n\
+       \x20                             [--jobs N] [--segment-size N] [--timeout MS] [--retries N]\n\
        \x20                             [--out PATH] [--expect-cache-hit]\n\
        \x20      sms-experiments submit (--socket PATH | --tcp ADDR) --status [--json] | --shutdown\n\
        \x20      sms-experiments trace-check TRACE.json [--require NAME]..."
@@ -217,135 +190,6 @@ fn list(json: bool) -> ExitCode {
         }
     }
     ExitCode::SUCCESS
-}
-
-/// Flags of the `bench` subcommand beyond the shared ones.
-struct BenchFlags<'a> {
-    check: Option<&'a str>,
-    name: Option<&'a str>,
-    out: Option<&'a str>,
-    segment_size: Option<usize>,
-    speculate: Option<usize>,
-    repeat: usize,
-    against: Option<&'a str>,
-    threshold: f64,
-    diff_out: Option<&'a str>,
-}
-
-/// Runs the bench pipeline (`bench`), validates an existing report
-/// (`bench --check PATH`), and optionally diffs against a previous report
-/// (`bench --against OLD.json`).
-fn run_bench_command(
-    flags: &BenchFlags<'_>,
-    quick: bool,
-    workers: usize,
-    trace: &Trace,
-    trace_out: Option<&str>,
-) -> ExitCode {
-    if let Some(path) = flags.check {
-        return match read_bench_report(path) {
-            Ok(report) => {
-                println!(
-                    "{path}: valid bench report {:?} ({} figures, {} jobs)",
-                    report.name,
-                    report.figures.len(),
-                    report.totals.jobs
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    let name = flags.name.unwrap_or("bench").to_string();
-    let default_out = format!("BENCH_{name}.json");
-    let out = flags.out.unwrap_or(&default_out);
-    let report = match bench::run_bench_observed(
-        &bench::BenchOptions {
-            name,
-            workers,
-            quick,
-            figures: Vec::new(),
-            segment_size: flags.segment_size,
-            speculate: flags.speculate,
-            repeat: flags.repeat,
-        },
-        trace,
-    ) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("bench failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(path) = trace_out {
-        if let Err(code) = write_trace(trace, path) {
-            return code;
-        }
-    }
-    print!("{}", bench::render(&report));
-    // The report validates its own schema before it is written; a report
-    // that cannot satisfy its contract (e.g. nondeterministic parallel
-    // results) must fail the run, not be uploaded.
-    if let Err(e) = report.validate() {
-        eprintln!("bench report failed schema validation: {e}");
-        return ExitCode::FAILURE;
-    }
-    let json =
-        serde_json::to_string_pretty(&report.into_envelope()).expect("bench report serializes");
-    if let Err(e) = std::fs::write(out, json) {
-        eprintln!("failed to write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("bench report written to {out}");
-
-    // Regression gate: diff per-figure throughput against the old report,
-    // write the diff artifact either way, and only then fail on regression.
-    if let Some(against_path) = flags.against {
-        let old_json = match std::fs::read_to_string(against_path) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!("failed to read {against_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let diff = match bench::diff_reports(&report, &old_json, flags.threshold) {
-            Ok(diff) => diff,
-            Err(e) => {
-                eprintln!("{against_path}: cannot compare: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        print!("{}", bench::render_diff(&diff));
-        let default_diff_out = format!("{out}.diff.json");
-        let diff_out = flags.diff_out.unwrap_or(&default_diff_out);
-        let diff_json =
-            serde_json::to_string_pretty(&diff.into_envelope()).expect("bench diff serializes");
-        if let Err(e) = std::fs::write(diff_out, diff_json) {
-            eprintln!("failed to write {diff_out}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("bench diff written to {diff_out}");
-        if diff.regressed {
-            eprintln!(
-                "bench regression: at least one figure fell below {:.2}x of {:?}",
-                diff.threshold, diff.against
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-/// Loads and fully validates a bench report file (envelope + payload).
-fn read_bench_report(path: &str) -> Result<bench::BenchReport, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let envelope: metrics::MetricsReport =
-        serde_json::from_str(&text).map_err(|e| format!("not a metrics report: {e}"))?;
-    bench::BenchReport::from_envelope(&envelope)
 }
 
 /// Header of the per-job summary table shared by `run --spec` and `submit`
@@ -570,12 +414,7 @@ fn render_status(m: &ServerMetrics) -> String {
 /// Sends a serialized job list to a running server (`submit`), streaming the
 /// same per-job table `run --spec` prints as result frames arrive.  Also
 /// carries the server's control verbs (`--status`, `--shutdown`).
-fn run_submit(
-    flags: &SubmitFlags,
-    workers: usize,
-    segment_size: usize,
-    speculate: usize,
-) -> ExitCode {
+fn run_submit(flags: &SubmitFlags, workers: usize, segment_size: usize) -> ExitCode {
     let endpoint = match (&flags.socket, &flags.tcp) {
         (Some(path), None) => Endpoint::Unix(PathBuf::from(path)),
         (None, Some(addr)) => Endpoint::Tcp(addr.clone()),
@@ -661,7 +500,6 @@ fn run_submit(
         priority: flags.priority,
         workers,
         segment_size,
-        speculate,
         timeout_ms: flags.timeout_ms,
         retries: flags.retries,
     };
@@ -722,13 +560,7 @@ struct RunFlags<'a> {
 
 /// Executes a serialized job list (`run --spec`), printing a per-job summary
 /// table and optionally dumping the raw results.
-fn run_spec(
-    flags: &RunFlags<'_>,
-    workers: usize,
-    segment_size: usize,
-    speculate: usize,
-    trace: &Trace,
-) -> ExitCode {
+fn run_spec(flags: &RunFlags<'_>, workers: usize, segment_size: usize, trace: &Trace) -> ExitCode {
     let RunFlags {
         spec_path,
         timeout_ms,
@@ -775,9 +607,7 @@ fn run_spec(
     let mut results: Vec<JobResult> = Vec::new();
     let outcome = engine::run_jobs_streamed_observed(
         &list.jobs,
-        &EngineConfig::with_workers(workers)
-            .with_segment_size(segment_size)
-            .with_speculation(speculate),
+        &EngineConfig::with_workers(workers).with_segment_size(segment_size),
         Registry::builtin(),
         &metrics::MetricsConfig::disabled(),
         trace,
@@ -897,16 +727,6 @@ fn main() -> ExitCode {
         },
         None => 0,
     };
-    let speculate = match flag_value("--speculate") {
-        Some(n) => match n.parse::<usize>() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!("--speculate expects a number of segments, got {n:?}");
-                return usage();
-            }
-        },
-        None => 0,
-    };
     let timeout_ms = match flag_value("--timeout") {
         Some(n) => match n.parse::<u64>() {
             Ok(n) => n,
@@ -981,7 +801,6 @@ fn main() -> ExitCode {
             },
             workers,
             segment_size,
-            speculate,
             &run_trace,
         );
     }
@@ -1080,64 +899,6 @@ fn main() -> ExitCode {
             },
             workers,
             segment_size,
-            speculate,
-        );
-    }
-    if experiment == "bench" {
-        let check = flag_value("--check");
-        // A bare `--check` (path forgotten) must error, not fall through to
-        // a full bench run that would overwrite the previous report.
-        if check.is_none() && args.iter().any(|a| a == "--check") {
-            eprintln!("bench --check requires the report path to validate");
-            return usage();
-        }
-        let against = flag_value("--against");
-        if against.is_none() && args.iter().any(|a| a == "--against") {
-            eprintln!("bench --against requires the previous report path");
-            return usage();
-        }
-        let threshold = match flag_value("--threshold") {
-            Some(t) => match t.parse::<f64>() {
-                Ok(t) if t > 0.0 && t.is_finite() => t,
-                _ => {
-                    eprintln!("--threshold expects a positive number, got {t:?}");
-                    return usage();
-                }
-            },
-            None => 0.8,
-        };
-        let repeat = match flag_value("--repeat") {
-            Some(n) => match n.parse::<usize>() {
-                Ok(n) if n >= 1 => n,
-                _ => {
-                    eprintln!("--repeat expects a pass count of at least 1, got {n:?}");
-                    return usage();
-                }
-            },
-            None => 1,
-        };
-        let name = flag_value("--name");
-        let diff_out = flag_value("--diff-out");
-        return run_bench_command(
-            &BenchFlags {
-                check: check.as_deref(),
-                name: name.as_deref(),
-                out: out_path.as_deref(),
-                segment_size: if segment_size > 0 {
-                    Some(segment_size)
-                } else {
-                    None
-                },
-                speculate: if speculate > 0 { Some(speculate) } else { None },
-                repeat,
-                against: against.as_deref(),
-                threshold,
-                diff_out: diff_out.as_deref(),
-            },
-            quick,
-            workers,
-            &run_trace,
-            trace_out.as_deref(),
         );
     }
     if !EXPERIMENTS.contains(&experiment.as_str()) {
@@ -1158,8 +919,7 @@ fn main() -> ExitCode {
         ExperimentConfig::full()
     }
     .with_workers(workers)
-    .with_segment_size(segment_size)
-    .with_speculation(speculate);
+    .with_segment_size(segment_size);
     // Quick runs restrict class-level experiments to representative
     // applications; full runs use the whole suite.
     let representative_only = quick;

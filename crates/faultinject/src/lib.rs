@@ -188,11 +188,7 @@ impl Prefetcher for ChaosPrefetcher {
     }
 }
 
-impl Probe for ChaosPrefetcher {
-    fn fork(&self) -> Option<Box<dyn Probe>> {
-        Some(Box::new(self.clone()))
-    }
-}
+impl Probe for ChaosPrefetcher {}
 
 /// The registry plugin wrapping [`ChaosPrefetcher`]; see the crate docs.
 #[derive(Debug, Default, Clone, Copy)]

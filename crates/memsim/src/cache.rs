@@ -8,7 +8,6 @@
 //! overprediction.
 
 use crate::config::CacheConfig;
-use crate::fingerprint::FingerprintBuilder;
 use trace::AccessKind;
 
 /// Per-line usage state relevant to prefetch accounting.
@@ -298,20 +297,6 @@ impl SetAssocCache {
         let old = self.lines[way];
         self.lines[way] = Line::INVALID;
         old.departed()
-    }
-
-    /// Feeds every mutable field — the LRU clock and each line's tag, state
-    /// bits and LRU stamp — into a state fingerprint.
-    pub(crate) fn fingerprint_into(&self, fp: &mut FingerprintBuilder) {
-        fp.mix(self.tick);
-        fp.mix(self.lines.len() as u64);
-        for line in &self.lines {
-            fp.mix(line.tag);
-            fp.mix_bool(line.valid());
-            fp.mix_bool(line.dirty());
-            fp.mix_bool(line.prefetched_unused());
-            fp.mix(line.lru());
-        }
     }
 
     /// Number of valid lines currently resident (mainly for tests/debugging).

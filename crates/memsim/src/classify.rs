@@ -36,7 +36,6 @@
 
 use crate::config::HierarchyConfig;
 use crate::fasthash::FastMap;
-use crate::fingerprint::{scramble, FingerprintBuilder};
 use serde::{Deserialize, Serialize};
 use trace::MemAccess;
 
@@ -151,24 +150,6 @@ impl MissClassifier {
     pub fn block_bytes(&self) -> u64 {
         1 << self.block_shift
     }
-
-    /// Feeds the classifier's history into a state fingerprint.
-    ///
-    /// The per-CPU maps iterate in hash order, so each entry is scrambled
-    /// individually and the results combined commutatively before mixing —
-    /// two classifiers with equal contents fingerprint identically regardless
-    /// of insertion order.
-    pub(crate) fn fingerprint_into(&self, fp: &mut FingerprintBuilder) {
-        fp.mix(u64::from(self.block_shift));
-        let seen = self.seen.iter().map(|set| &set.groups);
-        for map in seen.chain(&self.invalidated) {
-            let sum = map.iter().fold(0u64, |sum, (&key, &value)| {
-                sum.wrapping_add(scramble(scramble(key).wrapping_add(value)))
-            });
-            fp.mix(map.len() as u64);
-            fp.mix(sum);
-        }
-    }
 }
 
 /// Per-kind miss counters.
@@ -214,14 +195,6 @@ impl MissBreakdown {
     /// Misses not caused by false sharing.
     pub fn other_than_false_sharing(&self) -> u64 {
         self.total() - self.false_sharing
-    }
-
-    /// Feeds the four counters into a state fingerprint.
-    pub(crate) fn fingerprint_into(&self, fp: &mut FingerprintBuilder) {
-        fp.mix(self.cold);
-        fp.mix(self.replacement);
-        fp.mix(self.true_sharing);
-        fp.mix(self.false_sharing);
     }
 }
 
@@ -499,15 +472,6 @@ impl MissAccounting {
         );
         self.l1_breakdown.merge(&l1_acc);
         self.l2_breakdown.merge(&l2_acc);
-    }
-
-    /// Feeds both levels' classifier history and breakdowns into a state
-    /// fingerprint.
-    pub(crate) fn fingerprint_into(&self, fp: &mut FingerprintBuilder) {
-        self.l1.fingerprint_into(fp);
-        self.l2.fingerprint_into(fp);
-        self.l1_breakdown.fingerprint_into(fp);
-        self.l2_breakdown.fingerprint_into(fp);
     }
 }
 

@@ -5,10 +5,7 @@
 //! accumulates a [`RunSummary`] of per-level statistics and miss breakdowns.
 //! The loop is **batched**: one reusable request buffer collects every
 //! access's stream requests ([`Prefetcher::on_access_into`]), so issuing
-//! prefetchers stop paying one vector allocation per triggering access.  The
-//! pre-batching loop survives as [`run_unbatched`], the measured "before"
-//! side of the bench pipeline's hot-path comparison; both loops apply
-//! requests in the same order and produce bit-identical summaries.
+//! prefetchers stop paying one vector allocation per triggering access.
 //!
 //! [`run_job`] is the self-contained variant: a [`SimJob`] fully describes
 //! one run (trace source, system, prefetcher spec, access budget) so that
@@ -119,11 +116,6 @@ pub trait DriverMeter {
     fn prefetch_issue(&mut self);
     /// One access's request batch was drained (`len > 0`).
     fn batch(&mut self, len: usize);
-    /// Folds a batch of counters collected elsewhere (e.g. by a speculative
-    /// worker on its own thread) into this meter.  The default is a no-op so
-    /// disabled telemetry stays free; counting meters add the counter fields
-    /// (wall-clock fields are stamped by the caller, not absorbed).
-    fn absorb(&mut self, _delta: &DriverMetrics) {}
 }
 
 /// The no-op meter: all callbacks are empty and inline to nothing.
@@ -153,14 +145,6 @@ impl DriverMeter for DriverMetrics {
         self.request_batches += 1;
         self.max_batch_len = self.max_batch_len.max(len as u64);
         self.batch_len_hist.record(len as u64);
-    }
-
-    fn absorb(&mut self, delta: &DriverMetrics) {
-        self.cache_ops += delta.cache_ops;
-        self.prefetch_issues += delta.prefetch_issues;
-        self.request_batches += delta.request_batches;
-        self.max_batch_len = self.max_batch_len.max(delta.max_batch_len);
-        self.batch_len_hist.merge(&delta.batch_len_hist);
     }
 }
 
@@ -368,7 +352,8 @@ where
 /// One request buffer lives across the whole run: every access's requests
 /// are appended by [`Prefetcher::on_access_into`] and drained immediately,
 /// in order, so no per-access vector is ever allocated and the applied
-/// request sequence is exactly what the unbatched loop produces.
+/// request sequence is exactly what one [`Prefetcher::on_access`] vector
+/// per access would produce (the driver and telemetry tests compare both).
 fn run_with_meter<S, M>(
     system: &mut MultiCpuSystem,
     prefetcher: &mut dyn Prefetcher,
@@ -502,55 +487,6 @@ pub fn summarize_segmented(
         l2_breakdown: *accounting.l2_breakdown(),
         prefetch_requests: counts.prefetch_requests,
     }
-}
-
-/// The pre-batching simulation loop: one vector allocated per issuing access
-/// via [`Prefetcher::on_access`].
-///
-/// Kept (not as a deprecated fossil, but deliberately) as the measured
-/// **before** side of the bench pipeline's hot-path comparison; it must stay
-/// bit-identical to [`run`] in simulated results, which the telemetry tests
-/// assert.  New code should call [`run`].
-pub fn run_unbatched<S>(
-    system: &mut MultiCpuSystem,
-    prefetcher: &mut dyn Prefetcher,
-    stream: &mut S,
-    num_accesses: usize,
-) -> RunSummary
-where
-    S: Iterator<Item = MemAccess> + ?Sized,
-{
-    let mut summary = RunSummary::default();
-    for access in stream.take(num_accesses) {
-        if (access.cpu as usize) >= system.num_cpus() {
-            summary.skipped_accesses += 1;
-            continue;
-        }
-        let outcome = system.access(&access);
-        summary.accesses += 1;
-        let requests = prefetcher.on_access(&access, &outcome);
-        summary.prefetch_requests += requests.len() as u64;
-        for req in requests {
-            if (req.cpu as usize) >= system.num_cpus() {
-                continue;
-            }
-            match req.level {
-                PrefetchLevel::L1 => {
-                    if let Some(victim) = system.cpu_mut(req.cpu).stream_fill(req.addr) {
-                        prefetcher.on_stream_eviction(req.cpu, victim.block_addr);
-                    }
-                }
-                PrefetchLevel::L2 => {
-                    system.cpu_mut(req.cpu).l2_prefetch_fill(req.addr);
-                }
-            }
-        }
-    }
-    summary.l1 = system.l1_stats_total();
-    summary.l2 = system.l2_stats_total();
-    summary.l1_breakdown = *system.l1_breakdown();
-    summary.l2_breakdown = *system.l2_breakdown();
-    summary
 }
 
 #[cfg(test)]
@@ -706,9 +642,27 @@ mod tests {
             400,
         );
 
+        // The pre-batching loop: one request vector per access through
+        // `Prefetcher::on_access`, applied in order.
         let mut sys_b = MultiCpuSystem::new(1, &tiny_config());
         let mut b_pref = NextLine;
-        let unbatched = run_unbatched(&mut sys_b, &mut b_pref, &mut accesses.into_iter(), 400);
+        let mut unbatched = RunSummary::default();
+        for access in &accesses {
+            let outcome = sys_b.access(access);
+            unbatched.accesses += 1;
+            let requests = b_pref.on_access(access, &outcome);
+            unbatched.prefetch_requests += requests.len() as u64;
+            for req in requests {
+                assert_eq!(req.level, PrefetchLevel::L1);
+                if let Some(victim) = sys_b.cpu_mut(req.cpu).stream_fill(req.addr) {
+                    b_pref.on_stream_eviction(req.cpu, victim.block_addr);
+                }
+            }
+        }
+        unbatched.l1 = sys_b.l1_stats_total();
+        unbatched.l2 = sys_b.l2_stats_total();
+        unbatched.l1_breakdown = *sys_b.l1_breakdown();
+        unbatched.l2_breakdown = *sys_b.l2_breakdown();
 
         assert_eq!(batched, unbatched);
         assert!(batched.prefetch_requests > 0);

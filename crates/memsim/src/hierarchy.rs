@@ -2,7 +2,6 @@
 
 use crate::cache::{CacheLineState, EvictedLine, SetAssocCache};
 use crate::config::HierarchyConfig;
-use crate::fingerprint::FingerprintBuilder;
 use crate::stats::CacheStats;
 use trace::MemAccess;
 
@@ -80,16 +79,6 @@ impl CpuHierarchy {
     /// Immutable view of the secondary cache.
     pub fn l2(&self) -> &SetAssocCache {
         &self.l2
-    }
-
-    /// Feeds this processor's complete mutable state — both cache arrays and
-    /// both statistics blocks — into a state fingerprint.
-    pub(crate) fn fingerprint_into(&self, fp: &mut FingerprintBuilder) {
-        fp.mix(self.cpu as u64);
-        self.l1.fingerprint_into(fp);
-        self.l2.fingerprint_into(fp);
-        self.l1_stats.fingerprint_into(fp);
-        self.l2_stats.fingerprint_into(fp);
     }
 
     /// Pushes one demand access through the hierarchy, updating both levels

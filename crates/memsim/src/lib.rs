@@ -41,7 +41,6 @@ pub mod classify;
 pub mod config;
 pub mod driver;
 pub mod fasthash;
-pub mod fingerprint;
 pub mod hierarchy;
 pub mod mshr;
 pub mod prefetch;
@@ -55,12 +54,10 @@ pub use classify::{
 };
 pub use config::{CacheConfig, HierarchyConfig};
 pub use driver::{
-    run, run_job, run_job_metered, run_metered, run_segment_deferred, run_unbatched,
-    summarize_segmented, DriverMeter, DriverMetrics, PrefetcherFactory, RunSummary, SegmentCounts,
-    SimJob,
+    run, run_job, run_job_metered, run_metered, run_segment_deferred, summarize_segmented,
+    DriverMeter, DriverMetrics, PrefetcherFactory, RunSummary, SegmentCounts, SimJob,
 };
 pub use fasthash::{FastMap, FxBuildHasher, FxHasher};
-pub use fingerprint::{FingerprintBuilder, StateFingerprint};
 pub use hierarchy::{CpuHierarchy, HierarchyOutcome};
 pub use mshr::MshrFile;
 pub use prefetch::{NullPrefetcher, PrefetchLevel, PrefetchRequest, Prefetcher};

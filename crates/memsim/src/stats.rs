@@ -1,6 +1,5 @@
 //! Access and miss counters for one cache.
 
-use crate::fingerprint::FingerprintBuilder;
 use serde::{Deserialize, Serialize};
 
 /// Counters accumulated by a cache or hierarchy level.
@@ -54,21 +53,6 @@ impl CacheStats {
         } else {
             self.misses as f64 / self.accesses as f64
         }
-    }
-
-    /// Feeds all eleven counters into a state fingerprint.
-    pub(crate) fn fingerprint_into(&self, fp: &mut FingerprintBuilder) {
-        fp.mix(self.accesses);
-        fp.mix(self.reads);
-        fp.mix(self.writes);
-        fp.mix(self.misses);
-        fp.mix(self.read_misses);
-        fp.mix(self.write_misses);
-        fp.mix(self.prefetch_hits);
-        fp.mix(self.prefetch_unused_evictions);
-        fp.mix(self.prefetch_fills);
-        fp.mix(self.writebacks);
-        fp.mix(self.invalidations);
     }
 
     /// Adds another set of counters into this one.

@@ -9,7 +9,6 @@
 
 use crate::classify::{MissAccounting, MissBreakdown, MissKind, OutcomeTape};
 use crate::config::HierarchyConfig;
-use crate::fingerprint::{FingerprintBuilder, StateFingerprint};
 use crate::hierarchy::{CpuHierarchy, HierarchyOutcome};
 use crate::stats::CacheStats;
 use trace::MemAccess;
@@ -30,9 +29,9 @@ pub struct SystemOutcome {
 
 /// A shared-memory multiprocessor built from private per-CPU hierarchies.
 ///
-/// `Clone` snapshots the complete simulation state — caches, statistics and
-/// miss-accounting — so a run can be checkpointed at a segment boundary and
-/// resumed bit-identically (the hand-off the segment pipeline relies on).
+/// `Clone` copies the complete simulation state — caches, statistics and
+/// miss-accounting — so the copy resumes bit-identically from wherever the
+/// original stood.
 #[derive(Debug, Clone)]
 pub struct MultiCpuSystem {
     cpus: Vec<CpuHierarchy>,
@@ -113,26 +112,6 @@ impl MultiCpuSystem {
             total.merge(cpu.l2_stats());
         }
         total
-    }
-
-    /// Digests the system's complete mutable state — every cache line, LRU
-    /// stamp, statistics counter and classifier entry — into a 64-bit
-    /// [`StateFingerprint`].
-    ///
-    /// Two systems that simulated the same access sequence from the same
-    /// construction always fingerprint identically; any divergence (even one
-    /// extra cache hit, which only moves LRU state) changes the value.  The
-    /// speculative segment scheduler compares fingerprints at every hand-off
-    /// instead of deep struct equality.  The immutable hierarchy
-    /// configuration is not part of the digest.
-    pub fn fingerprint(&self) -> StateFingerprint {
-        let mut fp = FingerprintBuilder::new();
-        fp.mix(self.cpus.len() as u64);
-        for cpu in &self.cpus {
-            cpu.fingerprint_into(&mut fp);
-        }
-        self.accounting.fingerprint_into(&mut fp);
-        fp.finish()
     }
 
     /// Pushes one access through the issuing processor's hierarchy and

@@ -1,5 +1,5 @@
-//! Collection primitives: counters, wall-clock stopwatches and throughput
-//! meters.
+//! Collection primitives: the on/off switch, wall-clock stopwatches and
+//! event rates.
 //!
 //! Everything here is built around one rule: **disabled collection must cost
 //! nothing**.  A [`Stopwatch`] constructed disabled never calls
@@ -38,36 +38,6 @@ impl MetricsConfig {
 impl Default for MetricsConfig {
     fn default() -> Self {
         Self::disabled()
-    }
-}
-
-/// A monotonically increasing event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// A counter at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one event.
-    #[inline]
-    pub fn incr(&mut self) {
-        self.value += 1;
-    }
-
-    /// Adds `n` events.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// The current count.
-    pub fn get(&self) -> u64 {
-        self.value
     }
 }
 
@@ -118,17 +88,6 @@ impl Stopwatch {
     }
 }
 
-/// An event rate: how many events happened over how much wall-clock time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct Throughput {
-    /// Number of events observed.
-    pub count: u64,
-    /// Wall-clock seconds over which they were observed.
-    pub seconds: f64,
-    /// Events per second (`0.0` when no time was observed).
-    pub per_sec: f64,
-}
-
 /// Events per second, `0.0` when `seconds` is not a positive measurement
 /// (disabled stopwatches report zero elapsed time).
 pub fn per_sec(count: u64, seconds: f64) -> f64 {
@@ -139,52 +98,9 @@ pub fn per_sec(count: u64, seconds: f64) -> f64 {
     }
 }
 
-/// A counter paired with a stopwatch: record events while the work runs, then
-/// [`finish`](ThroughputMeter::finish) into a [`Throughput`].
-#[derive(Debug, Clone, Copy)]
-pub struct ThroughputMeter {
-    count: Counter,
-    watch: Stopwatch,
-}
-
-impl ThroughputMeter {
-    /// Starts a meter; disabled meters never read the clock and finish with
-    /// zero throughput.
-    pub fn start_if(enabled: bool) -> Self {
-        Self {
-            count: Counter::new(),
-            watch: Stopwatch::start_if(enabled),
-        }
-    }
-
-    /// Records `n` events.
-    #[inline]
-    pub fn record(&mut self, n: u64) {
-        self.count.add(n);
-    }
-
-    /// Stops the clock and computes the rate.
-    pub fn finish(self) -> Throughput {
-        let seconds = self.watch.elapsed_seconds();
-        Throughput {
-            count: self.count.get(),
-            seconds,
-            per_sec: per_sec(self.count.get(), seconds),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(41);
-        assert_eq!(c.get(), 42);
-    }
 
     #[test]
     fn disabled_stopwatch_reads_zero() {
@@ -209,16 +125,6 @@ mod tests {
         assert_eq!(per_sec(100, 0.0), 0.0);
         assert_eq!(per_sec(100, -1.0), 0.0);
         assert!((per_sec(100, 2.0) - 50.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn disabled_meter_finishes_at_zero_rate() {
-        let mut m = ThroughputMeter::start_if(false);
-        m.record(1_000);
-        let t = m.finish();
-        assert_eq!(t.count, 1_000);
-        assert_eq!(t.seconds, 0.0);
-        assert_eq!(t.per_sec, 0.0);
     }
 
     #[test]

@@ -4,17 +4,18 @@
 //! paper applies to the memory system it models.  This crate provides the
 //! three primitives the rest of the workspace instruments itself with:
 //!
-//! * **counters and wall-clock timers** that are *zero-cost when disabled*:
-//!   a [`Stopwatch`] built disabled never touches the clock, and the
+//! * **wall-clock timers** that are *zero-cost when disabled*: a
+//!   [`Stopwatch`] built disabled never touches the clock, and the
 //!   monomorphized no-op meter pattern (see [`collect`]) lets hot loops
 //!   compile the instrumentation away entirely;
-//! * **throughput meters** ([`ThroughputMeter`], [`per_sec`]) that turn an
-//!   event count and an elapsed wall-clock interval into events/second;
+//! * **event rates** ([`per_sec`]) that turn an event count and an elapsed
+//!   wall-clock interval into events/second, plus log2 latency
+//!   [`Histogram`]s;
 //! * a **serializable report envelope** ([`MetricsReport`]) — a
 //!   schema-versioned `{kind, data}` pair, mirroring the engine's open
-//!   `ProbeReport` design — so every telemetry producer (per-job driver
-//!   metrics, whole-run engine metrics, the bench pipeline's
-//!   `BENCH_*.json`) writes the same self-describing JSON shape.
+//!   `ProbeReport` design — so every telemetry producer (whole-run engine
+//!   metrics, the server's counters) writes the same self-describing JSON
+//!   shape.
 //!
 //! Telemetry never feeds back into simulation: collecting metrics must not
 //! (and, by construction here, cannot) perturb simulated results.  The
@@ -43,6 +44,6 @@ pub mod collect;
 pub mod histogram;
 pub mod report;
 
-pub use collect::{per_sec, Counter, MetricsConfig, Stopwatch, Throughput, ThroughputMeter};
+pub use collect::{per_sec, MetricsConfig, Stopwatch};
 pub use histogram::Histogram;
 pub use report::MetricsReport;

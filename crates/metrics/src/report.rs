@@ -8,8 +8,8 @@ use serde::{Deserialize, Serialize};
 ///
 /// This mirrors the engine's open `ProbeReport {kind, data}` design so
 /// external tooling reads one shape everywhere: per-run engine metrics
-/// (`kind: "engine-run"`), the bench pipeline's `BENCH_*.json`
-/// (`kind: "bench"`), and any report a future producer defines.
+/// (`kind: "engine-run"`), the job server's counters (`kind: "server"`),
+/// and any report a future producer defines.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetricsReport {
     /// Version of this envelope (`kind` + `data`) format itself.
@@ -26,25 +26,25 @@ impl MetricsReport {
     /// History: **1** — PR 4 (first envelopes: `engine-run`, `bench`);
     /// **2** — PR 5 (bench payloads gained required segment-parallel and
     /// warm-up fields, and the `bench-diff` kind was added);
-    /// **3** — PR 6 (bench payloads gained required speculative-run fields
-    /// and the recorded speculation depth);
+    /// **3** — PR 6 (bench payloads gained required run-ahead fields and
+    /// the recorded run-ahead depth);
     /// **4** — PR 7 (bench payloads gained the required per-figure
     /// `parallel_spread` sample-spread field and the recorded `repeats`
     /// count from `bench --repeat`);
     /// **5** — PR 8 (bench payloads gained required served-through-a-local-
     /// server columns — cold round trip and cache-hit replay — and the
-    /// `server` kind was added for the job server's counters).  An
-    /// old-versioned `BENCH_*.json` must fail validation with this version
-    /// error rather than a confusing field-level decode error;
-    /// `bench --against` still *reads* old reports leniently for throughput
-    /// comparison;
+    /// `server` kind was added for the job server's counters);
     /// **6** — PR 9 (log2-bucketed [`crate::Histogram`]s joined the
     /// payloads: `engine-run` job entries gained per-stage segment-latency
     /// histograms, the `server` kind gained cache-eviction/byte counters, a
     /// running-jobs gauge, per-client quota usage and a queue-wait
     /// histogram, and bench figures gained per-configuration warm-up
-    /// wall-clock fields).
-    pub const SCHEMA_VERSION: u32 = 6;
+    /// wall-clock fields);
+    /// **7** — `engine-run` job entries lost their three `spec_*` run-ahead
+    /// counters with the run-ahead execution mode, and the `bench` /
+    /// `bench-diff` kinds were retired with the `sms-experiments bench`
+    /// harness.
+    pub const SCHEMA_VERSION: u32 = 7;
 
     /// A report of the given kind carrying `payload` serialized as JSON.
     pub fn new<T: Serialize + ?Sized>(kind: &str, payload: &T) -> Self {
@@ -77,9 +77,8 @@ impl MetricsReport {
     /// Validates the envelope itself: a supported schema version, a
     /// non-empty kind, and a non-null payload.
     ///
-    /// Payload schemas validate themselves (e.g. the bench report's own
-    /// `validate`); this only guards the envelope contract that external
-    /// tooling relies on.
+    /// Payload schemas are checked by their producers; this only guards the
+    /// envelope contract that external tooling relies on.
     ///
     /// # Errors
     ///

@@ -23,10 +23,13 @@
 //! writes a checksummed entry file (`<fingerprint>.smsc`, written to a temp
 //! name and renamed so a crash never leaves a half-written entry under the
 //! real name), evictions delete the file, and a restart reloads whatever
-//! the directory holds.  Recovery is **corruption-tolerant**: an entry that
-//! is truncated, fails its FNV-1a checksum, or does not parse is skipped
-//! and counted ([`ResultCache::load_skipped`]) — one bad file costs one
-//! recomputation, never the startup.
+//! the directory holds under the cache's budgets, deleting the files of
+//! entries the reload itself evicts, so the directory never holds more than
+//! the budgets allow across restarts.  Recovery is **corruption-tolerant**:
+//! an entry that is truncated, fails its FNV-1a checksum, does not parse,
+//! or carries another format version is skipped and counted
+//! ([`ResultCache::load_skipped`]) — one bad file costs one recomputation,
+//! never the startup.
 
 use crate::protocol::JobFrame;
 use std::collections::HashMap;
@@ -167,8 +170,9 @@ impl ResultCache {
     /// Attaches a persistence directory: creates it if missing, reloads
     /// every readable entry it holds (in sorted filename order, so recency
     /// after a restart is deterministic), and persists future inserts into
-    /// it.  Corrupt, truncated or misnamed entry files are skipped and
-    /// counted, never fatal.
+    /// it.  Reloaded entries obey the budgets like any insert, and the file
+    /// of an entry the reload evicts is deleted.  Corrupt, truncated or
+    /// misnamed entry files are skipped and counted, never fatal.
     ///
     /// # Errors
     ///
@@ -177,6 +181,9 @@ impl ResultCache {
     /// rather than run silently non-durable.
     pub fn attach_dir(&mut self, dir: &Path) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
+        // Attached before the reload, so evictions during it delete their
+        // files; reloaded entries are not written back (`persist: false`).
+        self.dir = Some(dir.to_path_buf());
         let mut names: Vec<PathBuf> = std::fs::read_dir(dir)?
             .filter_map(|entry| entry.ok().map(|e| e.path()))
             .filter(|path| path.extension().is_some_and(|ext| ext == ENTRY_EXTENSION))
@@ -200,7 +207,6 @@ impl ResultCache {
             self.loaded += 1;
             self.insert_inner(fingerprint, frames, false);
         }
-        self.dir = Some(dir.to_path_buf());
         Ok(())
     }
 
@@ -258,8 +264,11 @@ impl ResultCache {
 /// Extension of persisted cache entry files.
 const ENTRY_EXTENSION: &str = "smsc";
 
-/// Magic + format version of the entry-file header line.
-const ENTRY_MAGIC: &str = "SMSCACHE 1";
+/// Magic + format version of the entry-file header line.  Version 2 entries
+/// are keyed by fingerprints of the current cache-key layout; version 1
+/// files are skipped on reload rather than resident under keys no
+/// submission can produce any more.
+const ENTRY_MAGIC: &str = "SMSCACHE 2";
 
 /// Path of a fingerprint's entry file inside the attached directory.
 fn entry_path(dir: &Path, fingerprint: &str) -> PathBuf {
@@ -267,7 +276,7 @@ fn entry_path(dir: &Path, fingerprint: &str) -> PathBuf {
 }
 
 /// Encodes a frame stream as a self-validating entry file:
-/// `SMSCACHE 1 <fnv1a-hex> <payload-len>\n` followed by the JSON payload.
+/// `SMSCACHE 2 <fnv1a-hex> <payload-len>\n` followed by the JSON payload.
 /// The length catches truncation cheaply; the checksum catches corruption.
 fn encode_entry(frames: &[JobFrame]) -> Vec<u8> {
     let payload = serde_json::to_string(&frames).expect("value-tree serialization cannot fail");
@@ -470,13 +479,47 @@ mod tests {
     }
 
     #[test]
+    fn reload_under_a_budget_deletes_the_files_it_evicts() {
+        let dir = scratch("reload-budget");
+        let mut writer = ResultCache::new();
+        writer.attach_dir(&dir).unwrap();
+        for (tag, name) in ["e1", "e2", "e3", "e4", "e5"].into_iter().enumerate() {
+            writer.insert(name.to_string(), vec![frame(tag as u64)]);
+        }
+        drop(writer);
+
+        let mut reborn = ResultCache::with_budget(2, 0);
+        reborn.attach_dir(&dir).unwrap();
+        assert_eq!(reborn.loaded(), 5);
+        assert_eq!(reborn.entries(), 2);
+        assert_eq!(reborn.evictions(), 3);
+        // Reload runs in filename order, so the last two stay resident, and
+        // exactly their files remain.
+        let mut on_disk: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        on_disk.sort();
+        assert_eq!(on_disk, ["e4.smsc", "e5.smsc"]);
+        assert!(reborn.lookup("e4").is_some());
+        assert!(reborn.lookup("e5").is_some());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn entry_encoding_round_trips_and_rejects_tampering() {
         let frames = vec![frame(1), frame(2)];
         let bytes = encode_entry(&frames);
         assert_eq!(decode_entry(&bytes), Some(frames));
         assert_eq!(decode_entry(b""), None);
-        assert_eq!(decode_entry(b"SMSCACHE 1\n"), None);
-        assert_eq!(decode_entry(b"SMSCACHE 2 0123 4\nabcd"), None, "version");
+        assert_eq!(decode_entry(b"SMSCACHE 2\n"), None);
+        // An intact entry of the previous format version is rejected.
+        let payload = b"[]";
+        let header = format!("{:016x} {}\n", engine::fnv1a_64(payload), payload.len());
+        let current = [format!("SMSCACHE 2 {header}").as_bytes(), payload].concat();
+        assert_eq!(decode_entry(&current), Some(Vec::new()));
+        let old = [format!("SMSCACHE 1 {header}").as_bytes(), payload].concat();
+        assert_eq!(decode_entry(&old), None, "version");
         let mut tampered = bytes.clone();
         *tampered.last_mut().unwrap() ^= 0x40;
         assert_eq!(decode_entry(&tampered), None, "checksum");

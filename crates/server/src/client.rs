@@ -1,6 +1,6 @@
 //! A blocking client for the job server: connect, send one request, read
-//! the reply stream.  This is what `sms-experiments submit` and the bench
-//! pipeline's `served` column are built on.
+//! the reply stream.  This is what `sms-experiments submit` and the
+//! benchmark's `served` workload are built on.
 
 use crate::protocol::{
     read_line, write_line, Accepted, Done, ErrorFrame, Frame, JobFrame, Request, ShutdownAck,
@@ -114,8 +114,6 @@ pub struct SubmitOptions {
     pub workers: usize,
     /// Intra-job segment size (`0` = unsegmented).
     pub segment_size: usize,
-    /// Speculative run-ahead depth (`0` = off).
-    pub speculate: usize,
     /// Submission deadline in milliseconds, measured from admission
     /// (`0` = none).
     pub timeout_ms: u64,
@@ -135,7 +133,6 @@ impl Default for SubmitOptions {
             priority: 0,
             workers: 0,
             segment_size: 0,
-            speculate: 0,
             timeout_ms: 0,
             retries: 0,
         }
@@ -202,7 +199,7 @@ fn submit_once(
         priority: options.priority,
         workers: options.workers,
         segment_size: options.segment_size,
-        speculate: options.speculate,
+        speculate: 0,
         timeout_ms: (options.timeout_ms > 0).then_some(options.timeout_ms),
         spec: serde_json::to_value(list).expect("value-tree serialization cannot fail"),
     });

@@ -36,7 +36,10 @@ pub struct SubmitRequest {
     pub workers: usize,
     /// Intra-job segment size (`0` = unsegmented).
     pub segment_size: usize,
-    /// Speculative run-ahead depth (`0` = off).
+    /// Ignored.  Kept on the wire so requests from clients that still send
+    /// a speculative run-ahead depth decode; speculation was removed and
+    /// never changed a result, so any value runs (and caches) exactly like
+    /// `0`.  Current clients send `0`.
     pub speculate: usize,
     /// Submission deadline in milliseconds, measured from admission
     /// (introduced after protocol version 1 shipped; absent on old clients

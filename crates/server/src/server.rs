@@ -720,9 +720,7 @@ fn handle_submit<S: Write>(
     } else {
         shared.config.workers
     };
-    let config = EngineConfig::with_workers(workers)
-        .with_segment_size(submit.segment_size)
-        .with_speculation(submit.speculate);
+    let config = EngineConfig::with_workers(workers).with_segment_size(submit.segment_size);
     let fingerprint = engine::spec_fingerprint(&list.jobs, &config);
     let job_count = list.jobs.len() as u64;
 

@@ -254,6 +254,62 @@ fn bad_specs_get_structured_errors_with_the_cli_version_message() {
 }
 
 #[test]
+fn a_legacy_speculate_field_is_accepted_ignored_and_shares_the_cache_entry() {
+    use server::{Frame, Request, SubmitRequest};
+    use std::io::BufReader;
+    use std::os::unix::net::UnixStream;
+
+    let list = job_list(4_000);
+    let (server, endpoint) = start_unix("legacy-speculate", ServerConfig::default());
+    let first = client::submit(&endpoint, &list, &SubmitOptions::default(), &mut |_| {})
+        .expect("first submission");
+    assert!(!first.accepted.cache_hit);
+
+    // A client that still sends a run-ahead depth: the field decodes, is
+    // ignored, and keys the same cache entry as `"speculate": 0`.
+    let Endpoint::Unix(path) = &endpoint else {
+        unreachable!()
+    };
+    let request = Request::Submit(SubmitRequest {
+        client: "legacy".to_string(),
+        priority: 0,
+        workers: 0,
+        segment_size: 0,
+        speculate: 3,
+        timeout_ms: None,
+        spec: serde_json::to_value(&list).unwrap(),
+    });
+    let mut stream = UnixStream::connect(path).expect("connect");
+    server::protocol::write_line(&mut stream, &request).expect("send");
+    let mut reader = BufReader::new(stream);
+    let mut results = Vec::new();
+    loop {
+        let frame: Frame = server::protocol::read_line(&mut reader)
+            .expect("read")
+            .expect("frame");
+        match frame {
+            Frame::Accepted(accepted) => assert!(accepted.cache_hit, "{accepted:?}"),
+            Frame::Result(job) => results.push(job.result),
+            Frame::Done(done) => {
+                assert!(done.cache_hit);
+                break;
+            }
+            other => panic!("unexpected frame {other:?}"),
+        }
+    }
+    let first_results: Vec<engine::JobResult> =
+        first.frames.iter().map(|f| f.result.clone()).collect();
+    assert_eq!(
+        serde_json::to_string_pretty(&results).unwrap(),
+        serde_json::to_string_pretty(&first_results).unwrap(),
+        "byte-identical results"
+    );
+
+    let metrics = server.shutdown();
+    assert_eq!((metrics.cache_hits, metrics.cache_misses), (1, 1));
+}
+
+#[test]
 fn graceful_shutdown_drains_queued_submissions() {
     let (server, endpoint) = start_unix("drain", ServerConfig::default());
 
@@ -686,7 +742,7 @@ fn cache_dir_persists_results_across_restarts_and_tolerates_corruption() {
     // the restart.
     std::fs::write(
         dir.join("deadbeefdeadbeef.smsc"),
-        b"SMSCACHE 1 0123456789abcdef 4\nXXXX",
+        b"SMSCACHE 2 0123456789abcdef 4\nXXXX",
     )
     .expect("plant corrupt entry");
 

@@ -15,7 +15,7 @@ pub struct TimeBreakdown {
     pub onchip_read: f64,
     /// Stall cycles with a full store buffer.
     pub store_buffer: f64,
-    /// All remaining stall cycles (branch mispredictions, instruction cache
+    /// All remaining stall cycles (wrong-path branches, instruction cache
     /// misses, ...).
     pub other: f64,
 }

@@ -26,8 +26,8 @@ pub struct TimingConfig {
     pub busy_cycles_per_access: f64,
     /// Fraction of busy time attributed to the operating system.
     pub system_busy_fraction: f64,
-    /// Constant per-access stall charged to the "other" category (branch
-    /// mispredictions, instruction-cache misses, ...).
+    /// Constant per-access stall charged to the "other" category
+    /// (wrong-path branches, instruction-cache misses, ...).
     pub other_stall_per_access: f64,
 }
 

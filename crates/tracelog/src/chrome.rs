@@ -277,8 +277,8 @@ mod tests {
                 let mut inner = rec.span("seg.simulate");
                 inner.arg_u64("segment", 0);
             }
-            rec.instant("spec.mispredict", |a| {
-                a.u64("segment", 3);
+            rec.instant("run_cancelled", |a| {
+                a.u64("delivered", 3);
             });
             rec.counter("queue_depth", 2.0);
             drop(outer);

@@ -150,31 +150,27 @@ fn segment_parallel_engine_matches_serial_bit_for_bit() {
     // and per-segment state hand-off) must reproduce the serial bits over
     // the full mixed job list — baselines, SMS, GHB and timing jobs — for
     // every pipeline shape: inline (1 thread), two- and three-stage helper
-    // topologies, speculative run-ahead at several depths, and with an odd
-    // segment size that leaves a partial final segment.
+    // topologies, and with an odd segment size that leaves a partial final
+    // segment.
     let jobs = engine_job_list();
     let serial = engine::run_jobs_with(&jobs, &EngineConfig::serial());
     let serial_json = serde_json::to_string(&serial).expect("serialize serial");
-    for (workers, segment_size, speculate) in [
-        (1, 1_000, 0),
-        (2, 1_000, 0),
-        (4, 1_000, 0),
-        (4, 777, 0),
-        (4, 50_000, 0),
-        (2, 1_000, 2),
-        (4, 777, 4),
-        (8, 1_000, 1),
+    for (workers, segment_size) in [
+        (1, 1_000),
+        (2, 1_000),
+        (4, 1_000),
+        (4, 777),
+        (4, 50_000),
+        (8, 1_000),
     ] {
         let segmented = engine::run_jobs_with(
             &jobs,
-            &EngineConfig::with_workers(workers)
-                .with_segment_size(segment_size)
-                .with_speculation(speculate),
+            &EngineConfig::with_workers(workers).with_segment_size(segment_size),
         );
         let segmented_json = serde_json::to_string(&segmented).expect("serialize segmented");
         assert_eq!(
             serial_json, segmented_json,
-            "workers={workers} segment_size={segment_size} speculate={speculate}: \
+            "workers={workers} segment_size={segment_size}: \
              segmented engine results must be byte-identical to the serial path"
         );
     }
@@ -187,24 +183,16 @@ fn segmented_sms_run_reproduces_the_pinned_golden_hash() {
     // segmentation is an execution strategy, never a behavior change.
     const GOLDEN_SUMMARY_HASH: u64 = 0x2c60632b11e41c1c;
 
-    for (workers, segment_size, speculate) in [
-        (1, 2_048, 0),
-        (3, 2_048, 0),
-        (2, 3_333, 0),
-        (4, 2_048, 4),
-        (2, 3_333, 1),
-    ] {
+    for (workers, segment_size) in [(1, 2_048), (3, 2_048), (2, 3_333), (4, 2_048)] {
         let results = engine::run_jobs_with(
             &[pinned_sms_job()],
-            &EngineConfig::with_workers(workers)
-                .with_segment_size(segment_size)
-                .with_speculation(speculate),
+            &EngineConfig::with_workers(workers).with_segment_size(segment_size),
         );
         let json = serde_json::to_string(&results[0].summary).expect("serialize summary");
         let got = fnv1a(json.as_bytes());
         assert_eq!(
             got, GOLDEN_SUMMARY_HASH,
-            "workers={workers} segment_size={segment_size} speculate={speculate}: \
+            "workers={workers} segment_size={segment_size}: \
              segmented SMS summary drifted from the pinned serial hash \
              (got {got:#018x}; summary {json})"
         );
@@ -318,17 +306,13 @@ impl engine::PrefetcherPlugin for DelegatingSmsPlugin {
     }
 }
 
-/// Property-based byte-identity matrix for speculative segment-parallel
-/// execution: random traces x segment sizes (a single access, odd sizes,
-/// sizes larger than the whole trace) x worker counts x speculation depths
-/// must reproduce the serial `RunSummary` bytes, the pinned golden SMS hash
-/// must survive any speculative configuration, and an adversarial
-/// forced-mispredict schedule must recover to the serial bytes through the
-/// discard-and-replay path.
-mod speculative_properties {
+/// Property-based byte-identity matrix for segment-parallel execution:
+/// random traces x segment sizes (a single access, odd sizes, sizes larger
+/// than the whole trace) x worker counts must reproduce the serial
+/// `RunSummary` bytes, and the pinned golden SMS hash must survive any
+/// segmented configuration.
+mod segmented_properties {
     use super::*;
-    use engine::SegmentPlan;
-    use metrics::MetricsConfig;
     use proptest::prelude::*;
 
     /// A random job drawn by the strategies below: application, generator
@@ -365,104 +349,53 @@ mod speculative_properties {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(10))]
 
-        /// The central property: every speculative configuration reproduces
+        /// The central property: every segmented configuration reproduces
         /// the serial results bit for bit, serialized bytes included.
         #[test]
-        fn speculative_runs_reproduce_serial_bits(
+        fn segmented_runs_reproduce_serial_bits(
             (app_idx, prefetcher_idx) in (0usize..11, 0usize..3),
             seed in 0u64..1_000_000,
             accesses in 500usize..2_500,
             choice in 0usize..3,
             odd in 1usize..3_001,
             workers in 1usize..9,
-            depth in 0usize..5,
         ) {
             let job = random_job(app_idx, seed, accesses, prefetcher_idx);
             let serial =
                 engine::run_jobs_with(std::slice::from_ref(&job), &EngineConfig::serial());
             let segment_size = segment_size_for(choice, odd, accesses);
-            let speculative = engine::run_jobs_with(
+            let segmented = engine::run_jobs_with(
                 std::slice::from_ref(&job),
-                &EngineConfig::with_workers(workers)
-                    .with_segment_size(segment_size)
-                    .with_speculation(depth),
+                &EngineConfig::with_workers(workers).with_segment_size(segment_size),
             );
-            prop_assert_eq!(&serial, &speculative);
+            prop_assert_eq!(&serial, &segmented);
             let a = serde_json::to_string(&serial).expect("serialize serial");
-            let b = serde_json::to_string(&speculative).expect("serialize speculative");
+            let b = serde_json::to_string(&segmented).expect("serialize segmented");
             prop_assert_eq!(a, b);
         }
 
-        /// The adversarial half: a fault-injection schedule forces
-        /// verification failures on the speculative path, and the
-        /// discard-and-replay recovery still reproduces the serial bytes
-        /// while reporting the mispredicts it survived.
-        #[test]
-        fn forced_mispredicts_recover_to_serial_bits(
-            (app_idx, seed) in (0usize..11, 0u64..1_000_000),
-            accesses in 1_000usize..3_000,
-            segment_size in 100usize..600,
-            every in 1u64..4,
-            depth in 1usize..5,
-        ) {
-            // SMS probes are forkable, so the injection schedule always has
-            // a rollback point and actually fires.
-            let job = random_job(app_idx, seed, accesses, 1);
-            let serial =
-                engine::run_jobs_with(std::slice::from_ref(&job), &EngineConfig::serial());
-            // Injection fires at segment indices `every-1, 2*every-1, ...`;
-            // clamp the period to the segment count so at least one fires.
-            let segments = accesses.div_ceil(segment_size) as u64;
-            let every = every.min(segments);
-            let plan = SegmentPlan::new(segment_size, 4)
-                .with_speculation(depth)
-                .with_mispredict_every(every);
-            let (result, job_metrics) = engine::run_job_segmented(
-                0,
-                &job,
-                Registry::builtin(),
-                &MetricsConfig::enabled(),
-                plan,
-            )
-            .expect("segmented job runs");
-            prop_assert_eq!(&serial[0], &result);
-            let a = serde_json::to_string(&serial[0]).expect("serialize serial");
-            let b = serde_json::to_string(&result).expect("serialize speculative");
-            prop_assert_eq!(a, b);
-            prop_assert!(
-                job_metrics.spec_mispredicts > 0,
-                "fault injection must force at least one failed verification"
-            );
-            prop_assert!(job_metrics.spec_replayed_accesses > 0);
-            prop_assert!(job_metrics.spec_commits > 0);
-        }
-
-        /// The pinned golden SMS summary hash survives any speculative
-        /// configuration: speculation is an execution strategy, never a
+        /// The pinned golden SMS summary hash survives any segmented
+        /// configuration: segmentation is an execution strategy, never a
         /// behavior change.
         #[test]
-        fn speculative_sms_reproduces_the_pinned_golden_hash(
-            workers in 2usize..9,
+        fn segmented_sms_reproduces_the_pinned_golden_hash(
+            workers in 1usize..9,
             segment_size in 1usize..15_000,
-            depth in 1usize..5,
         ) {
             const GOLDEN_SUMMARY_HASH: u64 = 0x2c60632b11e41c1c;
             let results = engine::run_jobs_with(
                 &[pinned_sms_job()],
-                &EngineConfig::with_workers(workers)
-                    .with_segment_size(segment_size)
-                    .with_speculation(depth),
+                &EngineConfig::with_workers(workers).with_segment_size(segment_size),
             );
             let json = serde_json::to_string(&results[0].summary).expect("serialize summary");
             let got = fnv1a(json.as_bytes());
             prop_assert_eq!(
                 got,
                 GOLDEN_SUMMARY_HASH,
-                "workers={} segment_size={} depth={}: speculative SMS summary \
+                "workers={} segment_size={}: segmented SMS summary \
                  drifted from the pinned serial hash (got {:#018x})",
                 workers,
                 segment_size,
-                depth,
                 got
             );
         }

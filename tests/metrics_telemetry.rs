@@ -5,7 +5,7 @@
 
 use engine::{EngineConfig, PrefetcherSpec, Registry, SimJob};
 use ghb::GhbConfig;
-use memsim::{HierarchyConfig, MultiCpuSystem};
+use memsim::{HierarchyConfig, MultiCpuSystem, PrefetchLevel, Prefetcher, RunSummary};
 use metrics::MetricsConfig;
 use sms::SmsConfig;
 use timing::TimingConfig;
@@ -158,16 +158,13 @@ fn segmented_metrics_collection_is_byte_identical_and_counts_segments() {
 #[test]
 fn tracing_enabled_vs_disabled_is_byte_identical() {
     // The PR 4 telemetry contract extends to span tracing: recording spans
-    // must never alter a single result byte, across the plain, segmented,
-    // and speculative execution paths.
+    // must never alter a single result byte, across the plain and segmented
+    // execution paths.
     let jobs = job_list();
     for config in [
         EngineConfig::serial(),
         EngineConfig::with_workers(3),
         EngineConfig::with_workers(2).with_segment_size(1_000),
-        EngineConfig::with_workers(4)
-            .with_segment_size(1_000)
-            .with_speculation(2),
     ] {
         let (untraced, _) = engine::run_jobs_observed(
             &jobs,
@@ -201,6 +198,47 @@ fn tracing_enabled_vs_disabled_is_byte_identical() {
     }
 }
 
+/// The pre-batching driver loop: one request vector per access through
+/// [`Prefetcher::on_access`], applied in order.  The trait keeps both
+/// `on_access` and the batched `on_access_into`, so the two must agree.
+fn run_pre_batching(
+    system: &mut MultiCpuSystem,
+    prefetcher: &mut dyn Prefetcher,
+    stream: impl Iterator<Item = trace::MemAccess>,
+) -> RunSummary {
+    let mut summary = RunSummary::default();
+    for access in stream {
+        if (access.cpu as usize) >= system.num_cpus() {
+            summary.skipped_accesses += 1;
+            continue;
+        }
+        let outcome = system.access(&access);
+        summary.accesses += 1;
+        let requests = prefetcher.on_access(&access, &outcome);
+        summary.prefetch_requests += requests.len() as u64;
+        for req in requests {
+            if (req.cpu as usize) >= system.num_cpus() {
+                continue;
+            }
+            match req.level {
+                PrefetchLevel::L1 => {
+                    if let Some(victim) = system.cpu_mut(req.cpu).stream_fill(req.addr) {
+                        prefetcher.on_stream_eviction(req.cpu, victim.block_addr);
+                    }
+                }
+                PrefetchLevel::L2 => {
+                    system.cpu_mut(req.cpu).l2_prefetch_fill(req.addr);
+                }
+            }
+        }
+    }
+    summary.l1 = system.l1_stats_total();
+    summary.l2 = system.l2_stats_total();
+    summary.l1_breakdown = *system.l1_breakdown();
+    summary.l2_breakdown = *system.l2_breakdown();
+    summary
+}
+
 #[test]
 fn batched_and_unbatched_drivers_agree_for_every_builtin_prefetcher() {
     for spec in [
@@ -224,13 +262,9 @@ fn batched_and_unbatched_drivers_agree_for_every_builtin_prefetcher() {
 
             let mut unbatched_system = MultiCpuSystem::new(CPUS, &HierarchyConfig::scaled());
             let mut unbatched_prefetcher = registry.build(&spec, CPUS).expect("built-in plugin");
-            let mut stream = app.stream(SEED, &generator);
-            let unbatched = memsim::run_unbatched(
-                &mut unbatched_system,
-                &mut unbatched_prefetcher,
-                &mut stream,
-                ACCESSES,
-            );
+            let stream = app.stream(SEED, &generator).take(ACCESSES);
+            let unbatched =
+                run_pre_batching(&mut unbatched_system, &mut unbatched_prefetcher, stream);
 
             assert_eq!(
                 serde_json::to_string(&batched).expect("serialize"),

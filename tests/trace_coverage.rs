@@ -1,8 +1,7 @@
 //! The Chrome-trace export must be structurally valid and must actually
 //! account for the run it claims to describe: for a segmented job the stage
-//! spans have to cover (nearly) all of the job's measured wall-clock, the
-//! speculative path has to leave its speculation markers, and the job
-//! server has to record the full submission lifecycle.
+//! spans have to cover (nearly) all of the job's measured wall-clock, and
+//! the job server has to record the full submission lifecycle.
 
 use engine::{EngineConfig, JobList, PrefetcherSpec, Registry, SimJob};
 use memsim::HierarchyConfig;
@@ -71,35 +70,6 @@ fn segmented_job_spans_cover_the_measured_wall_clock() {
     assert!(
         stage_us as f64 >= 0.95 * job_us as f64,
         "stage spans cover {stage_us} of {job_us} job us"
-    );
-}
-
-#[test]
-fn speculative_run_records_speculation_markers() {
-    let jobs = vec![sms_job()];
-    let config = EngineConfig::with_workers(4)
-        .with_segment_size(SEGMENT)
-        .with_speculation(2);
-    let trace = Trace::enabled();
-    let (results, _) = engine::run_jobs_observed(
-        &jobs,
-        &config,
-        Registry::builtin(),
-        &MetricsConfig::disabled(),
-        &trace,
-    )
-    .expect("job prepares");
-    assert_eq!(results.len(), 1);
-
-    let chrome = trace.to_chrome_json().expect("enabled trace exports");
-    let check = check_chrome_trace(&chrome, &["job", "seg.pull", "seg.speculate"])
-        .expect("valid chrome trace");
-    assert!(check.spans > 0);
-    // Commits are instants, not spans, so they are asserted on the document
-    // text rather than the span-name set.
-    assert!(
-        chrome.contains("\"spec.commit\""),
-        "a speculative run must commit at least one verified segment"
     );
 }
 
