@@ -59,12 +59,18 @@ fn bench_structures(c: &mut Criterion) {
         })
     });
 
-    group.bench_function("sms_predictor_on_access", |b| {
+    // The call the simulator makes: `on_access_into` with one reused
+    // buffer, cleared before every access (as `SmsPrefetcher` does), so no
+    // access pays for an allocation.
+    group.bench_function("sms_predictor_on_access_into", |b| {
         let mut predictor = SmsPredictor::new(&SmsConfig::paper_default());
+        let mut blocks = Vec::new();
         b.iter(|| {
             for i in 0..OPS {
                 let addr = (i * 96) % (1 << 22);
-                black_box(predictor.on_access(addr, 0x4000 + (i % 256) * 4));
+                blocks.clear();
+                predictor.on_access_into(addr, 0x4000 + (i % 256) * 4, &mut blocks);
+                black_box(&blocks);
                 if i % 37 == 0 {
                     predictor.on_block_removed(addr);
                 }

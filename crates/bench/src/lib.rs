@@ -30,7 +30,6 @@ pub fn bench_config() -> ExperimentConfig {
         seed: 2006,
         hierarchy: HierarchyConfig::scaled(),
         workers: 1,
-        segment_size: None,
     }
 }
 

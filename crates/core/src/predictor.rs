@@ -52,18 +52,6 @@ impl SmsConfig {
         self.pht = pht;
         self
     }
-
-    /// Returns a copy with a different index scheme.
-    pub fn with_index_scheme(mut self, scheme: IndexScheme) -> Self {
-        self.index_scheme = scheme;
-        self
-    }
-
-    /// Returns a copy with a different region geometry.
-    pub fn with_region(mut self, region: RegionConfig) -> Self {
-        self.region = region;
-        self
-    }
 }
 
 impl Default for SmsConfig {

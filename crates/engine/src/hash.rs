@@ -1,26 +1,22 @@
 //! Canonical hashing of job specs: the content-addressed result-cache key.
 //!
-//! Engine jobs are deterministic — a [`JobList`] plus the engine-relevant
-//! execution parameters fully determines every byte of the results — so a
-//! canonical hash of that pair *is* the identity of the result set.  The job
-//! server (`crates/server`) uses [`spec_fingerprint`] as its cache key;
-//! anything that cannot change the results is deliberately excluded:
+//! Engine jobs are deterministic — the jobs of a [`JobList`] fully
+//! determine every byte of the results — so a canonical hash of the jobs
+//! *is* the identity of the result set.  The job server (`crates/server`)
+//! uses [`spec_fingerprint`] as its cache key; anything that cannot change
+//! the results is deliberately excluded:
 //!
-//! * `workers` — thread count is a scheduling choice; results are
-//!   bit-identical across worker counts by construction;
+//! * every engine setting — the worker count is a scheduling choice, and
+//!   results are bit-identical across worker counts by construction;
 //! * the spec's `version` and `name` fields — the version is normalized on
 //!   load and the name is a client-facing label;
 //! * JSON presentation — object key order and whitespace are erased by
 //!   [`canonical_json`], so a reordered or reformatted spec file hashes
 //!   identically.
 //!
-//! `segment_size` is **included** even though it, too, preserves results by
-//! construction: it selects a different execution code path, and a cache
-//! keyed on it stays trustworthy even while that path is being debugged.
-//! Two submissions differing only in workers share a cache line; differing
-//! in any job field or in segment size do not.
+//! Two submissions share a cache line exactly when their jobs are equal.
 
-use crate::runner::{EngineConfig, JobList, SimJob};
+use crate::runner::{JobList, SimJob};
 use serde::Serialize;
 use serde_json::Value;
 
@@ -65,32 +61,22 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
 }
 
 /// The content-addressed identity of a job submission: a 16-hex-digit
-/// fingerprint of the canonical JSON of the jobs plus the engine-relevant
-/// execution parameter `segment_size` (never `workers`, see the module docs
-/// for the rationale).
+/// fingerprint of the canonical JSON of the jobs (no engine setting enters
+/// it, see the module docs for the rationale).
 ///
 /// Equal fingerprints ⇒ byte-identical results, because jobs are
 /// deterministic and the canonicalization erases only non-semantic JSON
 /// presentation.
-pub fn spec_fingerprint(jobs: &[SimJob], config: &EngineConfig) -> String {
-    let keyed = Value::Object(vec![
-        ("jobs".to_string(), jobs.to_value()),
-        (
-            "segment_size".to_string(),
-            match config.segment_size {
-                Some(size) => Value::UInt(size as u64),
-                None => Value::Null,
-            },
-        ),
-    ]);
-    format!("{:016x}", fnv1a_64(canonical_json(&keyed).as_bytes()))
+pub fn spec_fingerprint(jobs: &[SimJob]) -> String {
+    let canonical = canonical_json(&jobs.to_value());
+    format!("{:016x}", fnv1a_64(canonical.as_bytes()))
 }
 
 /// [`spec_fingerprint`] for a whole spec file: hashes the list's jobs,
 /// ignoring its `version` and `name` fields (both presentation, neither
 /// affects execution).
-pub fn list_fingerprint(list: &JobList, config: &EngineConfig) -> String {
-    spec_fingerprint(&list.jobs, config)
+pub fn list_fingerprint(list: &JobList) -> String {
+    spec_fingerprint(&list.jobs)
 }
 
 #[cfg(test)]
@@ -125,8 +111,7 @@ mod tests {
 
     #[test]
     fn fingerprint_is_stable_under_spec_reordering_and_reformatting() {
-        let config = EngineConfig::with_workers(3);
-        let baseline = spec_fingerprint(&jobs(), &config);
+        let baseline = spec_fingerprint(&jobs());
 
         // Round-trip the jobs through differently-presented JSON: pretty
         // whitespace and reversed object key order must not change the key.
@@ -134,45 +119,26 @@ mod tests {
         let pretty = serde_json::to_string_pretty(&value).unwrap();
         let reordered = reverse_keys(&serde_json::from_str::<Value>(&pretty).unwrap());
         let reloaded: Vec<SimJob> = serde::Deserialize::from_value(&reordered).unwrap();
-        assert_eq!(spec_fingerprint(&reloaded, &config), baseline);
-
-        // Worker count is a scheduling choice, not an identity.
-        assert_eq!(spec_fingerprint(&jobs(), &EngineConfig::serial()), baseline);
-        assert_eq!(
-            spec_fingerprint(&jobs(), &EngineConfig::with_workers(16)),
-            baseline
-        );
+        assert_eq!(spec_fingerprint(&reloaded), baseline);
 
         // The list wrapper's version/name labels are not identity either.
         let named = JobList::new(jobs()).with_name("fig05 rerun");
-        assert_eq!(list_fingerprint(&named, &config), baseline);
+        assert_eq!(list_fingerprint(&named), baseline);
     }
 
     #[test]
     fn fingerprint_changes_with_every_engine_relevant_field() {
-        let config = EngineConfig::with_workers(2);
-        let baseline = spec_fingerprint(&jobs(), &config);
+        let baseline = spec_fingerprint(&jobs());
 
         // A prefetcher parameter change.
         let mut tweaked = jobs();
         tweaked[0].sim.prefetcher = PrefetcherSpec::null();
-        assert_ne!(spec_fingerprint(&tweaked, &config), baseline);
+        assert_ne!(spec_fingerprint(&tweaked), baseline);
 
         // An access-budget change.
         let mut tweaked = jobs();
         tweaked[0].sim.accesses += 1;
-        assert_ne!(spec_fingerprint(&tweaked, &config), baseline);
-
-        // The execution-strategy parameter that selects a different code
-        // path.
-        assert_ne!(
-            spec_fingerprint(&jobs(), &config.with_segment_size(10_000)),
-            baseline
-        );
-        assert_ne!(
-            spec_fingerprint(&jobs(), &config.with_segment_size(10_000)),
-            spec_fingerprint(&jobs(), &config.with_segment_size(20_000)),
-        );
+        assert_ne!(spec_fingerprint(&tweaked), baseline);
     }
 
     /// Recursively reverses every object's key order (keeping arrays).

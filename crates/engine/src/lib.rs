@@ -23,10 +23,11 @@
 //!   a synthetic trace that several jobs of a list read is generated once
 //!   per run and replayed by each of them — so parallel
 //!   results are **bit-identical** to the serial path;
-//! * with a segment size set, each job's stream is additionally cut into
-//!   segments that flow through a pull → simulate → account pipeline on up
-//!   to three threads ([`segment`]) — the same computation in the same
-//!   order, so results stay bit-identical;
+//! * every job runs one loop ([`segment`]): pull a segment of its trace,
+//!   simulate it with miss classification deferred, then replay the
+//!   segment's outcome tape into the classifiers — the same computation in
+//!   the same order as the per-access reference `memsim::run`, so results
+//!   stay bit-identical;
 //! * results are merged deterministically back into submission order, each
 //!   carrying the run's [`memsim::RunSummary`], an open serializable
 //!   [`ProbeReport`] (`{kind, data}` — density histograms, oracle misses,
@@ -83,6 +84,5 @@ pub use runner::{
     run_jobs_streamed, run_jobs_streamed_observed, run_jobs_with, CancelToken, EngineConfig,
     EngineError, JobList, JobResult, JobWarning, SimJob, SpecError, TimingSpec,
 };
-pub use segment::SegmentPlan;
 pub use spec::{MultiOracle, OracleProbeSpec, PrefetcherSpec, TrainingSpec};
 pub use telemetry::{EngineMetrics, JobMetrics, WorkerMetrics};

@@ -38,33 +38,19 @@ pub trait Probe: Prefetcher + Send {
         ProbeReport::none()
     }
 
-    /// Whether this probe consumes the *miss-kind classifications*
-    /// (`SystemOutcome::l1_miss_kind` / `l2_miss_kind`).
-    ///
-    /// Segment-parallel execution defers miss classification off the
-    /// simulation thread, so those two fields arrive as `None` there.  A
-    /// probe that needs the kinds must therefore keep all kind-consuming
-    /// state in a detachable [`KindSink`], return `true` here, and hand the
-    /// sink over via [`take_kind_sink`](Self::take_kind_sink).  The engine
-    /// feeds the sink itself: inline with each outcome on serial runs,
-    /// or from the accounting stage's bit-identical
-    /// [`MissAccounting::replay_with_kinds`](memsim::MissAccounting::replay_with_kinds)
-    /// pass on segmented runs.  The probe's own `on_access`
-    /// must **not** read the two kind fields — they are `None` whenever
-    /// classification is deferred.
-    ///
-    /// The default is `false`, which is accurate for every built-in
-    /// prefetcher and probe (they consume hit/miss outcomes, evictions and
-    /// invalidations, never the classification).
-    fn wants_miss_kinds(&self) -> bool {
-        false
-    }
-
     /// Detaches this probe's kind-consuming state so the engine can feed it
-    /// (see [`wants_miss_kinds`](Self::wants_miss_kinds)).  Called once at
-    /// construction; a probe returning `true` from `wants_miss_kinds` **must**
-    /// return `Some` here or the engine panics — the contract has no silent
-    /// fallback.
+    /// the *miss-kind classifications* (`SystemOutcome::l1_miss_kind` /
+    /// `l2_miss_kind`).
+    ///
+    /// The engine simulates with classification deferred, so the outcomes a
+    /// probe's `on_access` sees carry `None` for both kinds.  A probe that
+    /// needs them keeps that state in a [`KindSink`] and returns it here;
+    /// the engine calls this once before the run and feeds the sink from its
+    /// bit-identical
+    /// [`MissAccounting::replay_with_kinds`](memsim::MissAccounting::replay_with_kinds)
+    /// pass.  The default `None` suits every built-in prefetcher and probe:
+    /// they consume hit/miss outcomes, evictions and invalidations, never the
+    /// classification.
     fn take_kind_sink(&mut self) -> Option<Box<dyn KindSink>> {
         None
     }
@@ -75,16 +61,14 @@ pub trait Probe: Prefetcher + Send {
     fn restore_kind_sink(&mut self, _sink: Box<dyn KindSink>) {}
 }
 
-/// The detachable kind-consuming component of a probe that declares
-/// [`Probe::wants_miss_kinds`].
+/// The detachable kind-consuming component of a probe (see
+/// [`Probe::take_kind_sink`]).
 ///
 /// The engine owns the sink for the duration of a run and feeds it one call
-/// per simulated (non-skipped) access, in stream order, with exactly the
-/// `(l1, l2)` miss kinds the serial inline path reports: `Some` for
-/// classified read misses, `None` for hits and write misses.  On serial runs
-/// the feed happens inline; on segmented runs it happens on the accounting
-/// stage, where the kinds are recomputed bit-identically from
-/// the outcome tape.
+/// per simulated (non-skipped) access, in stream order, with the `(l1, l2)`
+/// miss kinds the per-access reference loop's outcomes carry: `Some` for
+/// classified read misses, `None` for hits and write misses.  The kinds are
+/// recomputed from each segment's outcome tape.
 pub trait KindSink: Send {
     /// Consumes one access's miss-kind classifications.
     fn on_kinds(
@@ -103,79 +87,36 @@ pub trait KindSink: Send {
 ///
 /// This is an owning wrapper around a boxed [`Probe`] so the engine can pass
 /// it to the drivers as a plain [`Prefetcher`] and still extract the report
-/// afterwards.  For probes that declare [`Probe::wants_miss_kinds`], the
-/// wrapper also holds the detached [`KindSink`]: while attached, the sink is
-/// fed inline from each access's outcome; the segment pipeline
-/// [`take_kind_sink`](Self::take_kind_sink)s it and feeds it from the
-/// accounting stage instead.
+/// afterwards.
 pub struct BuiltPrefetcher {
     inner: Box<dyn Probe>,
-    sink: Option<Box<dyn KindSink>>,
 }
 
 impl BuiltPrefetcher {
     /// Wraps a concrete probe.
-    ///
-    /// # Panics
-    ///
-    /// If the probe declares [`Probe::wants_miss_kinds`] but provides no
-    /// [`KindSink`] — the contract has no fallback path.
     pub fn new(probe: impl Probe + 'static) -> Self {
         Self::from_box(Box::new(probe))
     }
 
     /// Wraps an already-boxed probe.
-    ///
-    /// # Panics
-    ///
-    /// If the probe declares [`Probe::wants_miss_kinds`] but provides no
-    /// [`KindSink`].
-    pub fn from_box(mut inner: Box<dyn Probe>) -> Self {
-        let sink = if inner.wants_miss_kinds() {
-            let sink = inner.take_kind_sink();
-            assert!(
-                sink.is_some(),
-                "probe {:?} declares wants_miss_kinds but take_kind_sink returned None; \
-                 kind-consuming probes must hand their sink to the engine so segmented \
-                 execution can feed it from the accounting stage",
-                inner.name()
-            );
-            sink
-        } else {
-            None
-        };
-        Self { inner, sink }
+    pub fn from_box(inner: Box<dyn Probe>) -> Self {
+        Self { inner }
     }
 
-    /// Consumes the prefetcher and extracts its post-run report, first
-    /// reattaching the kind sink (if any) so the report sees the kind-derived
-    /// state.
-    pub fn into_report(mut self) -> ProbeReport {
-        if let Some(sink) = self.sink.take() {
-            self.inner.restore_kind_sink(sink);
-        }
+    /// Consumes the prefetcher and extracts its post-run report.
+    pub fn into_report(self) -> ProbeReport {
         self.inner.into_report()
     }
 
-    /// Whether the wrapped probe consumes miss-kind classifications (see
-    /// [`Probe::wants_miss_kinds`]); the segment pipeline detaches such
-    /// probes' sinks and feeds them from the accounting stage.
-    pub fn wants_miss_kinds(&self) -> bool {
-        self.inner.wants_miss_kinds()
-    }
-
-    /// Detaches the kind sink for deferred feeding (the segment pipeline's
-    /// accounting stage).  While detached, [`Prefetcher::on_access_into`] no
-    /// longer feeds kinds inline — exactly right, because deferred outcomes
-    /// carry `None` kinds.  Returns `None` for probes without a sink.
+    /// Detaches the probe's kind sink, if it has one (see
+    /// [`Probe::take_kind_sink`]).
     pub fn take_kind_sink(&mut self) -> Option<Box<dyn KindSink>> {
-        self.sink.take()
+        self.inner.take_kind_sink()
     }
 
     /// Reattaches a sink detached by [`take_kind_sink`](Self::take_kind_sink).
     pub fn restore_kind_sink(&mut self, sink: Box<dyn KindSink>) {
-        debug_assert!(self.sink.is_none(), "restoring over an attached sink");
-        self.sink = Some(sink);
+        self.inner.restore_kind_sink(sink);
     }
 }
 
@@ -193,9 +134,6 @@ impl Prefetcher for BuiltPrefetcher {
         access: &trace::MemAccess,
         outcome: &memsim::SystemOutcome,
     ) -> Vec<memsim::PrefetchRequest> {
-        if let Some(sink) = &mut self.sink {
-            sink.on_kinds(access, outcome.l1_miss_kind, outcome.l2_miss_kind);
-        }
         self.inner.on_access(access, outcome)
     }
 
@@ -205,12 +143,6 @@ impl Prefetcher for BuiltPrefetcher {
         outcome: &memsim::SystemOutcome,
         out: &mut Vec<memsim::PrefetchRequest>,
     ) {
-        // An attached sink means classification is inline and the outcome
-        // carries real kinds; the pipeline detaches the sink before running
-        // deferred, where both kind fields are `None`.
-        if let Some(sink) = &mut self.sink {
-            sink.on_kinds(access, outcome.l1_miss_kind, outcome.l2_miss_kind);
-        }
         // Forward explicitly so the inner probe's batched override is used
         // (the trait default would route through the allocating `on_access`).
         self.inner.on_access_into(access, outcome, out);

@@ -1,8 +1,9 @@
 //! The job executor: runs a list of [`SimJob`]s serially or sharded across
 //! worker threads, with a deterministic merge of the results.
 //!
-//! Every job builds its own system and resolves its prefetcher spec through
-//! a plugin [`Registry`] on whichever thread executes it, and reads exactly
+//! Every job runs the engine's one job loop ([`crate::segment`]) on the
+//! worker that claimed it: it builds its own system and resolves its
+//! prefetcher spec through a plugin [`Registry`] there, and reads exactly
 //! the accesses its trace source yields — from its own generator or file,
 //! or from the run's shared recording of a synthetic trace several jobs
 //! read — so the parallel path is bit-identical to the serial
@@ -13,23 +14,21 @@
 //! `Vec<JobResult>` is the JSON the engine writes back out.
 
 use crate::plugin::{PluginError, ProbeReport, Registry};
-use crate::segment::{run_job_segmented_on, SegmentPlan};
+use crate::segment::run_job_on;
 use crate::shared::{SharedTraces, LIVE_CAP_BYTES};
 use crate::spec::PrefetcherSpec;
 use crate::telemetry::{EngineMetrics, JobMetrics, WorkerMetrics};
-use memsim::{MultiCpuSystem, RunSummary};
+use memsim::RunSummary;
 use metrics::{MetricsConfig, Stopwatch};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::io;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
-use timing::{TimingConfig, TimingModel, TimingResult};
-use trace::BoxedStream;
+use timing::{TimingConfig, TimingResult};
 use tracelog::{Recorder, Trace};
 
-/// Timing-model parameters attached to a job that should run through the
-/// [`TimingModel`] instead of the plain cache driver (Figures 12 and 13).
+/// Timing-model parameters attached to a job whose run also feeds the
+/// timing model's cycle accounting (Figures 12 and 13).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TimingSpec {
     /// Cycle-level parameters of the modeled system.
@@ -45,8 +44,8 @@ pub struct TimingSpec {
 pub struct SimJob {
     /// The simulation run proper, instantiated on the executing thread.
     pub sim: memsim::SimJob<PrefetcherSpec>,
-    /// When set, the job runs through the timing model and also reports a
-    /// [`TimingResult`].
+    /// When set, the job also runs the timing model's cycle accounting and
+    /// reports a [`TimingResult`].
     pub timing: Option<TimingSpec>,
 }
 
@@ -313,86 +312,34 @@ pub struct EngineConfig {
     /// Number of worker threads; `0` means one per available hardware
     /// thread, `1` forces the serial path.
     pub workers: usize,
-    /// When set (> 0), every eligible job runs through the intra-job
-    /// segment pipeline with this many accesses per segment (see
-    /// [`crate::segment`]).  The
-    /// thread budget named by `workers` is then split between job-level
-    /// parallelism and the up-to-three pipeline stages of each running job.
-    /// `None` (the default) keeps the pre-segmentation behavior exactly.
-    pub segment_size: Option<usize>,
 }
 
 impl EngineConfig {
     /// One worker per available hardware thread.
     pub fn auto() -> Self {
-        Self {
-            workers: 0,
-            segment_size: None,
-        }
+        Self { workers: 0 }
     }
 
     /// The serial fallback: run every job on the calling thread.
     pub fn serial() -> Self {
-        Self {
-            workers: 1,
-            segment_size: None,
-        }
+        Self { workers: 1 }
     }
 
     /// An explicit worker count (`0` = auto).
     pub fn with_workers(workers: usize) -> Self {
-        Self {
-            workers,
-            segment_size: None,
-        }
+        Self { workers }
     }
 
-    /// Returns a copy with intra-job segmentation enabled at the given
-    /// segment size (`0` disables it again).
-    pub fn with_segment_size(mut self, segment_size: usize) -> Self {
-        self.segment_size = if segment_size > 0 {
-            Some(segment_size)
-        } else {
-            None
-        };
-        self
-    }
-
-    /// The requested thread budget with `0` resolved to the hardware
-    /// parallelism.
-    fn resolved_workers(&self) -> usize {
-        if self.workers == 0 {
+    /// The worker count actually used for `jobs` queued jobs.
+    pub fn effective_workers(&self, jobs: usize) -> usize {
+        let workers = if self.workers == 0 {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1)
         } else {
             self.workers
-        }
-    }
-
-    /// The worker count actually used for `jobs` queued jobs.
-    pub fn effective_workers(&self, jobs: usize) -> usize {
-        self.resolved_workers().min(jobs).max(1)
-    }
-
-    /// How each job should be segmented under this configuration, if at
-    /// all: the per-job [`SegmentPlan`] grants each running job up to three
-    /// pipeline threads out of the total budget.
-    pub fn segment_plan(&self) -> Option<SegmentPlan> {
-        let segment_size = self.segment_size.filter(|&s| s > 0)?;
-        Some(SegmentPlan::new(
-            segment_size,
-            self.resolved_workers().clamp(1, 3),
-        ))
-    }
-
-    /// Job-level worker count when segmentation is active: the thread
-    /// budget is consumed `plan.threads` at a time by each running job's
-    /// pipeline.
-    fn segmented_job_workers(&self, jobs: usize, plan: &SegmentPlan) -> usize {
-        (self.resolved_workers() / plan.threads.max(1))
-            .max(1)
-            .min(jobs.max(1))
+        };
+        workers.min(jobs).max(1)
     }
 }
 
@@ -417,7 +364,7 @@ pub fn run_job(index: usize, job: &SimJob, registry: &Registry) -> Result<JobRes
 
 /// [`run_job`] with telemetry: additionally collects the job's
 /// [`JobMetrics`] (wall-clock time, accesses/second, cache-op and
-/// prefetch-issue counts) when `metrics.enabled`.
+/// prefetch-issue counts, per-segment stage times) when `metrics.enabled`.
 ///
 /// The [`JobResult`] is bit-identical regardless of the metrics setting —
 /// telemetry observes the run on a separate channel and never enters the
@@ -432,95 +379,9 @@ pub fn run_job_metered(
     registry: &Registry,
     metrics: &MetricsConfig,
 ) -> Result<(JobResult, JobMetrics), EngineError> {
-    run_job_on(index, job, registry, metrics, || job.sim.source.open())
-}
-
-/// [`run_job_metered`] over the stream `open` yields, opened where a lone
-/// job opens its source: after the prefetcher builds.
-pub(crate) fn run_job_on(
-    index: usize,
-    job: &SimJob,
-    registry: &Registry,
-    metrics: &MetricsConfig,
-    open: impl FnOnce() -> io::Result<BoxedStream>,
-) -> Result<(JobResult, JobMetrics), EngineError> {
-    let sim = &job.sim;
-    let trace_error = |message: String| EngineError::Trace {
-        job_index: index,
-        source: sim.source.describe(),
-        message,
-    };
-    let mut prefetcher =
-        registry
-            .build(&sim.prefetcher, sim.cpus)
-            .map_err(|error| EngineError::Plugin {
-                job_index: index,
-                error,
-            })?;
-    let mut stream = open().map_err(|e| trace_error(e.to_string()))?;
-    let (mut result, job_metrics) = match &job.timing {
-        Some(spec) => {
-            let model = TimingModel::new(sim.hierarchy, sim.cpus, spec.config);
-            let watch = Stopwatch::start_if(metrics.enabled);
-            let (timing, summary) =
-                model.evaluate(&mut prefetcher, &mut stream, sim.accesses, spec.segments);
-            let job_metrics = if metrics.enabled {
-                JobMetrics::from_summary(index, &summary, watch.elapsed_seconds())
-            } else {
-                JobMetrics {
-                    job_index: index,
-                    ..JobMetrics::default()
-                }
-            };
-            (
-                JobResult {
-                    job_index: index,
-                    summary,
-                    probe: prefetcher.into_report(),
-                    timing: Some(timing),
-                    warnings: Vec::new(),
-                },
-                job_metrics,
-            )
-        }
-        None => {
-            let mut system = MultiCpuSystem::new(sim.cpus, &sim.hierarchy);
-            let (summary, driver) = memsim::run_metered(
-                &mut system,
-                &mut prefetcher,
-                &mut stream,
-                sim.accesses,
-                metrics,
-            );
-            let job_metrics = JobMetrics::from_driver(index, &driver);
-            (
-                JobResult {
-                    job_index: index,
-                    summary,
-                    probe: prefetcher.into_report(),
-                    timing: None,
-                    warnings: Vec::new(),
-                },
-                job_metrics,
-            )
-        }
-    };
-    if let Some(e) = stream.take_error() {
-        return Err(trace_error(format!("corrupt mid-stream: {e}")));
-    }
-    // A well-formed stream that simply ran dry is not an error (replaying a
-    // recorded trace shorter than the budget is legitimate), but it must be
-    // visible: every downstream number is per-delivered-access, not
-    // per-requested-access.
-    let delivered = result.summary.accesses + result.summary.skipped_accesses;
-    if delivered < sim.accesses as u64 {
-        result.warnings.push(JobWarning::short_trace(
-            &sim.source.describe(),
-            delivered,
-            sim.accesses,
-        ));
-    }
-    Ok((result, job_metrics))
+    run_job_on(index, job, registry, metrics, &Trace::disabled(), || {
+        job.sim.source.open()
+    })
 }
 
 /// Runs every job against the built-in plugin registry with the default
@@ -573,8 +434,8 @@ pub fn run_jobs_in(
 type TaggedOutcome = (usize, Result<(JobResult, JobMetrics), EngineError>);
 
 /// Executes one job with panic isolation: a panic anywhere inside the job —
-/// plugin build, probe callback, segmented pipeline helper — is caught at
-/// this boundary and surfaced as
+/// plugin build, probe callback, kind sink — is caught at this boundary and
+/// surfaced as
 /// [`EngineError::Panicked`], so a broken plugin fails its own job with the
 /// usual lowest-index-error semantics instead of tearing down the worker
 /// thread and every job queued behind it.
@@ -582,30 +443,26 @@ type TaggedOutcome = (usize, Result<(JobResult, JobMetrics), EngineError>);
 /// This is the one place every run mode opens a job's stream, through the
 /// run's `shared` trace table, and tells the table when the job is done.
 ///
-/// Segmented jobs run their helper threads inside a
-/// [`std::thread::scope`], which joins them before the owning panic
-/// propagates out, so nothing outlives the catch.  `AssertUnwindSafe` is
-/// sound: the job's system, prefetcher and stream are constructed inside
-/// the closure and dropped with it; the shared `registry`, `metrics` and
-/// `trace` are only read through `&` references; and a panic while recording
-/// leaves the table's group unrecorded, so the next job records it afresh.
-#[allow(clippy::too_many_arguments)]
+/// `AssertUnwindSafe` is sound: the job's system, prefetcher and stream are
+/// constructed inside the closure and dropped with it; the shared
+/// `registry`, `metrics` and `trace` are only read through `&` references;
+/// and a panic while recording leaves the table's group unrecorded, so the
+/// next job records it afresh.
 pub(crate) fn exec_job_isolated(
     index: usize,
     job: &SimJob,
     registry: &Registry,
     metrics: &MetricsConfig,
-    plan: Option<SegmentPlan>,
     trace: &Trace,
     shared: &SharedTraces,
     rec: &Recorder,
 ) -> Result<(JobResult, JobMetrics), EngineError> {
     let mut span = rec.span("job");
     span.arg_u64("job", index as u64);
-    let open = || shared.open(index, job);
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match plan {
-        Some(p) => run_job_segmented_on(index, job, registry, metrics, p, trace, open),
-        None => run_job_on(index, job, registry, metrics, open),
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run_job_on(index, job, registry, metrics, trace, || {
+            shared.open(index, job)
+        })
     }));
     shared.finish(index);
     match outcome {
@@ -649,8 +506,8 @@ pub fn run_jobs_metered(
 
 /// [`run_jobs_metered`] with span tracing: when `trace` is enabled, every
 /// worker records a `worker` span, each executed job a nested `job` span,
-/// and segmented jobs hand the trace down to their pipeline threads for
-/// per-segment stage spans.  With a disabled trace this *is*
+/// and each job's loop records per-segment stage spans on a track of its
+/// own.  With a disabled trace this *is*
 /// [`run_jobs_metered`] — recorders are no-ops that never read the clock —
 /// and results are bit-identical for every tracing and metrics setting.
 ///
@@ -665,17 +522,10 @@ pub fn run_jobs_observed(
     trace: &Trace,
 ) -> Result<(Vec<JobResult>, EngineMetrics), EngineError> {
     let run_watch = Stopwatch::start_if(metrics.enabled);
-    // With segmentation active the thread budget is spent inside jobs (up
-    // to three pipeline threads each), so fewer jobs run concurrently; the
-    // execution of each job is bit-identical either way.
-    let plan = config.segment_plan();
-    let workers = match &plan {
-        Some(p) => config.segmented_job_workers(jobs.len(), p),
-        None => config.effective_workers(jobs.len()),
-    };
+    let workers = config.effective_workers(jobs.len());
     let shared = SharedTraces::plan(jobs, LIVE_CAP_BYTES);
     let exec = |index: usize, job: &SimJob, rec: &Recorder| {
-        exec_job_isolated(index, job, registry, metrics, plan, trace, &shared, rec)
+        exec_job_isolated(index, job, registry, metrics, trace, &shared, rec)
     };
     if workers <= 1 {
         let recorder = trace.recorder("engine");
@@ -810,8 +660,8 @@ impl CancelToken {
 /// through `cancel`.
 ///
 /// The per-job results handed to the sink are bit-identical to what
-/// [`run_jobs_metered`] would return for every worker count and segmentation
-/// setting — workers tag outcomes with the submission index
+/// [`run_jobs_metered`] would return for every worker count — workers tag
+/// outcomes with the submission index
 /// and the calling thread reorders them into a strictly in-order stream, so
 /// a consumer can forward each result over a socket as it lands.  Because
 /// workers claim jobs from an atomic cursor, the claimed set is always a
@@ -848,7 +698,7 @@ pub fn run_jobs_streamed(
 
 /// [`run_jobs_streamed`] with span tracing, exactly as [`run_jobs_observed`]
 /// relates to [`run_jobs_metered`]: a `worker` span per worker, a nested
-/// `job` span per executed job, stage spans inside segmented jobs — and a
+/// `job` span per executed job, stage spans inside every job — and a
 /// disabled trace records nothing and costs nothing.
 ///
 /// # Errors
@@ -864,14 +714,10 @@ pub fn run_jobs_streamed_observed(
     sink: &mut dyn FnMut(JobResult, JobMetrics),
 ) -> Result<(usize, EngineMetrics), EngineError> {
     let run_watch = Stopwatch::start_if(metrics.enabled);
-    let plan = config.segment_plan();
-    let workers = match &plan {
-        Some(p) => config.segmented_job_workers(jobs.len(), p),
-        None => config.effective_workers(jobs.len()),
-    };
+    let workers = config.effective_workers(jobs.len());
     let shared = SharedTraces::plan(jobs, LIVE_CAP_BYTES);
     let exec = |index: usize, job: &SimJob, rec: &Recorder| {
-        exec_job_isolated(index, job, registry, metrics, plan, trace, &shared, rec)
+        exec_job_isolated(index, job, registry, metrics, trace, &shared, rec)
     };
 
     if workers <= 1 {
@@ -1528,25 +1374,6 @@ pub(crate) mod tests {
             .expect_err("panicking plugin must fail the run");
             assert_eq!(streamed, vec![0], "workers = {workers}");
             assert!(matches!(err, EngineError::Panicked { job_index: 1, .. }));
-        }
-    }
-
-    #[test]
-    fn panic_is_isolated_under_segmentation() {
-        // The panic fires in the simulate stage while the pipeline's helper
-        // threads are live (one shared helper at two workers, split
-        // pull/account helpers at three); either way it must surface as the
-        // job's structured error, not tear down the engine.
-        let registry = chaos_registry();
-        let jobs = vec![panic_job()];
-        for workers in [2, 3] {
-            let config = EngineConfig::with_workers(workers).with_segment_size(1_000);
-            let err = run_jobs_in(&jobs, &config, &registry)
-                .expect_err("panicking plugin must fail the run");
-            assert!(
-                matches!(err, EngineError::Panicked { job_index: 0, .. }),
-                "{err:?}"
-            );
         }
     }
 

@@ -307,7 +307,6 @@ mod tests {
                                 job,
                                 registry,
                                 &MetricsConfig::disabled(),
-                                None,
                                 &trace,
                                 shared,
                                 &rec,
@@ -385,14 +384,10 @@ mod tests {
                 .map(|r| r.expect("every job runs"))
                 .collect();
             for workers in [1, 2] {
-                for config in [
-                    EngineConfig::with_workers(workers),
-                    EngineConfig::with_workers(workers).with_segment_size(700),
-                ] {
-                    let results =
-                        run_jobs_in(&jobs, &config, Registry::builtin()).expect("every job runs");
-                    assert_eq!(results, expected, "{config:?}");
-                }
+                let config = EngineConfig::with_workers(workers);
+                let results =
+                    run_jobs_in(&jobs, &config, Registry::builtin()).expect("every job runs");
+                assert_eq!(results, expected, "{config:?}");
             }
         });
     }
@@ -445,7 +440,6 @@ mod tests {
                     job,
                     Registry::builtin(),
                     &MetricsConfig::disabled(),
-                    None,
                     &trace,
                     &shared,
                     &rec,

@@ -8,8 +8,8 @@
 //! splits wall-clock time into the three phases of the engine — in-loop
 //! **simulate** time per worker, the residual **queue wait** (claiming from
 //! the shared cursor plus per-job preparation), and the deterministic
-//! result **merge** — which is exactly the breakdown the next scaling steps
-//! (segment sharding, async trace IO) need as a baseline.
+//! result **merge** — and each job splits its loop into the pull, simulate
+//! and account steps of its segments.
 
 use memsim::DriverMetrics;
 use metrics::{per_sec, Histogram, MetricsReport};
@@ -20,11 +20,10 @@ use serde::{Deserialize, Serialize};
 pub struct JobMetrics {
     /// Index of the job in the submitted list.
     pub job_index: usize,
-    /// Wall-clock seconds spent inside the job's simulation loop (driving
-    /// accesses through the system, or the timing model's walk).  Job
-    /// preparation — resolving the prefetcher spec, opening the trace
-    /// source, building the system — happens before this clock starts and
-    /// lands in the worker's
+    /// Wall-clock seconds spent inside the job's loop (pulling, simulating
+    /// and accounting its segments).  Job preparation — resolving the
+    /// prefetcher spec, opening the trace source, building the system —
+    /// happens before this clock starts and lands in the worker's
     /// [`queue_wait_seconds`](WorkerMetrics::queue_wait_seconds).
     pub elapsed_seconds: f64,
     /// Demand accesses the job simulated.
@@ -38,26 +37,25 @@ pub struct JobMetrics {
     pub prefetch_issues: u64,
     /// Non-empty prefetch-request batches drained by the driver.
     pub request_batches: u64,
-    /// Segments the job was split into (zero for unsegmented execution).
+    /// Segments the job's loop ran (reported with metrics on or off).
     pub segments: u64,
-    /// Busy seconds the segment pipeline's pull stage spent reading the
-    /// trace (zero for unsegmented execution).
+    /// Seconds the job's loop spent pulling the trace.
     pub pull_seconds: f64,
-    /// Busy seconds the segment pipeline's account stage spent replaying
-    /// outcome tapes (zero for unsegmented execution).
+    /// Seconds the job's loop spent replaying outcome tapes into the
+    /// classifiers and the timing model.
     pub account_seconds: f64,
-    /// Per-segment pull-stage latency distribution, microseconds (empty for
-    /// unsegmented execution or disabled metrics).
+    /// Per-segment pull latency distribution, microseconds (empty with
+    /// metrics disabled).
     pub pull_segment_us: Histogram,
-    /// Per-segment simulate-stage latency distribution, microseconds.
+    /// Per-segment simulate latency distribution, microseconds.
     pub simulate_segment_us: Histogram,
-    /// Per-segment account-stage latency distribution, microseconds.
+    /// Per-segment account latency distribution, microseconds.
     pub account_segment_us: Histogram,
 }
 
 impl JobMetrics {
-    /// Job telemetry from the driver's own metrics (plain cache-simulation
-    /// jobs, where the driver's loop time is the job time).
+    /// Job telemetry from the driver's counters over the job's loop; the
+    /// per-segment stage fields start empty.
     pub fn from_driver(job_index: usize, driver: &DriverMetrics) -> Self {
         Self {
             job_index,
@@ -67,32 +65,6 @@ impl JobMetrics {
             cache_ops: driver.cache_ops,
             prefetch_issues: driver.prefetch_issues,
             request_batches: driver.request_batches,
-            segments: 0,
-            pull_seconds: 0.0,
-            account_seconds: 0.0,
-            pull_segment_us: Histogram::new(),
-            simulate_segment_us: Histogram::new(),
-            account_segment_us: Histogram::new(),
-        }
-    }
-
-    /// Job telemetry derived from a run summary plus an externally measured
-    /// elapsed time (timing-model jobs, whose loop lives in the `timing`
-    /// crate).
-    pub fn from_summary(
-        job_index: usize,
-        summary: &memsim::RunSummary,
-        elapsed_seconds: f64,
-    ) -> Self {
-        let prefetch_issues = summary.l1.prefetch_fills + summary.l2.prefetch_fills;
-        Self {
-            job_index,
-            elapsed_seconds,
-            accesses: summary.accesses,
-            accesses_per_sec: per_sec(summary.accesses, elapsed_seconds),
-            cache_ops: summary.accesses + prefetch_issues,
-            prefetch_issues,
-            request_batches: 0,
             segments: 0,
             pull_seconds: 0.0,
             account_seconds: 0.0,

@@ -18,8 +18,10 @@ use trace::{Application, ApplicationClass, GeneratorConfig};
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentConfig {
     /// Number of simulated processors (the paper uses 16; the default here is
-    /// 4 to keep laptop runtimes reasonable — coverage results are largely
-    /// insensitive to the processor count).
+    /// 4 to keep laptop runtimes reasonable).  Coverage is *not* insensitive
+    /// to it: at a fixed total trace length, more processors means fewer
+    /// accesses per processor to train on — OLTP off-chip coverage falls
+    /// from about 0.40 at 4 CPUs to 0.20 at 16 CPUs over 300 k accesses.
     pub cpus: usize,
     /// Demand accesses simulated per application.
     pub accesses: usize,
@@ -31,10 +33,6 @@ pub struct ExperimentConfig {
     /// Engine worker threads used to execute job lists (`0` = one per
     /// available hardware thread, `1` = serial).
     pub workers: usize,
-    /// Accesses per intra-job segment (`None` = no segmentation).  When
-    /// set, each job runs through the engine's segment pipeline — results
-    /// are bit-identical, long jobs just stop pinning one worker.
-    pub segment_size: Option<usize>,
 }
 
 impl ExperimentConfig {
@@ -46,7 +44,6 @@ impl ExperimentConfig {
             seed: 2006,
             hierarchy: HierarchyConfig::scaled(),
             workers: 0,
-            segment_size: None,
         }
     }
 
@@ -58,7 +55,6 @@ impl ExperimentConfig {
             seed: 2006,
             hierarchy: HierarchyConfig::scaled(),
             workers: 0,
-            segment_size: None,
         }
     }
 
@@ -70,24 +66,12 @@ impl ExperimentConfig {
             seed: 2006,
             hierarchy: HierarchyConfig::scaled(),
             workers: 0,
-            segment_size: None,
         }
     }
 
     /// Returns a copy with an explicit engine worker count.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Returns a copy with intra-job segmentation enabled at the given
-    /// segment size (`0` disables it).
-    pub fn with_segment_size(mut self, segment_size: usize) -> Self {
-        self.segment_size = if segment_size > 0 {
-            Some(segment_size)
-        } else {
-            None
-        };
         self
     }
 
@@ -98,7 +82,7 @@ impl ExperimentConfig {
 
     /// The engine configuration implied by this experiment configuration.
     pub fn engine(&self) -> EngineConfig {
-        EngineConfig::with_workers(self.workers).with_segment_size(self.segment_size.unwrap_or(0))
+        EngineConfig::with_workers(self.workers)
     }
 
     /// A job running `app` with `prefetcher` on this configuration's
@@ -149,7 +133,7 @@ impl ExperimentConfig {
     }
 
     /// [`run_jobs`](Self::run_jobs) with span tracing: workers, jobs, and
-    /// segment pipeline stages record into `trace` when it is enabled.  The
+    /// each job's per-segment steps record into `trace` when it is enabled.  The
     /// results are bit-identical either way — a disabled trace records
     /// nothing and costs nothing.
     ///

@@ -5,11 +5,11 @@
 //! Usage:
 //!
 //! ```text
-//! sms-experiments <experiment> [--quick] [--jobs N] [--segment-size N]
+//! sms-experiments <experiment> [--quick] [--jobs N]
 //!                 [--json <path>] [--out <path>] [--emit-spec <path>]
 //!                 [--trace-out <path>]
 //! sms-experiments --figure <experiment> [same flags]
-//! sms-experiments run --spec <jobs.json> [--jobs N] [--segment-size N]
+//! sms-experiments run --spec <jobs.json> [--jobs N]
 //!                 [--timeout MS] [--out <path>] [--trace-out <path>]
 //! sms-experiments list [--json]
 //! sms-experiments serve (--socket PATH | --tcp ADDR) [--quota N] [--jobs N]
@@ -18,7 +18,7 @@
 //!                 [--metrics-out <path>] [--trace-out <path>]
 //! sms-experiments submit (--socket PATH | --tcp ADDR) --spec <jobs.json>
 //!                 [--client NAME] [--priority N] [--jobs N]
-//!                 [--segment-size N] [--timeout MS] [--retries N]
+//!                 [--timeout MS] [--retries N]
 //!                 [--out <path>] [--expect-cache-hit]
 //! sms-experiments submit (--socket PATH | --tcp ADDR) --status [--json]
 //! sms-experiments submit (--socket PATH | --tcp ADDR) --shutdown
@@ -52,10 +52,6 @@
 //! --quick        use shorter traces and representative applications per class
 //! --jobs N       engine worker threads (default: all hardware threads;
 //!                1 forces the serial path)
-//! --segment-size N
-//!                run every job through the intra-job segment pipeline with
-//!                N accesses per segment (results are bit-identical; long
-//!                jobs stop pinning one worker)
 //! --timeout MS   (run, submit) deadline for the whole job list in
 //!                milliseconds: a run that exceeds it is cancelled at the
 //!                next job boundary and fails with a structured
@@ -76,8 +72,8 @@
 //!                server answers repeat submissions from disk; corrupt or
 //!                truncated entries are skipped and recomputed, never fatal
 //! --trace-out PATH
-//!                record spans of the run (workers, jobs, segment pipeline
-//!                stages, server submissions) and write them as Chrome
+//!                record spans of the run (workers, jobs, each job's
+//!                per-segment steps, server submissions) and write them as Chrome
 //!                trace-event JSON — load the file at https://ui.perfetto.dev
 //!                or chrome://tracing.  Tracing is off (and costs nothing)
 //!                without this flag, and simulated results are bit-identical
@@ -88,6 +84,9 @@
 //! --emit-spec P  write the exact engine jobs the experiment would run as a
 //!                JSON spec file instead of running them
 //! ```
+//!
+//! A `--flag` the chosen subcommand does not take is an error (exit 2, with
+//! a "did you mean" suggestion when one is close), never silently ignored.
 
 use engine::{EngineConfig, JobList, JobResult, Registry};
 use experiments::catalog::{catalog, figure_jobs, EXPERIMENTS};
@@ -123,13 +122,13 @@ struct JsonDump {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: sms-experiments <all|table1|fig4|fig5|fig6|fig7|fig8|fig9|fig10|agt-size|fig11|fig12|fig13> \
-         [--quick] [--jobs N] [--segment-size N] [--json PATH] [--out PATH] [--emit-spec PATH] [--trace-out PATH]\n\
-       \x20      sms-experiments run --spec JOBS.json [--jobs N] [--segment-size N] [--timeout MS] [--out PATH] [--trace-out PATH]\n\
+         [--quick] [--jobs N] [--json PATH] [--out PATH] [--emit-spec PATH] [--trace-out PATH]\n\
+       \x20      sms-experiments run --spec JOBS.json [--jobs N] [--timeout MS] [--out PATH] [--trace-out PATH]\n\
        \x20      sms-experiments list [--json]\n\
        \x20      sms-experiments serve (--socket PATH | --tcp ADDR) [--quota N] [--jobs N] [--cache-max-entries N]\n\
        \x20                            [--cache-max-bytes N] [--queue-max N] [--cache-dir DIR] [--metrics-out PATH] [--trace-out PATH]\n\
        \x20      sms-experiments submit (--socket PATH | --tcp ADDR) --spec JOBS.json [--client NAME] [--priority N]\n\
-       \x20                             [--jobs N] [--segment-size N] [--timeout MS] [--retries N]\n\
+       \x20                             [--jobs N] [--timeout MS] [--retries N]\n\
        \x20                             [--out PATH] [--expect-cache-hit]\n\
        \x20      sms-experiments submit (--socket PATH | --tcp ADDR) --status [--json] | --shutdown\n\
        \x20      sms-experiments trace-check TRACE.json [--require NAME]..."
@@ -153,6 +152,53 @@ fn write_trace(trace: &Trace, path: &str) -> Result<(), ExitCode> {
             Err(ExitCode::FAILURE)
         }
     }
+}
+
+/// The flags a subcommand takes: those followed by a value, then the
+/// switches.  Every figure experiment (and `all`, `table1`) shares the last
+/// arm; `--figure NAME` is accepted everywhere, since it names the command.
+fn known_flags(command: &str) -> (&'static str, &'static str) {
+    match command {
+        "list" => ("", "--json"),
+        "trace-check" => ("--require", ""),
+        "run" => ("--spec --jobs --timeout --out --trace-out", ""),
+        "serve" => (
+            "--socket --tcp --quota --jobs --cache-max-entries --cache-max-bytes \
+             --queue-max --cache-dir --metrics-out --trace-out",
+            "",
+        ),
+        "submit" => (
+            "--socket --tcp --spec --client --priority --jobs --timeout --retries --out",
+            "--expect-cache-hit --status --json --shutdown",
+        ),
+        _ => ("--jobs --json --out --emit-spec --trace-out", "--quick"),
+    }
+}
+
+/// Rejects any `--flag` that `command` does not take, so a mistyped or
+/// retired flag fails loudly instead of being silently ignored.
+fn check_flags(command: &str, args: &[String]) -> Result<(), String> {
+    let (valued, switches) = known_flags(command);
+    let takes = |flags: &str, arg: &str| flags.split_whitespace().any(|flag| flag == arg);
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if !arg.starts_with("--") || takes(switches, arg) {
+            continue;
+        }
+        if arg == "--figure" || takes(valued, arg) {
+            // Skip the flag's value, which may itself start with `--`.
+            args.next();
+            continue;
+        }
+        let candidates = valued.split_whitespace().chain(switches.split_whitespace());
+        return Err(match engine::closest_match(arg, candidates) {
+            Some(suggestion) => {
+                format!("{command}: unknown flag {arg:?} (did you mean {suggestion:?}?)")
+            }
+            None => format!("{command}: unknown flag {arg:?}; run without arguments for usage"),
+        });
+    }
+    Ok(())
 }
 
 /// Canonicalizes an experiment name: lowercase, zero-padded figure numbers
@@ -414,7 +460,7 @@ fn render_status(m: &ServerMetrics) -> String {
 /// Sends a serialized job list to a running server (`submit`), streaming the
 /// same per-job table `run --spec` prints as result frames arrive.  Also
 /// carries the server's control verbs (`--status`, `--shutdown`).
-fn run_submit(flags: &SubmitFlags, workers: usize, segment_size: usize) -> ExitCode {
+fn run_submit(flags: &SubmitFlags, workers: usize) -> ExitCode {
     let endpoint = match (&flags.socket, &flags.tcp) {
         (Some(path), None) => Endpoint::Unix(PathBuf::from(path)),
         (None, Some(addr)) => Endpoint::Tcp(addr.clone()),
@@ -499,7 +545,6 @@ fn run_submit(flags: &SubmitFlags, workers: usize, segment_size: usize) -> ExitC
         client: flags.client.clone(),
         priority: flags.priority,
         workers,
-        segment_size,
         timeout_ms: flags.timeout_ms,
         retries: flags.retries,
     };
@@ -560,7 +605,7 @@ struct RunFlags<'a> {
 
 /// Executes a serialized job list (`run --spec`), printing a per-job summary
 /// table and optionally dumping the raw results.
-fn run_spec(flags: &RunFlags<'_>, workers: usize, segment_size: usize, trace: &Trace) -> ExitCode {
+fn run_spec(flags: &RunFlags<'_>, workers: usize, trace: &Trace) -> ExitCode {
     let RunFlags {
         spec_path,
         timeout_ms,
@@ -607,7 +652,7 @@ fn run_spec(flags: &RunFlags<'_>, workers: usize, segment_size: usize, trace: &T
     let mut results: Vec<JobResult> = Vec::new();
     let outcome = engine::run_jobs_streamed_observed(
         &list.jobs,
-        &EngineConfig::with_workers(workers).with_segment_size(segment_size),
+        &EngineConfig::with_workers(workers),
         Registry::builtin(),
         &metrics::MetricsConfig::disabled(),
         trace,
@@ -691,6 +736,10 @@ fn main() -> ExitCode {
         },
     };
     let experiment = normalize_experiment(&experiment);
+    if let Err(message) = check_flags(&experiment, &args) {
+        eprintln!("{message}");
+        return ExitCode::from(2);
+    }
     let quick = args.iter().any(|a| a == "--quick");
     let json_path = flag_value("--json");
     let out_path = flag_value("--out");
@@ -712,16 +761,6 @@ fn main() -> ExitCode {
             Ok(n) => n,
             Err(_) => {
                 eprintln!("--jobs expects a number, got {n:?}");
-                return usage();
-            }
-        },
-        None => 0,
-    };
-    let segment_size = match flag_value("--segment-size") {
-        Some(n) => match n.parse::<usize>() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!("--segment-size expects a number of accesses, got {n:?}");
                 return usage();
             }
         },
@@ -800,7 +839,6 @@ fn main() -> ExitCode {
                 trace_out: trace_out.as_deref(),
             },
             workers,
-            segment_size,
             &run_trace,
         );
     }
@@ -898,7 +936,6 @@ fn main() -> ExitCode {
                 out: out_path,
             },
             workers,
-            segment_size,
         );
     }
     if !EXPERIMENTS.contains(&experiment.as_str()) {
@@ -918,8 +955,7 @@ fn main() -> ExitCode {
     } else {
         ExperimentConfig::full()
     }
-    .with_workers(workers)
-    .with_segment_size(segment_size);
+    .with_workers(workers);
     // Quick runs restrict class-level experiments to representative
     // applications; full runs use the whole suite.
     let representative_only = quick;

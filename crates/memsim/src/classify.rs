@@ -12,12 +12,12 @@
 //! Classification is pure *accounting*: its results feed the summary's
 //! [`MissBreakdown`]s and nothing else — no cache, coherence or prefetcher
 //! decision ever depends on a [`MissKind`].  That independence is what the
-//! segment pipeline exploits: [`MultiCpuSystem::access_deferred`]
+//! engine's job loop exploits: [`MultiCpuSystem::access_deferred`]
 //! (crate::system::MultiCpuSystem::access_deferred) records the per-access
 //! facts the classifier needs in an [`OutcomeTape`], and a [`MissAccounting`]
-//! replays the tape later (typically on another thread) with bit-identical
-//! results, because [`MissAccounting::replay`] applies exactly the updates the
-//! inline path applies, in exactly the same order.
+//! replays the tape once per segment with bit-identical results, because
+//! [`MissAccounting::replay`] applies exactly the updates the inline path
+//! applies, in exactly the same order.
 //!
 //! # How the history is stored
 //!
@@ -298,10 +298,10 @@ impl OutcomeTape {
 /// The accounting half of a [`MultiCpuSystem`](crate::system::MultiCpuSystem):
 /// both levels' miss classifiers and the breakdowns they feed.
 ///
-/// The system drives an embedded instance inline on the ordinary
-/// [`access`](crate::system::MultiCpuSystem::access) path; the segment
-/// pipeline builds a standalone instance and [`replay`](Self::replay)s each
-/// segment's [`OutcomeTape`] into it on the accounting stage.  Both paths
+/// The system drives an embedded instance inline on the per-access
+/// [`access`](crate::system::MultiCpuSystem::access) path; the engine's job
+/// loop builds a standalone instance and [`replay`](Self::replay)s each
+/// segment's [`OutcomeTape`] into it.  Both paths
 /// perform identical updates in identical order, so the resulting
 /// [`MissBreakdown`]s are bit-identical.
 #[derive(Debug, Clone)]
@@ -418,9 +418,9 @@ impl MissAccounting {
     /// have carried for the same access (`Some` for classified read misses,
     /// `None` for hits and write misses).
     ///
-    /// This is how the segment pipeline's accounting stage feeds probes that
-    /// declare `wants_miss_kinds`: the kinds are recomputed here, in access
-    /// order, bit-identically to the serial run.
+    /// This is how the engine's job loop feeds a probe's kind sink: the
+    /// kinds are recomputed here, in access order, bit-identically to the
+    /// per-access reference loop.
     ///
     /// # Panics
     ///

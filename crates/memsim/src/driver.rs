@@ -10,22 +10,25 @@
 //! [`run_job`] is the self-contained variant: a [`SimJob`] fully describes
 //! one run (trace source, system, prefetcher spec, access budget) so that
 //! jobs can be executed on any thread and always reproduce bit-identical
-//! summaries.  The `engine` crate wraps the same job type with a plugin
-//! registry and an optional timing-model evaluation.
+//! summaries.  These two are the per-access reference loop, which tests,
+//! examples and the core crates use.
 //!
-//! Telemetry follows the zero-cost-when-disabled pattern from the `metrics`
-//! crate: the loop is generic over a [`DriverMeter`], the no-op meter `()`
-//! compiles the instrumentation away entirely, and the metered entry points
-//! ([`run_metered`], [`run_job_metered`]) collect a [`DriverMetrics`] —
-//! wall-clock time, accesses/second, cache-operation and prefetch-issue
-//! counts — without ever feeding anything back into the simulation.
+//! The `engine` crate runs every job through the segment primitives
+//! instead: [`run_segment_deferred`] simulates a buffered segment with miss
+//! classification deferred onto an outcome tape, a standalone
+//! [`MissAccounting`](crate::classify::MissAccounting) replays the tape, and
+//! [`summarize_segmented`] assembles the same [`RunSummary`] [`run`] builds.
+//! [`run_segment_deferred`] follows the zero-cost-when-disabled pattern of
+//! the `metrics` crate: it is generic over a [`DriverMeter`], the no-op
+//! meter `()` compiles the instrumentation away entirely, and
+//! [`DriverMetrics`] collects cache-operation, prefetch-issue and batch
+//! counts without ever feeding anything back into the simulation.
 
 use crate::classify::MissBreakdown;
 use crate::config::HierarchyConfig;
 use crate::prefetch::{NullPrefetcher, PrefetchLevel, PrefetchRequest, Prefetcher};
 use crate::stats::CacheStats;
 use crate::system::MultiCpuSystem;
-use metrics::{per_sec, MetricsConfig, Stopwatch};
 use serde::{Deserialize, Serialize, Value};
 use std::io;
 use trace::{MemAccess, TraceSource};
@@ -72,8 +75,8 @@ impl RunSummary {
     }
 }
 
-/// Hot-path telemetry of one driver run, collected by [`run_metered`] /
-/// [`run_job_metered`] with no effect on simulated results.
+/// Hot-path telemetry of one run, counted by [`run_segment_deferred`] with
+/// no effect on simulated results; the caller stamps the wall-clock fields.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct DriverMetrics {
     /// Wall-clock seconds spent inside the simulation loop.
@@ -95,20 +98,11 @@ pub struct DriverMetrics {
     pub batch_len_hist: metrics::Histogram,
 }
 
-impl DriverMetrics {
-    /// Stamps wall-clock-derived fields from `accesses` demand accesses over
-    /// `seconds` of loop time.
-    fn finish(&mut self, accesses: u64, seconds: f64) {
-        self.elapsed_seconds = seconds;
-        self.accesses_per_sec = per_sec(accesses, seconds);
-    }
-}
-
 /// Events the simulation loop reports to its (possibly no-op) meter.
 ///
-/// The loop is generic over this trait so that the unmetered entry points
-/// monomorphize with the `()` implementation below and compile every
-/// callback away — disabled telemetry costs literally nothing.
+/// The loop is generic over this trait so that unmetered runs monomorphize
+/// with the `()` implementation below and compile every callback away —
+/// disabled telemetry costs literally nothing.
 pub trait DriverMeter {
     /// A demand access was applied to the system.
     fn demand_access(&mut self);
@@ -273,34 +267,6 @@ pub fn run_job<F: PrefetcherFactory>(job: &SimJob<F>) -> io::Result<(RunSummary,
     Ok((summary, prefetcher))
 }
 
-/// [`run_job`] with telemetry: additionally collects the [`DriverMetrics`]
-/// of the run (wall-clock time, accesses/second, cache-op and prefetch-issue
-/// counts) when `metrics.enabled`.
-///
-/// The summary is bit-identical to [`run_job`]'s regardless of the metrics
-/// setting — telemetry observes the run, it never influences it.
-///
-/// # Errors
-///
-/// Any I/O error from opening a file-backed trace source; synthetic sources
-/// cannot fail.
-pub fn run_job_metered<F: PrefetcherFactory>(
-    job: &SimJob<F>,
-    metrics: &MetricsConfig,
-) -> io::Result<(RunSummary, F::Output, DriverMetrics)> {
-    let mut system = MultiCpuSystem::new(job.cpus, &job.hierarchy);
-    let mut prefetcher = job.prefetcher.build(job.cpus);
-    let mut stream = job.source.open()?;
-    let (summary, driver) = run_metered(
-        &mut system,
-        &mut prefetcher,
-        &mut stream,
-        job.accesses,
-        metrics,
-    );
-    Ok((summary, prefetcher, driver))
-}
-
 /// Runs `num_accesses` accesses from `stream` through `system` with
 /// `prefetcher` attached.
 ///
@@ -308,6 +274,13 @@ pub fn run_job_metered<F: PrefetcherFactory>(
 /// [`RunSummary::skipped_accesses`] (the generators are normally configured
 /// with the same CPU count as the system, so this is a defensive measure,
 /// not an expected path).
+///
+/// The loop is batched: one request buffer lives across the whole run,
+/// every access's requests are appended by [`Prefetcher::on_access_into`]
+/// and drained immediately, in order, so no per-access vector is ever
+/// allocated and the applied request sequence is exactly what one
+/// [`Prefetcher::on_access`] vector per access would produce (the driver
+/// and telemetry tests compare both).
 pub fn run<S>(
     system: &mut MultiCpuSystem,
     prefetcher: &mut dyn Prefetcher,
@@ -316,54 +289,6 @@ pub fn run<S>(
 ) -> RunSummary
 where
     S: Iterator<Item = MemAccess> + ?Sized,
-{
-    // The `()` meter monomorphizes to the bare loop: no telemetry cost.
-    run_with_meter(system, prefetcher, stream, num_accesses, &mut ())
-}
-
-/// [`run`] with telemetry: additionally collects a [`DriverMetrics`] when
-/// `metrics.enabled` (all fields zero otherwise).  The summary is
-/// bit-identical either way.
-pub fn run_metered<S>(
-    system: &mut MultiCpuSystem,
-    prefetcher: &mut dyn Prefetcher,
-    stream: &mut S,
-    num_accesses: usize,
-    metrics: &MetricsConfig,
-) -> (RunSummary, DriverMetrics)
-where
-    S: Iterator<Item = MemAccess> + ?Sized,
-{
-    if !metrics.enabled {
-        return (
-            run(system, prefetcher, stream, num_accesses),
-            DriverMetrics::default(),
-        );
-    }
-    let mut driver = DriverMetrics::default();
-    let watch = Stopwatch::started();
-    let summary = run_with_meter(system, prefetcher, stream, num_accesses, &mut driver);
-    driver.finish(summary.accesses, watch.elapsed_seconds());
-    (summary, driver)
-}
-
-/// The batched simulation loop, generic over the telemetry meter.
-///
-/// One request buffer lives across the whole run: every access's requests
-/// are appended by [`Prefetcher::on_access_into`] and drained immediately,
-/// in order, so no per-access vector is ever allocated and the applied
-/// request sequence is exactly what one [`Prefetcher::on_access`] vector
-/// per access would produce (the driver and telemetry tests compare both).
-fn run_with_meter<S, M>(
-    system: &mut MultiCpuSystem,
-    prefetcher: &mut dyn Prefetcher,
-    stream: &mut S,
-    num_accesses: usize,
-    meter: &mut M,
-) -> RunSummary
-where
-    S: Iterator<Item = MemAccess> + ?Sized,
-    M: DriverMeter,
 {
     let mut summary = RunSummary::default();
     let mut batch: Vec<PrefetchRequest> = Vec::new();
@@ -374,17 +299,12 @@ where
         }
         let outcome = system.access(&access);
         summary.accesses += 1;
-        meter.demand_access();
         prefetcher.on_access_into(&access, &outcome, &mut batch);
         summary.prefetch_requests += batch.len() as u64;
-        if !batch.is_empty() {
-            meter.batch(batch.len());
-        }
         for req in batch.drain(..) {
             if (req.cpu as usize) >= system.num_cpus() {
                 continue;
             }
-            meter.prefetch_issue();
             match req.level {
                 PrefetchLevel::L1 => {
                     if let Some(victim) = system.cpu_mut(req.cpu).stream_fill(req.addr) {
@@ -420,11 +340,11 @@ pub struct SegmentCounts {
 /// deferred onto `tape`: the cache, coherence and prefetcher updates are
 /// exactly those of [`run`] over the same accesses, but the miss classifiers
 /// are not touched — a standalone [`MissAccounting`](crate::classify::MissAccounting)
-/// replays the tape later (typically on another thread).
+/// replays the tape afterwards.
 ///
 /// `batch` is the caller's reusable request buffer and `counts` accumulates
-/// across segments; both belong to the simulate stage's hand-off state.  The
-/// tape is appended to, one entry per access in `accesses`.
+/// across segments.  The tape is appended to, one entry per access in
+/// `accesses`.
 pub fn run_segment_deferred<M: DriverMeter>(
     system: &mut MultiCpuSystem,
     prefetcher: &mut dyn Prefetcher,
@@ -468,8 +388,9 @@ pub fn run_segment_deferred<M: DriverMeter>(
 }
 
 /// Assembles the final [`RunSummary`] of a segmented run from its three
-/// state holders: the simulate stage's system (cache statistics) and counts,
-/// and the accounting stage's replayed breakdowns.
+/// state holders: the system (cache statistics), the counts
+/// [`run_segment_deferred`] accumulated, and the accounting that replayed
+/// the tapes (miss breakdowns).
 ///
 /// The result is field-for-field what the serial [`run`] builds at the end of
 /// its loop, because each holder performed the identical updates.
@@ -668,6 +589,31 @@ mod tests {
         assert!(batched.prefetch_requests > 0);
     }
 
+    /// Runs `accesses` as one deferred segment, metered, and assembles the
+    /// summary the way the engine's job loop does.
+    fn run_deferred(
+        system: &mut MultiCpuSystem,
+        prefetcher: &mut dyn Prefetcher,
+        accesses: &[MemAccess],
+    ) -> (RunSummary, DriverMetrics) {
+        let mut accounting =
+            crate::classify::MissAccounting::new(system.num_cpus(), system.config());
+        let mut tape = crate::classify::OutcomeTape::new();
+        let mut counts = SegmentCounts::default();
+        let mut driver = DriverMetrics::default();
+        run_segment_deferred(
+            system,
+            prefetcher,
+            accesses,
+            &mut Vec::new(),
+            &mut tape,
+            &mut counts,
+            &mut driver,
+        );
+        accounting.replay(accesses, &tape);
+        (summarize_segmented(system, &accounting, &counts), driver)
+    }
+
     #[test]
     fn metered_run_counts_ops_without_changing_results() {
         let job = SimJob::synthetic(
@@ -680,36 +626,30 @@ mod tests {
             5_000,
         );
         let (plain, _) = run_job(&job).expect("synthetic source");
-        let (metered, _, driver) =
-            run_job_metered(&job, &metrics::MetricsConfig::enabled()).expect("synthetic source");
+        let accesses: Vec<MemAccess> = job.source.open().expect("synthetic").take(5_000).collect();
+        let mut sys = MultiCpuSystem::new(2, &HierarchyConfig::scaled());
+        let (metered, driver) = run_deferred(&mut sys, &mut NullPrefetcher::new(), &accesses);
         assert_eq!(plain, metered, "telemetry must not perturb the simulation");
         assert_eq!(driver.cache_ops, 5_000, "null prefetcher: demand ops only");
         assert_eq!(driver.prefetch_issues, 0);
         assert_eq!(driver.request_batches, 0);
-        assert!(driver.elapsed_seconds > 0.0);
-        assert!(driver.accesses_per_sec > 0.0);
-
-        // Disabled collection reports all-zero metrics and the same summary.
-        let (disabled, _, zeros) =
-            run_job_metered(&job, &metrics::MetricsConfig::disabled()).expect("synthetic source");
-        assert_eq!(plain, disabled);
-        assert_eq!(zeros, DriverMetrics::default());
     }
 
     #[test]
     fn meter_counts_prefetch_issues_and_batches() {
-        let mut sys = MultiCpuSystem::new(1, &tiny_config());
-        let mut p = NextLine;
         let accesses: Vec<MemAccess> = (0..100)
             .map(|i| MemAccess::read(0, 0x400, i * 64))
             .collect();
-        let (summary, driver) = run_metered(
-            &mut sys,
-            &mut p,
-            &mut accesses.into_iter(),
+        let mut reference_sys = MultiCpuSystem::new(1, &tiny_config());
+        let reference = run(
+            &mut reference_sys,
+            &mut NextLine,
+            &mut accesses.clone().into_iter(),
             100,
-            &metrics::MetricsConfig::enabled(),
         );
+        let mut sys = MultiCpuSystem::new(1, &tiny_config());
+        let (summary, driver) = run_deferred(&mut sys, &mut NextLine, &accesses);
+        assert_eq!(summary, reference);
         assert!(summary.prefetch_requests > 0);
         assert_eq!(driver.prefetch_issues, summary.prefetch_requests);
         assert_eq!(

@@ -13,8 +13,10 @@
 //!   granularity, including false-sharing detection for block sizes larger
 //!   than 64 B ([`system`]);
 //! * miss classification into cold / replacement / true-sharing /
-//!   false-sharing categories ([`classify`]);
-//! * miss-status holding registers ([`mshr`]) used by the timing model; and
+//!   false-sharing categories ([`classify`]), inline per access or deferred
+//!   onto an outcome tape and replayed per segment;
+//! * the per-access reference loop and the segment primitives that drive
+//!   a trace through the system ([`driver`]); and
 //! * sectored and logically-sectored tag arrays ([`sectored`]) that model the
 //!   training structures of prior spatial predictors for the paper's
 //!   Figure 8 and Figure 9 comparisons.
@@ -42,7 +44,6 @@ pub mod config;
 pub mod driver;
 pub mod fasthash;
 pub mod hierarchy;
-pub mod mshr;
 pub mod prefetch;
 pub mod sectored;
 pub mod stats;
@@ -54,12 +55,11 @@ pub use classify::{
 };
 pub use config::{CacheConfig, HierarchyConfig};
 pub use driver::{
-    run, run_job, run_job_metered, run_metered, run_segment_deferred, summarize_segmented,
-    DriverMeter, DriverMetrics, PrefetcherFactory, RunSummary, SegmentCounts, SimJob,
+    run, run_job, run_segment_deferred, summarize_segmented, DriverMeter, DriverMetrics,
+    PrefetcherFactory, RunSummary, SegmentCounts, SimJob,
 };
 pub use fasthash::{FastMap, FxBuildHasher, FxHasher};
 pub use hierarchy::{CpuHierarchy, HierarchyOutcome};
-pub use mshr::MshrFile;
 pub use prefetch::{NullPrefetcher, PrefetchLevel, PrefetchRequest, Prefetcher};
 pub use sectored::{DecoupledSectoredCache, LogicalSectoredTags, SectorEviction};
 pub use stats::CacheStats;

@@ -124,15 +124,15 @@ impl MultiCpuSystem {
     /// identical cache and coherence state updates but records the
     /// classifier-relevant facts on `tape` instead of updating the embedded
     /// [`MissAccounting`], so a standalone accounting instance can
-    /// [`replay`](MissAccounting::replay) them later — on another thread —
-    /// with bit-identical breakdowns.
+    /// [`replay`](MissAccounting::replay) them later with bit-identical
+    /// breakdowns.  This is the path every engine job takes.
     ///
     /// The returned outcome reports `None` for both miss kinds (they have not
     /// been computed yet); everything a prefetcher is allowed to consume
     /// (hierarchy outcome, remote invalidations) is identical to the inline
-    /// path.  (The engine only routes a job through this path when its probe
-    /// declares, via `Probe::wants_miss_kinds`, that it never reads the miss
-    /// kinds — true of every built-in prefetcher and probe.)
+    /// path.  No built-in prefetcher or probe reads the miss kinds; a probe
+    /// that needs them receives them from the replay instead (the engine's
+    /// `Probe::take_kind_sink`).
     pub fn access_deferred(&mut self, access: &MemAccess, tape: &mut OutcomeTape) -> SystemOutcome {
         self.access_with(access, &mut ClassifySink::Tape(tape))
     }
@@ -338,8 +338,7 @@ mod tests {
     #[test]
     fn cloned_system_resumes_bit_identically() {
         // Snapshot-by-clone at an arbitrary boundary: the original and the
-        // clone must agree access for access afterwards (the hand-off
-        // guarantee segmented execution rests on).
+        // clone must agree access for access afterwards.
         let mut sys = tiny_system(2);
         for i in 0..100u64 {
             sys.access(&MemAccess::read((i % 2) as u8, 0x400, (i % 23) * 64));

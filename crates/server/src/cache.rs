@@ -1,8 +1,7 @@
 //! The content-addressed result cache.
 //!
 //! Jobs are deterministic, so [`engine::spec_fingerprint`] — the canonical
-//! hash of the jobs plus the engine-relevant execution parameters — fully
-//! identifies a submission's result bytes.  The cache maps that fingerprint
+//! hash of the jobs — fully identifies a submission's result bytes.  The cache maps that fingerprint
 //! to the recorded stream of [`JobFrame`]s; a hit replays the original
 //! frames verbatim, including the original run's [`engine::JobMetrics`]
 //! (telemetry of the run that produced the bytes, not of the lookup).
@@ -264,11 +263,11 @@ impl ResultCache {
 /// Extension of persisted cache entry files.
 const ENTRY_EXTENSION: &str = "smsc";
 
-/// Magic + format version of the entry-file header line.  Version 2 entries
-/// are keyed by fingerprints of the current cache-key layout; version 1
-/// files are skipped on reload rather than resident under keys no
-/// submission can produce any more.
-const ENTRY_MAGIC: &str = "SMSCACHE 2";
+/// Magic + format version of the entry-file header line.  Version 3 entries
+/// are keyed by fingerprints of the current cache-key layout (the jobs
+/// alone); files of older versions are skipped on reload rather than
+/// resident under keys no submission can produce any more.
+const ENTRY_MAGIC: &str = "SMSCACHE 3";
 
 /// Path of a fingerprint's entry file inside the attached directory.
 fn entry_path(dir: &Path, fingerprint: &str) -> PathBuf {
@@ -276,7 +275,7 @@ fn entry_path(dir: &Path, fingerprint: &str) -> PathBuf {
 }
 
 /// Encodes a frame stream as a self-validating entry file:
-/// `SMSCACHE 2 <fnv1a-hex> <payload-len>\n` followed by the JSON payload.
+/// `SMSCACHE 3 <fnv1a-hex> <payload-len>\n` followed by the JSON payload.
 /// The length catches truncation cheaply; the checksum catches corruption.
 fn encode_entry(frames: &[JobFrame]) -> Vec<u8> {
     let payload = serde_json::to_string(&frames).expect("value-tree serialization cannot fail");
@@ -512,14 +511,16 @@ mod tests {
         let bytes = encode_entry(&frames);
         assert_eq!(decode_entry(&bytes), Some(frames));
         assert_eq!(decode_entry(b""), None);
-        assert_eq!(decode_entry(b"SMSCACHE 2\n"), None);
-        // An intact entry of the previous format version is rejected.
+        assert_eq!(decode_entry(b"SMSCACHE 3\n"), None);
+        // Intact entries of the previous format versions are rejected.
         let payload = b"[]";
         let header = format!("{:016x} {}\n", engine::fnv1a_64(payload), payload.len());
-        let current = [format!("SMSCACHE 2 {header}").as_bytes(), payload].concat();
+        let current = [format!("SMSCACHE 3 {header}").as_bytes(), payload].concat();
         assert_eq!(decode_entry(&current), Some(Vec::new()));
-        let old = [format!("SMSCACHE 1 {header}").as_bytes(), payload].concat();
-        assert_eq!(decode_entry(&old), None, "version");
+        for version in [1, 2] {
+            let old = [format!("SMSCACHE {version} {header}").as_bytes(), payload].concat();
+            assert_eq!(decode_entry(&old), None, "version {version}");
+        }
         let mut tampered = bytes.clone();
         *tampered.last_mut().unwrap() ^= 0x40;
         assert_eq!(decode_entry(&tampered), None, "checksum");

@@ -112,8 +112,6 @@ pub struct SubmitOptions {
     pub priority: i64,
     /// Worker threads (`0` = server default).
     pub workers: usize,
-    /// Intra-job segment size (`0` = unsegmented).
-    pub segment_size: usize,
     /// Submission deadline in milliseconds, measured from admission
     /// (`0` = none).
     pub timeout_ms: u64,
@@ -132,7 +130,6 @@ impl Default for SubmitOptions {
             client: "anonymous".to_string(),
             priority: 0,
             workers: 0,
-            segment_size: 0,
             timeout_ms: 0,
             retries: 0,
         }
@@ -198,7 +195,7 @@ fn submit_once(
         client: options.client.clone(),
         priority: options.priority,
         workers: options.workers,
-        segment_size: options.segment_size,
+        segment_size: 0,
         speculate: 0,
         timeout_ms: (options.timeout_ms > 0).then_some(options.timeout_ms),
         spec: serde_json::to_value(list).expect("value-tree serialization cannot fail"),

@@ -2,8 +2,8 @@
 //! deterministic engine, with a content-addressed result cache.
 //!
 //! Everything the engine runs is a pure function of its serializable spec
-//! ([`engine::JobList`] + the engine-relevant [`engine::EngineConfig`]
-//! fields), so serving simulations is classic infrastructure work:
+//! (the jobs of an [`engine::JobList`]), so serving simulations is classic
+//! infrastructure work:
 //!
 //! * **transport** — a line-delimited JSON protocol over a unix-domain
 //!   socket and/or loopback TCP ([`protocol`]): one request per

@@ -34,7 +34,10 @@ pub struct SubmitRequest {
     pub priority: i64,
     /// Worker threads for this submission (`0` = the server's default).
     pub workers: usize,
-    /// Intra-job segment size (`0` = unsegmented).
+    /// Ignored.  Kept on the wire so requests from clients that still send
+    /// an intra-job segment size decode; every job now runs one loop with
+    /// a fixed segment size, so any value runs (and caches) exactly like
+    /// `0`.  Current clients send `0`.
     pub segment_size: usize,
     /// Ignored.  Kept on the wire so requests from clients that still send
     /// a speculative run-ahead depth decode; speculation was removed and

@@ -37,7 +37,7 @@ pub struct Submission {
     pub jobs: Vec<SimJob>,
     /// Engine configuration resolved from the request and server defaults.
     pub config: EngineConfig,
-    /// Content-addressed identity of (jobs, config); the cache key.
+    /// Content-addressed identity of the jobs; the cache key.
     pub fingerprint: String,
     /// Channel back to the connection handler streaming this submission.
     pub reply: mpsc::Sender<Event>,

@@ -720,8 +720,8 @@ fn handle_submit<S: Write>(
     } else {
         shared.config.workers
     };
-    let config = EngineConfig::with_workers(workers).with_segment_size(submit.segment_size);
-    let fingerprint = engine::spec_fingerprint(&list.jobs, &config);
+    let config = EngineConfig::with_workers(workers);
+    let fingerprint = engine::spec_fingerprint(&list.jobs);
     let job_count = list.jobs.len() as u64;
 
     let recorder = shared.config.trace.recorder("server.conn");

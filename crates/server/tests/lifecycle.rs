@@ -41,6 +41,40 @@ fn job_list(accesses: usize) -> JobList {
     ])
 }
 
+/// Sends `request` over `endpoint` as a raw protocol line, the way an older
+/// client would, and returns whether the reply came from the cache plus the
+/// streamed results.
+fn submit_raw(
+    endpoint: &Endpoint,
+    request: server::SubmitRequest,
+) -> (bool, Vec<engine::JobResult>) {
+    use server::{Frame, Request};
+    use std::io::BufReader;
+    use std::os::unix::net::UnixStream;
+
+    let Endpoint::Unix(path) = endpoint else {
+        unreachable!()
+    };
+    let mut stream = UnixStream::connect(path).expect("connect");
+    server::protocol::write_line(&mut stream, &Request::Submit(request)).expect("send");
+    let mut reader = BufReader::new(stream);
+    let (mut accepted, mut results) = (None, Vec::new());
+    loop {
+        let frame: Frame = server::protocol::read_line(&mut reader)
+            .expect("read")
+            .expect("frame");
+        match frame {
+            Frame::Accepted(frame) => accepted = Some(frame.cache_hit),
+            Frame::Result(job) => results.push(job.result),
+            Frame::Done(done) => {
+                assert_eq!(accepted, Some(done.cache_hit), "Accepted and Done agree");
+                return (done.cache_hit, results);
+            }
+            other => panic!("unexpected frame {other:?}"),
+        }
+    }
+}
+
 fn start_unix(tag: &str, config: ServerConfig) -> (Server, Endpoint) {
     let socket = unique_socket(tag);
     let server = Server::start(ServerConfig {
@@ -123,35 +157,35 @@ fn identical_resubmission_is_a_cache_hit_with_identical_bytes() {
         client::submit(&endpoint, &list, &other_workers, &mut |_| {}).expect("third submission");
     assert!(third.accepted.cache_hit);
 
-    // But a different segment size is: it must miss and recompute.
-    let segmented = SubmitOptions {
-        workers: 2,
-        segment_size: 2_000,
-        ..SubmitOptions::default()
-    };
-    let fourth =
-        client::submit(&endpoint, &list, &segmented, &mut |_| {}).expect("segmented submission");
-    assert!(!fourth.accepted.cache_hit);
+    // A client that still sends an intra-job segment size: the field
+    // decodes, is ignored, and keys the same cache entry as `0`.
+    let (hit, legacy) = submit_raw(
+        &endpoint,
+        server::SubmitRequest {
+            client: "legacy".to_string(),
+            priority: 0,
+            workers: 2,
+            segment_size: 2_000,
+            speculate: 0,
+            timeout_ms: None,
+            spec: serde_json::to_value(&list).unwrap(),
+        },
+    );
+    assert!(hit, "a legacy segment size shares the cache entry");
+    let first_results: Vec<engine::JobResult> =
+        first.frames.iter().map(|f| f.result.clone()).collect();
     assert_eq!(
-        fourth
-            .frames
-            .iter()
-            .map(|f| f.result.clone())
-            .collect::<Vec<_>>(),
-        first
-            .frames
-            .iter()
-            .map(|f| f.result.clone())
-            .collect::<Vec<_>>(),
-        "segmentation is an execution strategy, not a behavior change"
+        serde_json::to_string_pretty(&legacy).unwrap(),
+        serde_json::to_string_pretty(&first_results).unwrap(),
+        "byte-identical results"
     );
 
     let metrics = server.shutdown();
     assert_eq!(metrics.submissions, 4);
-    assert_eq!(metrics.cache_hits, 2);
-    assert_eq!(metrics.cache_misses, 2);
-    assert_eq!(metrics.cache_entries, 2);
-    assert_eq!(metrics.jobs_served, 4, "only the two misses ran");
+    assert_eq!(metrics.cache_hits, 3);
+    assert_eq!(metrics.cache_misses, 1);
+    assert_eq!(metrics.cache_entries, 1);
+    assert_eq!(metrics.jobs_served, 2, "only the miss ran");
     assert_eq!(metrics.results_streamed, 8);
 }
 
@@ -255,10 +289,6 @@ fn bad_specs_get_structured_errors_with_the_cli_version_message() {
 
 #[test]
 fn a_legacy_speculate_field_is_accepted_ignored_and_shares_the_cache_entry() {
-    use server::{Frame, Request, SubmitRequest};
-    use std::io::BufReader;
-    use std::os::unix::net::UnixStream;
-
     let list = job_list(4_000);
     let (server, endpoint) = start_unix("legacy-speculate", ServerConfig::default());
     let first = client::submit(&endpoint, &list, &SubmitOptions::default(), &mut |_| {})
@@ -267,36 +297,19 @@ fn a_legacy_speculate_field_is_accepted_ignored_and_shares_the_cache_entry() {
 
     // A client that still sends a run-ahead depth: the field decodes, is
     // ignored, and keys the same cache entry as `"speculate": 0`.
-    let Endpoint::Unix(path) = &endpoint else {
-        unreachable!()
-    };
-    let request = Request::Submit(SubmitRequest {
-        client: "legacy".to_string(),
-        priority: 0,
-        workers: 0,
-        segment_size: 0,
-        speculate: 3,
-        timeout_ms: None,
-        spec: serde_json::to_value(&list).unwrap(),
-    });
-    let mut stream = UnixStream::connect(path).expect("connect");
-    server::protocol::write_line(&mut stream, &request).expect("send");
-    let mut reader = BufReader::new(stream);
-    let mut results = Vec::new();
-    loop {
-        let frame: Frame = server::protocol::read_line(&mut reader)
-            .expect("read")
-            .expect("frame");
-        match frame {
-            Frame::Accepted(accepted) => assert!(accepted.cache_hit, "{accepted:?}"),
-            Frame::Result(job) => results.push(job.result),
-            Frame::Done(done) => {
-                assert!(done.cache_hit);
-                break;
-            }
-            other => panic!("unexpected frame {other:?}"),
-        }
-    }
+    let (hit, results) = submit_raw(
+        &endpoint,
+        server::SubmitRequest {
+            client: "legacy".to_string(),
+            priority: 0,
+            workers: 0,
+            segment_size: 0,
+            speculate: 3,
+            timeout_ms: None,
+            spec: serde_json::to_value(&list).unwrap(),
+        },
+    );
+    assert!(hit);
     let first_results: Vec<engine::JobResult> =
         first.frames.iter().map(|f| f.result.clone()).collect();
     assert_eq!(
@@ -742,7 +755,7 @@ fn cache_dir_persists_results_across_restarts_and_tolerates_corruption() {
     // the restart.
     std::fs::write(
         dir.join("deadbeefdeadbeef.smsc"),
-        b"SMSCACHE 2 0123456789abcdef 4\nXXXX",
+        b"SMSCACHE 3 0123456789abcdef 4\nXXXX",
     )
     .expect("plant corrupt entry");
 

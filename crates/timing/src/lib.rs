@@ -17,6 +17,12 @@
 //!   confidence intervals to speedups (Figure 12) and produce normalized
 //!   execution-time breakdowns (Figure 13).
 //!
+//! The cycle accounting itself is [`TimingAccounting`], fed one access
+//! outcome at a time.  [`TimingModel::evaluate`] is the per-access reference
+//! walk that simulates and accounts in one loop; the `engine` crate instead
+//! feeds a [`TimingAccounting`] from each segment's outcome tape, with
+//! bit-identical cycles.
+//!
 //! # Example
 //!
 //! ```

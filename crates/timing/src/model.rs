@@ -60,11 +60,14 @@ impl CpuTimingState {
 /// The per-access cycle accounting of the timing model, separated from the
 /// cache simulation it observes.
 ///
-/// [`TimingModel::evaluate`] drives an instance inline; the engine's segment
-/// pipeline drives one on the accounting stage from each segment's outcome
-/// tape.  Both paths call [`observe`](Self::observe) with identical inputs in
-/// identical order, and every floating-point operation lives here, so the
-/// accumulated cycles are bit-identical regardless of which path ran.
+/// [`TimingModel::evaluate`], the per-access reference walk, drives an
+/// instance inline; the engine's job loop drives one from each segment's
+/// outcome tape when it replays the segment.  Both paths call
+/// [`observe`](Self::observe) with identical inputs in identical order, and
+/// every floating-point operation lives here, so the accumulated cycles are
+/// bit-identical regardless of which path ran.  (The loop's segments and
+/// the paired-sampling segments counted here are unrelated: the latter
+/// split the run's accesses into `segments` equal parts.)
 #[derive(Debug, Clone)]
 pub struct TimingAccounting {
     config: TimingConfig,

@@ -70,9 +70,9 @@ pub fn collect_n<S: AccessStream + ?Sized>(stream: &mut S, n: usize) -> Vec<MemA
 /// Refills `out` with the next (up to) `n` accesses from the stream,
 /// returning how many were delivered.
 ///
-/// This is the segment-pipeline's pull primitive: the buffer is cleared and
-/// reused across segments, so a steady-state segmented run allocates nothing
-/// per segment.  A return value below `n` means the stream ran dry — by
+/// This is the pull step of the engine's job loop: the buffer is cleared
+/// and reused across segments, so a steady-state run allocates nothing per
+/// segment.  A return value below `n` means the stream ran dry — by
 /// exhaustion or by a recorded error; check
 /// [`AccessStream::take_error`] to tell the two apart.
 pub fn fill_segment<S: AccessStream + ?Sized>(

@@ -4,13 +4,15 @@
 //! application, the raw access streams themselves are pinned with golden
 //! hashes so that any accidental change to the generator RNG (or to the order
 //! in which generators consume random draws) is caught immediately, and the
-//! parallel engine must reproduce the serial path bit for bit.
+//! engine — at any worker count — must reproduce the per-access reference
+//! loops (`memsim::run`, `TimingModel::evaluate`) bit for bit.
 
-use engine::{EngineConfig, PrefetcherSpec, Registry, SimJob};
+use engine::segment::SEGMENT;
+use engine::{EngineConfig, JobResult, JobWarning, PrefetcherSpec, Registry, SimJob};
 use ghb::GhbConfig;
 use memsim::{HierarchyConfig, MultiCpuSystem, NullPrefetcher, RunSummary};
 use sms::SmsConfig;
-use timing::TimingConfig;
+use timing::{TimingConfig, TimingModel};
 use trace::{AccessKind, Application, GeneratorConfig, TraceSource};
 
 const CPUS: usize = 2;
@@ -76,8 +78,59 @@ fn same_seed_gives_byte_identical_summaries() {
     }
 }
 
-/// A mixed job list exercising every execution path of the engine: plain
-/// baselines, SMS, GHB, a density probe, and a timing-model job.
+/// The per-access reference for one job: `memsim::run`, or
+/// `TimingModel::evaluate` for timing jobs, over the job's own source with
+/// the registry-built prefetcher — what the engine's segment loop must
+/// reproduce byte for byte.
+fn reference(index: usize, job: &SimJob) -> JobResult {
+    let sim = &job.sim;
+    let mut prefetcher = Registry::builtin()
+        .build(&sim.prefetcher, sim.cpus)
+        .expect("built-in plugin");
+    let mut stream = sim.source.open().expect("source opens");
+    let (summary, timing) = match &job.timing {
+        Some(spec) => {
+            let model = TimingModel::new(sim.hierarchy, sim.cpus, spec.config);
+            let (timing, summary) =
+                model.evaluate(&mut prefetcher, &mut stream, sim.accesses, spec.segments);
+            (summary, Some(timing))
+        }
+        None => {
+            let mut system = MultiCpuSystem::new(sim.cpus, &sim.hierarchy);
+            let summary = memsim::run(&mut system, &mut prefetcher, &mut stream, sim.accesses);
+            (summary, None)
+        }
+    };
+    let mut warnings = Vec::new();
+    let delivered = summary.accesses + summary.skipped_accesses;
+    if delivered < sim.accesses as u64 {
+        warnings.push(JobWarning::short_trace(
+            &sim.source.describe(),
+            delivered,
+            sim.accesses,
+        ));
+    }
+    JobResult {
+        job_index: index,
+        summary,
+        probe: prefetcher.into_report(),
+        timing,
+        warnings,
+    }
+}
+
+/// The serialized references of a whole job list.
+fn reference_json(jobs: &[SimJob]) -> String {
+    let results: Vec<JobResult> = jobs
+        .iter()
+        .enumerate()
+        .map(|(index, job)| reference(index, job))
+        .collect();
+    serde_json::to_string(&results).expect("serialize references")
+}
+
+/// A mixed job list exercising every kind of job the engine runs: plain
+/// baselines, SMS, GHB, and a timing-model job.
 fn engine_job_list() -> Vec<SimJob> {
     let mut jobs = Vec::new();
     for (i, app) in [
@@ -146,56 +199,49 @@ fn parallel_engine_matches_serial_bit_for_bit() {
 
 #[test]
 fn segment_parallel_engine_matches_serial_bit_for_bit() {
-    // The segment pipeline (intra-job sharding with deferred classification
-    // and per-segment state hand-off) must reproduce the serial bits over
-    // the full mixed job list — baselines, SMS, GHB and timing jobs — for
-    // every pipeline shape: inline (1 thread), two- and three-stage helper
-    // topologies, and with an odd segment size that leaves a partial final
-    // segment.
+    // Every job of the mixed list — baselines, SMS, GHB and timing jobs,
+    // 10 000 accesses each: two full segments plus a partial one — must
+    // come out of the engine's segment loop exactly as the per-access
+    // reference computes it, at every worker count.
     let jobs = engine_job_list();
-    let serial = engine::run_jobs_with(&jobs, &EngineConfig::serial());
-    let serial_json = serde_json::to_string(&serial).expect("serialize serial");
-    for (workers, segment_size) in [
-        (1, 1_000),
-        (2, 1_000),
-        (4, 1_000),
-        (4, 777),
-        (4, 50_000),
-        (8, 1_000),
-    ] {
-        let segmented = engine::run_jobs_with(
-            &jobs,
-            &EngineConfig::with_workers(workers).with_segment_size(segment_size),
-        );
-        let segmented_json = serde_json::to_string(&segmented).expect("serialize segmented");
+    assert_ne!(ACCESSES % SEGMENT, 0, "the last segment is partial");
+    let expected = reference_json(&jobs);
+    for workers in [1, 2, 4, 8] {
+        let results = engine::run_jobs_with(&jobs, &EngineConfig::with_workers(workers));
         assert_eq!(
-            serial_json, segmented_json,
-            "workers={workers} segment_size={segment_size}: \
-             segmented engine results must be byte-identical to the serial path"
+            serde_json::to_string(&results).expect("serialize engine results"),
+            expected,
+            "workers={workers}: engine results must be byte-identical to the reference"
         );
     }
 }
 
 #[test]
 fn segmented_sms_run_reproduces_the_pinned_golden_hash() {
-    // The same golden summary hash `registry_built_sms_run_is_pinned` pins
-    // for the serial registry path must come out of the segment pipeline:
-    // segmentation is an execution strategy, never a behavior change.
+    // The golden summary hash `registry_built_sms_run_is_pinned` pins for
+    // the engine is also what the per-access reference computes.
     const GOLDEN_SUMMARY_HASH: u64 = 0x2c60632b11e41c1c;
 
-    for (workers, segment_size) in [(1, 2_048), (3, 2_048), (2, 3_333), (4, 2_048)] {
+    let json =
+        serde_json::to_string(&reference(0, &pinned_sms_job()).summary).expect("serialize summary");
+    let got = fnv1a(json.as_bytes());
+    assert_eq!(
+        got, GOLDEN_SUMMARY_HASH,
+        "reference SMS summary drifted from the pinned hash (got {got:#018x}; summary {json})"
+    );
+    for workers in [1, 3] {
         let results = engine::run_jobs_with(
-            &[pinned_sms_job()],
-            &EngineConfig::with_workers(workers).with_segment_size(segment_size),
+            &[pinned_sms_job(), pinned_sms_job()],
+            &EngineConfig::with_workers(workers),
         );
-        let json = serde_json::to_string(&results[0].summary).expect("serialize summary");
-        let got = fnv1a(json.as_bytes());
-        assert_eq!(
-            got, GOLDEN_SUMMARY_HASH,
-            "workers={workers} segment_size={segment_size}: \
-             segmented SMS summary drifted from the pinned serial hash \
-             (got {got:#018x}; summary {json})"
-        );
+        for result in &results {
+            let json = serde_json::to_string(&result.summary).expect("serialize summary");
+            assert_eq!(
+                fnv1a(json.as_bytes()),
+                GOLDEN_SUMMARY_HASH,
+                "workers={workers}"
+            );
+        }
     }
 }
 
@@ -306,96 +352,93 @@ impl engine::PrefetcherPlugin for DelegatingSmsPlugin {
     }
 }
 
-/// Property-based byte-identity matrix for segment-parallel execution:
-/// random traces x segment sizes (a single access, odd sizes, sizes larger
-/// than the whole trace) x worker counts must reproduce the serial
-/// `RunSummary` bytes, and the pinned golden SMS hash must survive any
-/// segmented configuration.
+/// Property-based byte-identity matrix for the engine's segment loop:
+/// random traces, with lengths below one segment, exact multiples of it, and
+/// multiples plus an odd remainder, run as a list of baseline, SMS, GHB and
+/// timing jobs at 1–8 workers, must reproduce the per-access reference
+/// bytes; and the pinned golden SMS hash must survive any worker count.
 mod segmented_properties {
     use super::*;
     use proptest::prelude::*;
 
-    /// A random job drawn by the strategies below: application, generator
-    /// seed, access budget, and one of the three main prefetcher families.
-    fn random_job(app_idx: usize, seed: u64, accesses: usize, prefetcher_idx: usize) -> SimJob {
-        let app = Application::ALL[app_idx % Application::ALL.len()];
-        let prefetcher = match prefetcher_idx % 3 {
-            0 => PrefetcherSpec::null(),
-            1 => PrefetcherSpec::sms_paper_default(),
-            _ => PrefetcherSpec::ghb(&GhbConfig::paper_small()),
-        };
-        SimJob::new(memsim::SimJob::synthetic(
-            app,
+    /// Resolves a length choice into the shapes the matrix must include:
+    /// shorter than one segment, whole segments, and whole segments plus an
+    /// odd remainder.
+    fn accesses_for(choice: usize, segments: usize, short: usize) -> usize {
+        match choice % 3 {
+            0 => short % SEGMENT,
+            1 => segments * SEGMENT,
+            _ => segments * SEGMENT + ((short % SEGMENT) | 1),
+        }
+    }
+
+    /// Baseline, SMS, GHB and timing jobs over one random synthetic trace.
+    fn random_jobs(app_idx: usize, seed: u64, accesses: usize) -> Vec<SimJob> {
+        let base = memsim::SimJob::synthetic(
+            Application::ALL[app_idx % Application::ALL.len()],
             GeneratorConfig::default().with_cpus(CPUS),
             seed,
             CPUS,
             HierarchyConfig::scaled(),
-            prefetcher,
+            PrefetcherSpec::null(),
             accesses,
-        ))
-    }
-
-    /// Resolves a segment-size choice into the adversarial shapes the matrix
-    /// must include: one access per segment, an odd size smaller than the
-    /// trace, and a size larger than the whole trace.
-    fn segment_size_for(choice: usize, odd: usize, accesses: usize) -> usize {
-        match choice % 3 {
-            0 => 1,
-            1 => (odd | 1).min(accesses.saturating_sub(1).max(1)),
-            _ => accesses + 1 + odd,
-        }
+        );
+        vec![
+            SimJob::new(base.clone()),
+            SimJob::new(memsim::SimJob {
+                prefetcher: PrefetcherSpec::sms_paper_default(),
+                ..base.clone()
+            }),
+            SimJob::new(memsim::SimJob {
+                prefetcher: PrefetcherSpec::ghb(&GhbConfig::paper_small()),
+                ..base.clone()
+            }),
+            SimJob::new(memsim::SimJob {
+                prefetcher: PrefetcherSpec::sms_paper_default(),
+                ..base
+            })
+            .with_timing(TimingConfig::table1(), 4),
+        ]
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(10))]
 
-        /// The central property: every segmented configuration reproduces
-        /// the serial results bit for bit, serialized bytes included.
+        /// The central property: the engine reproduces the per-access
+        /// reference bit for bit, serialized bytes included.
         #[test]
         fn segmented_runs_reproduce_serial_bits(
-            (app_idx, prefetcher_idx) in (0usize..11, 0usize..3),
+            app_idx in 0usize..11,
             seed in 0u64..1_000_000,
-            accesses in 500usize..2_500,
             choice in 0usize..3,
-            odd in 1usize..3_001,
+            segments in 1usize..4,
+            short in 1usize..100_000,
             workers in 1usize..9,
         ) {
-            let job = random_job(app_idx, seed, accesses, prefetcher_idx);
-            let serial =
-                engine::run_jobs_with(std::slice::from_ref(&job), &EngineConfig::serial());
-            let segment_size = segment_size_for(choice, odd, accesses);
-            let segmented = engine::run_jobs_with(
-                std::slice::from_ref(&job),
-                &EngineConfig::with_workers(workers).with_segment_size(segment_size),
-            );
-            prop_assert_eq!(&serial, &segmented);
-            let a = serde_json::to_string(&serial).expect("serialize serial");
-            let b = serde_json::to_string(&segmented).expect("serialize segmented");
-            prop_assert_eq!(a, b);
+            let jobs = random_jobs(app_idx, seed, accesses_for(choice, segments, short));
+            let results = engine::run_jobs_with(&jobs, &EngineConfig::with_workers(workers));
+            let got = serde_json::to_string(&results).expect("serialize engine results");
+            prop_assert_eq!(got, reference_json(&jobs));
         }
 
-        /// The pinned golden SMS summary hash survives any segmented
-        /// configuration: segmentation is an execution strategy, never a
-        /// behavior change.
+        /// The pinned golden SMS summary hash survives any worker count,
+        /// with a second job sharing the pinned job's trace.
         #[test]
-        fn segmented_sms_reproduces_the_pinned_golden_hash(
-            workers in 1usize..9,
-            segment_size in 1usize..15_000,
-        ) {
+        fn segmented_sms_reproduces_the_pinned_golden_hash(workers in 1usize..9) {
             const GOLDEN_SUMMARY_HASH: u64 = 0x2c60632b11e41c1c;
+            let mut baseline = pinned_sms_job();
+            baseline.sim.prefetcher = PrefetcherSpec::null();
             let results = engine::run_jobs_with(
-                &[pinned_sms_job()],
-                &EngineConfig::with_workers(workers).with_segment_size(segment_size),
+                &[baseline, pinned_sms_job()],
+                &EngineConfig::with_workers(workers),
             );
-            let json = serde_json::to_string(&results[0].summary).expect("serialize summary");
+            let json = serde_json::to_string(&results[1].summary).expect("serialize summary");
             let got = fnv1a(json.as_bytes());
             prop_assert_eq!(
                 got,
                 GOLDEN_SUMMARY_HASH,
-                "workers={} segment_size={}: segmented SMS summary \
-                 drifted from the pinned serial hash (got {:#018x})",
+                "workers={}: SMS summary drifted from the pinned hash (got {:#018x})",
                 workers,
-                segment_size,
                 got
             );
         }

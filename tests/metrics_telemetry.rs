@@ -3,9 +3,13 @@
 //! byte-identical simulation results, and the collected metrics must be
 //! consistent with the results they describe.
 
+use engine::segment::SEGMENT;
 use engine::{EngineConfig, PrefetcherSpec, Registry, SimJob};
 use ghb::GhbConfig;
-use memsim::{HierarchyConfig, MultiCpuSystem, PrefetchLevel, Prefetcher, RunSummary};
+use memsim::{
+    DriverMetrics, HierarchyConfig, MissAccounting, MultiCpuSystem, OutcomeTape, PrefetchLevel,
+    Prefetcher, RunSummary, SegmentCounts,
+};
 use metrics::MetricsConfig;
 use sms::SmsConfig;
 use timing::TimingConfig;
@@ -105,13 +109,14 @@ fn metrics_collection_disabled_vs_enabled_is_byte_identical() {
 
 #[test]
 fn segmented_metrics_collection_is_byte_identical_and_counts_segments() {
-    // Telemetry neutrality holds through the segment pipeline too: metrics
-    // on/off must not change a byte, and the per-job metrics must report the
-    // segment count and stage timings the pipeline actually ran.
+    // Every job runs the segment loop: metrics on/off must not change a
+    // byte, the per-job metrics must report the segment count and stage
+    // timings the loop actually ran, and with metrics off the loop reads no
+    // clock but still counts its segments.
     let jobs = job_list();
     for workers in [1, 2, 3] {
-        let config = EngineConfig::with_workers(workers).with_segment_size(1_000);
-        let (disabled, _) = engine::run_jobs_metered(
+        let config = EngineConfig::with_workers(workers);
+        let (disabled, quiet) = engine::run_jobs_metered(
             &jobs,
             &config,
             Registry::builtin(),
@@ -129,27 +134,25 @@ fn segmented_metrics_collection_is_byte_identical_and_counts_segments() {
         let b = serde_json::to_string(&enabled).expect("serialize");
         assert_eq!(
             a, b,
-            "{workers} workers segmented: metrics must not alter a result byte"
+            "{workers} workers: metrics must not alter a result byte"
         );
-        // The serial unsegmented path produces the same bytes again.
-        let serial = engine::run_jobs_with(&jobs, &EngineConfig::serial());
-        assert_eq!(serde_json::to_string(&serial).expect("serialize"), a);
 
+        let segments = (ACCESSES as u64).div_ceil(SEGMENT as u64);
         for job in &collected.jobs {
             assert_eq!(
-                job.segments,
-                (ACCESSES as u64).div_ceil(1_000),
-                "every 10k-access job splits into 10 segments of 1000"
+                job.segments, segments,
+                "10k accesses in 4096-access segments"
             );
             assert!(job.elapsed_seconds > 0.0);
-            assert!(
-                job.pull_seconds > 0.0,
-                "the pull stage reads the whole trace"
-            );
-            assert!(
-                job.account_seconds > 0.0,
-                "the account stage replays every tape"
-            );
+            assert!(job.pull_seconds > 0.0, "the loop pulls the whole trace");
+            assert!(job.account_seconds > 0.0, "the loop replays every tape");
+            assert_eq!(job.simulate_segment_us.count(), segments);
+        }
+        for job in &quiet.jobs {
+            assert_eq!(job.segments, segments);
+            assert_eq!(job.elapsed_seconds, 0.0);
+            assert_eq!(job.pull_seconds, 0.0);
+            assert_eq!(job.simulate_segment_us.count(), 0);
         }
         assert!(collected.report().validate().is_ok());
     }
@@ -158,14 +161,9 @@ fn segmented_metrics_collection_is_byte_identical_and_counts_segments() {
 #[test]
 fn tracing_enabled_vs_disabled_is_byte_identical() {
     // The PR 4 telemetry contract extends to span tracing: recording spans
-    // must never alter a single result byte, across the plain and segmented
-    // execution paths.
+    // must never alter a single result byte, serially or sharded.
     let jobs = job_list();
-    for config in [
-        EngineConfig::serial(),
-        EngineConfig::with_workers(3),
-        EngineConfig::with_workers(2).with_segment_size(1_000),
-    ] {
+    for config in [EngineConfig::serial(), EngineConfig::with_workers(3)] {
         let (untraced, _) = engine::run_jobs_observed(
             &jobs,
             &config,
@@ -189,8 +187,8 @@ fn tracing_enabled_vs_disabled_is_byte_identical() {
             "{config:?}: tracing must not alter a single result byte"
         );
         let chrome = trace.to_chrome_json().expect("enabled trace exports");
-        let check =
-            tracelog::check_chrome_trace(&chrome, &["job"]).expect("traced run yields valid JSON");
+        let check = tracelog::check_chrome_trace(&chrome, &["job", "seg.simulate"])
+            .expect("traced run yields valid JSON");
         assert!(
             check.spans as usize >= jobs.len(),
             "every job records at least its own span"
@@ -278,19 +276,49 @@ fn batched_and_unbatched_drivers_agree_for_every_builtin_prefetcher() {
 
 #[test]
 fn driver_metrics_reconcile_with_the_summary() {
-    let job = memsim::SimJob::synthetic(
-        Application::Sparse,
-        GeneratorConfig::default().with_cpus(CPUS),
-        SEED,
-        CPUS,
-        HierarchyConfig::scaled(),
-        memsim::NullPrefetcher::new(),
+    // The engine's simulate step, metered: driving a trace through
+    // `run_segment_deferred` one segment at a time and replaying each tape
+    // reproduces the per-access reference, and the meter's counts add up.
+    let generator = GeneratorConfig::default().with_cpus(CPUS);
+    let spec = PrefetcherSpec::sms_paper_default();
+    let accesses: Vec<trace::MemAccess> = Application::Sparse
+        .stream(SEED, &generator)
+        .take(ACCESSES)
+        .collect();
+
+    let mut reference_system = MultiCpuSystem::new(CPUS, &HierarchyConfig::scaled());
+    let mut reference_prefetcher = Registry::builtin().build(&spec, CPUS).expect("built-in");
+    let reference = memsim::run(
+        &mut reference_system,
+        &mut reference_prefetcher,
+        &mut accesses.iter().copied(),
         ACCESSES,
     );
-    let (summary, _, driver) =
-        memsim::run_job_metered(&job, &MetricsConfig::enabled()).expect("synthetic source");
+
+    let mut system = MultiCpuSystem::new(CPUS, &HierarchyConfig::scaled());
+    let mut prefetcher = Registry::builtin().build(&spec, CPUS).expect("built-in");
+    let mut accounting = MissAccounting::new(CPUS, &HierarchyConfig::scaled());
+    let (mut batch, mut tape) = (Vec::new(), OutcomeTape::new());
+    let mut counts = SegmentCounts::default();
+    let mut driver = DriverMetrics::default();
+    for segment in accesses.chunks(SEGMENT) {
+        tape.clear();
+        memsim::run_segment_deferred(
+            &mut system,
+            &mut prefetcher,
+            segment,
+            &mut batch,
+            &mut tape,
+            &mut counts,
+            &mut driver,
+        );
+        accounting.replay(segment, &tape);
+    }
+    let summary = memsim::summarize_segmented(&system, &accounting, &counts);
+
+    assert_eq!(summary, reference);
     assert_eq!(summary.accesses, ACCESSES as u64);
+    assert!(driver.prefetch_issues > 0, "SMS streams blocks");
     assert_eq!(driver.cache_ops, summary.accesses + driver.prefetch_issues);
-    assert!(driver.elapsed_seconds > 0.0);
-    assert!(driver.accesses_per_sec > 0.0);
+    assert!(driver.request_batches > 0);
 }

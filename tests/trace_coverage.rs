@@ -1,8 +1,9 @@
 //! The Chrome-trace export must be structurally valid and must actually
-//! account for the run it claims to describe: for a segmented job the stage
-//! spans have to cover (nearly) all of the job's measured wall-clock, and
-//! the job server has to record the full submission lifecycle.
+//! account for the run it claims to describe: a job's stage spans have to
+//! cover (nearly) all of its measured wall-clock, and the job server has to
+//! record the full submission lifecycle.
 
+use engine::segment::SEGMENT;
 use engine::{EngineConfig, JobList, PrefetcherSpec, Registry, SimJob};
 use memsim::HierarchyConfig;
 use metrics::{MetricsConfig, Stopwatch};
@@ -13,7 +14,6 @@ use tracelog::{check_chrome_trace, span_total_us, Trace};
 const CPUS: usize = 2;
 const SEED: u64 = 2006;
 const ACCESSES: usize = 60_000;
-const SEGMENT: usize = 6_000;
 
 fn sms_job() -> SimJob {
     SimJob::new(memsim::SimJob::synthetic(
@@ -30,7 +30,7 @@ fn sms_job() -> SimJob {
 #[test]
 fn segmented_job_spans_cover_the_measured_wall_clock() {
     let jobs = vec![sms_job()];
-    let config = EngineConfig::serial().with_segment_size(SEGMENT);
+    let config = EngineConfig::default();
     let trace = Trace::enabled();
     let watch = Stopwatch::started();
     let (results, _) = engine::run_jobs_observed(
