@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the individual hardware structures: the per-access
-//! cost of the AGT, PHT, prediction registers, GHB and the cache model, plus
-//! the end-to-end simulation throughput.
+//! cost of the AGT, PHT, prediction registers, GHB, the cache model and
+//! 16-CPU write-invalidate coherence, plus the end-to-end simulation
+//! throughput.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ghb::{GhbConfig, GhbPredictor};
@@ -10,7 +11,7 @@ use sms::{
     SmsConfig, SmsPredictor, SmsPrefetcher, SpatialPattern,
 };
 use std::hint::black_box;
-use trace::{AccessKind, Application, GeneratorConfig};
+use trace::{AccessKind, Application, GeneratorConfig, MemAccess};
 
 const OPS: u64 = 10_000;
 
@@ -74,6 +75,24 @@ fn bench_structures(c: &mut Criterion) {
                 if i % 37 == 0 {
                     predictor.on_block_removed(addr);
                 }
+            }
+        })
+    });
+
+    // The paper's 16 CPUs and Table-1 hierarchy under a write-heavy stream
+    // (nearly half of DSS Qry1's accesses are writes):
+    // `MultiCpuSystem::access`, coherence included, replayed on one warm
+    // system.  Compare coherence variants with this row; the benchmark
+    // package measures end-to-end gains.
+    group.bench_function("coherence_16cpu_table1_dss_access", |b| {
+        let accesses: Vec<MemAccess> = Application::DssQry1
+            .stream(1, &GeneratorConfig::default().with_cpus(16))
+            .take(OPS as usize)
+            .collect();
+        let mut system = MultiCpuSystem::new(16, &HierarchyConfig::table1());
+        b.iter(|| {
+            for access in &accesses {
+                black_box(system.access(access));
             }
         })
     });

@@ -6,6 +6,11 @@
 //! `prefetched` line is a miss that the prefetcher eliminated, while the
 //! eviction or invalidation of a still-unused `prefetched` line is an
 //! overprediction.
+//!
+//! A cache finds a set with a shift and a mask fixed at construction.  Every
+//! line that arrives or leaves is reported to a residency hook: the no-op
+//! `()` for a standalone cache, which compiles away, or the multiprocessor's
+//! sharer directory (see [`system`](crate::system)).
 
 use crate::config::CacheConfig;
 use trace::AccessKind;
@@ -113,12 +118,35 @@ impl Line {
     }
 }
 
+/// Observes the lines a cache installs and the lines that leave it, by
+/// block address.  The methods run only where a line's validity changes:
+/// [`SetAssocCache`]'s `replace` and `invalidate_way`.
+pub(crate) trait Residency {
+    /// A line for `block_addr` became valid.
+    fn installed(&mut self, block_addr: u64);
+    /// The valid line for `block_addr` was evicted or invalidated.
+    fn departed(&mut self, block_addr: u64);
+}
+
+/// The standalone cache's hook: observes nothing and inlines to nothing.
+impl Residency for () {
+    #[inline(always)]
+    fn installed(&mut self, _block_addr: u64) {}
+    #[inline(always)]
+    fn departed(&mut self, _block_addr: u64) {}
+}
+
 /// A set-associative cache model.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     config: CacheConfig,
     lines: Vec<Line>,
     tick: u64,
+    /// `log2(block_bytes)`: an address shifted right by it is its block
+    /// index.
+    block_shift: u32,
+    /// `num_sets - 1`: a block index masked by it is its set.
+    set_mask: u64,
 }
 
 impl SetAssocCache {
@@ -129,6 +157,8 @@ impl SetAssocCache {
             config,
             lines,
             tick: 0,
+            block_shift: config.block_bytes.trailing_zeros(),
+            set_mask: config.num_sets() - 1,
         }
     }
 
@@ -138,7 +168,7 @@ impl SetAssocCache {
     }
 
     fn set_range(&self, addr: u64) -> std::ops::Range<usize> {
-        let set = self.config.set_index(addr) as usize;
+        let set = ((addr >> self.block_shift) & self.set_mask) as usize;
         let assoc = self.config.associativity as usize;
         set * assoc..(set + 1) * assoc
     }
@@ -217,6 +247,17 @@ impl SetAssocCache {
     /// is reported as a miss so upgrade latency and store-buffer pressure are
     /// modelled.
     pub fn access(&mut self, addr: u64, kind: AccessKind) -> AccessOutcome {
+        self.access_with(addr, kind, &mut ())
+    }
+
+    /// [`access`](Self::access), reporting the line it installs and the
+    /// one it evicts to `residency`.
+    pub(crate) fn access_with(
+        &mut self,
+        addr: u64,
+        kind: AccessKind,
+        residency: &mut impl Residency,
+    ) -> AccessOutcome {
         match self.lookup(addr) {
             Ok(i) => {
                 let line = &mut self.lines[i];
@@ -236,7 +277,7 @@ impl SetAssocCache {
             Err(victim) => AccessOutcome {
                 hit: false,
                 hit_on_prefetched: false,
-                evicted: self.replace(victim, addr, kind.is_write(), false),
+                evicted: self.replace(victim, addr, kind.is_write(), false, residency),
             },
         }
     }
@@ -244,21 +285,36 @@ impl SetAssocCache {
     /// Fills `addr` as a prefetch/stream request.  Does nothing if the block
     /// is already present.  Returns the displaced line, if any.
     pub fn prefetch_fill(&mut self, addr: u64) -> Option<EvictedLine> {
-        self.prefetch_fill_absent(addr).flatten()
+        self.prefetch_fill_absent(addr, &mut ()).flatten()
     }
 
     /// [`prefetch_fill`](Self::prefetch_fill) that tells the caller whether
     /// it filled: `None` if the block was already present, otherwise `Some`
     /// of the displaced line, if any.
-    pub(crate) fn prefetch_fill_absent(&mut self, addr: u64) -> Option<Option<EvictedLine>> {
+    pub(crate) fn prefetch_fill_absent(
+        &mut self,
+        addr: u64,
+        residency: &mut impl Residency,
+    ) -> Option<Option<EvictedLine>> {
         let victim = self.lookup(addr).err()?;
-        Some(self.replace(victim, addr, false, true))
+        Some(self.replace(victim, addr, false, true, residency))
     }
 
     /// Fills `addr` without counting a demand access (used for write-backs
     /// arriving from an upper level).  Does nothing if the block is already
     /// present, other than marking it dirty when `dirty` is set.
     pub fn fill(&mut self, addr: u64, dirty: bool) -> Option<EvictedLine> {
+        self.fill_with(addr, dirty, &mut ())
+    }
+
+    /// [`fill`](Self::fill), reporting the line it installs and the one it
+    /// evicts to `residency`.
+    pub(crate) fn fill_with(
+        &mut self,
+        addr: u64,
+        dirty: bool,
+        residency: &mut impl Residency,
+    ) -> Option<EvictedLine> {
         match self.lookup(addr) {
             Ok(i) => {
                 if dirty {
@@ -267,7 +323,7 @@ impl SetAssocCache {
                 self.touch(i);
                 None
             }
-            Err(victim) => self.replace(victim, addr, dirty, false),
+            Err(victim) => self.replace(victim, addr, dirty, false, residency),
         }
     }
 
@@ -278,24 +334,35 @@ impl SetAssocCache {
         addr: u64,
         dirty: bool,
         prefetched: bool,
+        residency: &mut impl Residency,
     ) -> Option<EvictedLine> {
         let old = self.lines[victim];
-        self.lines[victim] = Line::new(self.tag(addr), dirty, prefetched);
+        let tag = self.tag(addr);
+        self.lines[victim] = Line::new(tag, dirty, prefetched);
         self.touch(victim);
-        old.valid().then(|| old.departed())
+        residency.installed(tag);
+        old.valid().then(|| {
+            residency.departed(old.tag);
+            old.departed()
+        })
     }
 
     /// Invalidates the block containing `addr`, returning the removed line.
     pub fn invalidate(&mut self, addr: u64) -> Option<EvictedLine> {
         let way = self.find(addr)?;
-        Some(self.invalidate_way(way))
+        Some(self.invalidate_way(way, &mut ()))
     }
 
     /// Invalidates way `way` (a valid line [`find`](Self::find) returned),
     /// returning the removed line.
-    pub(crate) fn invalidate_way(&mut self, way: usize) -> EvictedLine {
+    pub(crate) fn invalidate_way(
+        &mut self,
+        way: usize,
+        residency: &mut impl Residency,
+    ) -> EvictedLine {
         let old = self.lines[way];
         self.lines[way] = Line::INVALID;
+        residency.departed(old.tag);
         old.departed()
     }
 

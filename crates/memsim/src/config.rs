@@ -74,11 +74,6 @@ impl CacheConfig {
         addr & !(self.block_bytes - 1)
     }
 
-    /// Set index for `addr`.
-    pub fn set_index(&self, addr: u64) -> u64 {
-        (addr / self.block_bytes) & (self.num_sets() - 1)
-    }
-
     /// Returns a copy of this configuration with a different block size but
     /// the same capacity and associativity (used for the block-size sweep in
     /// Figure 4).
@@ -156,10 +151,19 @@ mod tests {
     fn block_and_set_math() {
         let c = CacheConfig::new(64 * 1024, 2, 64);
         assert_eq!(c.block_addr(0x12345), 0x12340);
-        assert!(c.set_index(0x12345) < c.num_sets());
-        // Two addresses one set-stride apart map to the same set.
+        // Two addresses one set-stride apart map to the same set: in a
+        // direct-mapped cache of the same geometry the second evicts the
+        // first, while an address one block further lands in another set.
         let stride = c.num_sets() * c.block_bytes;
-        assert_eq!(c.set_index(0x1000), c.set_index(0x1000 + stride));
+        let mut direct = crate::cache::SetAssocCache::new(CacheConfig::new(
+            c.num_sets() * c.block_bytes,
+            1,
+            c.block_bytes,
+        ));
+        direct.fill(0x1000, false);
+        assert!(direct.fill(0x1000 + c.block_bytes, false).is_none());
+        let evicted = direct.fill(0x1000 + stride, false).expect("same set");
+        assert_eq!(evicted.block_addr, 0x1000);
     }
 
     #[test]

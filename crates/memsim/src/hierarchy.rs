@@ -1,6 +1,6 @@
 //! One processor's private two-level cache hierarchy.
 
-use crate::cache::{CacheLineState, EvictedLine, SetAssocCache};
+use crate::cache::{CacheLineState, EvictedLine, Residency, SetAssocCache};
 use crate::config::HierarchyConfig;
 use crate::stats::CacheStats;
 use trace::MemAccess;
@@ -21,7 +21,10 @@ pub struct HierarchyOutcome {
     pub offchip: bool,
     /// Line evicted from the L1 by the demand fill, if any.
     pub l1_evicted: Option<EvictedLine>,
-    /// Line evicted from the L2 by the demand fill or a write-back, if any.
+    /// Line evicted from the L2 by the demand fill, if any.  Only when the
+    /// demand fill evicted nothing is this the line that the L1 victim's
+    /// write-back evicted; when both evict, the write-back's victim is not
+    /// reported.
     pub l2_evicted: Option<EvictedLine>,
 }
 
@@ -84,6 +87,16 @@ impl CpuHierarchy {
     /// Pushes one demand access through the hierarchy, updating both levels
     /// and their statistics.
     pub fn access(&mut self, access: &MemAccess) -> HierarchyOutcome {
+        self.access_with(access, &mut ())
+    }
+
+    /// [`access`](Self::access), reporting every line either level installs
+    /// or evicts to `residency`.
+    pub(crate) fn access_with(
+        &mut self,
+        access: &MemAccess,
+        residency: &mut impl Residency,
+    ) -> HierarchyOutcome {
         debug_assert_eq!(access.cpu, self.cpu, "access routed to the wrong CPU");
         self.l1_stats.accesses += 1;
         if access.kind.is_read() {
@@ -92,7 +105,7 @@ impl CpuHierarchy {
             self.l1_stats.writes += 1;
         }
 
-        let l1_out = self.l1.access(access.addr, access.kind);
+        let l1_out = self.l1.access_with(access.addr, access.kind, residency);
         if l1_out.hit {
             if l1_out.hit_on_prefetched {
                 self.l1_stats.prefetch_hits += 1;
@@ -129,7 +142,7 @@ impl CpuHierarchy {
         } else {
             self.l2_stats.writes += 1;
         }
-        let l2_out = self.l2.access(access.addr, access.kind);
+        let l2_out = self.l2.access_with(access.addr, access.kind, residency);
         let mut l2_evicted = None;
         let offchip = if l2_out.hit {
             if l2_out.hit_on_prefetched {
@@ -156,7 +169,7 @@ impl CpuHierarchy {
         if let Some(e) = &l1_evicted {
             if e.dirty {
                 self.l1_stats.writebacks += 1;
-                let wb_evicted = self.l2.fill(e.block_addr, true);
+                let wb_evicted = self.l2.fill_with(e.block_addr, true, residency);
                 if l2_evicted.is_none() {
                     l2_evicted = wb_evicted;
                 }
@@ -185,12 +198,22 @@ impl CpuHierarchy {
     /// Returns the line displaced from the L1, if any, so that callers can
     /// end spatial region generations for the victim block.
     pub fn stream_fill(&mut self, addr: u64) -> Option<EvictedLine> {
+        self.stream_fill_with(addr, &mut ())
+    }
+
+    /// [`stream_fill`](Self::stream_fill), reporting every line either level
+    /// installs or evicts to `residency`.
+    pub(crate) fn stream_fill_with(
+        &mut self,
+        addr: u64,
+        residency: &mut impl Residency,
+    ) -> Option<EvictedLine> {
         // The L1 and L2 arrays share no state, so filling the L1 first (to
         // learn whether the block was already there) leaves every line and
         // counter as filling the L2 first would.
-        let victim = self.l1.prefetch_fill_absent(addr)?;
+        let victim = self.l1.prefetch_fill_absent(addr, residency)?;
         self.l1_stats.prefetch_fills += 1;
-        if let Some(l2_victim) = self.l2.prefetch_fill_absent(addr) {
+        if let Some(l2_victim) = self.l2.prefetch_fill_absent(addr, residency) {
             self.l2_stats.prefetch_fills += 1;
             if let Some(e) = &l2_victim {
                 if e.state == CacheLineState::PrefetchedUnused {
@@ -207,7 +230,7 @@ impl CpuHierarchy {
             }
             if e.dirty {
                 self.l1_stats.writebacks += 1;
-                self.l2.fill(e.block_addr, true);
+                self.l2.fill_with(e.block_addr, true, residency);
             }
         }
         victim
@@ -216,7 +239,17 @@ impl CpuHierarchy {
     /// Prefetches a block into the secondary cache only (the GHB baseline is
     /// an L2 prefetcher).  Returns the displaced L2 line, if any.
     pub fn l2_prefetch_fill(&mut self, addr: u64) -> Option<EvictedLine> {
-        let victim = self.l2.prefetch_fill_absent(addr)?;
+        self.l2_prefetch_fill_with(addr, &mut ())
+    }
+
+    /// [`l2_prefetch_fill`](Self::l2_prefetch_fill), reporting the line it
+    /// installs and the one it evicts to `residency`.
+    pub(crate) fn l2_prefetch_fill_with(
+        &mut self,
+        addr: u64,
+        residency: &mut impl Residency,
+    ) -> Option<EvictedLine> {
+        let victim = self.l2.prefetch_fill_absent(addr, residency)?;
         self.l2_stats.prefetch_fills += 1;
         if let Some(e) = &victim {
             if e.state == CacheLineState::PrefetchedUnused {
@@ -233,19 +266,29 @@ impl CpuHierarchy {
     /// lines removed from the L1 and from the L2, in that order; the L1 line
     /// lets callers terminate generations.
     pub fn invalidate(&mut self, addr: u64) -> (Option<EvictedLine>, Option<EvictedLine>) {
+        self.invalidate_with(addr, &mut ())
+    }
+
+    /// [`invalidate`](Self::invalidate), reporting the lines it removes to
+    /// `residency`.
+    pub(crate) fn invalidate_with(
+        &mut self,
+        addr: u64,
+        residency: &mut impl Residency,
+    ) -> (Option<EvictedLine>, Option<EvictedLine>) {
         // Search both levels before changing either.  Most remote copies a
         // write looks for are absent, and two independent searches measured
         // faster on 16 CPUs than invalidating one level before searching the
         // other.
         let (l1_way, l2_way) = (self.l1.find(addr), self.l2.find(addr));
-        let l1_line = l1_way.map(|way| self.l1.invalidate_way(way));
+        let l1_line = l1_way.map(|way| self.l1.invalidate_way(way, residency));
         if let Some(line) = &l1_line {
             self.l1_stats.invalidations += 1;
             if line.state == CacheLineState::PrefetchedUnused {
                 self.l1_stats.prefetch_unused_evictions += 1;
             }
         }
-        let l2_line = l2_way.map(|way| self.l2.invalidate_way(way));
+        let l2_line = l2_way.map(|way| self.l2.invalidate_way(way, residency));
         if let Some(line) = &l2_line {
             self.l2_stats.invalidations += 1;
             if line.state == CacheLineState::PrefetchedUnused {

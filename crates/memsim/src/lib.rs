@@ -11,7 +11,11 @@
 //! * a two-level private hierarchy per processor ([`hierarchy`]);
 //! * a multi-processor system with write-invalidate coherence at cache-block
 //!   granularity, including false-sharing detection for block sizes larger
-//!   than 64 B ([`system`]);
+//!   than 64 B ([`system`]).  A sharer directory — exact per-(bucket, CPU)
+//!   counts of the lines each CPU's caches hold, at most one byte per L2
+//!   line per CPU — names the CPUs a write must search, so a write on the
+//!   paper's 16 CPUs visits only those that may hold its block; systems of
+//!   fewer than four CPUs search every other CPU instead;
 //! * miss classification into cold / replacement / true-sharing /
 //!   false-sharing categories ([`classify`]), inline per access or deferred
 //!   onto an outcome tape and replayed per segment;
@@ -63,4 +67,4 @@ pub use hierarchy::{CpuHierarchy, HierarchyOutcome};
 pub use prefetch::{NullPrefetcher, PrefetchLevel, PrefetchRequest, Prefetcher};
 pub use sectored::{DecoupledSectoredCache, LogicalSectoredTags, SectorEviction};
 pub use stats::CacheStats;
-pub use system::{MultiCpuSystem, SystemOutcome};
+pub use system::{CpuMut, MultiCpuSystem, SystemOutcome};

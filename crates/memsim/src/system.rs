@@ -6,9 +6,25 @@
 //! The system records, per level, a [`MissBreakdown`] that separates cold,
 //! replacement, true-sharing and false-sharing misses — the categories
 //! Figure 4 of the paper reports.
+//!
+//! A write searches only the processors a sharer directory names.  For
+//! each (bucket, CPU) pair the directory counts the lines resident in that
+//! CPU's L1 and L2 whose block falls in the bucket, and a write visits the
+//! CPUs whose count in its bucket is non-zero.  The caches report every
+//! line they install or lose, from the only two places a line's validity
+//! changes, so the counts are exact by construction: a zero proves that the
+//! CPU holds no copy, and the invalidations — every result — are those of
+//! searching every CPU.  The counts take at most one byte per L2 line per
+//! CPU: 2 MiB for 16 CPUs of the Table-1 hierarchy, beside their 32 MiB of
+//! tag arrays.  Systems of fewer than four CPUs keep no counts, and a write
+//! searches every other CPU, which measured faster there.  Prefetch fills
+//! go through the [`CpuMut`] handle of [`MultiCpuSystem::cpu_mut`], which
+//! keeps the counts exact; no `&mut` [`CpuHierarchy`] leaves the system.
 
+use crate::cache::{EvictedLine, Residency};
 use crate::classify::{MissAccounting, MissBreakdown, MissKind, OutcomeTape};
-use crate::config::HierarchyConfig;
+use crate::config::{CacheConfig, HierarchyConfig};
+use crate::fasthash::FastMap;
 use crate::hierarchy::{CpuHierarchy, HierarchyOutcome};
 use crate::stats::CacheStats;
 use trace::MemAccess;
@@ -35,6 +51,7 @@ pub struct SystemOutcome {
 #[derive(Debug, Clone)]
 pub struct MultiCpuSystem {
     cpus: Vec<CpuHierarchy>,
+    directory: SharerDirectory,
     accounting: MissAccounting,
     config: HierarchyConfig,
 }
@@ -52,6 +69,7 @@ impl MultiCpuSystem {
             .collect();
         Self {
             cpus,
+            directory: SharerDirectory::new(num_cpus, config),
             accounting: MissAccounting::new(num_cpus, config),
             config: *config,
         }
@@ -76,14 +94,21 @@ impl MultiCpuSystem {
         &self.cpus[cpu as usize]
     }
 
-    /// Mutable access to one processor's hierarchy (used by prefetch engines
-    /// to stream blocks in).
+    /// A handle on one processor for prefetch fills.  Its only methods,
+    /// [`stream_fill`](CpuMut::stream_fill) and
+    /// [`l2_prefetch_fill`](CpuMut::l2_prefetch_fill), report every line
+    /// they install or evict to the sharer directory, so no fill can leave
+    /// the directory stale.
     ///
     /// # Panics
     ///
     /// Panics if `cpu` is out of range.
-    pub fn cpu_mut(&mut self, cpu: u8) -> &mut CpuHierarchy {
-        &mut self.cpus[cpu as usize]
+    pub fn cpu_mut(&mut self, cpu: u8) -> CpuMut<'_> {
+        let cpu = cpu as usize;
+        CpuMut {
+            hierarchy: &mut self.cpus[cpu],
+            residency: self.directory.holder(cpu),
+        }
     }
 
     /// Classification of L1 misses accumulated so far.
@@ -144,7 +169,7 @@ impl MultiCpuSystem {
         let cpu_idx = access.cpu as usize;
         assert!(cpu_idx < self.cpus.len(), "access names an unknown cpu");
 
-        let hierarchy = self.cpus[cpu_idx].access(access);
+        let hierarchy = self.cpus[cpu_idx].access_with(access, &mut self.directory.holder(cpu_idx));
         let (l1_miss_kind, l2_miss_kind) = match sink {
             ClassifySink::Inline => {
                 self.accounting
@@ -156,15 +181,20 @@ impl MultiCpuSystem {
             }
         };
 
-        // Write-invalidate coherence: remove remote copies.
+        // Write-invalidate coherence: remove remote copies from the CPUs the
+        // directory names, in ascending order.
         let mut remote_invalidations = Vec::new();
         if access.kind.is_write() {
-            for other in 0..self.cpus.len() {
+            let row = self.directory.row(access.addr);
+            let mut from = 0;
+            while let Some(other) = self.directory.next_holder(row, from) {
+                from = other + 1;
                 if other == cpu_idx {
                     continue;
                 }
                 let other_cpu = other as u8;
-                let (l1_line, l2_line) = self.cpus[other].invalidate(access.addr);
+                let (l1_line, l2_line) = self.cpus[other]
+                    .invalidate_with(access.addr, &mut self.directory.holder(other));
                 if l1_line.is_some() || l2_line.is_some() {
                     match sink {
                         ClassifySink::Inline => {
@@ -185,6 +215,221 @@ impl MultiCpuSystem {
             l2_miss_kind,
             remote_invalidations,
         }
+    }
+}
+
+/// One processor of a [`MultiCpuSystem`], borrowed for prefetch fills (see
+/// [`MultiCpuSystem::cpu_mut`]).
+#[derive(Debug)]
+pub struct CpuMut<'a> {
+    hierarchy: &'a mut CpuHierarchy,
+    residency: Holder<'a>,
+}
+
+impl CpuMut<'_> {
+    /// Streams a predicted block into the L1 (and the L2 it passes
+    /// through): [`CpuHierarchy::stream_fill`] with the sharer directory
+    /// kept exact.  Returns the line displaced from the L1, if any.
+    pub fn stream_fill(&mut self, addr: u64) -> Option<EvictedLine> {
+        self.hierarchy.stream_fill_with(addr, &mut self.residency)
+    }
+
+    /// Prefetches a block into the L2 only:
+    /// [`CpuHierarchy::l2_prefetch_fill`] with the sharer directory kept
+    /// exact.  Returns the displaced L2 line, if any.
+    pub fn l2_prefetch_fill(&mut self, addr: u64) -> Option<EvictedLine> {
+        self.hierarchy
+            .l2_prefetch_fill_with(addr, &mut self.residency)
+    }
+}
+
+/// Systems with fewer CPUs than this search every other CPU on a write
+/// instead of keeping directory counts.
+///
+/// Keeping the counts costs work on every fill and eviction, several times
+/// per access on miss-heavy streams, while a write in a small system has
+/// at most two other CPUs to search.  Interleaved timings of `memsim::run`
+/// over the OLTP/DB2, DSS Qry1, Web/Apache and Ocean generators (the scaled
+/// and the Table-1 hierarchy, with and without SMS; geometric mean of
+/// directory time over search-all time; 15 rounds on a 2-vCPU Xeon VM) put
+/// the crossover between 3 and 4 CPUs: 1.07–1.08 at 2 CPUs, 1.04–1.07 at
+/// 3, 0.94–0.98 at 4, 0.91–0.97 at 6 and 0.82–0.94 at 8.
+const DIRECTORY_MIN_CPUS: usize = 4;
+
+/// The CPUs a write must search: for each (bucket, CPU) pair, the number of
+/// lines resident in that CPU's L1 and L2 whose block falls in the bucket.
+///
+/// **Invariant:** every count is exact.  The caches report each line they
+/// install or lose through their [`Residency`] hook, which is called from
+/// the only two places a line's validity changes (`SetAssocCache`'s
+/// `replace` and `invalidate_way`); every cache operation of the system
+/// passes this directory as the hook.  So a zero count proves that the CPU
+/// holds no block of the bucket at either level.
+///
+/// **Buckets.**  A block's bucket comes from its index at the larger of the
+/// two block sizes (`B`): the low index bits that select a set of either
+/// cache are kept, and the bits above them are hashed into the remaining
+/// bucket bits.  Hashing, not more low bits, spreads the blocks of
+/// different CPUs' regions that share a set.  There are as many buckets as
+/// the largest power of two not above the L2's line count, so the table
+/// takes at most one byte per L2 line per CPU: 2 MiB for 16 CPUs of the
+/// Table-1 hierarchy.  Rows are `[bucket][cpu]`, so a write reads one row:
+/// 16 bytes at 16 CPUs.
+///
+/// **No overflow.**  When the kept bits cover both caches' set indices, a
+/// bucket spans `B / b` sets of a level with `b`-byte blocks, so a count is
+/// at most `B / b1 * w1 + B / b2 * w2` for ways `w1` and `w2`.  With equal
+/// block sizes — every hierarchy in this repository — that is L1 ways + L2
+/// ways, 10 for Table 1, far below `u8::MAX`.  Other geometries a spec may
+/// describe (a cache of 256 ways or more, very unequal block sizes, an L1
+/// with more sets than the L2 has lines) can exceed it, so a count that
+/// reaches `u8::MAX` continues in `spill` and stays exact.
+///
+/// **Small systems.**  Below [`DIRECTORY_MIN_CPUS`] the directory does not
+/// track: it has one bucket whose row names every CPU and is never
+/// updated, so a write searches every other CPU.
+#[derive(Debug, Clone)]
+struct SharerDirectory {
+    /// `counts[bucket * num_cpus + cpu]`; a count of `u8::MAX` continues
+    /// in `spill`.
+    counts: Vec<u8>,
+    /// Each count's excess over `u8::MAX`, for the entries that exceed it.
+    spill: FastMap<usize, u32>,
+    num_cpus: usize,
+    /// Whether the counts follow the caches; if not, the one row names
+    /// every CPU.
+    tracking: bool,
+    /// `log2(B)`: an address shifted right by it is its block index at the
+    /// larger block size.
+    block_shift: u32,
+    /// How many low block-index bits the bucket keeps, and their mask.
+    kept_bits: u32,
+    kept_mask: u64,
+    /// How many hashed bits sit above them, and their mask.
+    hash_bits: u32,
+    hash_mask: u64,
+}
+
+impl SharerDirectory {
+    /// Multiplier of the Fibonacci hash (2^64 / golden ratio, odd).
+    const HASH: u64 = 0x9e37_79b9_7f4a_7c15;
+
+    fn new(num_cpus: usize, config: &HierarchyConfig) -> Self {
+        let block_shift = config
+            .l1
+            .block_bytes
+            .max(config.l2.block_bytes)
+            .trailing_zeros();
+        let tracking = num_cpus >= DIRECTORY_MIN_CPUS;
+        // A way of a cache spans `block_bytes * num_sets` bytes: the
+        // address bits below that select the block and the set.
+        let set_bits = |cache: &CacheConfig| {
+            (cache.capacity_bytes / u64::from(cache.associativity))
+                .trailing_zeros()
+                .saturating_sub(block_shift)
+        };
+        let bucket_bits = if tracking {
+            config.l2.num_lines().ilog2()
+        } else {
+            0
+        };
+        let kept_bits = set_bits(&config.l1)
+            .max(set_bits(&config.l2))
+            .min(bucket_bits);
+        let hash_bits = bucket_bits - kept_bits;
+        Self {
+            counts: vec![if tracking { 0 } else { 1 }; num_cpus << bucket_bits],
+            spill: FastMap::default(),
+            num_cpus,
+            tracking,
+            block_shift,
+            kept_bits,
+            kept_mask: (1 << kept_bits) - 1,
+            hash_bits,
+            hash_mask: (1 << hash_bits) - 1,
+        }
+    }
+
+    /// Index of the first count of `addr`'s bucket.
+    #[inline]
+    fn row(&self, addr: u64) -> usize {
+        let block = addr >> self.block_shift;
+        let hashed = (block >> self.kept_bits)
+            .wrapping_mul(Self::HASH)
+            .rotate_left(self.hash_bits)
+            & self.hash_mask;
+        ((hashed << self.kept_bits) | (block & self.kept_mask)) as usize * self.num_cpus
+    }
+
+    /// The first CPU at or after `from` whose count in the bucket whose
+    /// row starts at `row` is non-zero.
+    #[inline]
+    fn next_holder(&self, row: usize, from: usize) -> Option<usize> {
+        self.counts[row + from..row + self.num_cpus]
+            .iter()
+            .position(|&count| count != 0)
+            .map(|offset| from + offset)
+    }
+
+    /// The hook through which `cpu`'s caches report their lines.
+    #[inline]
+    fn holder(&mut self, cpu: usize) -> Holder<'_> {
+        Holder {
+            directory: self,
+            cpu,
+        }
+    }
+
+    /// Counts a line of `block_addr` arriving in `cpu`'s caches.
+    #[inline]
+    fn add(&mut self, block_addr: u64, cpu: usize) {
+        if !self.tracking {
+            return;
+        }
+        let index = self.row(block_addr) + cpu;
+        match self.counts[index].checked_add(1) {
+            Some(count) => self.counts[index] = count,
+            None => *self.spill.entry(index).or_default() += 1,
+        }
+    }
+
+    /// Uncounts a line of `block_addr` leaving `cpu`'s caches.
+    #[inline]
+    fn remove(&mut self, block_addr: u64, cpu: usize) {
+        if !self.tracking {
+            return;
+        }
+        let index = self.row(block_addr) + cpu;
+        if self.counts[index] == u8::MAX {
+            if let Some(excess) = self.spill.get_mut(&index) {
+                *excess -= 1;
+                if *excess == 0 {
+                    self.spill.remove(&index);
+                }
+                return;
+            }
+        }
+        self.counts[index] -= 1;
+    }
+}
+
+/// One CPU's caches' [`Residency`] hook: the directory counts the CPU's
+/// lines as they arrive and leave.
+#[derive(Debug)]
+struct Holder<'a> {
+    directory: &'a mut SharerDirectory,
+    cpu: usize,
+}
+
+impl Residency for Holder<'_> {
+    #[inline]
+    fn installed(&mut self, block_addr: u64) {
+        self.directory.add(block_addr, self.cpu);
+    }
+
+    #[inline]
+    fn departed(&mut self, block_addr: u64) {
+        self.directory.remove(block_addr, self.cpu);
     }
 }
 
@@ -356,5 +601,235 @@ mod tests {
         }
         assert_eq!(sys.l1_stats_total(), snapshot.l1_stats_total());
         assert_eq!(sys.l1_breakdown(), snapshot.l1_breakdown());
+    }
+}
+
+/// Differential tests of the sharer directory: random operation sequences
+/// on random geometries, checked after every operation against a recount of
+/// every CPU's resident blocks and, for each write, against a brute-force
+/// search of every other CPU's caches.
+#[cfg(test)]
+mod directory_tests {
+    use super::*;
+    use crate::config::CacheConfig;
+    use proptest::prelude::*;
+
+    /// A cache of `2^sets_log2` sets of `ways` ways of `2^block_log2` bytes.
+    fn cache(sets_log2: u32, ways: u32, block_log2: u32) -> CacheConfig {
+        let block = 1u64 << block_log2;
+        CacheConfig::new((1u64 << sets_log2) * u64::from(ways) * block, ways, block)
+    }
+
+    /// Every (bucket, CPU) count, spill included.
+    fn directory_counts(directory: &SharerDirectory) -> Vec<u32> {
+        (0..directory.counts.len())
+            .map(|index| {
+                u32::from(directory.counts[index])
+                    + directory.spill.get(&index).copied().unwrap_or(0)
+            })
+            .collect()
+    }
+
+    /// The counts rebuilt from every CPU's resident blocks.
+    fn recount(system: &MultiCpuSystem) -> Vec<u32> {
+        let directory = &system.directory;
+        let mut counts = vec![0; directory.counts.len()];
+        for (cpu, hierarchy) in system.cpus.iter().enumerate() {
+            let l1 = hierarchy.l1().resident_blocks();
+            for block in l1.chain(hierarchy.l2().resident_blocks()) {
+                counts[directory.row(block) + cpu] += 1;
+            }
+        }
+        counts
+    }
+
+    /// The directory invariant: exact counts when tracking; otherwise one
+    /// row that names every CPU.
+    fn assert_directory_exact(system: &MultiCpuSystem) {
+        let directory = &system.directory;
+        if directory.tracking {
+            assert_eq!(directory_counts(directory), recount(system));
+        } else {
+            assert_eq!(directory.counts, vec![1; system.num_cpus()]);
+            assert!(directory.spill.is_empty());
+        }
+    }
+
+    /// One operation of a random sequence.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Read { cpu: u8, addr: u64, deferred: bool },
+        Write { cpu: u8, addr: u64, deferred: bool },
+        StreamFill { cpu: u8, addr: u64 },
+        L2PrefetchFill { cpu: u8, addr: u64 },
+    }
+
+    /// Operations over eight 16 KiB regions far apart, so that blocks
+    /// share sets, hash into the same buckets and are shared by CPUs.
+    fn op() -> impl Strategy<Value = Op> {
+        (
+            0u8..8,
+            0u8..16,
+            0u64..8,
+            0u64..16_384,
+            proptest::bool::weighted(0.5),
+        )
+            .prop_map(|(kind, cpu, region, offset, deferred)| {
+                let addr = (region << 33) | offset;
+                match kind {
+                    0..=2 => Op::Read {
+                        cpu,
+                        addr,
+                        deferred,
+                    },
+                    3..=5 => Op::Write {
+                        cpu,
+                        addr,
+                        deferred,
+                    },
+                    6 => Op::StreamFill { cpu, addr },
+                    _ => Op::L2PrefetchFill { cpu, addr },
+                }
+            })
+    }
+
+    /// Applies `op` and checks a write's invalidations against a search of
+    /// every other CPU's caches taken before the access.
+    fn apply(system: &mut MultiCpuSystem, op: Op) {
+        let cpus = system.num_cpus() as u8;
+        match op {
+            Op::Read {
+                cpu,
+                addr,
+                deferred,
+            } => {
+                let access = MemAccess::read(cpu % cpus, 0x400, addr);
+                let out = if deferred {
+                    system.access_deferred(&access, &mut OutcomeTape::new())
+                } else {
+                    system.access(&access)
+                };
+                assert!(out.remote_invalidations.is_empty());
+            }
+            Op::Write {
+                cpu,
+                addr,
+                deferred,
+            } => {
+                let writer = cpu % cpus;
+                let mut l1_copies = Vec::new();
+                let mut holders = Vec::new();
+                for other in (0..cpus).filter(|&other| other != writer) {
+                    let hierarchy = system.cpu(other);
+                    let in_l1 = hierarchy.l1().contains(addr);
+                    if in_l1 {
+                        l1_copies.push((other, system.config().l1.block_addr(addr)));
+                    }
+                    if in_l1 || hierarchy.l2().contains(addr) {
+                        holders.push(other);
+                    }
+                }
+                let access = MemAccess::write(writer, 0x500, addr);
+                if deferred {
+                    let mut tape = OutcomeTape::new();
+                    let out = system.access_deferred(&access, &mut tape);
+                    assert_eq!(out.remote_invalidations, l1_copies);
+                    let mut expected = OutcomeTape::new();
+                    expected.push_outcome(out.hierarchy.l1_miss(), out.hierarchy.offchip);
+                    for &other in &holders {
+                        expected.push_invalidation(other);
+                    }
+                    assert_eq!(tape, expected, "tape invalidations of {access:?}");
+                } else {
+                    let out = system.access(&access);
+                    assert_eq!(out.remote_invalidations, l1_copies);
+                }
+                for other in (0..cpus).filter(|&other| other != writer) {
+                    assert!(!system.cpu(other).l1().contains(addr));
+                    assert!(!system.cpu(other).l2().contains(addr));
+                }
+            }
+            Op::StreamFill { cpu, addr } => {
+                system.cpu_mut(cpu % cpus).stream_fill(addr);
+            }
+            Op::L2PrefetchFill { cpu, addr } => {
+                system.cpu_mut(cpu % cpus).l2_prefetch_fill(addr);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Direct-mapped to 16-way caches of 1–16 sets, 64 B–2 KiB blocks
+        /// chosen per level (so unequal block sizes and an L1 with more
+        /// sets than the L2 both occur), 1–16 CPUs.
+        #[test]
+        fn directory_stays_exact_and_writes_find_every_copy(
+            cpus in 1usize..17,
+            l1 in (0u32..5, 0usize..6, 6u32..12),
+            l2 in (0u32..5, 0usize..6, 6u32..12),
+            ops in proptest::collection::vec(op(), 1..300),
+        ) {
+            const WAYS: [u32; 6] = [1, 2, 3, 4, 8, 16];
+            let config = HierarchyConfig {
+                l1: cache(l1.0, WAYS[l1.1], l1.2),
+                l2: cache(l2.0, WAYS[l2.1], l2.2),
+            };
+            let mut system = MultiCpuSystem::new(cpus, &config);
+            assert_eq!(system.directory.tracking, cpus >= DIRECTORY_MIN_CPUS);
+            for op in ops {
+                apply(&mut system, op);
+                assert_directory_exact(&system);
+            }
+        }
+    }
+
+    #[test]
+    fn counts_past_u8_max_continue_in_the_spill_and_stay_exact() {
+        // 64 B L1 blocks under a 16 KiB L2 block: one L2 block's bucket
+        // takes all 256 of its L1 blocks, which a 512-line direct-mapped L1
+        // holds at once.
+        let config = HierarchyConfig {
+            l1: cache(9, 1, 6),
+            l2: cache(2, 1, 14),
+        };
+        let mut system = MultiCpuSystem::new(DIRECTORY_MIN_CPUS, &config);
+        for block in 0..256u64 {
+            system.access(&MemAccess::read(0, 0x400, block * 64));
+            assert_directory_exact(&system);
+        }
+        let row = system.directory.row(0);
+        assert_eq!(directory_counts(&system.directory)[row], 257);
+        assert_eq!(system.directory.spill.get(&row), Some(&2));
+
+        // A remote write removes one L1 line and the L2 line: back to 255.
+        let out = system.access(&MemAccess::write(1, 0x500, 64));
+        assert_eq!(out.remote_invalidations, vec![(0, 64)]);
+        assert_directory_exact(&system);
+        assert_eq!(directory_counts(&system.directory)[row], 255);
+        assert!(system.directory.spill.is_empty());
+
+        // Writes to the rest drain the count to CPU 1's lines alone.
+        for block in 0..256u64 {
+            system.access(&MemAccess::write(1, 0x500, block * 64));
+            assert_directory_exact(&system);
+        }
+        assert!(system.cpu(0).l1().resident_blocks().next().is_none());
+        assert_eq!(system.directory.next_holder(row, 0), Some(1));
+    }
+
+    #[test]
+    fn the_table_takes_at_most_one_byte_per_l2_line_per_cpu() {
+        let table1 = HierarchyConfig::table1();
+        let system = MultiCpuSystem::new(16, &table1);
+        assert_eq!(system.directory.counts.len(), 16 << 17);
+        assert_eq!(
+            system.directory.counts.len() as u64,
+            16 * table1.l2.num_lines()
+        );
+        // Below the crossover the directory is one row naming every CPU.
+        let system = MultiCpuSystem::new(2, &HierarchyConfig::scaled());
+        assert_eq!(system.directory.counts, vec![1, 1]);
     }
 }

@@ -245,6 +245,61 @@ fn segmented_sms_run_reproduces_the_pinned_golden_hash() {
     }
 }
 
+/// The paper's system (Table 1: 16 CPUs, 64 kB L1, 8 MB L2), baseline and
+/// SMS, on OLTP/DB2 and on DSS Qry1 (nearly half of whose accesses are
+/// writes), so that write-invalidate coherence across 16 sharers is pinned
+/// in tier 1.
+fn sixteen_cpu_table1_jobs() -> Vec<SimJob> {
+    const CPUS_16: usize = 16;
+    let mut jobs = Vec::new();
+    for app in [Application::OltpDb2, Application::DssQry1] {
+        for prefetcher in [PrefetcherSpec::null(), PrefetcherSpec::sms_paper_default()] {
+            jobs.push(SimJob::new(memsim::SimJob::synthetic(
+                app,
+                GeneratorConfig::default().with_cpus(CPUS_16),
+                SEED,
+                CPUS_16,
+                HierarchyConfig::table1(),
+                prefetcher,
+                100_000,
+            )));
+        }
+    }
+    jobs
+}
+
+#[test]
+fn sixteen_cpu_table1_runs_reproduce_their_pinned_golden_hashes() {
+    // Recorded before the coherence directory existed, when every write
+    // searched every other CPU's caches.  Order: OLTP/DB2 null, OLTP/DB2
+    // SMS, DSS Qry1 null, DSS Qry1 SMS.
+    const GOLDEN_SUMMARY_HASHES: [u64; 4] = [
+        0x975a96481325221c,
+        0xa384eae05808a6dc,
+        0x7a60ec9f55bcc324,
+        0xf460a277fefd9fa0,
+    ];
+
+    let jobs = sixteen_cpu_table1_jobs();
+    let engine_results = engine::run_jobs_with(&jobs, &EngineConfig::with_workers(2));
+    for (index, job) in jobs.iter().enumerate() {
+        let reference = reference(index, job);
+        assert_eq!(reference.summary.skipped_accesses, 0);
+        let json = serde_json::to_string(&reference.summary).expect("serialize summary");
+        let got = fnv1a(json.as_bytes());
+        assert_eq!(
+            got, GOLDEN_SUMMARY_HASHES[index],
+            "job {index}: reference summary drifted from the pinned hash (got {got:#018x}; summary {json})"
+        );
+        let json = serde_json::to_string(&engine_results[index].summary).expect("serialize");
+        assert_eq!(
+            fnv1a(json.as_bytes()),
+            GOLDEN_SUMMARY_HASHES[index],
+            "job {index}: engine summary drifted from the pinned hash"
+        );
+    }
+}
+
 #[test]
 fn different_seeds_give_different_streams() {
     for app in Application::ALL {
