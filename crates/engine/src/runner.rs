@@ -130,7 +130,9 @@ impl JobList {
     ///
     /// [`SpecError::UnsupportedVersion`] when the spec's version is outside
     /// the supported range, [`SpecError::Parse`] for anything that is not a
-    /// well-formed job list of its declared version.
+    /// well-formed job list of its declared version, and
+    /// [`SpecError::InvalidCache`] for a job whose cache geometry
+    /// [`memsim::CacheConfig::validate`] rejects.
     pub fn from_json(text: &str) -> Result<Self, SpecError> {
         let value: serde_json::Value =
             serde_json::from_str(text).map_err(|e| SpecError::Parse(e.to_string()))?;
@@ -155,6 +157,14 @@ impl JobList {
         // against an older document fills the gaps (`name` absent → None).
         let mut list: Self =
             Deserialize::from_value(&value).map_err(|e| SpecError::Parse(e.to_string()))?;
+        for (job, entry) in list.jobs.iter().enumerate() {
+            let hierarchy = &entry.sim.hierarchy;
+            for (level, cache) in [("L1", hierarchy.l1), ("L2", hierarchy.l2)] {
+                cache
+                    .validate()
+                    .map_err(|error| SpecError::InvalidCache { job, level, error })?;
+            }
+        }
         list.version = Self::VERSION;
         Ok(list)
     }
@@ -173,6 +183,15 @@ pub enum SpecError {
         /// [`JobList::MIN_VERSION`]`..=`this).
         supported: u32,
     },
+    /// A job's hierarchy describes a cache the simulator cannot model.
+    InvalidCache {
+        /// Index of the job in the list.
+        job: usize,
+        /// The level that fails: `"L1"` or `"L2"`.
+        level: &'static str,
+        /// The invariant the cache breaks.
+        error: memsim::GeometryError,
+    },
 }
 
 impl fmt::Display for SpecError {
@@ -185,6 +204,9 @@ impl fmt::Display for SpecError {
                  {supported}; regenerate the spec with `sms-experiments <experiment> --emit-spec`",
                 min = JobList::MIN_VERSION
             ),
+            SpecError::InvalidCache { job, level, error } => {
+                write!(f, "invalid job spec: job {job}: {level} {error}")
+            }
         }
     }
 }
@@ -1061,6 +1083,26 @@ pub(crate) mod tests {
         let list = JobList::from_json(&json).expect("current version parses");
         assert_eq!(list.version, JobList::VERSION);
         assert_eq!(list.jobs.len(), job_list().len());
+    }
+
+    #[test]
+    fn a_spec_with_a_96_byte_block_is_rejected() {
+        let mut list = JobList::new(job_list());
+        list.jobs[1].sim.hierarchy.l2.block_bytes = 96;
+        let json = serde_json::to_string(&list).unwrap();
+        let err = JobList::from_json(&json).expect_err("96-byte blocks are rejected");
+        assert_eq!(
+            err,
+            SpecError::InvalidCache {
+                job: 1,
+                level: "L2",
+                error: memsim::GeometryError::BlockNotPowerOfTwo,
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "invalid job spec: job 1: L2 block size must be a power of two"
+        );
     }
 
     #[test]

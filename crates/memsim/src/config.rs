@@ -1,6 +1,7 @@
 //! Cache and hierarchy configuration.
 
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// Geometry of a single set-associative cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -18,35 +19,46 @@ impl CacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics if any parameter is zero, `block_bytes` or the set count is not
-    /// a power of two, or the capacity is not divisible by
-    /// `associativity * block_bytes`.
+    /// Panics if [`validate`](Self::validate) rejects the geometry.
     pub fn new(capacity_bytes: u64, associativity: u32, block_bytes: u64) -> Self {
         let config = Self {
             capacity_bytes,
             associativity,
             block_bytes,
         };
-        config.validate();
+        if let Err(error) = config.validate() {
+            panic!("{error}");
+        }
         config
     }
 
-    fn validate(&self) {
-        assert!(self.capacity_bytes > 0, "capacity must be positive");
-        assert!(self.associativity > 0, "associativity must be positive");
-        assert!(
-            self.block_bytes.is_power_of_two(),
-            "block size must be a power of two"
-        );
-        assert!(
-            self.capacity_bytes
-                .is_multiple_of(u64::from(self.associativity) * self.block_bytes),
-            "capacity must be a multiple of associativity * block size"
-        );
-        assert!(
-            self.num_sets().is_power_of_two(),
-            "number of sets must be a power of two"
-        );
+    /// Checks that the geometry describes a cache the model can simulate: a
+    /// positive capacity and associativity, a power-of-two block size, a
+    /// capacity that is a multiple of `associativity * block_bytes`, and a
+    /// power-of-two set count.  A cache finds a set by shift and mask, so a
+    /// geometry that fails is rejected rather than simulated.
+    ///
+    /// # Errors
+    ///
+    /// The first invariant the geometry breaks.
+    pub fn validate(&self) -> Result<(), GeometryError> {
+        if self.capacity_bytes == 0 {
+            return Err(GeometryError::ZeroCapacity);
+        }
+        if self.associativity == 0 {
+            return Err(GeometryError::ZeroAssociativity);
+        }
+        if !self.block_bytes.is_power_of_two() {
+            return Err(GeometryError::BlockNotPowerOfTwo);
+        }
+        let way_block = u64::from(self.associativity).checked_mul(self.block_bytes);
+        if !way_block.is_some_and(|bytes| self.capacity_bytes.is_multiple_of(bytes)) {
+            return Err(GeometryError::CapacityNotMultiple);
+        }
+        if !self.num_sets().is_power_of_two() {
+            return Err(GeometryError::SetsNotPowerOfTwo);
+        }
+        Ok(())
     }
 
     /// The paper's L1 data cache: 64 KB, 2-way, 64 B blocks (Table 1).
@@ -85,6 +97,37 @@ impl CacheConfig {
         Self::new(self.capacity_bytes, self.associativity, block_bytes)
     }
 }
+
+/// An invariant a [`CacheConfig`] breaks (see [`CacheConfig::validate`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GeometryError {
+    /// The capacity is zero.
+    ZeroCapacity,
+    /// The associativity is zero.
+    ZeroAssociativity,
+    /// The block size is not a power of two.
+    BlockNotPowerOfTwo,
+    /// The capacity is not a multiple of `associativity * block_bytes`.
+    CapacityNotMultiple,
+    /// The number of sets is not a power of two.
+    SetsNotPowerOfTwo,
+}
+
+impl fmt::Display for GeometryError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            GeometryError::ZeroCapacity => "capacity must be positive",
+            GeometryError::ZeroAssociativity => "associativity must be positive",
+            GeometryError::BlockNotPowerOfTwo => "block size must be a power of two",
+            GeometryError::CapacityNotMultiple => {
+                "capacity must be a multiple of associativity * block size"
+            }
+            GeometryError::SetsNotPowerOfTwo => "number of sets must be a power of two",
+        })
+    }
+}
+
+impl std::error::Error for GeometryError {}
 
 /// Configuration for one processor's private two-level hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -178,6 +221,40 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_block_rejected() {
         let _ = CacheConfig::new(64 * 1024, 2, 96);
+    }
+
+    #[test]
+    fn validate_names_the_broken_invariant() {
+        let config = |capacity_bytes, associativity, block_bytes| CacheConfig {
+            capacity_bytes,
+            associativity,
+            block_bytes,
+        };
+        assert_eq!(config(64 * 1024, 2, 64).validate(), Ok(()));
+        assert_eq!(
+            config(64 * 1024, 2, 96).validate(),
+            Err(GeometryError::BlockNotPowerOfTwo)
+        );
+        assert_eq!(
+            config(0, 2, 64).validate(),
+            Err(GeometryError::ZeroCapacity)
+        );
+        assert_eq!(
+            config(1024, 0, 64).validate(),
+            Err(GeometryError::ZeroAssociativity)
+        );
+        assert_eq!(
+            config(1000, 2, 64).validate(),
+            Err(GeometryError::CapacityNotMultiple)
+        );
+        assert_eq!(
+            config(u64::MAX, u32::MAX, 1 << 62).validate(),
+            Err(GeometryError::CapacityNotMultiple)
+        );
+        assert_eq!(
+            config(3 * 128, 2, 64).validate(),
+            Err(GeometryError::SetsNotPowerOfTwo)
+        );
     }
 
     #[test]

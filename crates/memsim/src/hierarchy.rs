@@ -193,17 +193,12 @@ impl CpuHierarchy {
     }
 
     /// Streams a predicted block into the primary cache (and the L2, which
-    /// the fill passes through on its way up), marking it prefetched.
+    /// the fill passes through on its way up), marking it prefetched, and
+    /// reports every line either level installs or evicts to `residency`.
     ///
     /// Returns the line displaced from the L1, if any, so that callers can
     /// end spatial region generations for the victim block.
-    pub fn stream_fill(&mut self, addr: u64) -> Option<EvictedLine> {
-        self.stream_fill_with(addr, &mut ())
-    }
-
-    /// [`stream_fill`](Self::stream_fill), reporting every line either level
-    /// installs or evicts to `residency`.
-    pub(crate) fn stream_fill_with(
+    pub(crate) fn stream_fill(
         &mut self,
         addr: u64,
         residency: &mut impl Residency,
@@ -237,14 +232,9 @@ impl CpuHierarchy {
     }
 
     /// Prefetches a block into the secondary cache only (the GHB baseline is
-    /// an L2 prefetcher).  Returns the displaced L2 line, if any.
-    pub fn l2_prefetch_fill(&mut self, addr: u64) -> Option<EvictedLine> {
-        self.l2_prefetch_fill_with(addr, &mut ())
-    }
-
-    /// [`l2_prefetch_fill`](Self::l2_prefetch_fill), reporting the line it
-    /// installs and the one it evicts to `residency`.
-    pub(crate) fn l2_prefetch_fill_with(
+    /// an L2 prefetcher), reporting the line it installs and the one it
+    /// evicts to `residency`.  Returns the displaced L2 line, if any.
+    pub(crate) fn l2_prefetch_fill(
         &mut self,
         addr: u64,
         residency: &mut impl Residency,
@@ -262,16 +252,11 @@ impl CpuHierarchy {
         victim
     }
 
-    /// Invalidates a block in both levels (coherence action).  Returns the
-    /// lines removed from the L1 and from the L2, in that order; the L1 line
-    /// lets callers terminate generations.
-    pub fn invalidate(&mut self, addr: u64) -> (Option<EvictedLine>, Option<EvictedLine>) {
-        self.invalidate_with(addr, &mut ())
-    }
-
-    /// [`invalidate`](Self::invalidate), reporting the lines it removes to
-    /// `residency`.
-    pub(crate) fn invalidate_with(
+    /// Invalidates a block in both levels (coherence action), reporting the
+    /// lines it removes to `residency`.  Returns the lines removed from the
+    /// L1 and from the L2, in that order; the L1 line lets callers terminate
+    /// generations.
+    pub(crate) fn invalidate(
         &mut self,
         addr: u64,
         residency: &mut impl Residency,
@@ -347,7 +332,7 @@ mod tests {
     #[test]
     fn stream_fill_covers_future_miss() {
         let mut h = tiny_hierarchy();
-        h.stream_fill(0x2000);
+        h.stream_fill(0x2000, &mut ());
         let out = h.access(&MemAccess::read(0, 0x400, 0x2000));
         assert!(out.l1_hit);
         assert!(out.l1_hit_on_prefetched);
@@ -358,15 +343,15 @@ mod tests {
     #[test]
     fn unused_stream_fill_counts_on_invalidation() {
         let mut h = tiny_hierarchy();
-        h.stream_fill(0x2000);
-        h.invalidate(0x2000);
+        h.stream_fill(0x2000, &mut ());
+        h.invalidate(0x2000, &mut ());
         assert_eq!(h.l1_stats().prefetch_unused_evictions, 1);
     }
 
     #[test]
     fn l2_prefetch_does_not_touch_l1() {
         let mut h = tiny_hierarchy();
-        h.l2_prefetch_fill(0x3000);
+        h.l2_prefetch_fill(0x3000, &mut ());
         assert!(!h.l1().contains(0x3000));
         assert!(h.l2().contains(0x3000));
         let out = h.access(&MemAccess::read(0, 0x400, 0x3000));
@@ -391,7 +376,7 @@ mod tests {
     fn invalidate_removes_from_both_levels() {
         let mut h = tiny_hierarchy();
         let _ = h.access(&MemAccess::write(0, 0x400, 0x4000));
-        let (l1_line, l2_line) = h.invalidate(0x4000);
+        let (l1_line, l2_line) = h.invalidate(0x4000, &mut ());
         assert!(l1_line.is_some() && l2_line.is_some());
         assert!(!h.l1().contains(0x4000));
         assert!(!h.l2().contains(0x4000));

@@ -13,9 +13,8 @@
 //!   granularity, including false-sharing detection for block sizes larger
 //!   than 64 B ([`system`]).  A sharer directory — exact per-(bucket, CPU)
 //!   counts of the lines each CPU's caches hold, at most one byte per L2
-//!   line per CPU — names the CPUs a write must search, so a write on the
-//!   paper's 16 CPUs visits only those that may hold its block; systems of
-//!   fewer than four CPUs search every other CPU instead;
+//!   line per CPU — names the CPUs a write must search, so a write visits
+//!   only the CPUs that may hold its block;
 //! * miss classification into cold / replacement / true-sharing /
 //!   false-sharing categories ([`classify`]), inline per access or deferred
 //!   onto an outcome tape and replayed per segment;
@@ -57,7 +56,7 @@ pub use cache::{AccessOutcome, CacheLineState, EvictedLine, SetAssocCache};
 pub use classify::{
     AccessFlags, MissAccounting, MissBreakdown, MissClassifier, MissKind, OutcomeTape,
 };
-pub use config::{CacheConfig, HierarchyConfig};
+pub use config::{CacheConfig, GeometryError, HierarchyConfig};
 pub use driver::{
     run, run_job, run_segment_deferred, summarize_segmented, DriverMeter, DriverMetrics,
     PrefetcherFactory, RunSummary, SegmentCounts, SimJob,

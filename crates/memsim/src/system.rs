@@ -12,19 +12,17 @@
 //! CPU's L1 and L2 whose block falls in the bucket, and a write visits the
 //! CPUs whose count in its bucket is non-zero.  The caches report every
 //! line they install or lose, from the only two places a line's validity
-//! changes, so the counts are exact by construction: a zero proves that the
-//! CPU holds no copy, and the invalidations — every result — are those of
-//! searching every CPU.  The counts take at most one byte per L2 line per
-//! CPU: 2 MiB for 16 CPUs of the Table-1 hierarchy, beside their 32 MiB of
-//! tag arrays.  Systems of fewer than four CPUs keep no counts, and a write
-//! searches every other CPU, which measured faster there.  Prefetch fills
-//! go through the [`CpuMut`] handle of [`MultiCpuSystem::cpu_mut`], which
-//! keeps the counts exact; no `&mut` [`CpuHierarchy`] leaves the system.
+//! changes, so a zero count proves that the CPU holds no copy, and the
+//! invalidations — every result — are those of searching every CPU.  The
+//! counts take at most one byte per L2 line per CPU: 2 MiB for 16 CPUs of
+//! the Table-1 hierarchy, beside their 32 MiB of tag arrays.  Prefetch
+//! fills go through the [`CpuMut`] handle of [`MultiCpuSystem::cpu_mut`],
+//! which keeps the counts exact; no `&mut` [`CpuHierarchy`] leaves the
+//! system.
 
 use crate::cache::{EvictedLine, Residency};
 use crate::classify::{MissAccounting, MissBreakdown, MissKind, OutcomeTape};
 use crate::config::{CacheConfig, HierarchyConfig};
-use crate::fasthash::FastMap;
 use crate::hierarchy::{CpuHierarchy, HierarchyOutcome};
 use crate::stats::CacheStats;
 use trace::MemAccess;
@@ -193,8 +191,8 @@ impl MultiCpuSystem {
                     continue;
                 }
                 let other_cpu = other as u8;
-                let (l1_line, l2_line) = self.cpus[other]
-                    .invalidate_with(access.addr, &mut self.directory.holder(other));
+                let (l1_line, l2_line) =
+                    self.cpus[other].invalidate(access.addr, &mut self.directory.holder(other));
                 if l1_line.is_some() || l2_line.is_some() {
                     match sink {
                         ClassifySink::Inline => {
@@ -227,44 +225,31 @@ pub struct CpuMut<'a> {
 }
 
 impl CpuMut<'_> {
-    /// Streams a predicted block into the L1 (and the L2 it passes
-    /// through): [`CpuHierarchy::stream_fill`] with the sharer directory
-    /// kept exact.  Returns the line displaced from the L1, if any.
+    /// Streams a predicted block into the L1 (and the L2, which the fill
+    /// passes through on its way up), marking it prefetched.  Returns the
+    /// line displaced from the L1, if any, so that callers can end spatial
+    /// region generations for the victim block.
     pub fn stream_fill(&mut self, addr: u64) -> Option<EvictedLine> {
-        self.hierarchy.stream_fill_with(addr, &mut self.residency)
+        self.hierarchy.stream_fill(addr, &mut self.residency)
     }
 
-    /// Prefetches a block into the L2 only:
-    /// [`CpuHierarchy::l2_prefetch_fill`] with the sharer directory kept
-    /// exact.  Returns the displaced L2 line, if any.
+    /// Prefetches a block into the L2 only (the GHB baseline is an L2
+    /// prefetcher).  Returns the displaced L2 line, if any.
     pub fn l2_prefetch_fill(&mut self, addr: u64) -> Option<EvictedLine> {
-        self.hierarchy
-            .l2_prefetch_fill_with(addr, &mut self.residency)
+        self.hierarchy.l2_prefetch_fill(addr, &mut self.residency)
     }
 }
-
-/// Systems with fewer CPUs than this search every other CPU on a write
-/// instead of keeping directory counts.
-///
-/// Keeping the counts costs work on every fill and eviction, several times
-/// per access on miss-heavy streams, while a write in a small system has
-/// at most two other CPUs to search.  Interleaved timings of `memsim::run`
-/// over the OLTP/DB2, DSS Qry1, Web/Apache and Ocean generators (the scaled
-/// and the Table-1 hierarchy, with and without SMS; geometric mean of
-/// directory time over search-all time; 15 rounds on a 2-vCPU Xeon VM) put
-/// the crossover between 3 and 4 CPUs: 1.07–1.08 at 2 CPUs, 1.04–1.07 at
-/// 3, 0.94–0.98 at 4, 0.91–0.97 at 6 and 0.82–0.94 at 8.
-const DIRECTORY_MIN_CPUS: usize = 4;
 
 /// The CPUs a write must search: for each (bucket, CPU) pair, the number of
 /// lines resident in that CPU's L1 and L2 whose block falls in the bucket.
 ///
-/// **Invariant:** every count is exact.  The caches report each line they
-/// install or lose through their [`Residency`] hook, which is called from
-/// the only two places a line's validity changes (`SetAssocCache`'s
-/// `replace` and `invalidate_way`); every cache operation of the system
-/// passes this directory as the hook.  So a zero count proves that the CPU
-/// holds no block of the bucket at either level.
+/// **Invariant:** every count is exact until it reaches `u8::MAX`.  The
+/// caches report each line they install or lose through their
+/// [`Residency`] hook, which is called from the only two places a line's
+/// validity changes (`SetAssocCache`'s `replace` and `invalidate_way`);
+/// every cache operation of the system passes this directory as the hook.
+/// So a zero count proves that the CPU holds no block of the bucket at
+/// either level.
 ///
 /// **Buckets.**  A block's bucket comes from its index at the larger of the
 /// two block sizes (`B`): the low index bits that select a set of either
@@ -280,25 +265,17 @@ const DIRECTORY_MIN_CPUS: usize = 4;
 /// bucket spans `B / b` sets of a level with `b`-byte blocks, so a count is
 /// at most `B / b1 * w1 + B / b2 * w2` for ways `w1` and `w2`.  With equal
 /// block sizes — every hierarchy in this repository — that is L1 ways + L2
-/// ways, 10 for Table 1, far below `u8::MAX`.  Other geometries a spec may
-/// describe (a cache of 256 ways or more, very unequal block sizes, an L1
-/// with more sets than the L2 has lines) can exceed it, so a count that
-/// reaches `u8::MAX` continues in `spill` and stays exact.
-///
-/// **Small systems.**  Below [`DIRECTORY_MIN_CPUS`] the directory does not
-/// track: it has one bucket whose row names every CPU and is never
-/// updated, so a write searches every other CPU.
+/// ways, 10 for Table 1, far below `u8::MAX`.  A geometry a spec may
+/// describe beyond that (ways that add up to 255 or more, very unequal
+/// block sizes, an L1 with more sets than the L2 has lines) can reach it; a
+/// count that does stays at `u8::MAX` for good.  Its CPU is then searched on
+/// every write to the bucket, which finds what a search of every CPU
+/// finds, so results stay exact for every geometry.
 #[derive(Debug, Clone)]
 struct SharerDirectory {
-    /// `counts[bucket * num_cpus + cpu]`; a count of `u8::MAX` continues
-    /// in `spill`.
+    /// `counts[bucket * num_cpus + cpu]`.
     counts: Vec<u8>,
-    /// Each count's excess over `u8::MAX`, for the entries that exceed it.
-    spill: FastMap<usize, u32>,
     num_cpus: usize,
-    /// Whether the counts follow the caches; if not, the one row names
-    /// every CPU.
-    tracking: bool,
     /// `log2(B)`: an address shifted right by it is its block index at the
     /// larger block size.
     block_shift: u32,
@@ -320,7 +297,6 @@ impl SharerDirectory {
             .block_bytes
             .max(config.l2.block_bytes)
             .trailing_zeros();
-        let tracking = num_cpus >= DIRECTORY_MIN_CPUS;
         // A way of a cache spans `block_bytes * num_sets` bytes: the
         // address bits below that select the block and the set.
         let set_bits = |cache: &CacheConfig| {
@@ -328,20 +304,14 @@ impl SharerDirectory {
                 .trailing_zeros()
                 .saturating_sub(block_shift)
         };
-        let bucket_bits = if tracking {
-            config.l2.num_lines().ilog2()
-        } else {
-            0
-        };
+        let bucket_bits = config.l2.num_lines().ilog2();
         let kept_bits = set_bits(&config.l1)
             .max(set_bits(&config.l2))
             .min(bucket_bits);
         let hash_bits = bucket_bits - kept_bits;
         Self {
-            counts: vec![if tracking { 0 } else { 1 }; num_cpus << bucket_bits],
-            spill: FastMap::default(),
+            counts: vec![0; num_cpus << bucket_bits],
             num_cpus,
-            tracking,
             block_shift,
             kept_bits,
             kept_mask: (1 << kept_bits) - 1,
@@ -383,33 +353,18 @@ impl SharerDirectory {
     /// Counts a line of `block_addr` arriving in `cpu`'s caches.
     #[inline]
     fn add(&mut self, block_addr: u64, cpu: usize) {
-        if !self.tracking {
-            return;
-        }
         let index = self.row(block_addr) + cpu;
-        match self.counts[index].checked_add(1) {
-            Some(count) => self.counts[index] = count,
-            None => *self.spill.entry(index).or_default() += 1,
-        }
+        self.counts[index] = self.counts[index].saturating_add(1);
     }
 
-    /// Uncounts a line of `block_addr` leaving `cpu`'s caches.
+    /// Uncounts a line of `block_addr` leaving `cpu`'s caches; a count at
+    /// `u8::MAX` stays there.
     #[inline]
     fn remove(&mut self, block_addr: u64, cpu: usize) {
-        if !self.tracking {
-            return;
-        }
         let index = self.row(block_addr) + cpu;
-        if self.counts[index] == u8::MAX {
-            if let Some(excess) = self.spill.get_mut(&index) {
-                *excess -= 1;
-                if *excess == 0 {
-                    self.spill.remove(&index);
-                }
-                return;
-            }
+        if self.counts[index] != u8::MAX {
+            self.counts[index] -= 1;
         }
-        self.counts[index] -= 1;
     }
 }
 
@@ -620,16 +575,6 @@ mod directory_tests {
         CacheConfig::new((1u64 << sets_log2) * u64::from(ways) * block, ways, block)
     }
 
-    /// Every (bucket, CPU) count, spill included.
-    fn directory_counts(directory: &SharerDirectory) -> Vec<u32> {
-        (0..directory.counts.len())
-            .map(|index| {
-                u32::from(directory.counts[index])
-                    + directory.spill.get(&index).copied().unwrap_or(0)
-            })
-            .collect()
-    }
-
     /// The counts rebuilt from every CPU's resident blocks.
     fn recount(system: &MultiCpuSystem) -> Vec<u32> {
         let directory = &system.directory;
@@ -643,15 +588,16 @@ mod directory_tests {
         counts
     }
 
-    /// The directory invariant: exact counts when tracking; otherwise one
-    /// row that names every CPU.
+    /// The directory invariant: every count equals its recount, unless it
+    /// has reached `u8::MAX`, where it stays.
     fn assert_directory_exact(system: &MultiCpuSystem) {
-        let directory = &system.directory;
-        if directory.tracking {
-            assert_eq!(directory_counts(directory), recount(system));
-        } else {
-            assert_eq!(directory.counts, vec![1; system.num_cpus()]);
-            assert!(directory.spill.is_empty());
+        let counts = &system.directory.counts;
+        for (index, recounted) in recount(system).into_iter().enumerate() {
+            let count = counts[index];
+            assert!(
+                u32::from(count) == recounted || count == u8::MAX,
+                "entry {index} counts {count} lines, but {recounted} are resident"
+            );
         }
     }
 
@@ -777,7 +723,6 @@ mod directory_tests {
                 l2: cache(l2.0, WAYS[l2.1], l2.2),
             };
             let mut system = MultiCpuSystem::new(cpus, &config);
-            assert_eq!(system.directory.tracking, cpus >= DIRECTORY_MIN_CPUS);
             for op in ops {
                 apply(&mut system, op);
                 assert_directory_exact(&system);
@@ -786,7 +731,7 @@ mod directory_tests {
     }
 
     #[test]
-    fn counts_past_u8_max_continue_in_the_spill_and_stay_exact() {
+    fn a_count_that_reaches_u8_max_stays_there_and_writes_still_find_every_copy() {
         // 64 B L1 blocks under a 16 KiB L2 block: one L2 block's bucket
         // takes all 256 of its L1 blocks, which a 512-line direct-mapped L1
         // holds at once.
@@ -794,29 +739,30 @@ mod directory_tests {
             l1: cache(9, 1, 6),
             l2: cache(2, 1, 14),
         };
-        let mut system = MultiCpuSystem::new(DIRECTORY_MIN_CPUS, &config);
+        let mut system = MultiCpuSystem::new(2, &config);
+        let row = system.directory.row(0);
         for block in 0..256u64 {
             system.access(&MemAccess::read(0, 0x400, block * 64));
             assert_directory_exact(&system);
         }
-        let row = system.directory.row(0);
-        assert_eq!(directory_counts(&system.directory)[row], 257);
-        assert_eq!(system.directory.spill.get(&row), Some(&2));
+        assert_eq!(system.directory.counts[row], u8::MAX);
 
-        // A remote write removes one L1 line and the L2 line: back to 255.
-        let out = system.access(&MemAccess::write(1, 0x500, 64));
-        assert_eq!(out.remote_invalidations, vec![(0, 64)]);
-        assert_directory_exact(&system);
-        assert_eq!(directory_counts(&system.directory)[row], 255);
-        assert!(system.directory.spill.is_empty());
-
-        // Writes to the rest drain the count to CPU 1's lines alone.
+        // CPU 1's writes take every copy from CPU 0, whose count stays at
+        // the cap, so each write still searches CPU 0 and finds its copy.
         for block in 0..256u64 {
-            system.access(&MemAccess::write(1, 0x500, block * 64));
+            let (cpu, addr, deferred) = (1, block * 64, block % 2 == 0);
+            apply(
+                &mut system,
+                Op::Write {
+                    cpu,
+                    addr,
+                    deferred,
+                },
+            );
             assert_directory_exact(&system);
         }
         assert!(system.cpu(0).l1().resident_blocks().next().is_none());
-        assert_eq!(system.directory.next_holder(row, 0), Some(1));
+        assert_eq!(system.directory.next_holder(row, 0), Some(0));
     }
 
     #[test]
@@ -828,8 +774,8 @@ mod directory_tests {
             system.directory.counts.len() as u64,
             16 * table1.l2.num_lines()
         );
-        // Below the crossover the directory is one row naming every CPU.
+        // 32 KiB for the scaled hierarchy at 2 CPUs.
         let system = MultiCpuSystem::new(2, &HierarchyConfig::scaled());
-        assert_eq!(system.directory.counts, vec![1, 1]);
+        assert_eq!(system.directory.counts.len(), 32 << 10);
     }
 }
