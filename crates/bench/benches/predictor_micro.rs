@@ -1,19 +1,66 @@
 //! Micro-benchmarks of the individual hardware structures: the per-access
 //! cost of the AGT, PHT, prediction registers, GHB, the cache model and
-//! 16-CPU write-invalidate coherence, plus the end-to-end simulation
-//! throughput.
+//! 16-CPU write-invalidate coherence, the SMS layer replaying a real run's
+//! prefetcher calls, plus the end-to-end simulation throughput.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ghb::{GhbConfig, GhbPredictor};
-use memsim::{CacheConfig, HierarchyConfig, MultiCpuSystem, NullPrefetcher, SetAssocCache};
+use memsim::{
+    CacheConfig, HierarchyConfig, MultiCpuSystem, NullPrefetcher, PrefetchLevel, Prefetcher,
+    SetAssocCache, SystemOutcome,
+};
 use sms::{
-    ActiveGenerationTable, AgtConfig, IndexScheme, PatternHistoryTable, PhtCapacity, RegionConfig,
-    SmsConfig, SmsPredictor, SmsPrefetcher, SpatialPattern,
+    ActiveGenerationTable, AgtConfig, IndexScheme, PatternHistoryTable, PhtCapacity,
+    PredictionRegisterFile, RegionConfig, SmsConfig, SmsPredictor, SmsPrefetcher, SpatialPattern,
+    StreamerConfig,
 };
 use std::hint::black_box;
 use trace::{AccessKind, Application, GeneratorConfig, MemAccess};
 
 const OPS: u64 = 10_000;
+
+/// Accesses of the recorded run `sms_prefetcher_oltp_calls` replays.
+const RECORDED_ACCESSES: usize = 20_000;
+
+/// One call a prefetcher received during a recorded run.
+enum PrefetcherCall {
+    Access(MemAccess, SystemOutcome),
+    StreamEviction(u8, u64),
+}
+
+/// Runs the first `accesses` accesses of `app` on a 2-CPU scaled system with
+/// the paper's SMS attached, applying its fills through `cpu_mut` as
+/// `memsim::run` does, and returns every call the prefetcher received.
+fn record_sms_calls(app: Application, accesses: usize) -> Vec<PrefetcherCall> {
+    let mut system = MultiCpuSystem::new(2, &HierarchyConfig::scaled());
+    let mut sms = SmsPrefetcher::new(2, &SmsConfig::paper_default());
+    let mut requests = Vec::new();
+    let mut calls = Vec::new();
+    let generator = GeneratorConfig::default().with_cpus(2);
+    for access in app.stream(1, &generator).take(accesses) {
+        let outcome = system.access(&access);
+        sms.on_access_into(&access, &outcome, &mut requests);
+        calls.push(PrefetcherCall::Access(access, outcome));
+        for request in requests.drain(..) {
+            let mut cpu = system.cpu_mut(request.cpu);
+            match request.level {
+                PrefetchLevel::L1 => {
+                    if let Some(victim) = cpu.stream_fill(request.addr) {
+                        sms.on_stream_eviction(request.cpu, victim.block_addr);
+                        calls.push(PrefetcherCall::StreamEviction(
+                            request.cpu,
+                            victim.block_addr,
+                        ));
+                    }
+                }
+                PrefetchLevel::L2 => {
+                    cpu.l2_prefetch_fill(request.addr);
+                }
+            }
+        }
+    }
+    calls
+}
 
 fn bench_structures(c: &mut Criterion) {
     let mut group = c.benchmark_group("structures");
@@ -78,6 +125,56 @@ fn bench_structures(c: &mut Criterion) {
             }
         })
     });
+
+    // A file of 16 registers holding about three live ones, drained one
+    // request per access, with an allocation of three 5-block patterns every
+    // 16 accesses: the round-robin walk and its stop when no register is live.
+    group.bench_function("prediction_registers_drain_into", |b| {
+        let mut file = PredictionRegisterFile::new(
+            RegionConfig::paper_default(),
+            StreamerConfig::paper_default(),
+        );
+        let pattern = SpatialPattern::from_offsets(32, &[1, 4, 9, 17, 30]);
+        let mut blocks = Vec::new();
+        b.iter(|| {
+            for i in 0..OPS {
+                if i % 16 == 0 {
+                    for region in 0..3 {
+                        file.allocate(((i + region) % 1024) * 2048, pattern);
+                    }
+                }
+                blocks.clear();
+                file.drain_into(1, &mut blocks);
+                black_box(&blocks);
+            }
+        })
+    });
+
+    // The SMS layer alone on a real call stream: the `on_access_into` and
+    // `on_stream_eviction` calls of a 2-CPU scaled OltpDb2 run, recorded
+    // once, replayed into a fresh `SmsPrefetcher` per iteration.  Compare
+    // AGT, PHT and streamer variants with this row.
+    let calls = record_sms_calls(Application::OltpDb2, RECORDED_ACCESSES);
+    group.throughput(Throughput::Elements(RECORDED_ACCESSES as u64));
+    group.bench_function("sms_prefetcher_oltp_calls", |b| {
+        b.iter(|| {
+            let mut sms = SmsPrefetcher::new(2, &SmsConfig::paper_default());
+            let mut requests = Vec::new();
+            for call in &calls {
+                match call {
+                    PrefetcherCall::Access(access, outcome) => {
+                        requests.clear();
+                        sms.on_access_into(access, outcome, &mut requests);
+                    }
+                    PrefetcherCall::StreamEviction(cpu, block_addr) => {
+                        sms.on_stream_eviction(*cpu, *block_addr);
+                    }
+                }
+            }
+            black_box(sms.total_stats())
+        })
+    });
+    group.throughput(Throughput::Elements(OPS));
 
     // The paper's 16 CPUs and Table-1 hierarchy under a write-heavy stream
     // (nearly half of DSS Qry1's accesses are writes):

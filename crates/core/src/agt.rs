@@ -17,6 +17,26 @@
 //! Both tables are small content-addressable memories; when one fills up a
 //! victim generation is terminated early (dropped from the filter table, or
 //! transferred to the PHT from the accumulation table).
+//!
+//! # Layout
+//!
+//! A region lives in at most one of the two tables: a trigger allocates in
+//! the filter table only when the region is in neither, and a promotion
+//! removes the region from the filter table before it inserts it into the
+//! accumulation table.  So one index, a [`FastMap`] from region base to the
+//! generation's table and position, finds a region's generation with one
+//! probe, on every access and on every `end_generation`.
+//!
+//! Both tables share one dense storage type, bounded or unbounded: live
+//! generations fill positions `0..len` of a generation column and a parallel
+//! LRU-tick column, and a removal `swap_remove`s both and re-points the
+//! index at the generation it moved.  Results do not depend on that layout:
+//!
+//! * position order is insignificant: lookups go through the index, and
+//!   [`drain`](ActiveGenerationTable::drain) sorts by region base;
+//! * a capacity victim is the unique minimum LRU tick of its table (ticks
+//!   are unique), and it is scanned for only when inserting into a full
+//!   table, so a capacity of 0 acts as a capacity of 1.
 
 use crate::pattern::SpatialPattern;
 use crate::region::RegionConfig;
@@ -82,369 +102,59 @@ pub struct RecordOutcome {
     pub spilled: Option<TrainedPattern>,
 }
 
-#[derive(Debug, Clone)]
-struct FilterEntry {
-    trigger_pc: Pc,
-    trigger_offset: u32,
-    lru: u64,
+/// The two tables a live generation can sit in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TableId {
+    Filter,
+    Accumulation,
 }
 
-#[derive(Debug, Clone)]
-struct AccumulationEntry {
-    trigger_pc: Pc,
-    trigger_offset: u32,
-    pattern: SpatialPattern,
-    lru: u64,
+/// Where a live generation sits: its table and its position there.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    table: TableId,
+    pos: usize,
 }
 
-/// Flat struct-of-arrays filter table for bounded configurations.
-///
-/// The paper's filter table holds 32 entries; a linear scan over one dense
-/// array of keys (a few cache lines) beats a hash map lookup at that size,
-/// and the parallel arrays mean the probe touches only the `keys` array
-/// until a hit is found.  Occupancy is dense: slots `0..keys.len()` are
-/// live, and removal `swap_remove`s every column.  Slot order is
-/// insignificant — lookups scan all slots and the capacity victim is the
-/// unique minimum LRU tick.
+/// Dense storage of one table's live generations.  A filter-table
+/// generation's pattern holds only its trigger block.
 #[derive(Debug, Clone)]
-struct FlatFilter {
+struct Table {
+    /// Capacity; `usize::MAX` for an unbounded table.
     cap: usize,
-    keys: Vec<u64>,
-    trigger_pcs: Vec<Pc>,
-    trigger_offsets: Vec<u32>,
+    generations: Vec<TrainedPattern>,
     lru: Vec<u64>,
 }
 
-impl FlatFilter {
-    fn with_capacity(cap: usize) -> Self {
+impl Table {
+    fn new(cap: Option<usize>) -> Self {
         Self {
-            cap,
-            keys: Vec::with_capacity(cap),
-            trigger_pcs: Vec::with_capacity(cap),
-            trigger_offsets: Vec::with_capacity(cap),
-            lru: Vec::with_capacity(cap),
+            cap: cap.unwrap_or(usize::MAX),
+            generations: Vec::new(),
+            lru: Vec::new(),
         }
     }
 
-    fn find(&self, base: u64) -> Option<usize> {
-        self.keys.iter().position(|&k| k == base)
-    }
-
-    fn remove(&mut self, slot: usize) -> (Pc, u32) {
-        self.keys.swap_remove(slot);
-        self.lru.swap_remove(slot);
-        (
-            self.trigger_pcs.swap_remove(slot),
-            self.trigger_offsets.swap_remove(slot),
-        )
-    }
-
-    /// Slot of the least-recently-used entry (unique ticks: unambiguous).
+    /// Position of the least-recently-used generation if the table is full.
     fn victim(&self) -> Option<usize> {
-        (0..self.lru.len()).min_by_key(|&i| self.lru[i])
-    }
-
-    fn push(&mut self, base: u64, pc: Pc, trigger_offset: u32, tick: u64) {
-        self.keys.push(base);
-        self.trigger_pcs.push(pc);
-        self.trigger_offsets.push(trigger_offset);
-        self.lru.push(tick);
-    }
-}
-
-/// Flat struct-of-arrays accumulation table for bounded configurations
-/// (paper: 64 entries).  Same layout discipline as [`FlatFilter`] with a
-/// dense column of spatial patterns.
-#[derive(Debug, Clone)]
-struct FlatAccumulation {
-    cap: usize,
-    keys: Vec<u64>,
-    trigger_pcs: Vec<Pc>,
-    trigger_offsets: Vec<u32>,
-    patterns: Vec<SpatialPattern>,
-    lru: Vec<u64>,
-}
-
-impl FlatAccumulation {
-    fn with_capacity(cap: usize) -> Self {
-        Self {
-            cap,
-            keys: Vec::with_capacity(cap),
-            trigger_pcs: Vec::with_capacity(cap),
-            trigger_offsets: Vec::with_capacity(cap),
-            patterns: Vec::with_capacity(cap),
-            lru: Vec::with_capacity(cap),
+        if self.generations.len() < self.cap {
+            return None;
         }
-    }
-
-    fn find(&self, base: u64) -> Option<usize> {
-        self.keys.iter().position(|&k| k == base)
-    }
-
-    fn remove(&mut self, slot: usize) -> TrainedPattern {
-        let region_base = self.keys.swap_remove(slot);
-        self.lru.swap_remove(slot);
-        TrainedPattern {
-            region_base,
-            trigger_pc: self.trigger_pcs.swap_remove(slot),
-            trigger_offset: self.trigger_offsets.swap_remove(slot),
-            pattern: self.patterns.swap_remove(slot),
-        }
-    }
-
-    fn victim(&self) -> Option<usize> {
-        (0..self.lru.len()).min_by_key(|&i| self.lru[i])
-    }
-
-    fn push(&mut self, base: u64, pc: Pc, trigger_offset: u32, pattern: SpatialPattern, tick: u64) {
-        self.keys.push(base);
-        self.trigger_pcs.push(pc);
-        self.trigger_offsets.push(trigger_offset);
-        self.patterns.push(pattern);
-        self.lru.push(tick);
-    }
-}
-
-/// Filter-table storage: flat SoA when bounded, map fallback when unbounded
-/// (a limit study can grow without bound, where a linear scan would not do).
-#[derive(Debug, Clone)]
-enum FilterStore {
-    Flat(FlatFilter),
-    Map(FastMap<u64, FilterEntry>),
-}
-
-/// What the filter table found for an access (step 2 of the lifecycle).
-enum FilterHit {
-    /// No generation in the filter table for this region.
-    Miss,
-    /// Same block as the trigger: LRU refreshed, entry stays put.
-    SameBlock,
-    /// A second distinct block: the entry was removed for promotion to the
-    /// accumulation table.
-    Promoted { trigger_pc: Pc, trigger_offset: u32 },
-}
-
-impl FilterStore {
-    fn len(&self) -> usize {
-        match self {
-            Self::Flat(f) => f.keys.len(),
-            Self::Map(m) => m.len(),
-        }
-    }
-
-    /// Looks up `base`; refreshes LRU on a same-block hit, removes the entry
-    /// on a distinct-block hit (the caller promotes it).
-    fn promote_or_touch(&mut self, base: u64, offset: u32, tick: u64) -> FilterHit {
-        match self {
-            Self::Flat(f) => match f.find(base) {
-                None => FilterHit::Miss,
-                Some(slot) if f.trigger_offsets[slot] == offset => {
-                    f.lru[slot] = tick;
-                    FilterHit::SameBlock
-                }
-                Some(slot) => {
-                    let (trigger_pc, trigger_offset) = f.remove(slot);
-                    FilterHit::Promoted {
-                        trigger_pc,
-                        trigger_offset,
-                    }
-                }
-            },
-            Self::Map(m) => match m.get_mut(&base) {
-                None => FilterHit::Miss,
-                Some(entry) if entry.trigger_offset == offset => {
-                    entry.lru = tick;
-                    FilterHit::SameBlock
-                }
-                Some(_) => {
-                    let entry = m.remove(&base).expect("entry just found");
-                    FilterHit::Promoted {
-                        trigger_pc: entry.trigger_pc,
-                        trigger_offset: entry.trigger_offset,
-                    }
-                }
-            },
-        }
-    }
-
-    /// Inserts a fresh trigger entry, victimizing the least-recently-used
-    /// entry when a bounded table is full (the victim generation had only a
-    /// trigger access, so it is simply dropped).
-    fn insert(&mut self, base: u64, pc: Pc, trigger_offset: u32, tick: u64) {
-        match self {
-            Self::Flat(f) => {
-                if f.keys.len() >= f.cap {
-                    if let Some(victim) = f.victim() {
-                        f.remove(victim);
-                    }
-                }
-                f.push(base, pc, trigger_offset, tick);
-            }
-            Self::Map(m) => {
-                m.insert(
-                    base,
-                    FilterEntry {
-                        trigger_pc: pc,
-                        trigger_offset,
-                        lru: tick,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Removes the entry for `base`, returning whether one existed.
-    fn remove_base(&mut self, base: u64) -> bool {
-        match self {
-            Self::Flat(f) => match f.find(base) {
-                Some(slot) => {
-                    f.remove(slot);
-                    true
-                }
-                None => false,
-            },
-            Self::Map(m) => m.remove(&base).is_some(),
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            Self::Flat(f) => {
-                f.keys.clear();
-                f.trigger_pcs.clear();
-                f.trigger_offsets.clear();
-                f.lru.clear();
-            }
-            Self::Map(m) => m.clear(),
-        }
-    }
-}
-
-/// Accumulation-table storage: flat SoA when bounded, map when unbounded.
-#[derive(Debug, Clone)]
-enum AccumulationStore {
-    Flat(FlatAccumulation),
-    Map(FastMap<u64, AccumulationEntry>),
-}
-
-impl AccumulationStore {
-    fn len(&self) -> usize {
-        match self {
-            Self::Flat(a) => a.keys.len(),
-            Self::Map(m) => m.len(),
-        }
-    }
-
-    /// Sets the pattern bit for an access to a region already accumulating
-    /// (step 3).  Returns whether the region was found.
-    fn set_bit(&mut self, base: u64, offset: u32, tick: u64) -> bool {
-        match self {
-            Self::Flat(a) => match a.find(base) {
-                Some(slot) => {
-                    a.patterns[slot].set(offset);
-                    a.lru[slot] = tick;
-                    true
-                }
-                None => false,
-            },
-            Self::Map(m) => match m.get_mut(&base) {
-                Some(entry) => {
-                    entry.pattern.set(offset);
-                    entry.lru = tick;
-                    true
-                }
-                None => false,
-            },
-        }
-    }
-
-    /// Inserts a promoted generation; when a bounded table is full the
-    /// least-recently-used generation terminates early and spills out to
-    /// train the PHT.
-    fn insert(
-        &mut self,
-        base: u64,
-        pc: Pc,
-        trigger_offset: u32,
-        pattern: SpatialPattern,
-        tick: u64,
-    ) -> Option<TrainedPattern> {
-        match self {
-            Self::Flat(a) => {
-                let mut spilled = None;
-                if a.keys.len() >= a.cap {
-                    if let Some(victim) = a.victim() {
-                        spilled = Some(a.remove(victim));
-                    }
-                }
-                a.push(base, pc, trigger_offset, pattern, tick);
-                spilled
-            }
-            Self::Map(m) => {
-                m.insert(
-                    base,
-                    AccumulationEntry {
-                        trigger_pc: pc,
-                        trigger_offset,
-                        pattern,
-                        lru: tick,
-                    },
-                );
-                None
-            }
-        }
-    }
-
-    /// Removes the generation for `base`, returning its trained pattern.
-    fn remove_base(&mut self, base: u64) -> Option<TrainedPattern> {
-        match self {
-            Self::Flat(a) => a.find(base).map(|slot| a.remove(slot)),
-            Self::Map(m) => m.remove(&base).map(|entry| TrainedPattern {
-                region_base: base,
-                trigger_pc: entry.trigger_pc,
-                trigger_offset: entry.trigger_offset,
-                pattern: entry.pattern,
-            }),
-        }
-    }
-
-    /// Removes every generation, sorted by region base for determinism.
-    fn drain_sorted(&mut self) -> Vec<TrainedPattern> {
-        let mut out: Vec<TrainedPattern> = match self {
-            Self::Flat(a) => {
-                let mut out = Vec::with_capacity(a.keys.len());
-                while !a.keys.is_empty() {
-                    out.push(a.remove(0));
-                }
-                out
-            }
-            Self::Map(m) => m
-                .drain()
-                .map(|(base, entry)| TrainedPattern {
-                    region_base: base,
-                    trigger_pc: entry.trigger_pc,
-                    trigger_offset: entry.trigger_offset,
-                    pattern: entry.pattern,
-                })
-                .collect(),
-        };
-        out.sort_by_key(|t| t.region_base);
-        out
+        let (pos, _) = self.lru.iter().enumerate().min_by_key(|&(_, &tick)| tick)?;
+        Some(pos)
     }
 }
 
 /// The Active Generation Table.
-///
-/// Bounded configurations (the paper's 32-entry filter / 64-entry
-/// accumulation CAMs) are stored as flat struct-of-arrays tables probed by a
-/// linear key scan; unbounded limit-study configurations fall back to a
-/// deterministic hash map.  Capacity-victim selection is deterministic in
-/// both layouts because LRU ticks are unique (the minimum is unambiguous).
 #[derive(Debug, Clone)]
 pub struct ActiveGenerationTable {
     region: RegionConfig,
-    filter: FilterStore,
-    accumulation: AccumulationStore,
+    /// `region.blocks_per_region()`, computed once.
+    blocks: u32,
+    /// Table and position of every live generation, by region base.
+    index: FastMap<u64, Slot>,
+    filter: Table,
+    accumulation: Table,
     tick: u64,
 }
 
@@ -453,14 +163,10 @@ impl ActiveGenerationTable {
     pub fn new(region: RegionConfig, config: AgtConfig) -> Self {
         Self {
             region,
-            filter: match config.filter_entries {
-                Some(cap) => FilterStore::Flat(FlatFilter::with_capacity(cap)),
-                None => FilterStore::Map(FastMap::default()),
-            },
-            accumulation: match config.accumulation_entries {
-                Some(cap) => AccumulationStore::Flat(FlatAccumulation::with_capacity(cap)),
-                None => AccumulationStore::Map(FastMap::default()),
-            },
+            blocks: region.blocks_per_region(),
+            index: FastMap::default(),
+            filter: Table::new(config.filter_entries),
+            accumulation: Table::new(config.accumulation_entries),
             tick: 0,
         }
     }
@@ -472,7 +178,7 @@ impl ActiveGenerationTable {
 
     /// Number of live generations currently tracked (both tables).
     pub fn live_generations(&self) -> usize {
-        self.filter.len() + self.accumulation.len()
+        self.index.len()
     }
 
     /// Records a demand access to `addr` issued by instruction `pc`.
@@ -480,48 +186,52 @@ impl ActiveGenerationTable {
         self.tick += 1;
         let base = self.region.region_base(addr);
         let offset = self.region.region_offset(addr);
-
-        // Step 3: accesses to regions already accumulating set pattern bits.
-        if self.accumulation.set_bit(base, offset, self.tick) {
-            return RecordOutcome {
-                is_trigger: false,
-                spilled: None,
-            };
-        }
-
-        // Step 2: a second distinct block moves the generation from the
-        // filter table to the accumulation table.
-        match self.filter.promote_or_touch(base, offset, self.tick) {
-            FilterHit::SameBlock => {
-                return RecordOutcome {
-                    is_trigger: false,
-                    spilled: None,
-                };
-            }
-            FilterHit::Promoted {
-                trigger_pc,
-                trigger_offset,
-            } => {
-                let mut pattern = SpatialPattern::new(self.region.blocks_per_region());
-                pattern.set(trigger_offset);
-                pattern.set(offset);
-                let spilled =
-                    self.accumulation
-                        .insert(base, trigger_pc, trigger_offset, pattern, self.tick);
-                return RecordOutcome {
-                    is_trigger: false,
-                    spilled,
-                };
-            }
-            FilterHit::Miss => {}
-        }
-
-        // Step 1: trigger access allocates in the filter table.
-        self.filter.insert(base, pc, offset, self.tick);
-        RecordOutcome {
-            is_trigger: true,
+        let mut outcome = RecordOutcome {
+            is_trigger: false,
             spilled: None,
+        };
+        match self.index.get(&base).copied() {
+            // Step 3: accesses to regions already accumulating set pattern
+            // bits.
+            Some(Slot {
+                table: TableId::Accumulation,
+                pos,
+            }) => {
+                self.accumulation.generations[pos].pattern.set(offset);
+                self.accumulation.lru[pos] = self.tick;
+            }
+            // The trigger block again: the generation stays in the filter.
+            Some(Slot {
+                table: TableId::Filter,
+                pos,
+            }) if self.filter.generations[pos].trigger_offset == offset => {
+                self.filter.lru[pos] = self.tick;
+            }
+            // Step 2: a second distinct block moves the generation from the
+            // filter table to the accumulation table.
+            Some(slot) => {
+                let mut generation = self.remove(slot);
+                generation.pattern.set(offset);
+                outcome.spilled = self.insert(TableId::Accumulation, generation);
+            }
+            // Step 1: trigger access allocates in the filter table; a
+            // filter victim had only its trigger, so it is simply dropped.
+            None => {
+                let mut pattern = SpatialPattern::new(self.blocks);
+                pattern.set(offset);
+                self.insert(
+                    TableId::Filter,
+                    TrainedPattern {
+                        region_base: base,
+                        trigger_pc: pc,
+                        trigger_offset: offset,
+                        pattern,
+                    },
+                );
+                outcome.is_trigger = true;
+            }
         }
+        outcome
     }
 
     /// Ends the generation (if any) covering the region that contains
@@ -531,18 +241,70 @@ impl ActiveGenerationTable {
     /// two or more blocks; generations still in the filter table are
     /// discarded and return `None`.
     pub fn end_generation(&mut self, block_addr: u64) -> Option<TrainedPattern> {
-        let base = self.region.region_base(block_addr);
-        if self.filter.remove_base(base) {
-            return None;
-        }
-        self.accumulation.remove_base(base)
+        let slot = self.index.remove(&self.region.region_base(block_addr))?;
+        let ended = self.remove(slot);
+        (slot.table == TableId::Accumulation).then_some(ended)
     }
 
     /// Ends every live generation, returning the accumulated patterns (used
     /// at the end of a trace so partially-observed generations still train).
     pub fn drain(&mut self) -> Vec<TrainedPattern> {
-        self.filter.clear();
-        self.accumulation.drain_sorted()
+        self.index.clear();
+        self.filter.generations.clear();
+        self.filter.lru.clear();
+        self.accumulation.lru.clear();
+        let mut out: Vec<TrainedPattern> = self.accumulation.generations.drain(..).collect();
+        out.sort_by_key(|t| t.region_base);
+        out
+    }
+
+    fn table_mut(&mut self, table: TableId) -> &mut Table {
+        match table {
+            TableId::Filter => &mut self.filter,
+            TableId::Accumulation => &mut self.accumulation,
+        }
+    }
+
+    /// Removes the generation at `slot` and re-points the index at the one
+    /// `swap_remove` moves into its place.  The removed generation's own
+    /// index entry is the caller's to drop or overwrite.
+    fn remove(&mut self, slot: Slot) -> TrainedPattern {
+        let table = self.table_mut(slot.table);
+        table.lru.swap_remove(slot.pos);
+        let removed = table.generations.swap_remove(slot.pos);
+        if let Some(moved) = table.generations.get(slot.pos).map(|g| g.region_base) {
+            *self
+                .index
+                .get_mut(&moved)
+                .expect("every live generation is indexed") = slot;
+        }
+        removed
+    }
+
+    /// Adds `generation` to `table` and indexes it.  In a full table the
+    /// least-recently-used generation leaves first and is returned; the new
+    /// one takes its position, which saves the `swap_remove` a removal makes.
+    fn insert(&mut self, table: TableId, generation: TrainedPattern) -> Option<TrainedPattern> {
+        let base = generation.region_base;
+        let tick = self.tick;
+        let store = self.table_mut(table);
+        let (pos, victim) = match store.victim() {
+            Some(pos) => {
+                store.lru[pos] = tick;
+                let victim = std::mem::replace(&mut store.generations[pos], generation);
+                (pos, Some(victim))
+            }
+            None => {
+                store.lru.push(tick);
+                store.generations.push(generation);
+                (store.generations.len() - 1, None)
+            }
+        };
+        if let Some(victim) = &victim {
+            self.index.remove(&victim.region_base);
+        }
+        self.index.insert(base, Slot { table, pos });
+        victim
     }
 }
 

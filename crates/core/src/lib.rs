@@ -72,9 +72,9 @@ pub use generation::{DensityBin, DensityHistogram, DensityObserver, GenerationTr
 pub use index::IndexScheme;
 pub use oracle::{OracleObserver, OracleOpportunity};
 pub use pattern::SpatialPattern;
-pub use pht::{PatternHistoryTable, PhtCapacity};
+pub use pht::{PatternHistoryTable, PhtCapacity, PhtError};
 pub use predictor::{PredictorStats, SmsConfig, SmsPredictor};
 pub use prefetcher::SmsPrefetcher;
-pub use region::RegionConfig;
-pub use streamer::{PredictionRegisterFile, StreamerConfig};
+pub use region::{RegionConfig, RegionError};
+pub use streamer::{PredictionRegisterFile, StreamerConfig, StreamerError};
 pub use training::{TrainerKind, TrainingPrefetcher};

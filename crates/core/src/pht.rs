@@ -17,6 +17,7 @@
 use crate::pattern::SpatialPattern;
 use memsim::FastMap;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// Storage capacity of the PHT.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -41,7 +42,50 @@ impl PhtCapacity {
             associativity: 16,
         }
     }
+
+    /// Checks that a bounded table has entries and ways, and whole sets.
+    ///
+    /// # Errors
+    ///
+    /// The first invariant the geometry breaks.
+    pub fn validate(&self) -> Result<(), PhtError> {
+        match *self {
+            PhtCapacity::Unbounded => Ok(()),
+            PhtCapacity::Bounded {
+                entries,
+                associativity,
+            } => {
+                if entries == 0 || associativity == 0 {
+                    Err(PhtError::Empty)
+                } else if !entries.is_multiple_of(associativity) {
+                    Err(PhtError::PartialSet)
+                } else {
+                    Ok(())
+                }
+            }
+        }
+    }
 }
+
+/// An invariant a [`PhtCapacity`] breaks (see [`PhtCapacity::validate`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PhtError {
+    /// The entry count or the associativity is zero.
+    Empty,
+    /// The entry count is not a multiple of the associativity.
+    PartialSet,
+}
+
+impl fmt::Display for PhtError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            PhtError::Empty => "PHT capacity must be positive",
+            PhtError::PartialSet => "entries must be a multiple of associativity",
+        })
+    }
+}
+
+impl std::error::Error for PhtError {}
 
 impl Default for PhtCapacity {
     fn default() -> Self {
@@ -86,23 +130,17 @@ impl PatternHistoryTable {
     ///
     /// # Panics
     ///
-    /// Panics if a bounded capacity has zero entries, zero associativity, or
-    /// an entry count not divisible by the associativity.
+    /// Panics if [`PhtCapacity::validate`] rejects the capacity.
     pub fn new(capacity: PhtCapacity) -> Self {
+        if let Err(error) = capacity.validate() {
+            panic!("{error}");
+        }
         let storage = match capacity {
             PhtCapacity::Unbounded => Storage::Unbounded(FastMap::default()),
             PhtCapacity::Bounded {
                 entries,
                 associativity,
             } => {
-                assert!(
-                    entries > 0 && associativity > 0,
-                    "PHT capacity must be positive"
-                );
-                assert!(
-                    entries % associativity == 0,
-                    "entries must be a multiple of associativity"
-                );
                 let num_sets = (entries / associativity).max(1);
                 let slots = num_sets * associativity;
                 Storage::Bounded {

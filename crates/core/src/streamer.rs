@@ -5,10 +5,21 @@
 //! engine walks the active registers round-robin, issuing one block request
 //! at a time and clearing the corresponding pattern bit; a register is freed
 //! once its pattern is exhausted (Section 3.2).
+//!
+//! The file counts its live registers, so a drain stops the moment none is
+//! left instead of lapping empty slots, and its cursor wraps with a compare
+//! rather than a `% n`.  Two facts make that exact:
+//!
+//! * a live register always holds a non-empty pattern: `allocate` ignores
+//!   an empty pattern, and a register is freed as soon as its pattern
+//!   empties;
+//! * a lap of `n` empty slots leaves the cursor where the lap began, which is
+//!   where the drain stops now, just past the last register it streamed.
 
 use crate::pattern::SpatialPattern;
 use crate::region::RegionConfig;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// Configuration of the prediction-register file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -21,6 +32,23 @@ pub struct StreamerConfig {
     pub requests_per_access: usize,
 }
 
+/// An invariant a [`StreamerConfig`] breaks (see [`StreamerConfig::validate`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StreamerError {
+    /// The file has no prediction register.
+    NoRegisters,
+}
+
+impl fmt::Display for StreamerError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            StreamerError::NoRegisters => f.write_str("need at least one prediction register"),
+        }
+    }
+}
+
+impl std::error::Error for StreamerError {}
+
 impl StreamerConfig {
     /// The configuration used for the paper's practical SMS: 16 registers,
     /// draining up to 4 stream requests per demand access.
@@ -29,6 +57,18 @@ impl StreamerConfig {
             registers: 16,
             requests_per_access: 4,
         }
+    }
+
+    /// Checks that the file has at least one register.
+    ///
+    /// # Errors
+    ///
+    /// [`StreamerError::NoRegisters`] for a file of zero registers.
+    pub fn validate(&self) -> Result<(), StreamerError> {
+        if self.registers == 0 {
+            return Err(StreamerError::NoRegisters);
+        }
+        Ok(())
     }
 }
 
@@ -51,6 +91,8 @@ pub struct PredictionRegisterFile {
     region: RegionConfig,
     config: StreamerConfig,
     registers: Vec<Option<PredictionRegister>>,
+    /// Registers that are `Some`; each holds a non-empty pattern.
+    live: usize,
     cursor: usize,
     tick: u64,
     dropped_allocations: u64,
@@ -61,16 +103,16 @@ impl PredictionRegisterFile {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration has zero registers.
+    /// Panics if [`StreamerConfig::validate`] rejects the configuration.
     pub fn new(region: RegionConfig, config: StreamerConfig) -> Self {
-        assert!(
-            config.registers > 0,
-            "need at least one prediction register"
-        );
+        if let Err(error) = config.validate() {
+            panic!("{error}");
+        }
         Self {
             region,
             config,
             registers: vec![None; config.registers],
+            live: 0,
             cursor: 0,
             tick: 0,
             dropped_allocations: 0,
@@ -106,23 +148,14 @@ impl PredictionRegisterFile {
                     .unwrap_or(0)
             }
         };
+        if self.registers[slot].is_none() {
+            self.live += 1;
+        }
         self.registers[slot] = Some(PredictionRegister {
             region_base,
             pattern,
             allocated_at: self.tick,
         });
-    }
-
-    /// Cancels any pending stream requests for the region containing
-    /// `block_addr` (used when the region's generation ends before streaming
-    /// finished).
-    pub fn cancel_region(&mut self, block_addr: u64) {
-        let base = self.region.region_base(block_addr);
-        for reg in self.registers.iter_mut() {
-            if reg.as_ref().is_some_and(|r| r.region_base == base) {
-                *reg = None;
-            }
-        }
     }
 
     /// Issues up to `config.requests_per_access` stream requests, walking the
@@ -149,45 +182,33 @@ impl PredictionRegisterFile {
     /// addresses to `out` in the same round-robin order
     /// [`drain_up_to`](Self::drain_up_to) returns them.
     pub fn drain_into(&mut self, max_requests: usize, out: &mut Vec<u64>) {
-        if self.registers.iter().all(|r| r.is_none()) {
-            return;
-        }
-        let issued_before = out.len();
-        let n = self.registers.len();
-        let mut scanned_without_progress = 0;
-        while out.len() - issued_before < max_requests && scanned_without_progress < n {
+        let mut issued = 0;
+        while issued < max_requests && self.live > 0 {
             let idx = self.cursor;
-            self.cursor = (self.cursor + 1) % n;
-            let next_offset = match self.registers[idx].as_ref() {
-                Some(reg) => reg.pattern.first_set(),
-                None => {
-                    scanned_without_progress += 1;
-                    continue;
-                }
+            self.cursor += 1;
+            if self.cursor == self.registers.len() {
+                self.cursor = 0;
+            }
+            let Some(reg) = self.registers[idx].as_mut() else {
+                continue;
             };
-            match next_offset {
-                Some(offset) => {
-                    let reg = self.registers[idx]
-                        .as_mut()
-                        .expect("register checked above");
-                    reg.pattern.clear(offset);
-                    out.push(self.region.block_at(reg.region_base, offset));
-                    if reg.pattern.is_empty() {
-                        self.registers[idx] = None;
-                    }
-                    scanned_without_progress = 0;
-                }
-                None => {
-                    self.registers[idx] = None;
-                    scanned_without_progress += 1;
-                }
+            let offset = reg
+                .pattern
+                .first_set()
+                .expect("a live register holds a non-empty pattern");
+            reg.pattern.clear(offset);
+            out.push(self.region.block_at(reg.region_base, offset));
+            issued += 1;
+            if reg.pattern.is_empty() {
+                self.registers[idx] = None;
+                self.live -= 1;
             }
         }
     }
 
     /// Number of registers currently holding un-issued predictions.
     pub fn active_registers(&self) -> usize {
-        self.registers.iter().filter(|r| r.is_some()).count()
+        self.live
     }
 
     /// Number of allocations that displaced a still-active register.
@@ -264,15 +285,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_region_discards_pending_requests() {
-        let mut f = file(2, 4);
-        f.allocate(0x10_0000, pat(&[0, 1, 2]));
-        f.cancel_region(0x10_0040);
-        assert_eq!(f.active_registers(), 0);
-        assert!(f.drain().is_empty());
-    }
-
-    #[test]
     fn drain_up_to_zero_budget_issues_nothing_and_keeps_state() {
         let mut f = file(2, 4);
         f.allocate(0x10_0000, pat(&[0, 1, 2]));
@@ -291,22 +303,6 @@ mod tests {
         assert_eq!(reqs.len(), 3, "oversized budget drains exactly the queue");
         assert_eq!(f.active_registers(), 0);
         assert!(f.drain_up_to(1000).is_empty(), "nothing left to issue");
-    }
-
-    #[test]
-    fn cancel_then_drain_skips_cancelled_region_only() {
-        let mut f = file(4, 8);
-        f.allocate(0x10_0000, pat(&[0, 1]));
-        f.allocate(0x20_0000, pat(&[2, 3]));
-        f.cancel_region(0x10_0040);
-        let reqs = f.drain_up_to(8);
-        assert_eq!(reqs, vec![0x20_0000 + 2 * 64, 0x20_0000 + 3 * 64]);
-        assert_eq!(f.active_registers(), 0);
-        // Cancelling an already-cancelled (or never-allocated) region and
-        // draining again is a no-op.
-        f.cancel_region(0x10_0040);
-        f.cancel_region(0x30_0000);
-        assert!(f.drain_up_to(4).is_empty());
     }
 
     #[test]

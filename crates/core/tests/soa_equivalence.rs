@@ -1,25 +1,28 @@
-//! Property-based equivalence of the struct-of-arrays AGT and PHT against
-//! reference map-backed implementations.
+//! Property-based equivalence of the AGT, the PHT and the prediction
+//! registers against reference implementations.
 //!
-//! The hot-path storage rework (flat SoA CAMs for the bounded AGT tables,
-//! SoA slot columns for the bounded PHT) is meant to be behaviorally
-//! identical by construction: same lookups, same LRU victims (ticks are
-//! unique, so the minimum is unambiguous), same `TrainedPattern` sequences.
-//! These suites drive both implementations with the same random access
+//! The hot-path storage of these structures (the AGT's single region index
+//! over dense generation columns, the bounded PHT's slot columns, the
+//! register file's live count and compare-and-wrap cursor) is meant to be
+//! behaviorally identical by construction: same lookups, same LRU victims
+//! (ticks are unique, so the minimum is unambiguous), same `TrainedPattern`
+//! sequences, same stream requests in the same order.  These suites drive
+//! each implementation and its reference with the same random operation
 //! streams and demand bit-exact agreement on every externally visible
-//! output — a divergent eviction victim anywhere would surface as a
-//! mismatched outcome on a later access.
+//! output — a divergent eviction victim or cursor position anywhere would
+//! surface as a mismatched outcome on a later operation.
 
 use proptest::prelude::*;
 use sms::agt::{ActiveGenerationTable, AgtConfig, RecordOutcome, TrainedPattern};
 use sms::pattern::SpatialPattern;
 use sms::pht::{PatternHistoryTable, PhtCapacity};
 use sms::region::RegionConfig;
+use sms::streamer::{PredictionRegisterFile, StreamerConfig};
 use std::collections::HashMap;
 use trace::Pc;
 
 // ---------------------------------------------------------------------------
-// Reference AGT: the pre-SoA map-backed implementation, verbatim semantics.
+// Reference AGT: two map-backed tables, each looked up on its own.
 // ---------------------------------------------------------------------------
 
 struct RefFilterEntry {
@@ -292,6 +295,164 @@ fn check_pht_equivalence(entries: usize, associativity: usize, ops: &[(u8, bool,
     }
 }
 
+// ---------------------------------------------------------------------------
+// Reference prediction-register file: a verbatim copy of the implementation
+// that scanned for a live register, advanced its cursor with `% n` and lapped
+// every empty slot before giving up.
+// ---------------------------------------------------------------------------
+
+#[derive(Debug, Clone)]
+struct RefRegister {
+    region_base: u64,
+    pattern: SpatialPattern,
+    allocated_at: u64,
+}
+
+struct RefRegisterFile {
+    region: RegionConfig,
+    config: StreamerConfig,
+    registers: Vec<Option<RefRegister>>,
+    cursor: usize,
+    tick: u64,
+    dropped_allocations: u64,
+}
+
+impl RefRegisterFile {
+    fn new(region: RegionConfig, config: StreamerConfig) -> Self {
+        Self {
+            region,
+            config,
+            registers: vec![None; config.registers],
+            cursor: 0,
+            tick: 0,
+            dropped_allocations: 0,
+        }
+    }
+
+    fn allocate(&mut self, region_base: u64, pattern: SpatialPattern) {
+        self.tick += 1;
+        if pattern.is_empty() {
+            return;
+        }
+        let slot = self
+            .registers
+            .iter()
+            .position(|r| r.as_ref().is_some_and(|r| r.region_base == region_base))
+            .or_else(|| self.registers.iter().position(|r| r.is_none()));
+        let slot = match slot {
+            Some(s) => s,
+            None => {
+                self.dropped_allocations += 1;
+                self.registers
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, r)| r.as_ref().map(|r| r.allocated_at).unwrap_or(0))
+                    .map(|(i, _)| i)
+                    .unwrap_or(0)
+            }
+        };
+        self.registers[slot] = Some(RefRegister {
+            region_base,
+            pattern,
+            allocated_at: self.tick,
+        });
+    }
+
+    fn drain_default_into(&mut self, out: &mut Vec<u64>) {
+        self.drain_into(self.config.requests_per_access, out);
+    }
+
+    fn drain_into(&mut self, max_requests: usize, out: &mut Vec<u64>) {
+        if self.registers.iter().all(|r| r.is_none()) {
+            return;
+        }
+        let issued_before = out.len();
+        let n = self.registers.len();
+        let mut scanned_without_progress = 0;
+        while out.len() - issued_before < max_requests && scanned_without_progress < n {
+            let idx = self.cursor;
+            self.cursor = (self.cursor + 1) % n;
+            let next_offset = match self.registers[idx].as_ref() {
+                Some(reg) => reg.pattern.first_set(),
+                None => {
+                    scanned_without_progress += 1;
+                    continue;
+                }
+            };
+            match next_offset {
+                Some(offset) => {
+                    let reg = self.registers[idx]
+                        .as_mut()
+                        .expect("register checked above");
+                    reg.pattern.clear(offset);
+                    out.push(self.region.block_at(reg.region_base, offset));
+                    if reg.pattern.is_empty() {
+                        self.registers[idx] = None;
+                    }
+                    scanned_without_progress = 0;
+                }
+                None => {
+                    self.registers[idx] = None;
+                    scanned_without_progress += 1;
+                }
+            }
+        }
+    }
+
+    fn active_registers(&self) -> usize {
+        self.registers.iter().filter(|r| r.is_some()).count()
+    }
+}
+
+/// Drives both register files with the same op stream and asserts that they
+/// issue the same blocks in the same order.  Ops: `(op selector, region
+/// index, pattern bits, pattern density, drain budget)`.
+fn check_streamer_equivalence(config: StreamerConfig, ops: &[(u8, u8, u32, u8, usize)]) {
+    let region = RegionConfig::paper_default();
+    let mut file = PredictionRegisterFile::new(region, config);
+    let mut reference = RefRegisterFile::new(region, config);
+    for (step, &(op, region_idx, bits, density, budget)) in ops.iter().enumerate() {
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        match op {
+            // Allocations name few enough regions that a same-region reuse
+            // and a full-file replacement both happen; density 0 allocates
+            // an empty pattern, and sparse patterns empty registers often.
+            0..=3 => {
+                let bits = match density {
+                    0 => 0,
+                    1 => bits & (bits >> 8) & (bits >> 16),
+                    2 => bits & (bits >> 5),
+                    _ => bits,
+                };
+                let offsets: Vec<u32> = (0..32).filter(|o| bits >> o & 1 == 1).collect();
+                let pattern = SpatialPattern::from_offsets(32, &offsets);
+                let base = 0x10_0000 + u64::from(region_idx) * 2048;
+                file.allocate(base, pattern);
+                reference.allocate(base, pattern);
+            }
+            4..=6 => {
+                got = file.drain_up_to(budget);
+                reference.drain_into(budget, &mut want);
+            }
+            _ => {
+                file.drain_default_into(&mut got);
+                reference.drain_default_into(&mut want);
+            }
+        }
+        assert_eq!(got, want, "issued blocks diverged at step {step}");
+        assert_eq!(
+            file.active_registers(),
+            reference.active_registers(),
+            "active registers diverged at step {step}"
+        );
+        assert_eq!(
+            file.dropped_allocations(),
+            reference.dropped_allocations,
+            "dropped allocations diverged at step {step}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -306,10 +467,11 @@ proptest! {
     #[test]
     fn soa_agt_matches_reference_under_eviction_pressure(
         ops in proptest::collection::vec((0u8..32, 0u8..8, 1u8..16, 0u8..20), 0..400),
-        filter_cap in 1usize..5,
-        accum_cap in 1usize..5,
+        filter_cap in 0usize..5,
+        accum_cap in 0usize..5,
     ) {
         // Tiny tables: nearly every insert victimizes, pinning LRU choice.
+        // A capacity of 0 holds one generation, as the reference's does.
         let config = AgtConfig {
             filter_entries: Some(filter_cap),
             accumulation_entries: Some(accum_cap),
@@ -331,5 +493,18 @@ proptest! {
         // 4 sets x 2 ways and 2 sets x 4 ways, both under heavy conflict.
         check_pht_equivalence(8, 2, &ops);
         check_pht_equivalence(8, 4, &ops);
+    }
+
+    #[test]
+    fn prediction_registers_match_reference(
+        ops in proptest::collection::vec((0u8..10, 0u8..24, 0u32..=u32::MAX, 0u8..4, 0usize..=8), 0..300),
+        registers in 1usize..=20,
+        requests_per_access in 0usize..=8,
+    ) {
+        let config = StreamerConfig {
+            registers,
+            requests_per_access,
+        };
+        check_streamer_equivalence(config, &ops);
     }
 }

@@ -23,7 +23,7 @@ use memsim::{NullPrefetcher, PrefetchRequest, Prefetcher, SystemOutcome};
 use serde::{Deserialize, Serialize};
 use sms::{
     DensityObserver, IndexScheme, OracleObserver, PhtCapacity, RegionConfig, SmsConfig,
-    SmsPrefetcher, SpatialPattern, TrainerKind, TrainingPrefetcher,
+    SmsPrefetcher, TrainerKind, TrainingPrefetcher,
 };
 use std::sync::Arc;
 use trace::MemAccess;
@@ -238,6 +238,9 @@ impl PrefetcherPlugin for SmsPlugin {
         num_cpus: usize,
     ) -> Result<BuiltPrefetcher, PluginError> {
         let config: SmsConfig = decode_params(self.name(), params)?;
+        check(self.name(), "region", config.region.validate())?;
+        check(self.name(), "pht", config.pht.validate())?;
+        check(self.name(), "streamer", config.streamer.validate())?;
         Ok(BuiltPrefetcher::new(SmsPrefetcher::new(num_cpus, &config)))
     }
 }
@@ -280,6 +283,8 @@ impl PrefetcherPlugin for TrainingPlugin {
         num_cpus: usize,
     ) -> Result<BuiltPrefetcher, PluginError> {
         let spec: TrainingSpec = decode_params(self.name(), params)?;
+        check(self.name(), "region", spec.region.validate())?;
+        check(self.name(), "pht", spec.pht.validate())?;
         Ok(BuiltPrefetcher::new(TrainingPrefetcher::new(
             num_cpus,
             spec.trainer,
@@ -308,6 +313,7 @@ impl PrefetcherPlugin for DensityProbePlugin {
         num_cpus: usize,
     ) -> Result<BuiltPrefetcher, PluginError> {
         let region: RegionConfig = decode_params(self.name(), params)?;
+        check(self.name(), "region", region.validate())?;
         Ok(BuiltPrefetcher::new(DensityObserver::new(num_cpus, region)))
     }
 }
@@ -329,23 +335,8 @@ impl PrefetcherPlugin for OracleProbePlugin {
         num_cpus: usize,
     ) -> Result<BuiltPrefetcher, PluginError> {
         let spec: OracleProbeSpec = decode_params(self.name(), params)?;
-        // Each oracle keeps a generation's accessed blocks in a spatial
-        // pattern; refuse a region that would not fit instead of panicking
-        // mid-run.
-        if let Some(region) = spec
-            .regions
-            .iter()
-            .find(|region| region.blocks_per_region() > SpatialPattern::MAX_BLOCKS)
-        {
-            return Err(PluginError::BadParams {
-                plugin: self.name().to_string(),
-                message: format!(
-                    "a {} B region of {} B blocks holds more than {} blocks",
-                    region.region_bytes,
-                    region.block_bytes,
-                    SpatialPattern::MAX_BLOCKS
-                ),
-            });
+        for (i, region) in spec.regions.iter().enumerate() {
+            check(self.name(), &format!("regions[{i}]"), region.validate())?;
         }
         Ok(BuiltPrefetcher::new(MultiOracle {
             oracles: spec
@@ -355,6 +346,20 @@ impl PrefetcherPlugin for OracleProbePlugin {
                 .collect(),
         }))
     }
+}
+
+/// Maps a failed configuration check on the parameter `field` to
+/// [`PluginError::BadParams`], so a geometry the SMS structures cannot hold
+/// fails when its prefetcher is built instead of panicking mid-run.
+fn check<E: std::fmt::Display>(
+    plugin: &str,
+    field: &str,
+    result: Result<(), E>,
+) -> Result<(), PluginError> {
+    result.map_err(|error| PluginError::BadParams {
+        plugin: plugin.to_string(),
+        message: format!("{field}: {error}"),
+    })
 }
 
 /// The plugins every registry built with
@@ -476,7 +481,10 @@ mod tests {
             PrefetcherSpec::oracle_probe(&OracleProbeSpec {
                 regions: vec![
                     RegionConfig::paper_default(),
-                    RegionConfig::new(region_bytes, 64),
+                    RegionConfig {
+                        region_bytes,
+                        block_bytes: 64,
+                    },
                 ],
                 read_only: true,
             })
@@ -489,6 +497,101 @@ mod tests {
         assert!(
             matches!(&err, PluginError::BadParams { plugin, .. } if plugin == "oracle-probe"),
             "{err}"
+        );
+    }
+
+    /// Asserts that building `spec` fails with `BadParams` naming its plugin
+    /// and a message containing `message`.
+    fn assert_rejected(spec: &PrefetcherSpec, message: &str) {
+        match Registry::builtin().build(spec, 2) {
+            Err(PluginError::BadParams {
+                plugin,
+                message: got,
+            }) => {
+                assert_eq!(plugin, spec.plugin);
+                assert!(got.contains(message), "{got:?} lacks {message:?}");
+            }
+            Err(other) => panic!("expected BadParams, got {other:?}"),
+            Ok(_) => panic!("{spec:?} must be rejected"),
+        }
+    }
+
+    fn sms_with_region(region_bytes: u64, block_bytes: u64) -> PrefetcherSpec {
+        PrefetcherSpec::sms(&SmsConfig {
+            region: RegionConfig {
+                region_bytes,
+                block_bytes,
+            },
+            ..SmsConfig::paper_default()
+        })
+    }
+
+    #[test]
+    fn sms_rejects_a_block_that_is_not_a_power_of_two() {
+        assert_rejected(&sms_with_region(2048, 96), "region: block size");
+    }
+
+    #[test]
+    fn sms_rejects_a_region_that_is_not_a_power_of_two() {
+        assert_rejected(&sms_with_region(3000, 64), "region: region size");
+    }
+
+    #[test]
+    fn sms_rejects_a_region_wider_than_a_pattern() {
+        assert_rejected(&sms_with_region(16384, 64), "at most 128 blocks");
+    }
+
+    #[test]
+    fn sms_rejects_a_zero_byte_block() {
+        assert_rejected(&sms_with_region(2048, 0), "region: block size");
+    }
+
+    #[test]
+    fn sms_rejects_an_empty_or_partial_pht() {
+        for (entries, associativity, message) in [
+            (0, 16, "capacity must be positive"),
+            (16, 0, "capacity must be positive"),
+            (24, 16, "multiple of associativity"),
+        ] {
+            let config = SmsConfig::paper_default().with_pht(PhtCapacity::Bounded {
+                entries,
+                associativity,
+            });
+            assert_rejected(&PrefetcherSpec::sms(&config), message);
+        }
+    }
+
+    #[test]
+    fn sms_rejects_zero_prediction_registers() {
+        let mut config = SmsConfig::paper_default();
+        config.streamer.registers = 0;
+        assert_rejected(&PrefetcherSpec::sms(&config), "streamer: need at least one");
+    }
+
+    #[test]
+    fn training_and_density_probe_reject_bad_geometry() {
+        let wide = RegionConfig {
+            region_bytes: 16384,
+            block_bytes: 64,
+        };
+        assert_rejected(&PrefetcherSpec::density_probe(&wide), "at most 128 blocks");
+        let training = |region, pht| {
+            PrefetcherSpec::training(&TrainingSpec {
+                region,
+                pht,
+                ..example_training_spec()
+            })
+        };
+        let paper_pht = PhtCapacity::paper_default();
+        assert_rejected(&training(wide, paper_pht), "at most 128 blocks");
+        let partial_sets = PhtCapacity::Bounded {
+            entries: 24,
+            associativity: 16,
+        };
+        let paper_region = RegionConfig::paper_default();
+        assert_rejected(
+            &training(paper_region, partial_sets),
+            "multiple of associativity",
         );
     }
 

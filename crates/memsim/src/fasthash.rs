@@ -1,7 +1,8 @@
 //! A fast, deterministic hasher for the simulator's hot-path tables.
 //!
-//! The miss classifiers' block-group bitmaps, the AGT, the unbounded PHT and
-//! the generation probes hash a `u64` key on every miss (or every access);
+//! The miss classifiers' block-group bitmaps, the AGT's region index, the
+//! unbounded PHT and the generation probes hash a `u64` key on every miss
+//! (or every access);
 //! `std`'s default SipHash is hardening against adversarial keys the
 //! simulator does not need, and its per-lookup cost is measurable at trace
 //! scale.  [`FxHasher`] is the multiply-xor hash used by rustc's
@@ -9,9 +10,10 @@
 //! dispersion on block/region addresses (whose low bits are zero).
 //!
 //! Swapping hashers is behavior-preserving for every table in this workspace:
-//! none of them depends on iteration order (the AGT's LRU victim scans pick a
-//! unique minimum tick), so simulated results stay bit-identical — pinned by
-//! the golden hashes in `tests/deterministic_replay.rs`.
+//! none of them depends on iteration order (the AGT's index only maps a
+//! region to its slot, and its LRU victim scans pick a unique minimum tick),
+//! so simulated results stay bit-identical — pinned by the golden hashes in
+//! `tests/deterministic_replay.rs`.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
