@@ -122,7 +122,6 @@ enum Storage {
 #[derive(Debug, Clone)]
 pub struct PatternHistoryTable {
     storage: Storage,
-    insertions: u64,
 }
 
 impl PatternHistoryTable {
@@ -154,15 +153,11 @@ impl PatternHistoryTable {
                 }
             }
         };
-        Self {
-            storage,
-            insertions: 0,
-        }
+        Self { storage }
     }
 
     /// Stores (or overwrites) the pattern for `key`.
     pub fn insert(&mut self, key: u64, pattern: SpatialPattern) {
-        self.insertions += 1;
         match &mut self.storage {
             Storage::Unbounded(map) => {
                 map.insert(key, pattern);
@@ -245,11 +240,6 @@ impl PatternHistoryTable {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Total insertions performed (a proxy for training traffic).
-    pub fn insertions(&self) -> u64 {
-        self.insertions
-    }
 }
 
 #[cfg(test)]
@@ -272,7 +262,6 @@ mod tests {
             vec![2]
         );
         assert!(pht.lookup(2).is_none());
-        assert_eq!(pht.insertions(), 2);
     }
 
     #[test]

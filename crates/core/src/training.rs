@@ -83,6 +83,10 @@ pub struct TrainingPrefetcher {
     /// AGT variant reuses the full SMS predictor.
     agt: Vec<SmsPredictor>,
     sectored: Vec<SectoredCpu>,
+    /// Reusable scratch for the streamed block addresses, so the batched
+    /// driver path allocates nothing per access.  Always drained before
+    /// `on_access_into` returns.
+    blocks: Vec<u64>,
 }
 
 impl TrainingPrefetcher {
@@ -152,6 +156,7 @@ impl TrainingPrefetcher {
             index_scheme,
             agt,
             sectored,
+            blocks: Vec::new(),
         }
     }
 
@@ -193,11 +198,16 @@ impl TrainingPrefetcher {
         pht.insert(key, pattern);
     }
 
-    fn sectored_on_access(&mut self, access: &MemAccess, l1_hit: bool) -> Vec<u64> {
-        let cpu = access.cpu as usize;
-        let region = self.region;
-        let index_scheme = self.index_scheme;
-        let state = &mut self.sectored[cpu];
+    /// Feeds `access` to its processor's sectored trainer and appends the
+    /// block addresses its prediction registers stream to `out`.
+    fn sectored_on_access(
+        state: &mut SectoredCpu,
+        region: RegionConfig,
+        index_scheme: IndexScheme,
+        access: &MemAccess,
+        l1_hit: bool,
+        out: &mut Vec<u64>,
+    ) {
         let outcome = match &mut state.state {
             SectoredState::Decoupled(ds) => ds.access(access.addr, access.pc),
             SectoredState::Logical(ls) => ls.observe(access.addr, access.pc),
@@ -220,7 +230,7 @@ impl TrainingPrefetcher {
                     .allocate(region.region_base(access.addr), pattern);
             }
         }
-        state.registers.drain()
+        state.registers.drain_default_into(out);
     }
 
     fn sectored_on_removal(&mut self, cpu: usize, block_addr: u64) {
@@ -239,13 +249,24 @@ impl TrainingPrefetcher {
 
 impl Prefetcher for TrainingPrefetcher {
     fn on_access(&mut self, access: &MemAccess, outcome: &SystemOutcome) -> Vec<PrefetchRequest> {
+        let mut out = Vec::new();
+        self.on_access_into(access, outcome, &mut out);
+        out
+    }
+
+    fn on_access_into(
+        &mut self,
+        access: &MemAccess,
+        outcome: &SystemOutcome,
+        out: &mut Vec<PrefetchRequest>,
+    ) {
         let cpu = access.cpu as usize;
-        let stream_blocks = match self.kind {
+        match self.kind {
             TrainerKind::Agt => {
                 if cpu >= self.agt.len() {
-                    return Vec::new();
+                    return;
                 }
-                let blocks = self.agt[cpu].on_access(access.addr, access.pc);
+                self.agt[cpu].on_access_into(access.addr, access.pc, &mut self.blocks);
                 if let Some(evicted) = &outcome.hierarchy.l1_evicted {
                     self.agt[cpu].on_block_removed(evicted.block_addr);
                 }
@@ -254,13 +275,19 @@ impl Prefetcher for TrainingPrefetcher {
                         self.agt[*inv_cpu as usize].on_block_removed(*block);
                     }
                 }
-                blocks
             }
             TrainerKind::DecoupledSectored | TrainerKind::LogicalSectored => {
                 if cpu >= self.sectored.len() {
-                    return Vec::new();
+                    return;
                 }
-                let blocks = self.sectored_on_access(access, outcome.hierarchy.l1_hit);
+                Self::sectored_on_access(
+                    &mut self.sectored[cpu],
+                    self.region,
+                    self.index_scheme,
+                    access,
+                    outcome.hierarchy.l1_hit,
+                    &mut self.blocks,
+                );
                 // Sectored trainers also observe evictions/invalidations of
                 // the real cache so their generations end no later than the
                 // conventional cache's.
@@ -272,17 +299,13 @@ impl Prefetcher for TrainingPrefetcher {
                         self.sectored_on_removal(*inv_cpu as usize, *block);
                     }
                 }
-                blocks
             }
-        };
-        stream_blocks
-            .into_iter()
-            .map(|addr| PrefetchRequest {
-                cpu: access.cpu,
-                addr,
-                level: PrefetchLevel::L1,
-            })
-            .collect()
+        }
+        out.extend(self.blocks.drain(..).map(|addr| PrefetchRequest {
+            cpu: access.cpu,
+            addr,
+            level: PrefetchLevel::L1,
+        }));
     }
 
     fn on_stream_eviction(&mut self, cpu: u8, block_addr: u64) {

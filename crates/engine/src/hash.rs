@@ -122,7 +122,10 @@ mod tests {
         assert_eq!(spec_fingerprint(&reloaded), baseline);
 
         // The list wrapper's version/name labels are not identity either.
-        let named = JobList::new(jobs()).with_name("fig05 rerun");
+        let named = JobList {
+            name: Some("fig05 rerun".to_string()),
+            ..JobList::new(jobs())
+        };
         assert_eq!(list_fingerprint(&named), baseline);
     }
 

@@ -8,30 +8,31 @@
 //! [`trace::TraceSource`] (synthetic generator or streamed trace file),
 //! system configuration, a registry-resolved [`PrefetcherSpec`], access
 //! budget, and an optional timing-model evaluation — and executes whole job
-//! lists with [`run_jobs`]:
+//! lists with [`execute`], the one function that runs jobs:
 //!
 //! * prefetchers and probes are **plugins**: a [`PrefetcherSpec`] is just a
 //!   stable plugin name plus a JSON parameter tree, resolved through a
 //!   [`Registry`] that ships with the built-ins (`null`, `sms`, `ghb`,
 //!   `training`, `density-probe`, `oracle-probe`) and accepts custom
 //!   [`PrefetcherPlugin`]s from experiments and tests;
-//! * jobs are sharded across worker threads (`std::thread::scope` with an
-//!   atomic work-stealing cursor; worker count from [`EngineConfig`],
-//!   defaulting to the available hardware parallelism);
+//! * jobs are claimed in index order from an atomic cursor, by the calling
+//!   thread alone or by scoped worker threads (worker count from
+//!   [`RunOptions`], `0` meaning the available hardware parallelism);
 //! * every job builds its own prefetcher from the job description on the
 //!   executing thread and reads exactly the accesses of its trace source —
 //!   a synthetic trace that several jobs of a list read is generated once
-//!   per run and replayed by each of them — so parallel
-//!   results are **bit-identical** to the serial path;
+//!   per run and replayed by each of them — so results are
+//!   **bit-identical** for every worker count;
 //! * every job runs one loop ([`segment`]): pull a segment of its trace,
 //!   simulate it with miss classification deferred, then replay the
 //!   segment's outcome tape into the classifiers — the same computation in
 //!   the same order as the per-access reference `memsim::run`, so results
 //!   stay bit-identical;
-//! * results are merged deterministically back into submission order, each
-//!   carrying the run's [`memsim::RunSummary`], an open serializable
-//!   [`ProbeReport`] (`{kind, data}` — density histograms, oracle misses,
-//!   predictor counters), and the [`timing::TimingResult`] for timing jobs;
+//! * results reach the caller's sink in submission order, each carrying the
+//!   run's [`memsim::RunSummary`], an open serializable [`ProbeReport`]
+//!   (`{kind, data}` — density histograms, oracle misses, predictor
+//!   counters), and the [`timing::TimingResult`] for timing jobs, beside the
+//!   job's [`JobMetrics`];
 //! * whole job lists round-trip through JSON spec files ([`JobList`]), which
 //!   is what `sms-experiments run --spec jobs.json` executes and every
 //!   figure's `--emit-spec` writes.
@@ -39,7 +40,7 @@
 //! # Example
 //!
 //! ```
-//! use engine::{run_jobs_with, EngineConfig, PrefetcherSpec, SimJob};
+//! use engine::{execute, PrefetcherSpec, RunOptions, SimJob};
 //! use memsim::HierarchyConfig;
 //! use trace::{Application, GeneratorConfig};
 //!
@@ -57,8 +58,12 @@
 //!         ))
 //!     })
 //!     .collect();
-//! let results = run_jobs_with(&jobs, &EngineConfig::with_workers(2));
-//! assert_eq!(results.len(), 2);
+//! let mut results = Vec::new();
+//! let delivered = execute(&jobs, &RunOptions::new(2), &mut |result, _metrics| {
+//!     results.push(result)
+//! })
+//!     .expect("built-in plugins over synthetic traces always run");
+//! assert_eq!(delivered, 2);
 //! // SMS must not increase the baseline's L1 read misses.
 //! assert!(results[1].summary.l1.read_misses <= results[0].summary.l1.read_misses);
 //! ```
@@ -80,9 +85,8 @@ pub use plugin::{
     PluginError, PrefetcherPlugin, Probe, ProbeReport, Registry, TrainingReport,
 };
 pub use runner::{
-    run_job, run_job_metered, run_jobs, run_jobs_in, run_jobs_metered, run_jobs_observed,
-    run_jobs_streamed, run_jobs_streamed_observed, run_jobs_with, CancelToken, EngineConfig,
-    EngineError, JobList, JobResult, JobWarning, SimJob, SpecError, TimingSpec,
+    execute, CancelToken, EngineError, JobList, JobResult, JobWarning, RunOptions, SimJob,
+    SpecError, TimingSpec,
 };
 pub use spec::{MultiOracle, OracleProbeSpec, PrefetcherSpec, TrainingSpec};
-pub use telemetry::{EngineMetrics, JobMetrics, WorkerMetrics};
+pub use telemetry::JobMetrics;

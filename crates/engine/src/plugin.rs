@@ -324,6 +324,18 @@ pub trait PrefetcherPlugin: Send + Sync {
         params: &serde_json::Value,
         num_cpus: usize,
     ) -> Result<BuiltPrefetcher, PluginError>;
+
+    /// Checks `params` without building anything, so a spec is refused
+    /// before its run starts.  A plugin that overrides it must reject
+    /// exactly what [`build`](Self::build) rejects; the default accepts
+    /// everything and leaves the errors to `build`.
+    ///
+    /// # Errors
+    ///
+    /// As [`build`](Self::build).
+    fn check(&self, _params: &serde_json::Value) -> Result<(), PluginError> {
+        Ok(())
+    }
 }
 
 /// Decodes a plugin's parameter tree into its typed configuration, mapping
@@ -371,12 +383,12 @@ impl Registry {
         registry
     }
 
-    /// The shared process-wide registry of built-ins, used by the engine's
-    /// convenience entry points ([`run_jobs`](crate::runner::run_jobs),
-    /// [`run_jobs_with`](crate::runner::run_jobs_with)).  Custom plugins
-    /// cannot be added here; build your own registry with
+    /// The shared process-wide registry of built-ins, which
+    /// [`RunOptions::new`](crate::runner::RunOptions::new) selects.  Custom
+    /// plugins cannot be added here; build your own registry with
     /// [`Registry::with_builtins`] + [`Registry::register`] and pass it to
-    /// [`run_jobs_in`](crate::runner::run_jobs_in).
+    /// [`execute`](crate::runner::execute) in
+    /// [`RunOptions::registry`](crate::runner::RunOptions::registry).
     pub fn builtin() -> &'static Registry {
         static BUILTIN: OnceLock<Registry> = OnceLock::new();
         BUILTIN.get_or_init(Registry::with_builtins)
@@ -424,13 +436,25 @@ impl Registry {
         spec: &PrefetcherSpec,
         num_cpus: usize,
     ) -> Result<BuiltPrefetcher, PluginError> {
-        let plugin = self
-            .get(&spec.plugin)
+        self.resolve(spec)?.build(&spec.params, num_cpus)
+    }
+
+    /// Resolves `spec` and checks its parameters
+    /// ([`PrefetcherPlugin::check`]) without building a prefetcher.
+    ///
+    /// # Errors
+    ///
+    /// As [`build`](Self::build).
+    pub fn check(&self, spec: &PrefetcherSpec) -> Result<(), PluginError> {
+        self.resolve(spec)?.check(&spec.params)
+    }
+
+    fn resolve(&self, spec: &PrefetcherSpec) -> Result<&dyn PrefetcherPlugin, PluginError> {
+        self.get(&spec.plugin)
             .ok_or_else(|| PluginError::UnknownPlugin {
                 name: spec.plugin.clone(),
                 suggestion: closest_match(&spec.plugin, self.names().into_iter()),
-            })?;
-        plugin.build(&spec.params, num_cpus)
+            })
     }
 }
 

@@ -1,13 +1,14 @@
-//! The job executor: runs a list of [`SimJob`]s serially or sharded across
-//! worker threads, with a deterministic merge of the results.
+//! The job executor: [`execute`] runs a list of [`SimJob`]s on the calling
+//! thread or on scoped worker threads and hands every result to a sink in
+//! submission order.
 //!
 //! Every job runs the engine's one job loop ([`crate::segment`]) on the
 //! worker that claimed it: it builds its own system and resolves its
 //! prefetcher spec through a plugin [`Registry`] there, and reads exactly
 //! the accesses its trace source yields — from its own generator or file,
 //! or from the run's shared recording of a synthetic trace several jobs
-//! read — so the parallel path is bit-identical to the serial
-//! path and the result order never depends on scheduling.
+//! read — so results are bit-identical for every worker count and the
+//! delivery order never depends on scheduling.
 //!
 //! Jobs and results are serializable end to end: a [`JobList`] round-trips
 //! through a JSON spec file (`sms-experiments run --spec jobs.json`), and a
@@ -17,10 +18,10 @@ use crate::plugin::{PluginError, ProbeReport, Registry};
 use crate::segment::run_job_on;
 use crate::shared::{SharedTraces, LIVE_CAP_BYTES};
 use crate::spec::PrefetcherSpec;
-use crate::telemetry::{EngineMetrics, JobMetrics, WorkerMetrics};
+use crate::telemetry::JobMetrics;
 use memsim::RunSummary;
-use metrics::{MetricsConfig, Stopwatch};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -59,12 +60,6 @@ impl SimJob {
     pub fn with_timing(mut self, config: TimingConfig, segments: usize) -> Self {
         self.timing = Some(TimingSpec { config, segments });
         self
-    }
-}
-
-impl From<memsim::SimJob<PrefetcherSpec>> for SimJob {
-    fn from(sim: memsim::SimJob<PrefetcherSpec>) -> Self {
-        Self::new(sim)
     }
 }
 
@@ -107,12 +102,6 @@ impl JobList {
             name: None,
             jobs,
         }
-    }
-
-    /// Returns a copy carrying a client-facing label.
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.name = Some(name.into());
-        self
     }
 
     /// Parses a spec file's JSON text, checking the format version *before*
@@ -168,6 +157,25 @@ impl JobList {
         list.version = Self::VERSION;
         Ok(list)
     }
+
+    /// Checks every job's prefetcher spec against `registry` without
+    /// building a prefetcher: the plugin must exist and accept its
+    /// parameters.  `run --spec` and the job server call this right after
+    /// [`from_json`](Self::from_json), so a bad spec is refused before any
+    /// job runs.
+    ///
+    /// # Errors
+    ///
+    /// [`SpecError::Plugin`] for the first job whose spec names an unknown
+    /// plugin or carries parameters its plugin rejects.
+    pub fn check(&self, registry: &Registry) -> Result<(), SpecError> {
+        for (job, entry) in self.jobs.iter().enumerate() {
+            registry
+                .check(&entry.sim.prefetcher)
+                .map_err(|error| SpecError::Plugin { job, error })?;
+        }
+        Ok(())
+    }
 }
 
 /// An error raised while loading a [`JobList`] spec file.
@@ -192,6 +200,14 @@ pub enum SpecError {
         /// The invariant the cache breaks.
         error: memsim::GeometryError,
     },
+    /// A job's prefetcher spec names an unknown plugin or carries
+    /// parameters its plugin rejects ([`JobList::check`]).
+    Plugin {
+        /// Index of the job in the list.
+        job: usize,
+        /// What the registry or the plugin reported.
+        error: PluginError,
+    },
 }
 
 impl fmt::Display for SpecError {
@@ -207,6 +223,7 @@ impl fmt::Display for SpecError {
             SpecError::InvalidCache { job, level, error } => {
                 write!(f, "invalid job spec: job {job}: {level} {error}")
             }
+            SpecError::Plugin { job, error } => write!(f, "invalid job spec: job {job}: {error}"),
         }
     }
 }
@@ -255,7 +272,7 @@ pub struct JobResult {
     /// Non-fatal conditions observed during the run (e.g. a file-backed
     /// trace shorter than the access budget).  Deterministic — never
     /// timing- or telemetry-dependent — so results stay bit-identical
-    /// across workers and metrics settings.
+    /// for every worker count, traced or not.
     pub warnings: Vec<JobWarning>,
 }
 
@@ -328,32 +345,38 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Execution parameters of the engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EngineConfig {
-    /// Number of worker threads; `0` means one per available hardware
-    /// thread, `1` forces the serial path.
+/// How [`execute`] runs a job list.
+#[derive(Debug, Clone, Copy)]
+pub struct RunOptions<'a> {
+    /// Worker threads; `0` means one per available hardware thread.  With
+    /// one effective worker the calling thread runs every job itself.
     pub workers: usize,
+    /// Resolves every job's prefetcher spec.
+    pub registry: &'a Registry,
+    /// Receives a `worker` span per worker, a `job` span per job and the
+    /// stage spans of every job's loop; a disabled trace records nothing.
+    pub trace: &'a Trace,
+    /// Stops the run between jobs once cancelled; `None` runs every job.
+    pub cancel: Option<&'a CancelToken>,
 }
 
-impl EngineConfig {
-    /// One worker per available hardware thread.
-    pub fn auto() -> Self {
-        Self { workers: 0 }
+impl RunOptions<'static> {
+    /// `workers` workers over the built-in plugins, untraced and never
+    /// cancelled.
+    pub fn new(workers: usize) -> Self {
+        static UNTRACED: Trace = Trace::disabled();
+        Self {
+            workers,
+            registry: Registry::builtin(),
+            trace: &UNTRACED,
+            cancel: None,
+        }
     }
+}
 
-    /// The serial fallback: run every job on the calling thread.
-    pub fn serial() -> Self {
-        Self { workers: 1 }
-    }
-
-    /// An explicit worker count (`0` = auto).
-    pub fn with_workers(workers: usize) -> Self {
-        Self { workers }
-    }
-
+impl RunOptions<'_> {
     /// The worker count actually used for `jobs` queued jobs.
-    pub fn effective_workers(&self, jobs: usize) -> usize {
+    fn effective_workers(&self, jobs: usize) -> usize {
         let workers = if self.workers == 0 {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
@@ -363,292 +386,13 @@ impl EngineConfig {
         };
         workers.min(jobs).max(1)
     }
-}
 
-impl Default for EngineConfig {
-    fn default() -> Self {
-        Self::auto()
+    fn cancelled(&self) -> bool {
+        self.cancel.is_some_and(CancelToken::is_cancelled)
     }
 }
 
-/// Runs one job to completion on the calling thread, resolving its
-/// prefetcher spec through `registry`.
-///
-/// # Errors
-///
-/// [`EngineError::Plugin`] if the spec does not resolve or build, and
-/// [`EngineError::Trace`] if a file-backed trace source fails to open or
-/// turns out to be corrupt mid-stream (a corrupt record must fail the job
-/// loudly rather than silently shorten the run).
-pub fn run_job(index: usize, job: &SimJob, registry: &Registry) -> Result<JobResult, EngineError> {
-    run_job_metered(index, job, registry, &MetricsConfig::disabled()).map(|(result, _)| result)
-}
-
-/// [`run_job`] with telemetry: additionally collects the job's
-/// [`JobMetrics`] (wall-clock time, accesses/second, cache-op and
-/// prefetch-issue counts, per-segment stage times) when `metrics.enabled`.
-///
-/// The [`JobResult`] is bit-identical regardless of the metrics setting —
-/// telemetry observes the run on a separate channel and never enters the
-/// serialized results.
-///
-/// # Errors
-///
-/// As [`run_job`].
-pub fn run_job_metered(
-    index: usize,
-    job: &SimJob,
-    registry: &Registry,
-    metrics: &MetricsConfig,
-) -> Result<(JobResult, JobMetrics), EngineError> {
-    run_job_on(index, job, registry, metrics, &Trace::disabled(), || {
-        job.sim.source.open()
-    })
-}
-
-/// Runs every job against the built-in plugin registry with the default
-/// engine configuration (one worker per available hardware thread) and
-/// returns the results in submission order.
-///
-/// # Panics
-///
-/// Panics if a job fails to prepare (unknown plugin, bad parameters,
-/// unopenable trace file).  Specs built with the typed
-/// [`PrefetcherSpec`] constructors over synthetic sources never fail; use
-/// [`run_jobs_in`] to handle errors from externally-loaded job files.
-pub fn run_jobs(jobs: &[SimJob]) -> Vec<JobResult> {
-    run_jobs_with(jobs, &EngineConfig::default())
-}
-
-/// Runs every job against the built-in plugin registry with an explicit
-/// engine configuration.
-///
-/// # Panics
-///
-/// As [`run_jobs`]: panics if a job fails to prepare.
-pub fn run_jobs_with(jobs: &[SimJob], config: &EngineConfig) -> Vec<JobResult> {
-    run_jobs_in(jobs, config, Registry::builtin()).expect("job failed to prepare")
-}
-
-/// Runs every job, resolving prefetcher specs through `registry` and
-/// sharding the list across `config.workers` threads, then merges the
-/// results deterministically back into submission order.
-///
-/// With one effective worker the engine runs serially on the calling thread;
-/// either way the results are bit-identical, because each job builds its own
-/// prefetcher from the job description and reads exactly its source's
-/// accesses.
-///
-/// # Errors
-///
-/// The first (lowest-job-index) preparation failure, regardless of worker
-/// scheduling.  Already-completed work on other threads is discarded.
-pub fn run_jobs_in(
-    jobs: &[SimJob],
-    config: &EngineConfig,
-    registry: &Registry,
-) -> Result<Vec<JobResult>, EngineError> {
-    run_jobs_metered(jobs, config, registry, &MetricsConfig::disabled()).map(|(results, _)| results)
-}
-
-/// One executed job tagged with its submission index, or the error that
-/// stopped its worker.
-type TaggedOutcome = (usize, Result<(JobResult, JobMetrics), EngineError>);
-
-/// Executes one job with panic isolation: a panic anywhere inside the job —
-/// plugin build, probe callback, kind sink — is caught at this boundary and
-/// surfaced as
-/// [`EngineError::Panicked`], so a broken plugin fails its own job with the
-/// usual lowest-index-error semantics instead of tearing down the worker
-/// thread and every job queued behind it.
-///
-/// This is the one place every run mode opens a job's stream, through the
-/// run's `shared` trace table, and tells the table when the job is done.
-///
-/// `AssertUnwindSafe` is sound: the job's system, prefetcher and stream are
-/// constructed inside the closure and dropped with it; the shared
-/// `registry`, `metrics` and `trace` are only read through `&` references;
-/// and a panic while recording leaves the table's group unrecorded, so the
-/// next job records it afresh.
-pub(crate) fn exec_job_isolated(
-    index: usize,
-    job: &SimJob,
-    registry: &Registry,
-    metrics: &MetricsConfig,
-    trace: &Trace,
-    shared: &SharedTraces,
-    rec: &Recorder,
-) -> Result<(JobResult, JobMetrics), EngineError> {
-    let mut span = rec.span("job");
-    span.arg_u64("job", index as u64);
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_job_on(index, job, registry, metrics, trace, || {
-            shared.open(index, job)
-        })
-    }));
-    shared.finish(index);
-    match outcome {
-        Ok(result) => result,
-        Err(payload) => {
-            rec.instant("job_panicked", |args| {
-                args.u64("job", index as u64);
-            });
-            Err(EngineError::Panicked {
-                job_index: index,
-                message: panic_message(payload.as_ref()),
-            })
-        }
-    }
-}
-
-/// One worker's output: its timing plus the tagged job outcomes it ran.
-type WorkerShard = (WorkerMetrics, Vec<TaggedOutcome>);
-
-/// [`run_jobs_in`] with telemetry: additionally collects an
-/// [`EngineMetrics`] — per-job throughput, per-worker simulate vs.
-/// queue-wait time, and the whole-run timing including the deterministic
-/// merge — when `metrics.enabled` (all timings zero otherwise).
-///
-/// Results are bit-identical to [`run_jobs_in`] for every metrics setting
-/// and worker count: telemetry is collected on a separate channel and never
-/// serialized into the [`JobResult`]s.
-///
-/// # Errors
-///
-/// As [`run_jobs_in`]: the first (lowest-job-index) preparation failure.
-/// Metrics collected before the failure are discarded with the results.
-pub fn run_jobs_metered(
-    jobs: &[SimJob],
-    config: &EngineConfig,
-    registry: &Registry,
-    metrics: &MetricsConfig,
-) -> Result<(Vec<JobResult>, EngineMetrics), EngineError> {
-    run_jobs_observed(jobs, config, registry, metrics, &Trace::disabled())
-}
-
-/// [`run_jobs_metered`] with span tracing: when `trace` is enabled, every
-/// worker records a `worker` span, each executed job a nested `job` span,
-/// and each job's loop records per-segment stage spans on a track of its
-/// own.  With a disabled trace this *is*
-/// [`run_jobs_metered`] — recorders are no-ops that never read the clock —
-/// and results are bit-identical for every tracing and metrics setting.
-///
-/// # Errors
-///
-/// As [`run_jobs_in`]: the first (lowest-job-index) preparation failure.
-pub fn run_jobs_observed(
-    jobs: &[SimJob],
-    config: &EngineConfig,
-    registry: &Registry,
-    metrics: &MetricsConfig,
-    trace: &Trace,
-) -> Result<(Vec<JobResult>, EngineMetrics), EngineError> {
-    let run_watch = Stopwatch::start_if(metrics.enabled);
-    let workers = config.effective_workers(jobs.len());
-    let shared = SharedTraces::plan(jobs, LIVE_CAP_BYTES);
-    let exec = |index: usize, job: &SimJob, rec: &Recorder| {
-        exec_job_isolated(index, job, registry, metrics, trace, &shared, rec)
-    };
-    if workers <= 1 {
-        let recorder = trace.recorder("engine");
-        let mut results = Vec::with_capacity(jobs.len());
-        let mut engine_metrics = EngineMetrics::default();
-        let mut simulate_seconds = 0.0;
-        for (index, job) in jobs.iter().enumerate() {
-            let (result, job_metrics) = exec(index, job, &recorder)?;
-            simulate_seconds += job_metrics.elapsed_seconds;
-            results.push(result);
-            engine_metrics.jobs.push(job_metrics);
-        }
-        let total_seconds = run_watch.elapsed_seconds();
-        engine_metrics.workers.push(WorkerMetrics {
-            worker: 0,
-            jobs_run: jobs.len() as u64,
-            simulate_seconds,
-            queue_wait_seconds: (total_seconds - simulate_seconds).max(0.0),
-            total_seconds,
-        });
-        engine_metrics.finish(0.0, total_seconds);
-        return Ok((results, engine_metrics));
-    }
-
-    // Work-stealing by atomic cursor: each worker claims the next unclaimed
-    // job, so long jobs do not serialize behind a static partition.
-    let next = AtomicUsize::new(0);
-    let shards: Vec<WorkerShard> = std::thread::scope(|scope| {
-        let exec = &exec;
-        let handles: Vec<_> = (0..workers)
-            .map(|worker| {
-                // `move` is for the worker index; the shared state is
-                // captured by reference.
-                let next = &next;
-                scope.spawn(move || {
-                    let recorder = trace.recorder(&format!("worker{worker}"));
-                    let mut worker_span = recorder.span("worker");
-                    let worker_watch = Stopwatch::start_if(metrics.enabled);
-                    let mut simulate_seconds = 0.0;
-                    let mut shard = Vec::new();
-                    loop {
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        if index >= jobs.len() {
-                            break;
-                        }
-                        let result = exec(index, &jobs[index], &recorder);
-                        let failed = result.is_err();
-                        if let Ok((_, job_metrics)) = &result {
-                            simulate_seconds += job_metrics.elapsed_seconds;
-                        }
-                        shard.push((index, result));
-                        if failed {
-                            // No point burning the queue down after a
-                            // failure; the merge below still picks the
-                            // lowest-index error deterministically.
-                            break;
-                        }
-                    }
-                    let total_seconds = worker_watch.elapsed_seconds();
-                    let worker_metrics = WorkerMetrics {
-                        worker,
-                        jobs_run: shard.len() as u64,
-                        simulate_seconds,
-                        queue_wait_seconds: (total_seconds - simulate_seconds).max(0.0),
-                        total_seconds,
-                    };
-                    worker_span.arg_u64("jobs_run", worker_metrics.jobs_run);
-                    worker_span.arg_f64("queue_wait_seconds", worker_metrics.queue_wait_seconds);
-                    (worker_metrics, shard)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("engine worker panicked"))
-            .collect()
-    });
-
-    // Deterministic merge: the tagged index recovers submission order
-    // regardless of which worker ran which job, and the lowest-index error
-    // wins regardless of scheduling.
-    let merge_watch = Stopwatch::start_if(metrics.enabled);
-    let mut engine_metrics = EngineMetrics::default();
-    let mut tagged: Vec<TaggedOutcome> = Vec::new();
-    for (worker_metrics, shard) in shards {
-        engine_metrics.workers.push(worker_metrics);
-        tagged.extend(shard);
-    }
-    tagged.sort_by_key(|(index, _)| *index);
-    let mut results = Vec::with_capacity(tagged.len());
-    for (_, outcome) in tagged {
-        let (result, job_metrics) = outcome?;
-        results.push(result);
-        engine_metrics.jobs.push(job_metrics);
-    }
-    debug_assert!(results.iter().enumerate().all(|(i, r)| r.job_index == i));
-    engine_metrics.finish(merge_watch.elapsed_seconds(), run_watch.elapsed_seconds());
-    Ok((results, engine_metrics))
-}
-
-/// A shared cooperative-cancellation flag for a streaming engine run.
+/// A shared cooperative-cancellation flag for an engine run.
 ///
 /// Cancellation is observed between jobs, never mid-job: workers stop
 /// claiming new work, already-running jobs complete, and the run returns
@@ -676,210 +420,209 @@ impl CancelToken {
     }
 }
 
-/// [`run_jobs_metered`] restructured for a serving loop: results are
-/// delivered to `sink` **incrementally, in submission order**, instead of
-/// being collected into a `Vec`, and the run can be cut short between jobs
-/// through `cancel`.
+/// Runs `jobs` and hands each result, with its [`JobMetrics`], to `sink` in
+/// submission order, returning how many results the sink received.
 ///
-/// The per-job results handed to the sink are bit-identical to what
-/// [`run_jobs_metered`] would return for every worker count — workers tag
-/// outcomes with the submission index
-/// and the calling thread reorders them into a strictly in-order stream, so
-/// a consumer can forward each result over a socket as it lands.  Because
-/// workers claim jobs from an atomic cursor, the claimed set is always a
-/// contiguous prefix of the list; a cancelled run therefore delivers jobs
-/// `0..n` for some `n` with nothing missing in between.
+/// Workers claim jobs in index order from a shared cursor.  With one
+/// effective worker the calling thread runs every job itself; with more,
+/// scoped threads run them and the calling thread reorders their outcomes,
+/// so the sink always runs on the calling thread and sees jobs `0, 1, 2, …`
+/// with nothing missing.  Results are bit-identical for every worker count,
+/// because each job builds its own prefetcher and reads exactly its
+/// source's accesses.  A caller that wants a `Vec` passes a sink that
+/// pushes onto one.
 ///
-/// Returns the number of results delivered to the sink plus the run's
-/// [`EngineMetrics`] (no separate merge phase, so `merge_seconds` is zero).
+/// Claiming stops once a job fails or `options.cancel` is cancelled.  The
+/// claimed jobs are always a prefix of the list, so a cancelled run
+/// delivers jobs `0..n` for some `n` and returns `Ok(n)`.
 ///
 /// # Errors
 ///
-/// The lowest-index preparation failure, exactly as [`run_jobs_metered`];
-/// results before the failing index have already been delivered to the sink
-/// (a streaming consumer has by then forwarded them — the error frame
-/// follows the partial stream).
-pub fn run_jobs_streamed(
+/// The lowest-index failure — a prefetcher spec that does not resolve or
+/// build, a trace source that fails to open or is corrupt mid-stream, or a
+/// panic inside the job — regardless of scheduling.  Every job before it
+/// has been delivered by then, so a streaming consumer sends the error after
+/// a clean prefix.
+pub fn execute(
     jobs: &[SimJob],
-    config: &EngineConfig,
-    registry: &Registry,
-    metrics: &MetricsConfig,
-    cancel: &CancelToken,
+    options: &RunOptions<'_>,
     sink: &mut dyn FnMut(JobResult, JobMetrics),
-) -> Result<(usize, EngineMetrics), EngineError> {
-    run_jobs_streamed_observed(
+) -> Result<usize, EngineError> {
+    let run = Run {
         jobs,
-        config,
-        registry,
-        metrics,
-        &Trace::disabled(),
-        cancel,
-        sink,
-    )
-}
-
-/// [`run_jobs_streamed`] with span tracing, exactly as [`run_jobs_observed`]
-/// relates to [`run_jobs_metered`]: a `worker` span per worker, a nested
-/// `job` span per executed job, stage spans inside every job — and a
-/// disabled trace records nothing and costs nothing.
-///
-/// # Errors
-///
-/// As [`run_jobs_streamed`].
-pub fn run_jobs_streamed_observed(
-    jobs: &[SimJob],
-    config: &EngineConfig,
-    registry: &Registry,
-    metrics: &MetricsConfig,
-    trace: &Trace,
-    cancel: &CancelToken,
-    sink: &mut dyn FnMut(JobResult, JobMetrics),
-) -> Result<(usize, EngineMetrics), EngineError> {
-    let run_watch = Stopwatch::start_if(metrics.enabled);
-    let workers = config.effective_workers(jobs.len());
-    let shared = SharedTraces::plan(jobs, LIVE_CAP_BYTES);
-    let exec = |index: usize, job: &SimJob, rec: &Recorder| {
-        exec_job_isolated(index, job, registry, metrics, trace, &shared, rec)
+        options,
+        shared: SharedTraces::plan(jobs, LIVE_CAP_BYTES),
+        next: AtomicUsize::new(0),
+        failed: AtomicBool::new(false),
     };
-
-    if workers <= 1 {
-        let recorder = trace.recorder("engine");
-        let mut engine_metrics = EngineMetrics::default();
-        let mut simulate_seconds = 0.0;
-        let mut delivered = 0;
-        let mut first_error = None;
-        for (index, job) in jobs.iter().enumerate() {
-            if cancel.is_cancelled() {
-                break;
-            }
-            match exec(index, job, &recorder) {
-                Ok((result, job_metrics)) => {
-                    simulate_seconds += job_metrics.elapsed_seconds;
-                    engine_metrics.jobs.push(job_metrics);
-                    sink(result, job_metrics);
-                    delivered += 1;
-                }
-                Err(e) => {
-                    first_error = Some(e);
-                    break;
-                }
-            }
-        }
-        if first_error.is_none() && cancel.is_cancelled() {
-            recorder.instant("run_cancelled", |args| {
-                args.u64("delivered", delivered as u64);
+    let mut delivery = Delivery {
+        sink,
+        pending: BTreeMap::new(),
+        delivered: 0,
+        error: None,
+    };
+    let workers = options.effective_workers(jobs.len());
+    if workers == 1 {
+        let recorder = options.trace.recorder("engine");
+        run.work(&recorder, &mut |index, outcome| {
+            delivery.accept(index, outcome);
+            true
+        });
+        return delivery.finish(options, || recorder);
+    }
+    let (tx, rx) = mpsc::channel();
+    std::thread::scope(|scope| {
+        for worker in 0..workers {
+            let (run, tx) = (&run, tx.clone());
+            scope.spawn(move || {
+                let recorder = run.options.trace.recorder(&format!("worker{worker}"));
+                run.work(&recorder, &mut |index, outcome| {
+                    tx.send((index, outcome)).is_ok()
+                });
             });
         }
-        let total_seconds = run_watch.elapsed_seconds();
-        engine_metrics.workers.push(WorkerMetrics {
-            worker: 0,
-            jobs_run: delivered as u64,
-            simulate_seconds,
-            queue_wait_seconds: (total_seconds - simulate_seconds).max(0.0),
-            total_seconds,
-        });
-        engine_metrics.finish(0.0, total_seconds);
-        return match first_error {
-            Some(e) => Err(e),
-            None => Ok((delivered, engine_metrics)),
-        };
-    }
-
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<TaggedOutcome>();
-    let mut engine_metrics = EngineMetrics::default();
-    let mut delivered = 0usize;
-    let mut first_error: Option<EngineError> = None;
-    std::thread::scope(|scope| {
-        let exec = &exec;
-        let handles: Vec<_> = (0..workers)
-            .map(|worker| {
-                let next = &next;
-                let tx = tx.clone();
-                scope.spawn(move || {
-                    let recorder = trace.recorder(&format!("worker{worker}"));
-                    let mut worker_span = recorder.span("worker");
-                    let worker_watch = Stopwatch::start_if(metrics.enabled);
-                    let mut simulate_seconds = 0.0;
-                    let mut jobs_run = 0u64;
-                    loop {
-                        if cancel.is_cancelled() {
-                            break;
-                        }
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        if index >= jobs.len() {
-                            break;
-                        }
-                        let outcome = exec(index, &jobs[index], &recorder);
-                        let failed = outcome.is_err();
-                        if let Ok((_, job_metrics)) = &outcome {
-                            simulate_seconds += job_metrics.elapsed_seconds;
-                        }
-                        jobs_run += 1;
-                        if tx.send((index, outcome)).is_err() || failed {
-                            break;
-                        }
-                    }
-                    let total_seconds = worker_watch.elapsed_seconds();
-                    let worker_metrics = WorkerMetrics {
-                        worker,
-                        jobs_run,
-                        simulate_seconds,
-                        queue_wait_seconds: (total_seconds - simulate_seconds).max(0.0),
-                        total_seconds,
-                    };
-                    worker_span.arg_u64("jobs_run", jobs_run);
-                    worker_span.arg_f64("queue_wait_seconds", worker_metrics.queue_wait_seconds);
-                    worker_metrics
-                })
-            })
-            .collect();
         // The workers hold the only remaining senders, so the channel closes
         // when the last one finishes.
         drop(tx);
-
-        // Reorder the tagged outcomes into a strictly in-order stream.  On
-        // the first in-order error (necessarily the lowest failing index:
-        // everything before it was already emitted as a success) cancel the
-        // remaining work and drain the channel.
-        let mut pending: std::collections::BTreeMap<
-            usize,
-            Result<(JobResult, JobMetrics), EngineError>,
-        > = std::collections::BTreeMap::new();
-        let mut next_emit = 0usize;
         for (index, outcome) in rx {
-            pending.insert(index, outcome);
-            while first_error.is_none() {
-                match pending.remove(&next_emit) {
-                    Some(Ok((result, job_metrics))) => {
-                        engine_metrics.jobs.push(job_metrics);
-                        sink(result, job_metrics);
-                        delivered += 1;
-                        next_emit += 1;
-                    }
-                    Some(Err(e)) => {
-                        first_error = Some(e);
-                        cancel.cancel();
-                    }
-                    None => break,
-                }
-            }
-        }
-        for handle in handles {
-            engine_metrics
-                .workers
-                .push(handle.join().expect("engine worker panicked"));
+            delivery.accept(index, outcome);
         }
     });
-    if first_error.is_none() && cancel.is_cancelled() {
-        trace.recorder("engine").instant("run_cancelled", |args| {
-            args.u64("delivered", delivered as u64);
-        });
+    delivery.finish(options, || options.trace.recorder("engine"))
+}
+
+/// One executed job's result and metrics, or the error that failed it.
+type Outcome = Result<(JobResult, JobMetrics), EngineError>;
+
+/// What every worker of one [`execute`] call shares.
+struct Run<'a> {
+    jobs: &'a [SimJob],
+    options: &'a RunOptions<'a>,
+    shared: SharedTraces,
+    /// The lowest job no worker has claimed.
+    next: AtomicUsize,
+    /// Set by the first job that fails; no worker claims a job after it.
+    failed: AtomicBool,
+}
+
+impl Run<'_> {
+    /// One worker's loop: claims the next job until none is left, a job has
+    /// failed or the run is cancelled, and passes each outcome to `deliver`,
+    /// which returns `false` once nobody receives them.
+    fn work(&self, recorder: &Recorder, deliver: &mut dyn FnMut(usize, Outcome) -> bool) {
+        let mut span = recorder.span("worker");
+        let mut jobs_run = 0;
+        while !self.failed.load(Ordering::Relaxed) && !self.options.cancelled() {
+            let index = self.next.fetch_add(1, Ordering::Relaxed);
+            let Some(job) = self.jobs.get(index) else {
+                break;
+            };
+            let outcome = exec_job_isolated(
+                index,
+                job,
+                self.options.registry,
+                self.options.trace,
+                &self.shared,
+                recorder,
+            );
+            jobs_run += 1;
+            if outcome.is_err() {
+                self.failed.store(true, Ordering::Relaxed);
+            }
+            if !deliver(index, outcome) {
+                break;
+            }
+        }
+        span.arg_u64("jobs_run", jobs_run);
     }
-    engine_metrics.finish(0.0, run_watch.elapsed_seconds());
-    match first_error {
-        Some(e) => Err(e),
-        None => Ok((delivered, engine_metrics)),
+}
+
+/// The in-order half of [`execute`]: holds outcomes that arrive early and
+/// hands the sink the clean prefix, stopping at the lowest-index error.
+struct Delivery<'a> {
+    sink: &'a mut dyn FnMut(JobResult, JobMetrics),
+    /// Outcomes that arrived before an earlier job's.
+    pending: BTreeMap<usize, Outcome>,
+    /// Results handed to the sink, which is also the next index due.
+    delivered: usize,
+    error: Option<EngineError>,
+}
+
+impl Delivery<'_> {
+    fn accept(&mut self, index: usize, outcome: Outcome) {
+        self.pending.insert(index, outcome);
+        while self.error.is_none() {
+            match self.pending.remove(&self.delivered) {
+                Some(Ok((result, metrics))) => {
+                    (self.sink)(result, metrics);
+                    self.delivered += 1;
+                }
+                // Everything before it was delivered, so this is the
+                // lowest failing index.
+                Some(Err(error)) => self.error = Some(error),
+                None => break,
+            }
+        }
+    }
+
+    /// The run's outcome.  A cancelled run records a `run_cancelled`
+    /// instant on the calling thread's recorder.
+    fn finish(
+        self,
+        options: &RunOptions<'_>,
+        recorder: impl FnOnce() -> Recorder,
+    ) -> Result<usize, EngineError> {
+        if let Some(error) = self.error {
+            return Err(error);
+        }
+        if options.cancelled() {
+            recorder().instant("run_cancelled", |args| {
+                args.u64("delivered", self.delivered as u64);
+            });
+        }
+        Ok(self.delivered)
+    }
+}
+
+/// Executes one job with panic isolation: a panic anywhere inside the job —
+/// plugin build, probe callback, kind sink — is caught at this boundary and
+/// surfaced as [`EngineError::Panicked`], so a broken plugin fails its own
+/// job with the usual lowest-index-error semantics instead of tearing down
+/// the worker thread and every job queued behind it.
+///
+/// This is the one place a job's stream is opened, through the run's
+/// `shared` trace table, and the table told when the job is done.
+///
+/// `AssertUnwindSafe` is sound: the job's system, prefetcher and stream are
+/// constructed inside the closure and dropped with it; the shared
+/// `registry` and `trace` are only read through `&` references; and a panic
+/// while recording leaves the table's group unrecorded, so the next job
+/// records it afresh.
+pub(crate) fn exec_job_isolated(
+    index: usize,
+    job: &SimJob,
+    registry: &Registry,
+    trace: &Trace,
+    shared: &SharedTraces,
+    rec: &Recorder,
+) -> Outcome {
+    let mut span = rec.span("job");
+    span.arg_u64("job", index as u64);
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run_job_on(index, job, registry, trace, shared)
+    }));
+    shared.finish(index);
+    match outcome {
+        Ok(result) => result,
+        Err(payload) => {
+            rec.instant("job_panicked", |args| {
+                args.u64("job", index as u64);
+            });
+            Err(EngineError::Panicked {
+                job_index: index,
+                message: panic_message(payload.as_ref()),
+            })
+        }
     }
 }
 
@@ -903,6 +646,21 @@ pub(crate) mod tests {
         ))
     }
 
+    /// Runs `jobs` through [`execute`] and collects the results.
+    pub(crate) fn collect(
+        jobs: &[SimJob],
+        options: &RunOptions<'_>,
+    ) -> Result<Vec<JobResult>, EngineError> {
+        let mut results = Vec::new();
+        execute(jobs, options, &mut |result, _| results.push(result))?;
+        Ok(results)
+    }
+
+    /// [`collect`] over the built-ins with `workers` workers.
+    pub(crate) fn run(jobs: &[SimJob], workers: usize) -> Vec<JobResult> {
+        collect(jobs, &RunOptions::new(workers)).expect("every job runs")
+    }
+
     fn job_list() -> Vec<SimJob> {
         vec![
             job(Application::OltpDb2, PrefetcherSpec::null()),
@@ -923,8 +681,8 @@ pub(crate) mod tests {
     #[test]
     fn serial_and_parallel_agree_bit_for_bit() {
         let jobs = job_list();
-        let serial = run_jobs_with(&jobs, &EngineConfig::serial());
-        let parallel = run_jobs_with(&jobs, &EngineConfig::with_workers(4));
+        let serial = run(&jobs, 1);
+        let parallel = run(&jobs, 4);
         assert_eq!(serial, parallel);
         assert!(serial.iter().enumerate().all(|(i, r)| r.job_index == i));
         for r in &serial {
@@ -935,7 +693,7 @@ pub(crate) mod tests {
     #[test]
     fn timing_jobs_report_timing_results() {
         let jobs = job_list();
-        let results = run_jobs(&jobs);
+        let results = run(&jobs, 0);
         assert!(results[4].timing.is_some());
         assert!(results[..4].iter().all(|r| r.timing.is_none()));
         let t = results[4].timing.as_ref().unwrap();
@@ -945,16 +703,16 @@ pub(crate) mod tests {
 
     #[test]
     fn effective_workers_clamps_sensibly() {
-        assert_eq!(EngineConfig::serial().effective_workers(100), 1);
-        assert_eq!(EngineConfig::with_workers(8).effective_workers(3), 3);
-        assert_eq!(EngineConfig::with_workers(2).effective_workers(0), 1);
-        assert!(EngineConfig::auto().effective_workers(64) >= 1);
+        assert_eq!(RunOptions::new(1).effective_workers(100), 1);
+        assert_eq!(RunOptions::new(8).effective_workers(3), 3);
+        assert_eq!(RunOptions::new(2).effective_workers(0), 1);
+        assert!(RunOptions::new(0).effective_workers(64) >= 1);
     }
 
     #[test]
     fn more_workers_than_jobs_is_fine() {
         let jobs = vec![job(Application::Ocean, PrefetcherSpec::null())];
-        let results = run_jobs_with(&jobs, &EngineConfig::with_workers(16));
+        let results = run(&jobs, 16);
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].summary.accesses, 8_000);
     }
@@ -967,8 +725,8 @@ pub(crate) mod tests {
         assert_eq!(list, back);
         assert_eq!(back.version, JobList::VERSION);
         // The reloaded list executes identically to the original.
-        let a = run_jobs_with(&list.jobs, &EngineConfig::serial());
-        let b = run_jobs_with(&back.jobs, &EngineConfig::serial());
+        let a = run(&list.jobs, 1);
+        let b = run(&back.jobs, 1);
         assert_eq!(a, b);
     }
 
@@ -993,12 +751,8 @@ pub(crate) mod tests {
             },
         ));
         for workers in [1, 4] {
-            let err = run_jobs_in(
-                &jobs,
-                &EngineConfig::with_workers(workers),
-                Registry::builtin(),
-            )
-            .expect_err("unknown plugin must fail");
+            let err =
+                collect(&jobs, &RunOptions::new(workers)).expect_err("unknown plugin must fail");
             match err {
                 EngineError::Plugin { job_index, .. } => assert_eq!(job_index, 1),
                 other => panic!("expected Plugin error, got {other:?}"),
@@ -1103,6 +857,29 @@ pub(crate) mod tests {
             err.to_string(),
             "invalid job spec: job 1: L2 block size must be a power of two"
         );
+
+        // A 96-byte SMS region block loads, and `check` refuses it before
+        // any job runs, naming the job and keeping the plugin's message.
+        let mut list = JobList::new(job_list());
+        assert_eq!(list.check(Registry::builtin()), Ok(()));
+        list.jobs[3].sim.prefetcher = PrefetcherSpec::sms(&SmsConfig {
+            region: sms::RegionConfig {
+                region_bytes: 2048,
+                block_bytes: 96,
+            },
+            ..SmsConfig::paper_default()
+        });
+        let json = serde_json::to_string(&list).unwrap();
+        let loaded = JobList::from_json(&json).expect("the cache geometry is fine");
+        let err = loaded
+            .check(Registry::builtin())
+            .expect_err("96-byte region blocks are refused");
+        assert!(matches!(err, SpecError::Plugin { job: 3, .. }), "{err:?}");
+        assert_eq!(
+            err.to_string(),
+            "invalid job spec: job 3: bad parameters for plugin \"sms\": region: block size \
+             must be a power of two"
+        );
     }
 
     #[test]
@@ -1124,8 +901,7 @@ pub(crate) mod tests {
             prefetcher: PrefetcherSpec::null(),
             accesses: 1_000,
         })];
-        let results = run_jobs_in(&jobs, &EngineConfig::serial(), Registry::builtin())
-            .expect("short trace is not an error");
+        let results = collect(&jobs, &RunOptions::new(1)).expect("short trace is not an error");
         std::fs::remove_file(&path).ok();
 
         let result = &results[0];
@@ -1145,76 +921,28 @@ pub(crate) mod tests {
 
     #[test]
     fn full_length_jobs_carry_no_warnings() {
-        let results = run_jobs(&job_list());
+        let results = run(&job_list(), 0);
         assert!(results.iter().all(|r| r.warnings.is_empty()));
     }
 
     #[test]
     fn metered_results_are_bit_identical_and_metrics_cover_the_run() {
         let jobs = job_list();
-        let plain = run_jobs_with(&jobs, &EngineConfig::with_workers(2));
-        let (metered, engine_metrics) = run_jobs_metered(
-            &jobs,
-            &EngineConfig::with_workers(2),
-            Registry::builtin(),
-            &metrics::MetricsConfig::enabled(),
-        )
+        let serial = run(&jobs, 1);
+        let mut metered = Vec::new();
+        let mut metrics = Vec::new();
+        let delivered = execute(&jobs, &RunOptions::new(2), &mut |result, job_metrics| {
+            metered.push(result);
+            metrics.push(job_metrics);
+        })
         .expect("jobs prepare");
-        assert_eq!(plain, metered, "telemetry must not perturb results");
-
-        assert_eq!(engine_metrics.jobs.len(), jobs.len());
-        assert_eq!(engine_metrics.workers.len(), 2);
-        assert!(engine_metrics
-            .jobs
-            .iter()
-            .enumerate()
-            .all(|(i, j)| j.job_index == i));
-        let worker_jobs: u64 = engine_metrics.workers.iter().map(|w| w.jobs_run).sum();
-        assert_eq!(worker_jobs, jobs.len() as u64);
-        assert!(engine_metrics.total_seconds > 0.0);
-        assert!(engine_metrics.accesses_per_sec > 0.0);
-        assert_eq!(
-            engine_metrics.total_accesses,
-            metered.iter().map(|r| r.summary.accesses).sum::<u64>()
-        );
-        let report = engine_metrics.report();
-        assert!(report.validate().is_ok());
-    }
-
-    #[test]
-    fn streamed_results_match_the_collected_path_bit_for_bit() {
-        let jobs = job_list();
-        for workers in [1, 4] {
-            let config = EngineConfig::with_workers(workers);
-            let (expected, _) = run_jobs_metered(
-                &jobs,
-                &config,
-                Registry::builtin(),
-                &metrics::MetricsConfig::enabled(),
-            )
-            .expect("jobs prepare");
-            let mut streamed = Vec::new();
-            let (delivered, engine_metrics) = run_jobs_streamed(
-                &jobs,
-                &config,
-                Registry::builtin(),
-                &metrics::MetricsConfig::enabled(),
-                &CancelToken::new(),
-                &mut |result, job_metrics| {
-                    assert_eq!(job_metrics.job_index, result.job_index);
-                    streamed.push(result);
-                },
-            )
-            .expect("streamed run succeeds");
-            // Strictly in submission order, nothing missing, bit-identical.
-            assert_eq!(delivered, jobs.len());
-            assert_eq!(streamed, expected, "workers = {workers}");
-            assert_eq!(engine_metrics.jobs.len(), jobs.len());
-            assert!(engine_metrics
-                .jobs
-                .iter()
-                .enumerate()
-                .all(|(i, j)| j.job_index == i));
+        assert_eq!(delivered, jobs.len());
+        assert_eq!(serial, metered, "telemetry must not perturb results");
+        for (result, job_metrics) in metered.iter().zip(&metrics) {
+            assert_eq!(job_metrics.job_index, result.job_index);
+            assert_eq!(job_metrics.accesses, result.summary.accesses);
+            assert!(job_metrics.elapsed_seconds > 0.0);
+            assert!(job_metrics.accesses_per_sec > 0.0);
         }
     }
 
@@ -1233,14 +961,9 @@ pub(crate) mod tests {
         );
         for workers in [1, 4] {
             let mut streamed = Vec::new();
-            let err = run_jobs_streamed(
-                &jobs,
-                &EngineConfig::with_workers(workers),
-                Registry::builtin(),
-                &metrics::MetricsConfig::disabled(),
-                &CancelToken::new(),
-                &mut |result, _| streamed.push(result.job_index),
-            )
+            let err = execute(&jobs, &RunOptions::new(workers), &mut |result, _| {
+                streamed.push(result.job_index)
+            })
             .expect_err("unknown plugin must fail");
             // Job 0 is emitted before the in-order merge reaches the failing
             // index; the error then terminates the stream deterministically.
@@ -1258,19 +981,16 @@ pub(crate) mod tests {
         for workers in [1, 2] {
             let cancel = CancelToken::new();
             let mut streamed = Vec::new();
-            let (delivered, _) = run_jobs_streamed(
-                &jobs,
-                &EngineConfig::with_workers(workers),
-                Registry::builtin(),
-                &metrics::MetricsConfig::disabled(),
-                &cancel,
-                &mut |result, _| {
-                    streamed.push(result.job_index);
-                    // Cancel from inside the sink: jobs already claimed may
-                    // still land, but the stream stays an in-order prefix.
-                    cancel.cancel();
-                },
-            )
+            let options = RunOptions {
+                cancel: Some(&cancel),
+                ..RunOptions::new(workers)
+            };
+            let delivered = execute(&jobs, &options, &mut |result, _| {
+                streamed.push(result.job_index);
+                // Cancel from inside the sink: jobs already claimed may
+                // still land, but the stream stays an in-order prefix.
+                cancel.cancel();
+            })
             .expect("cancellation is not an error");
             assert_eq!(delivered, streamed.len());
             assert!(delivered >= 1, "the first result triggered the cancel");
@@ -1306,8 +1026,7 @@ pub(crate) mod tests {
             prefetcher: PrefetcherSpec::null(),
             accesses: 1_000,
         })];
-        let err = run_jobs_in(&jobs, &EngineConfig::serial(), Registry::builtin())
-            .expect_err("corrupt trace must fail the job");
+        let err = collect(&jobs, &RunOptions::new(1)).expect_err("corrupt trace must fail the job");
         std::fs::remove_file(&path).ok();
         assert!(matches!(err, EngineError::Trace { job_index: 0, .. }));
         assert!(err.to_string().contains("corrupt mid-stream"), "{err}");
@@ -1380,8 +1099,11 @@ pub(crate) mod tests {
         let mut jobs = job_list();
         jobs.insert(1, panic_job());
         for workers in [1, 4] {
-            let err = run_jobs_in(&jobs, &EngineConfig::with_workers(workers), &registry)
-                .expect_err("panicking plugin must fail the run");
+            let options = RunOptions {
+                registry: &registry,
+                ..RunOptions::new(workers)
+            };
+            let err = collect(&jobs, &options).expect_err("panicking plugin must fail the run");
             match &err {
                 EngineError::Panicked { job_index, message } => {
                     assert_eq!(*job_index, 1);
@@ -1405,14 +1127,13 @@ pub(crate) mod tests {
         jobs.insert(1, panic_job());
         for workers in [1, 4] {
             let mut streamed = Vec::new();
-            let err = run_jobs_streamed(
-                &jobs,
-                &EngineConfig::with_workers(workers),
-                &registry,
-                &metrics::MetricsConfig::disabled(),
-                &CancelToken::new(),
-                &mut |result, _| streamed.push(result.job_index),
-            )
+            let options = RunOptions {
+                registry: &registry,
+                ..RunOptions::new(workers)
+            };
+            let err = execute(&jobs, &options, &mut |result, _| {
+                streamed.push(result.job_index)
+            })
             .expect_err("panicking plugin must fail the run");
             assert_eq!(streamed, vec![0], "workers = {workers}");
             assert!(matches!(err, EngineError::Panicked { job_index: 1, .. }));
@@ -1428,8 +1149,7 @@ pub(crate) mod tests {
             prefetcher: PrefetcherSpec::null(),
             accesses: 100,
         })];
-        let err = run_jobs_in(&jobs, &EngineConfig::serial(), Registry::builtin())
-            .expect_err("missing file must fail");
+        let err = collect(&jobs, &RunOptions::new(1)).expect_err("missing file must fail");
         assert!(matches!(err, EngineError::Trace { job_index: 0, .. }));
         assert!(err.to_string().contains("trace source"), "{err}");
     }

@@ -26,16 +26,18 @@
 //! together.  The benchmark's traced loop (`benchmark/src/layers.rs`) makes
 //! the same calls at the same segment boundaries, so its per-layer split
 //! describes the loop every measured run takes.
+//!
+//! The loop reads the clock once at each step boundary — a segment starts
+//! at the instant the previous one ended — and those instants feed both the
+//! job's [`JobMetrics`] stage times and, in a traced run, the `seg.pull`,
+//! `seg.simulate` and `seg.account` spans, so the two agree by construction.
 
 use crate::plugin::{BuiltPrefetcher, KindSink, Registry};
 use crate::runner::{EngineError, JobResult, JobWarning, SimJob};
+use crate::shared::SharedTraces;
 use crate::telemetry::JobMetrics;
-use memsim::{
-    DriverMeter, DriverMetrics, MissAccounting, MultiCpuSystem, OutcomeTape, PrefetchRequest,
-    SegmentCounts,
-};
-use metrics::{per_sec, MetricsConfig, Stopwatch};
-use std::io;
+use memsim::{MissAccounting, MultiCpuSystem, OutcomeTape, PrefetchRequest, SegmentCounts};
+use std::time::{Duration, Instant};
 use timing::TimingAccounting;
 use trace::{fill_segment, BoxedStream, MemAccess};
 use tracelog::{Recorder, Trace};
@@ -43,22 +45,15 @@ use tracelog::{Recorder, Trace};
 /// Accesses pulled, simulated and accounted per step of the job loop.
 pub const SEGMENT: usize = 4096;
 
-/// Converts a stopwatch reading to the whole microseconds the histograms
-/// bucket.
-fn as_micros(seconds: f64) -> u64 {
-    (seconds * 1e6) as u64
-}
-
-/// Runs one job over the stream `open` yields, resolving its prefetcher
-/// spec through `registry`; the stream is opened after the prefetcher
-/// builds.  The job records `job.prepare`, per-segment `seg.pull` /
-/// `seg.simulate` / `seg.account` and `job.finalize` spans into `trace`, on
-/// a track of its own.
+/// Runs one job, resolving its prefetcher spec through `registry` and then
+/// opening its stream through the run's `shared` trace table.  The job
+/// records `job.prepare`, per-segment `seg.pull` / `seg.simulate` /
+/// `seg.account` and `job.finalize` spans into `trace`, on a track of its
+/// own.
 ///
-/// With `metrics.enabled` the returned [`JobMetrics`] carries the loop's
-/// wall-clock, the driver's counters and per-segment stage timings; with
-/// metrics off no step reads the clock and only the segment count is
-/// reported.  Either way the [`JobResult`] is the same.
+/// The returned [`JobMetrics`] carries the loop's wall-clock, the driver's
+/// counters and per-segment stage timings; none of them touches the
+/// [`JobResult`].
 ///
 /// # Errors
 ///
@@ -70,9 +65,8 @@ pub(crate) fn run_job_on(
     index: usize,
     job: &SimJob,
     registry: &Registry,
-    metrics: &MetricsConfig,
     trace: &Trace,
-    open: impl FnOnce() -> io::Result<BoxedStream>,
+    shared: &SharedTraces,
 ) -> Result<(JobResult, JobMetrics), EngineError> {
     let sim = &job.sim;
     let trace_error = |message: String| EngineError::Trace {
@@ -96,7 +90,9 @@ pub(crate) fn run_job_on(
     // Deferred classification hands the prefetcher `None` miss kinds, so a
     // kind-consuming probe's sink is fed from the account step instead.
     let sink = prefetcher.take_kind_sink();
-    let stream = open().map_err(|e| trace_error(e.to_string()))?;
+    let stream = shared
+        .open(index, job)
+        .map_err(|e| trace_error(e.to_string()))?;
     let timing = job
         .timing
         .as_ref()
@@ -113,15 +109,7 @@ pub(crate) fn run_job_on(
     };
     drop(prepare_span);
 
-    let mut stages = JobMetrics::default();
-    let mut driver = DriverMetrics::default();
-    let watch = Stopwatch::start_if(metrics.enabled);
-    if metrics.enabled {
-        state.run(&recorder, &mut stages, true, &mut driver);
-    } else {
-        state.run(&recorder, &mut stages, false, &mut ());
-    }
-    driver.elapsed_seconds = watch.elapsed_seconds();
+    let stages = state.run(&recorder);
     if let Some(e) = state.stream.take_error() {
         return Err(trace_error(format!("corrupt mid-stream: {e}")));
     }
@@ -162,25 +150,21 @@ pub(crate) fn run_job_on(
     }
     drop(finalize_span);
 
-    let job_metrics = if metrics.enabled {
-        driver.accesses_per_sec = per_sec(result.summary.accesses, driver.elapsed_seconds);
-        JobMetrics {
-            segments: stages.segments,
-            pull_seconds: stages.pull_seconds,
-            account_seconds: stages.account_seconds,
-            pull_segment_us: stages.pull_segment_us,
-            simulate_segment_us: stages.simulate_segment_us,
-            account_segment_us: stages.account_segment_us,
-            ..JobMetrics::from_driver(index, &driver)
-        }
-    } else {
-        JobMetrics {
-            job_index: index,
-            segments: stages.segments,
-            ..JobMetrics::default()
-        }
+    let job_metrics = JobMetrics {
+        segments: stages.segments,
+        pull_seconds: stages.pull_seconds,
+        account_seconds: stages.account_seconds,
+        pull_segment_us: stages.pull_segment_us,
+        simulate_segment_us: stages.simulate_segment_us,
+        account_segment_us: stages.account_segment_us,
+        ..JobMetrics::from_driver(index, &counts, stages.elapsed_seconds)
     };
     Ok((result, job_metrics))
+}
+
+/// Whole microseconds of a stage, as the stage histograms bucket them.
+fn micros(stage: Duration) -> u64 {
+    stage.as_micros() as u64
 }
 
 /// One job's simulation state, advanced segment by segment.
@@ -197,39 +181,37 @@ struct JobState {
 }
 
 impl JobState {
-    /// Runs pull → simulate → account over the job's access budget,
-    /// counting segments into `stages` and, when `timed`, their stage times
-    /// as well.  Stops early when the stream runs dry; the caller checks the
-    /// stream for an error.
-    fn run<M: DriverMeter>(
-        &mut self,
-        recorder: &Recorder,
-        stages: &mut JobMetrics,
-        timed: bool,
-        meter: &mut M,
-    ) {
+    /// Runs pull → simulate → account over the job's access budget and
+    /// returns the loop's wall-clock, segment count and stage timings.
+    /// Stops early when the stream runs dry; the caller checks the stream
+    /// for an error.
+    fn run(&mut self, recorder: &Recorder) -> JobMetrics {
+        let mut stages = JobMetrics::default();
         let mut batch: Vec<PrefetchRequest> = Vec::new();
         let mut buffer = Vec::with_capacity(SEGMENT.min(self.budget));
         let mut tape = OutcomeTape::new();
+        let start = Instant::now();
+        let mut pull_start = start;
         while self.budget > 0 {
             let segment = stages.segments;
+            let stage = |name, from, to| {
+                recorder.span_between(name, from, to, |args| {
+                    args.u64("segment", segment);
+                });
+                to - from
+            };
             let want = SEGMENT.min(self.budget);
-            let mut span = recorder.span("seg.pull");
-            span.arg_u64("segment", segment);
-            let watch = Stopwatch::start_if(timed);
             let got = fill_segment(&mut *self.stream, &mut buffer, want);
-            let seconds = watch.elapsed_seconds();
-            drop(span);
-            stages.pull_seconds += seconds;
-            stages.pull_segment_us.record(as_micros(seconds));
+            let pulled = Instant::now();
+            let pull = stage("seg.pull", pull_start, pulled);
+            stages.pull_seconds += pull.as_secs_f64();
+            stages.pull_segment_us.record(micros(pull));
+            pull_start = pulled;
             self.budget -= got;
             if got == 0 {
                 break;
             }
             tape.clear();
-            let mut span = recorder.span("seg.simulate");
-            span.arg_u64("segment", segment);
-            let watch = Stopwatch::start_if(timed);
             memsim::run_segment_deferred(
                 &mut self.system,
                 &mut self.prefetcher,
@@ -237,25 +219,23 @@ impl JobState {
                 &mut batch,
                 &mut tape,
                 &mut self.counts,
-                meter,
             );
-            stages
-                .simulate_segment_us
-                .record(as_micros(watch.elapsed_seconds()));
-            drop(span);
-            let mut span = recorder.span("seg.account");
-            span.arg_u64("segment", segment);
-            let watch = Stopwatch::start_if(timed);
+            let simulated = Instant::now();
+            let simulate = stage("seg.simulate", pulled, simulated);
+            stages.simulate_segment_us.record(micros(simulate));
             self.account(&buffer, &tape);
-            let seconds = watch.elapsed_seconds();
-            drop(span);
-            stages.account_seconds += seconds;
-            stages.account_segment_us.record(as_micros(seconds));
+            let accounted = Instant::now();
+            let account = stage("seg.account", simulated, accounted);
+            stages.account_seconds += account.as_secs_f64();
+            stages.account_segment_us.record(micros(account));
             stages.segments += 1;
+            pull_start = accounted;
             if got < want {
                 break;
             }
         }
+        stages.elapsed_seconds = (pull_start - start).as_secs_f64();
+        stages
     }
 
     /// Replays one segment's tape into the classifiers, the probe's kind
@@ -281,9 +261,10 @@ impl JobState {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::runner::{run_jobs_in, run_jobs_with, EngineConfig};
+    use crate::runner::tests::{collect, run};
+    use crate::runner::RunOptions;
     use crate::spec::{OracleProbeSpec, PrefetcherSpec};
     use ghb::GhbConfig;
     use memsim::HierarchyConfig;
@@ -294,7 +275,7 @@ mod tests {
     /// The per-access reference for one job: `memsim::run`, or
     /// `TimingModel::evaluate` for timing jobs, over the job's own source
     /// with the prefetcher `registry` builds.
-    fn reference(index: usize, job: &SimJob, registry: &Registry) -> JobResult {
+    pub(crate) fn reference(index: usize, job: &SimJob, registry: &Registry) -> JobResult {
         let sim = &job.sim;
         let mut prefetcher = registry
             .build(&sim.prefetcher, sim.cpus)
@@ -384,7 +365,7 @@ mod tests {
             let jobs = job_list(accesses);
             let expected = serde_json::to_string(&references(&jobs)).expect("serialize");
             for workers in [1, 2, 3, 6] {
-                let results = run_jobs_with(&jobs, &EngineConfig::with_workers(workers));
+                let results = run(&jobs, workers);
                 assert_eq!(
                     serde_json::to_string(&results).expect("serialize"),
                     expected,
@@ -427,7 +408,7 @@ mod tests {
         let jobs = vec![file_job(&path, 2 * SEGMENT)];
         let expected = references(&jobs);
         for workers in [1, 2, 3] {
-            let results = run_jobs_with(&jobs, &EngineConfig::with_workers(workers));
+            let results = run(&jobs, workers);
             assert_eq!(results, expected, "workers={workers}");
             assert!(results[0].warnings.is_empty(), "no short-trace warning");
         }
@@ -449,7 +430,7 @@ mod tests {
             crate::runner::JobWarning::SHORT_TRACE
         );
         for workers in [1, 2, 3] {
-            let results = run_jobs_with(&jobs, &EngineConfig::with_workers(workers));
+            let results = run(&jobs, workers);
             assert_eq!(results, expected, "workers={workers}");
         }
         std::fs::remove_file(&path).ok();
@@ -469,12 +450,8 @@ mod tests {
         let jobs = vec![file_job(&path, recorded.len())];
 
         for workers in [1, 2, 3] {
-            let err = run_jobs_in(
-                &jobs,
-                &EngineConfig::with_workers(workers),
-                Registry::builtin(),
-            )
-            .expect_err("corrupt trace must fail the job");
+            let err = collect(&jobs, &RunOptions::new(workers))
+                .expect_err("corrupt trace must fail the job");
             assert!(
                 matches!(err, EngineError::Trace { job_index: 0, .. }),
                 "{err:?}"
@@ -582,8 +559,11 @@ mod tests {
         let expected = reference(0, &jobs[0], &registry);
         assert!(expected.summary.l1_breakdown.total() > 0);
         for workers in [1, 2, 3] {
-            let results =
-                run_jobs_in(&jobs, &EngineConfig::with_workers(workers), &registry).expect("runs");
+            let options = RunOptions {
+                registry: &registry,
+                ..RunOptions::new(workers)
+            };
+            let results = collect(&jobs, &options).expect("runs");
             assert_eq!(results[0].summary, expected.summary, "workers={workers}");
             let classified: u64 = results[0]
                 .probe
@@ -618,7 +598,7 @@ mod tests {
         ];
         let expected = references(&jobs);
         for workers in [1, 2, 3] {
-            let results = run_jobs_with(&jobs, &EngineConfig::with_workers(workers));
+            let results = run(&jobs, workers);
             assert_eq!(results, expected, "workers={workers} diverged");
         }
     }

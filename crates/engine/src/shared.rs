@@ -206,12 +206,12 @@ fn recordable(source: &TraceSource) -> bool {
 mod tests {
     use super::*;
     use crate::plugin::Registry;
-    use crate::runner::tests::chaos_registry;
-    use crate::runner::{exec_job_isolated, run_job, run_jobs_in, EngineConfig, JobResult};
+    use crate::runner::tests::{chaos_registry, run};
+    use crate::runner::{exec_job_isolated, JobResult};
+    use crate::segment::tests::reference;
     use crate::spec::PrefetcherSpec;
     use crate::EngineError;
     use memsim::HierarchyConfig;
-    use metrics::MetricsConfig;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Weak;
     use timing::TimingConfig;
@@ -276,10 +276,12 @@ mod tests {
         out
     }
 
+    /// Every job's result from the per-access reference, which opens the
+    /// job's own source.
     fn alone(jobs: &[SimJob], registry: &Registry) -> Vec<Result<JobResult, EngineError>> {
         jobs.iter()
             .enumerate()
-            .map(|(index, job)| run_job(index, job, registry))
+            .map(|(index, job)| Ok(reference(index, job, registry)))
             .collect()
     }
 
@@ -302,15 +304,8 @@ mod tests {
                         loop {
                             let index = next.fetch_add(1, Ordering::Relaxed);
                             let Some(job) = jobs.get(index) else { break };
-                            let outcome = exec_job_isolated(
-                                index,
-                                job,
-                                registry,
-                                &MetricsConfig::disabled(),
-                                &trace,
-                                shared,
-                                &rec,
-                            );
+                            let outcome =
+                                exec_job_isolated(index, job, registry, &trace, shared, &rec);
                             done.push((index, outcome.map(|(result, _)| result)));
                         }
                         done
@@ -384,10 +379,7 @@ mod tests {
                 .map(|r| r.expect("every job runs"))
                 .collect();
             for workers in [1, 2] {
-                let config = EngineConfig::with_workers(workers);
-                let results =
-                    run_jobs_in(&jobs, &config, Registry::builtin()).expect("every job runs");
-                assert_eq!(results, expected, "{config:?}");
+                assert_eq!(run(&jobs, workers), expected, "{workers} workers");
             }
         });
     }
@@ -435,16 +427,8 @@ mod tests {
             let rec = trace.recorder("test");
             let mut seen: Vec<(usize, Weak<Recording>)> = Vec::new();
             for (index, job) in jobs.iter().enumerate() {
-                exec_job_isolated(
-                    index,
-                    job,
-                    Registry::builtin(),
-                    &MetricsConfig::disabled(),
-                    &trace,
-                    &shared,
-                    &rec,
-                )
-                .expect("job runs");
+                exec_job_isolated(index, job, Registry::builtin(), &trace, &shared, &rec)
+                    .expect("job runs");
                 seen.extend(shared.held());
                 for (group, recording) in &seen {
                     let started = shared.group_of[..=index].contains(&Some(*group));
@@ -491,7 +475,7 @@ mod tests {
             let results = exec_all(&shared, &jobs, &registry, threads);
             for (index, result) in results.iter().enumerate() {
                 if healthy.contains(&index) {
-                    let want = run_job(index, &jobs[index], &registry).unwrap();
+                    let want = reference(index, &jobs[index], &registry);
                     assert_eq!(result.as_ref().unwrap(), &want, "job {index}");
                 } else {
                     assert!(

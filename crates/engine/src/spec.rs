@@ -237,11 +237,12 @@ impl PrefetcherPlugin for SmsPlugin {
         params: &serde_json::Value,
         num_cpus: usize,
     ) -> Result<BuiltPrefetcher, PluginError> {
-        let config: SmsConfig = decode_params(self.name(), params)?;
-        check(self.name(), "region", config.region.validate())?;
-        check(self.name(), "pht", config.pht.validate())?;
-        check(self.name(), "streamer", config.streamer.validate())?;
+        let config: SmsConfig = checked_params(self.name(), params)?;
         Ok(BuiltPrefetcher::new(SmsPrefetcher::new(num_cpus, &config)))
+    }
+
+    fn check(&self, params: &serde_json::Value) -> Result<(), PluginError> {
+        checked_params::<SmsConfig>(self.name(), params).map(drop)
     }
 }
 
@@ -261,8 +262,12 @@ impl PrefetcherPlugin for GhbPlugin {
         params: &serde_json::Value,
         num_cpus: usize,
     ) -> Result<BuiltPrefetcher, PluginError> {
-        let config: GhbConfig = decode_params(self.name(), params)?;
+        let config: GhbConfig = checked_params(self.name(), params)?;
         Ok(BuiltPrefetcher::new(GhbPrefetcher::new(num_cpus, &config)))
+    }
+
+    fn check(&self, params: &serde_json::Value) -> Result<(), PluginError> {
+        checked_params::<GhbConfig>(self.name(), params).map(drop)
     }
 }
 
@@ -282,9 +287,7 @@ impl PrefetcherPlugin for TrainingPlugin {
         params: &serde_json::Value,
         num_cpus: usize,
     ) -> Result<BuiltPrefetcher, PluginError> {
-        let spec: TrainingSpec = decode_params(self.name(), params)?;
-        check(self.name(), "region", spec.region.validate())?;
-        check(self.name(), "pht", spec.pht.validate())?;
+        let spec: TrainingSpec = checked_params(self.name(), params)?;
         Ok(BuiltPrefetcher::new(TrainingPrefetcher::new(
             num_cpus,
             spec.trainer,
@@ -293,6 +296,10 @@ impl PrefetcherPlugin for TrainingPlugin {
             spec.pht,
             spec.l1_capacity_bytes,
         )))
+    }
+
+    fn check(&self, params: &serde_json::Value) -> Result<(), PluginError> {
+        checked_params::<TrainingSpec>(self.name(), params).map(drop)
     }
 }
 
@@ -312,9 +319,12 @@ impl PrefetcherPlugin for DensityProbePlugin {
         params: &serde_json::Value,
         num_cpus: usize,
     ) -> Result<BuiltPrefetcher, PluginError> {
-        let region: RegionConfig = decode_params(self.name(), params)?;
-        check(self.name(), "region", region.validate())?;
+        let region: RegionConfig = checked_params(self.name(), params)?;
         Ok(BuiltPrefetcher::new(DensityObserver::new(num_cpus, region)))
+    }
+
+    fn check(&self, params: &serde_json::Value) -> Result<(), PluginError> {
+        checked_params::<RegionConfig>(self.name(), params).map(drop)
     }
 }
 
@@ -334,10 +344,7 @@ impl PrefetcherPlugin for OracleProbePlugin {
         params: &serde_json::Value,
         num_cpus: usize,
     ) -> Result<BuiltPrefetcher, PluginError> {
-        let spec: OracleProbeSpec = decode_params(self.name(), params)?;
-        for (i, region) in spec.regions.iter().enumerate() {
-            check(self.name(), &format!("regions[{i}]"), region.validate())?;
-        }
+        let spec: OracleProbeSpec = checked_params(self.name(), params)?;
         Ok(BuiltPrefetcher::new(MultiOracle {
             oracles: spec
                 .regions
@@ -346,20 +353,74 @@ impl PrefetcherPlugin for OracleProbePlugin {
                 .collect(),
         }))
     }
+
+    fn check(&self, params: &serde_json::Value) -> Result<(), PluginError> {
+        checked_params::<OracleProbeSpec>(self.name(), params).map(drop)
+    }
 }
 
-/// Maps a failed configuration check on the parameter `field` to
-/// [`PluginError::BadParams`], so a geometry the SMS structures cannot hold
-/// fails when its prefetcher is built instead of panicking mid-run.
-fn check<E: std::fmt::Display>(
+/// The parameters of a built-in plugin: what they must satisfy beyond
+/// decoding.
+trait BuiltinParams: Deserialize {
+    /// Checks the decoded parameters; the message names the failing field.
+    fn validate(&self) -> Result<(), String> {
+        Ok(())
+    }
+}
+
+impl BuiltinParams for GhbConfig {}
+
+impl BuiltinParams for RegionConfig {
+    fn validate(&self) -> Result<(), String> {
+        field("region", RegionConfig::validate(self))
+    }
+}
+
+impl BuiltinParams for SmsConfig {
+    fn validate(&self) -> Result<(), String> {
+        field("region", self.region.validate())?;
+        field("pht", self.pht.validate())?;
+        field("streamer", self.streamer.validate())
+    }
+}
+
+impl BuiltinParams for TrainingSpec {
+    fn validate(&self) -> Result<(), String> {
+        field("region", self.region.validate())?;
+        field("pht", self.pht.validate())
+    }
+}
+
+impl BuiltinParams for OracleProbeSpec {
+    fn validate(&self) -> Result<(), String> {
+        for (i, region) in self.regions.iter().enumerate() {
+            field(&format!("regions[{i}]"), region.validate())?;
+        }
+        Ok(())
+    }
+}
+
+/// Names the parameter `name` in a failed configuration check.
+fn field<E: std::fmt::Display>(name: &str, result: Result<(), E>) -> Result<(), String> {
+    result.map_err(|error| format!("{name}: {error}"))
+}
+
+/// Decodes and validates a built-in plugin's parameters: the one path both
+/// its `build` and its `check` take, so the two cannot disagree.  A
+/// geometry the SMS structures cannot hold is a
+/// [`PluginError::BadParams`] naming the field, never a panic mid-run.
+fn checked_params<T: BuiltinParams>(
     plugin: &str,
-    field: &str,
-    result: Result<(), E>,
-) -> Result<(), PluginError> {
-    result.map_err(|error| PluginError::BadParams {
-        plugin: plugin.to_string(),
-        message: format!("{field}: {error}"),
-    })
+    params: &serde_json::Value,
+) -> Result<T, PluginError> {
+    let config: T = decode_params(plugin, params)?;
+    config
+        .validate()
+        .map_err(|message| PluginError::BadParams {
+            plugin: plugin.to_string(),
+            message,
+        })?;
+    Ok(config)
 }
 
 /// The plugins every registry built with
@@ -417,6 +478,9 @@ mod tests {
     fn specs_build_their_prefetchers() {
         let registry = Registry::builtin();
         for (spec, name) in example_specs() {
+            registry
+                .check(&spec)
+                .expect("a spec that builds passes its check");
             let built = registry.build(&spec, 2).expect("built-in spec");
             assert_eq!(built.name(), name, "{spec:?}");
         }
@@ -453,6 +517,7 @@ mod tests {
             params: serde_json::Value::Null,
         };
         let err = registry.build(&spec, 1).expect_err("unknown plugin");
+        assert_eq!(registry.check(&spec), Err(err.clone()));
         match &err {
             PluginError::UnknownPlugin { name, suggestion } => {
                 assert_eq!(name, "smss");
@@ -472,6 +537,7 @@ mod tests {
         };
         let err = registry.build(&spec, 1).expect_err("bad params");
         assert!(matches!(&err, PluginError::BadParams { plugin, .. } if plugin == "sms"));
+        assert_eq!(registry.check(&spec), Err(err));
     }
 
     #[test]
@@ -503,7 +569,13 @@ mod tests {
     /// Asserts that building `spec` fails with `BadParams` naming its plugin
     /// and a message containing `message`.
     fn assert_rejected(spec: &PrefetcherSpec, message: &str) {
+        // Admission refuses exactly what the build refuses, with the same
+        // error.
+        let checked = Registry::builtin()
+            .check(spec)
+            .expect_err("check refuses it");
         match Registry::builtin().build(spec, 2) {
+            Err(error) if error != checked => panic!("build: {error:?}, check: {checked:?}"),
             Err(PluginError::BadParams {
                 plugin,
                 message: got,

@@ -6,7 +6,7 @@
 //! parameters ([`ExperimentConfig`]) so the modules only describe *what* to
 //! run, never *how*.
 
-use engine::{EngineConfig, JobResult, PrefetcherSpec, SimJob};
+use engine::{JobResult, PrefetcherSpec, RunOptions, SimJob};
 use memsim::{HierarchyConfig, RunSummary};
 use serde::{Deserialize, Serialize};
 use sms::{CoverageLevel, CoverageStats};
@@ -80,9 +80,10 @@ impl ExperimentConfig {
         GeneratorConfig::default().with_cpus(self.cpus)
     }
 
-    /// The engine configuration implied by this experiment configuration.
-    pub fn engine(&self) -> EngineConfig {
-        EngineConfig::with_workers(self.workers)
+    /// The engine options implied by this experiment configuration:
+    /// [`workers`](Self::workers) workers over the built-in plugins.
+    pub fn engine(&self) -> RunOptions<'static> {
+        RunOptions::new(self.workers)
     }
 
     /// A job running `app` with `prefetcher` on this configuration's
@@ -142,15 +143,14 @@ impl ExperimentConfig {
     /// As [`run_jobs`](Self::run_jobs): panics if a job fails to prepare
     /// (cannot happen for catalog-declared jobs unless the build is broken).
     pub fn run_jobs_traced(&self, jobs: &[SimJob], trace: &tracelog::Trace) -> Vec<JobResult> {
-        engine::run_jobs_observed(
-            jobs,
-            &self.engine(),
-            engine::Registry::builtin(),
-            &metrics::MetricsConfig::disabled(),
+        let options = RunOptions {
             trace,
-        )
-        .map(|(results, _)| results)
-        .expect("job failed to prepare")
+            ..self.engine()
+        };
+        let mut results = Vec::with_capacity(jobs.len());
+        engine::execute(jobs, &options, &mut |result, _| results.push(result))
+            .expect("job failed to prepare");
+        results
     }
 
     /// Coverage of a predictor run against a baseline run at `level`.

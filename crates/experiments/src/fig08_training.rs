@@ -151,18 +151,6 @@ pub fn table(result: &Fig8Result) -> Table {
     t
 }
 
-/// Convenience lookup.
-pub fn point_of(
-    result: &Fig8Result,
-    class: ApplicationClass,
-    trainer: TrainerKind,
-) -> Option<&TrainingPoint> {
-    result
-        .points
-        .iter()
-        .find(|p| p.class == class && p.trainer == trainer)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,19 +159,16 @@ mod tests {
     fn agt_is_at_least_as_good_as_sectored_trainers_on_oltp() {
         let result = run(&ExperimentConfig::tiny(), true, PhtCapacity::Unbounded);
         assert_eq!(result.points.len(), 12);
-        let agt = point_of(&result, ApplicationClass::Oltp, TrainerKind::Agt).unwrap();
-        let ls = point_of(
-            &result,
-            ApplicationClass::Oltp,
-            TrainerKind::LogicalSectored,
-        )
-        .unwrap();
-        let ds = point_of(
-            &result,
-            ApplicationClass::Oltp,
-            TrainerKind::DecoupledSectored,
-        )
-        .unwrap();
+        let oltp = |trainer| {
+            result
+                .points
+                .iter()
+                .find(|p| p.class == ApplicationClass::Oltp && p.trainer == trainer)
+                .unwrap()
+        };
+        let agt = oltp(TrainerKind::Agt);
+        let ls = oltp(TrainerKind::LogicalSectored);
+        let ds = oltp(TrainerKind::DecoupledSectored);
         assert!(
             agt.coverage >= ls.coverage - 0.03,
             "AGT ({:.2}) should match or beat LS ({:.2}) on OLTP",

@@ -51,7 +51,7 @@
 //! --figure NAME  name the experiment as a flag instead of positionally
 //! --quick        use shorter traces and representative applications per class
 //! --jobs N       engine worker threads (default: all hardware threads;
-//!                1 forces the serial path)
+//!                1 runs every job on the calling thread)
 //! --timeout MS   (run, submit) deadline for the whole job list in
 //!                milliseconds: a run that exceeds it is cancelled at the
 //!                next job boundary and fails with a structured
@@ -88,7 +88,7 @@
 //! A `--flag` the chosen subcommand does not take is an error (exit 2, with
 //! a "did you mean" suggestion when one is close), never silently ignored.
 
-use engine::{EngineConfig, JobList, JobResult, Registry};
+use engine::{JobList, JobResult, Registry, RunOptions};
 use experiments::catalog::{catalog, figure_jobs, EXPERIMENTS};
 use experiments::common::ExperimentConfig;
 use experiments::{
@@ -621,17 +621,18 @@ fn run_spec(flags: &RunFlags<'_>, workers: usize, trace: &Trace) -> ExitCode {
     };
     // `from_json` checks the spec version before decoding jobs, so a
     // future-versioned spec gets the actionable version error rather than a
-    // confusing field-level parse failure.
-    let list = match JobList::from_json(&text) {
+    // confusing field-level parse failure; `check` then refuses a prefetcher
+    // spec its plugin would reject, before any job runs.
+    let list = match JobList::from_json(&text).and_then(|list| {
+        list.check(Registry::builtin())?;
+        Ok(list)
+    }) {
         Ok(list) => list,
         Err(e) => {
             eprintln!("{spec_path}: {e}");
             return ExitCode::FAILURE;
         }
     };
-    // The streamed entry point is used even without a deadline so the two
-    // paths cannot drift; an un-cancelled token makes it byte-identical to
-    // the plain run.
     let cancel = engine::CancelToken::new();
     let watchdog_done = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
     let watchdog = (timeout_ms > 0).then(|| {
@@ -650,22 +651,19 @@ fn run_spec(flags: &RunFlags<'_>, workers: usize, trace: &Trace) -> ExitCode {
         })
     });
     let mut results: Vec<JobResult> = Vec::new();
-    let outcome = engine::run_jobs_streamed_observed(
-        &list.jobs,
-        &EngineConfig::with_workers(workers),
-        Registry::builtin(),
-        &metrics::MetricsConfig::disabled(),
+    let options = RunOptions {
         trace,
-        &cancel,
-        &mut |result, _| results.push(result),
-    );
+        cancel: Some(&cancel),
+        ..RunOptions::new(workers)
+    };
+    let outcome = engine::execute(&list.jobs, &options, &mut |result, _| results.push(result));
     if let Some(handle) = watchdog {
         watchdog_done.store(true, std::sync::atomic::Ordering::SeqCst);
         handle.thread().unpark();
         handle.join().expect("deadline watchdog never panics");
     }
     let timed_out = match outcome {
-        Ok((delivered, _)) => delivered < list.jobs.len(),
+        Ok(delivered) => delivered < list.jobs.len(),
         Err(e) => {
             eprintln!("{e}");
             return ExitCode::FAILURE;

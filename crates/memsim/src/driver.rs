@@ -18,11 +18,10 @@
 //! classification deferred onto an outcome tape, a standalone
 //! [`MissAccounting`](crate::classify::MissAccounting) replays the tape, and
 //! [`summarize_segmented`] assembles the same [`RunSummary`] [`run`] builds.
-//! [`run_segment_deferred`] follows the zero-cost-when-disabled pattern of
-//! the `metrics` crate: it is generic over a [`DriverMeter`], the no-op
-//! meter `()` compiles the instrumentation away entirely, and
-//! [`DriverMetrics`] collects cache-operation, prefetch-issue and batch
-//! counts without ever feeding anything back into the simulation.
+//! The [`SegmentCounts`] that [`run_segment_deferred`] accumulates also
+//! count the prefetch fills it applied and the request batches it drained,
+//! which the engine reports per job; nothing counted feeds back into the
+//! simulation.
 
 use crate::classify::MissBreakdown;
 use crate::config::HierarchyConfig;
@@ -72,73 +71,6 @@ impl RunSummary {
         } else {
             1000.0 * self.l2.read_misses as f64 / self.accesses as f64
         }
-    }
-}
-
-/// Hot-path telemetry of one run, counted by [`run_segment_deferred`] with
-/// no effect on simulated results; the caller stamps the wall-clock fields.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct DriverMetrics {
-    /// Wall-clock seconds spent inside the simulation loop.
-    pub elapsed_seconds: f64,
-    /// Demand accesses simulated per wall-clock second.
-    pub accesses_per_sec: f64,
-    /// Cache operations performed: demand accesses applied plus prefetch
-    /// fills applied.
-    pub cache_ops: u64,
-    /// Prefetch fills actually applied to a cache (stream fills into the L1
-    /// plus conventional fills into the L2).
-    pub prefetch_issues: u64,
-    /// Non-empty request batches drained from the shared request buffer.
-    pub request_batches: u64,
-    /// Largest single batch of requests one access produced.
-    pub max_batch_len: u64,
-    /// Distribution of drained batch lengths (log2 buckets); `p50`/`p99`
-    /// show whether `max_batch_len` is typical or a one-off burst.
-    pub batch_len_hist: metrics::Histogram,
-}
-
-/// Events the simulation loop reports to its (possibly no-op) meter.
-///
-/// The loop is generic over this trait so that unmetered runs monomorphize
-/// with the `()` implementation below and compile every callback away —
-/// disabled telemetry costs literally nothing.
-pub trait DriverMeter {
-    /// A demand access was applied to the system.
-    fn demand_access(&mut self);
-    /// A prefetch fill was applied to a cache.
-    fn prefetch_issue(&mut self);
-    /// One access's request batch was drained (`len > 0`).
-    fn batch(&mut self, len: usize);
-}
-
-/// The no-op meter: all callbacks are empty and inline to nothing.
-impl DriverMeter for () {
-    #[inline(always)]
-    fn demand_access(&mut self) {}
-    #[inline(always)]
-    fn prefetch_issue(&mut self) {}
-    #[inline(always)]
-    fn batch(&mut self, _len: usize) {}
-}
-
-impl DriverMeter for DriverMetrics {
-    #[inline]
-    fn demand_access(&mut self) {
-        self.cache_ops += 1;
-    }
-
-    #[inline]
-    fn prefetch_issue(&mut self) {
-        self.cache_ops += 1;
-        self.prefetch_issues += 1;
-    }
-
-    #[inline]
-    fn batch(&mut self, len: usize) {
-        self.request_batches += 1;
-        self.max_batch_len = self.max_batch_len.max(len as u64);
-        self.batch_len_hist.record(len as u64);
     }
 }
 
@@ -334,6 +266,12 @@ pub struct SegmentCounts {
     pub skipped_accesses: u64,
     /// Prefetch requests issued by the attached prefetcher.
     pub prefetch_requests: u64,
+    /// Prefetch fills applied to a cache: the issued requests that name a
+    /// CPU of the system (stream fills into the L1 plus conventional fills
+    /// into the L2).
+    pub prefetch_issues: u64,
+    /// Accesses whose prefetcher returned a non-empty request batch.
+    pub request_batches: u64,
 }
 
 /// Runs one buffered segment through the system with classification
@@ -345,14 +283,13 @@ pub struct SegmentCounts {
 /// `batch` is the caller's reusable request buffer and `counts` accumulates
 /// across segments.  The tape is appended to, one entry per access in
 /// `accesses`.
-pub fn run_segment_deferred<M: DriverMeter>(
+pub fn run_segment_deferred(
     system: &mut MultiCpuSystem,
     prefetcher: &mut dyn Prefetcher,
     accesses: &[MemAccess],
     batch: &mut Vec<PrefetchRequest>,
     tape: &mut crate::classify::OutcomeTape,
     counts: &mut SegmentCounts,
-    meter: &mut M,
 ) {
     for access in accesses {
         if (access.cpu as usize) >= system.num_cpus() {
@@ -362,17 +299,14 @@ pub fn run_segment_deferred<M: DriverMeter>(
         }
         let outcome = system.access_deferred(access, tape);
         counts.accesses += 1;
-        meter.demand_access();
         prefetcher.on_access_into(access, &outcome, batch);
         counts.prefetch_requests += batch.len() as u64;
-        if !batch.is_empty() {
-            meter.batch(batch.len());
-        }
+        counts.request_batches += u64::from(!batch.is_empty());
         for req in batch.drain(..) {
             if (req.cpu as usize) >= system.num_cpus() {
                 continue;
             }
-            meter.prefetch_issue();
+            counts.prefetch_issues += 1;
             match req.level {
                 PrefetchLevel::L1 => {
                     if let Some(victim) = system.cpu_mut(req.cpu).stream_fill(req.addr) {
@@ -589,18 +523,17 @@ mod tests {
         assert!(batched.prefetch_requests > 0);
     }
 
-    /// Runs `accesses` as one deferred segment, metered, and assembles the
-    /// summary the way the engine's job loop does.
+    /// Runs `accesses` as one deferred segment and assembles the summary the
+    /// way the engine's job loop does.
     fn run_deferred(
         system: &mut MultiCpuSystem,
         prefetcher: &mut dyn Prefetcher,
         accesses: &[MemAccess],
-    ) -> (RunSummary, DriverMetrics) {
+    ) -> (RunSummary, SegmentCounts) {
         let mut accounting =
             crate::classify::MissAccounting::new(system.num_cpus(), system.config());
         let mut tape = crate::classify::OutcomeTape::new();
         let mut counts = SegmentCounts::default();
-        let mut driver = DriverMetrics::default();
         run_segment_deferred(
             system,
             prefetcher,
@@ -608,10 +541,9 @@ mod tests {
             &mut Vec::new(),
             &mut tape,
             &mut counts,
-            &mut driver,
         );
         accounting.replay(accesses, &tape);
-        (summarize_segmented(system, &accounting, &counts), driver)
+        (summarize_segmented(system, &accounting, &counts), counts)
     }
 
     #[test]
@@ -628,11 +560,11 @@ mod tests {
         let (plain, _) = run_job(&job).expect("synthetic source");
         let accesses: Vec<MemAccess> = job.source.open().expect("synthetic").take(5_000).collect();
         let mut sys = MultiCpuSystem::new(2, &HierarchyConfig::scaled());
-        let (metered, driver) = run_deferred(&mut sys, &mut NullPrefetcher::new(), &accesses);
-        assert_eq!(plain, metered, "telemetry must not perturb the simulation");
-        assert_eq!(driver.cache_ops, 5_000, "null prefetcher: demand ops only");
-        assert_eq!(driver.prefetch_issues, 0);
-        assert_eq!(driver.request_batches, 0);
+        let (metered, counts) = run_deferred(&mut sys, &mut NullPrefetcher::new(), &accesses);
+        assert_eq!(plain, metered, "counting must not perturb the simulation");
+        assert_eq!(counts.accesses, 5_000, "null prefetcher: demand ops only");
+        assert_eq!(counts.prefetch_issues, 0);
+        assert_eq!(counts.request_batches, 0);
     }
 
     #[test]
@@ -648,18 +580,12 @@ mod tests {
             100,
         );
         let mut sys = MultiCpuSystem::new(1, &tiny_config());
-        let (summary, driver) = run_deferred(&mut sys, &mut NextLine, &accesses);
+        let (summary, counts) = run_deferred(&mut sys, &mut NextLine, &accesses);
         assert_eq!(summary, reference);
         assert!(summary.prefetch_requests > 0);
-        assert_eq!(driver.prefetch_issues, summary.prefetch_requests);
+        assert_eq!(counts.prefetch_issues, summary.prefetch_requests);
         assert_eq!(
-            driver.cache_ops,
-            summary.accesses + driver.prefetch_issues,
-            "cache ops = demand accesses + applied fills"
-        );
-        assert_eq!(driver.request_batches, summary.prefetch_requests);
-        assert_eq!(
-            driver.max_batch_len, 1,
+            counts.request_batches, summary.prefetch_requests,
             "NextLine issues one request at a time"
         );
     }

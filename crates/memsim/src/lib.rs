@@ -58,8 +58,8 @@ pub use classify::{
 };
 pub use config::{CacheConfig, GeometryError, HierarchyConfig};
 pub use driver::{
-    run, run_job, run_segment_deferred, summarize_segmented, DriverMeter, DriverMetrics,
-    PrefetcherFactory, RunSummary, SegmentCounts, SimJob,
+    run, run_job, run_segment_deferred, summarize_segmented, PrefetcherFactory, RunSummary,
+    SegmentCounts, SimJob,
 };
 pub use fasthash::{FastMap, FxBuildHasher, FxHasher};
 pub use hierarchy::{CpuHierarchy, HierarchyOutcome};

@@ -9,9 +9,9 @@
 //! derivable from the serialized form.
 //!
 //! The struct is `Copy` (one fixed-size array, no heap) so it can ride in
-//! the same by-value telemetry types (`JobMetrics`, `SegmentTelemetry`) the
-//! engine already moves across threads, and recording is a bounds-free array
-//! increment — cheap enough for per-segment and per-batch call sites.
+//! the by-value telemetry type (`JobMetrics`) the engine moves across
+//! threads, and recording is a bounds-free array increment — cheap enough
+//! for per-segment call sites.
 //!
 //! Serialization is sparse: only non-empty buckets appear, as
 //! `[[index, count], ...]` pairs, so an empty histogram costs a few bytes in
@@ -71,14 +71,6 @@ impl Histogram {
             0
         } else {
             64 - value.leading_zeros() as usize
-        }
-    }
-
-    /// The inclusive lower bound of bucket `index` (0, 1, 2, 4, 8, ...).
-    pub fn bucket_floor(index: usize) -> u64 {
-        match index {
-            0 => 0,
-            i => 1u64 << (i - 1),
         }
     }
 
@@ -265,17 +257,11 @@ mod tests {
         assert_eq!(Histogram::bucket_index(1023), 10);
         assert_eq!(Histogram::bucket_index(1024), 11);
         assert_eq!(Histogram::bucket_index(u64::MAX), 64);
-        assert_eq!(Histogram::bucket_floor(0), 0);
-        assert_eq!(Histogram::bucket_floor(1), 1);
-        assert_eq!(Histogram::bucket_floor(2), 2);
-        assert_eq!(Histogram::bucket_floor(11), 1024);
-        // Every value lands in the bucket whose floor is <= it.
-        for v in [0u64, 1, 2, 5, 100, 4096, u64::MAX / 2] {
-            let i = Histogram::bucket_index(v);
-            assert!(Histogram::bucket_floor(i) <= v);
-            if i + 1 < Histogram::BUCKETS {
-                assert!(v < Histogram::bucket_floor(i + 1));
-            }
+        // Bucket i >= 1 starts at 2^(i-1) and ends just below 2^i.
+        for i in 1..Histogram::BUCKETS {
+            let floor = 1u64 << (i - 1);
+            assert_eq!(Histogram::bucket_index(floor), i);
+            assert_eq!(Histogram::bucket_index(floor + (floor - 1)), i);
         }
     }
 

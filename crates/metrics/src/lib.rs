@@ -2,38 +2,35 @@
 //!
 //! The simulator's own hot path deserves the same measurement discipline the
 //! paper applies to the memory system it models.  This crate provides the
-//! three primitives the rest of the workspace instruments itself with:
+//! primitives the rest of the workspace reports its timings with:
 //!
-//! * **wall-clock timers** that are *zero-cost when disabled*: a
-//!   [`Stopwatch`] built disabled never touches the clock, and the
-//!   monomorphized no-op meter pattern (see [`collect`]) lets hot loops
-//!   compile the instrumentation away entirely;
 //! * **event rates** ([`per_sec`]) that turn an event count and an elapsed
-//!   wall-clock interval into events/second, plus log2 latency
-//!   [`Histogram`]s;
+//!   wall-clock interval into events/second;
+//! * log2 latency [`Histogram`]s, small and `Copy`, which the engine's
+//!   per-job metrics carry for each stage of its segment loop;
 //! * a **serializable report envelope** ([`MetricsReport`]) — a
 //!   schema-versioned `{kind, data}` pair, mirroring the engine's open
-//!   `ProbeReport` design — so every telemetry producer (whole-run engine
-//!   metrics, the server's counters) writes the same self-describing JSON
-//!   shape.
+//!   `ProbeReport` design — so every telemetry producer (the server's
+//!   counters among them) writes the same self-describing JSON shape.
 //!
-//! Telemetry never feeds back into simulation: collecting metrics must not
-//! (and, by construction here, cannot) perturb simulated results.  The
-//! integration tests pin that property by comparing serialized results with
-//! collection enabled and disabled byte for byte.
+//! Timings are always collected, and they never feed back into simulation:
+//! a job's results are a function of its spec alone, which the golden
+//! hashes and the byte-compares of every execution path pin.
 //!
 //! # Example
 //!
 //! ```
-//! use metrics::{per_sec, MetricsConfig, MetricsReport, Stopwatch};
+//! use metrics::{per_sec, Histogram, MetricsReport};
 //!
-//! let config = MetricsConfig::enabled();
-//! let watch = Stopwatch::start_if(config.enabled);
+//! let start = std::time::Instant::now();
 //! let simulated_accesses: u64 = 10_000;
 //! // ... do the work being measured ...
-//! let seconds = watch.elapsed_seconds();
+//! let seconds = start.elapsed().as_secs_f64();
+//! let mut latency_us = Histogram::new();
+//! latency_us.record((seconds * 1e6) as u64);
 //! let report = MetricsReport::new("example", &per_sec(simulated_accesses, seconds));
 //! assert_eq!(report.kind, "example");
+//! assert_eq!(latency_us.count(), 1);
 //! assert!(report.validate().is_ok());
 //! ```
 
@@ -44,6 +41,6 @@ pub mod collect;
 pub mod histogram;
 pub mod report;
 
-pub use collect::{per_sec, MetricsConfig, Stopwatch};
+pub use collect::per_sec;
 pub use histogram::Histogram;
 pub use report::MetricsReport;

@@ -7,9 +7,8 @@ use serde::{Deserialize, Serialize};
 /// payload.
 ///
 /// This mirrors the engine's open `ProbeReport {kind, data}` design so
-/// external tooling reads one shape everywhere: per-run engine metrics
-/// (`kind: "engine-run"`), the job server's counters (`kind: "server"`),
-/// and any report a future producer defines.
+/// external tooling reads one shape everywhere: the job server's counters
+/// (`kind: "server"`) and any report a future producer defines.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetricsReport {
     /// Version of this envelope (`kind` + `data`) format itself.
@@ -43,7 +42,9 @@ impl MetricsReport {
     /// **7** — `engine-run` job entries lost their three `spec_*` run-ahead
     /// counters with the run-ahead execution mode, and the `bench` /
     /// `bench-diff` kinds were retired with the `sms-experiments bench`
-    /// harness.
+    /// harness.  The `engine-run` kind went later with the engine's
+    /// whole-run metrics, which only tests ever reported; no envelope
+    /// changed, so the version did not.
     pub const SCHEMA_VERSION: u32 = 7;
 
     /// A report of the given kind carrying `payload` serialized as JSON.

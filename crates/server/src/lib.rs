@@ -9,9 +9,8 @@
 //!   socket and/or loopback TCP ([`protocol`]): one request per
 //!   connection, results streamed back frame by frame as jobs complete;
 //! * **scheduling** — a prioritized submission queue ([`queue`]) drained by
-//!   a single scheduler thread driving [`engine::run_jobs_streamed`], so
-//!   priorities are strict and each submission gets the full worker
-//!   budget;
+//!   a single scheduler thread driving [`engine::execute`], so priorities
+//!   are strict and each submission gets the full worker budget;
 //! * **caching** — a content-addressed result cache ([`cache`]) keyed by
 //!   [`engine::spec_fingerprint`]: identical resubmissions replay the
 //!   recorded frames byte for byte without touching the engine;

@@ -7,7 +7,7 @@
 //! a later high-priority one.
 
 use crate::protocol::{ErrorFrame, JobFrame};
-use engine::{CancelToken, EngineConfig, SimJob};
+use engine::{CancelToken, SimJob};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::mpsc;
@@ -35,8 +35,9 @@ pub struct Submission {
     pub client: String,
     /// The jobs, in submission order.
     pub jobs: Vec<SimJob>,
-    /// Engine configuration resolved from the request and server defaults.
-    pub config: EngineConfig,
+    /// Engine worker count resolved from the request and server defaults
+    /// (`0` = one per available hardware thread).
+    pub workers: usize,
     /// Content-addressed identity of the jobs; the cache key.
     pub fingerprint: String,
     /// Channel back to the connection handler streaming this submission.
@@ -133,7 +134,7 @@ mod tests {
             submission: Submission {
                 client: format!("client-{seq}"),
                 jobs: Vec::new(),
-                config: EngineConfig::serial(),
+                workers: 1,
                 fingerprint: format!("fp-{seq}"),
                 reply,
                 queued_at: Instant::now(),

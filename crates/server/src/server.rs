@@ -4,8 +4,8 @@
 //! Threading model: one acceptor thread per listener (unix socket, loopback
 //! TCP), one short-lived handler thread per connection, and a single
 //! scheduler thread that pops the [`SubmissionQueue`] and drives the engine
-//! via [`engine::run_jobs_streamed`], forwarding each result frame through
-//! the submission's channel as it completes.  One scheduler means queued
+//! via [`engine::execute`], forwarding each result frame through the
+//! submission's channel as it completes.  One scheduler means queued
 //! submissions run strictly in priority order and each one gets the
 //! server's full worker budget — throughput *within* a submission comes
 //! from the engine's own worker pool, not from racing submissions.
@@ -16,8 +16,8 @@ use crate::protocol::{
     SubmitRequest,
 };
 use crate::queue::{Event, Queued, Submission, SubmissionQueue};
-use engine::{CancelToken, EngineConfig, JobList, Registry};
-use metrics::{Histogram, MetricsConfig, MetricsReport};
+use engine::{CancelToken, JobList, Registry, RunOptions};
+use metrics::{Histogram, MetricsReport};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
@@ -81,9 +81,19 @@ pub struct ServerConfig {
     pub registry: Option<Arc<Registry>>,
     /// Pipeline trace the server records into: per-submission lifecycle
     /// spans, cache hit/miss events and a queue-depth counter, plus the
-    /// engine's own spans for every scheduled run.  Disabled by default
-    /// (zero cost — see `tracelog`).
+    /// engine's own spans for every scheduled run.  Disabled by default, and
+    /// then it records nothing (see `tracelog`).
     pub trace: Trace,
+}
+
+impl ServerConfig {
+    /// The registry specs resolve through: [`registry`](Self::registry) or
+    /// the built-ins.
+    fn plugins(&self) -> &Registry {
+        self.registry
+            .as_deref()
+            .unwrap_or_else(|| Registry::builtin())
+    }
 }
 
 /// An error starting a [`Server`].
@@ -432,11 +442,7 @@ impl Server {
 /// The scheduler: pops submissions in priority order and streams each one
 /// through the engine, draining the queue even during shutdown.
 fn scheduler(shared: &Arc<Shared>) {
-    let registry = shared
-        .config
-        .registry
-        .as_deref()
-        .unwrap_or_else(|| Registry::builtin());
+    let registry = shared.config.plugins();
     let trace = &shared.config.trace;
     let recorder = trace.recorder("scheduler");
     loop {
@@ -459,7 +465,7 @@ fn scheduler(shared: &Arc<Shared>) {
         let Submission {
             client,
             jobs,
-            config,
+            workers,
             fingerprint,
             reply,
             queued_at,
@@ -510,21 +516,19 @@ fn scheduler(shared: &Arc<Shared>) {
         });
 
         let mut recorded: Vec<JobFrame> = Vec::new();
-        let outcome = engine::run_jobs_streamed_observed(
-            &jobs,
-            &config,
+        let options = RunOptions {
+            workers,
             registry,
-            &MetricsConfig::enabled(),
             trace,
-            &cancel,
-            &mut |result, metrics| {
-                let frame = JobFrame { result, metrics };
-                recorded.push(frame.clone());
-                // A vanished client must not kill the run: the frames are
-                // still recorded into the cache.
-                let _ = reply.send(Event::Result(Box::new(frame)));
-            },
-        );
+            cancel: Some(&cancel),
+        };
+        let outcome = engine::execute(&jobs, &options, &mut |result, metrics| {
+            let frame = JobFrame { result, metrics };
+            recorded.push(frame.clone());
+            // A vanished client must not kill the run: the frames are still
+            // recorded into the cache.
+            let _ = reply.send(Event::Result(Box::new(frame)));
+        });
         drop(span);
         watchdog_done.store(true, Ordering::SeqCst);
         if let Some(handle) = watchdog {
@@ -537,7 +541,7 @@ fn scheduler(shared: &Arc<Shared>) {
         match outcome {
             // A cancelled run returns Ok with a short prefix; only a run
             // that delivered every job is complete, cacheable and `Done`.
-            Ok((delivered, _)) if (delivered as u64) == job_count => {
+            Ok(delivered) if (delivered as u64) == job_count => {
                 shared
                     .cache
                     .lock()
@@ -547,7 +551,7 @@ fn scheduler(shared: &Arc<Shared>) {
                     jobs: delivered as u64,
                 });
             }
-            Ok((delivered, _)) => {
+            Ok(delivered) => {
                 // Cut short: by the deadline watchdog, or by the connection
                 // handler of a disconnected client (which already counted
                 // itself).  Partial results are never cached.
@@ -693,11 +697,15 @@ fn handle_submit<S: Write>(
     submit: SubmitRequest,
 ) -> io::Result<()> {
     // Re-render and load the spec through the exact `run --spec` path so
-    // version handling (including the lenient old-version migration) and
-    // error messages match the CLI's byte for byte.
+    // version handling (including the lenient old-version migration), the
+    // prefetcher-parameter check and error messages match the CLI's byte for
+    // byte.  A spec the check refuses never queues.
     let spec_text =
         serde_json::to_string(&submit.spec).expect("value-tree serialization cannot fail");
-    let list = match JobList::from_json(&spec_text) {
+    let list = match JobList::from_json(&spec_text).and_then(|list| {
+        list.check(shared.config.plugins())?;
+        Ok(list)
+    }) {
         Ok(list) => list,
         Err(e) => {
             return write_line(
@@ -720,7 +728,6 @@ fn handle_submit<S: Write>(
     } else {
         shared.config.workers
     };
-    let config = EngineConfig::with_workers(workers);
     let fingerprint = engine::spec_fingerprint(&list.jobs);
     let job_count = list.jobs.len() as u64;
 
@@ -795,7 +802,7 @@ fn handle_submit<S: Write>(
                         submission: Submission {
                             client: submit.client.clone(),
                             jobs: list.jobs,
-                            config,
+                            workers,
                             fingerprint,
                             reply,
                             queued_at: Instant::now(),

@@ -2,9 +2,10 @@
 //! cache-hit replay, quota enforcement, structured errors, and graceful
 //! shutdown draining the queue.
 
-use engine::{EngineConfig, JobList, PrefetcherSpec, Registry, SimJob};
+use engine::{JobList, PrefetcherSpec, RunOptions, SimJob};
 use memsim::HierarchyConfig;
 use server::{client, Endpoint, ErrorFrame, Server, ServerConfig, ServerError, SubmitOptions};
+use sms::{RegionConfig, SmsConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use trace::{Application, GeneratorConfig};
@@ -88,8 +89,11 @@ fn start_unix(tag: &str, config: ServerConfig) -> (Server, Endpoint) {
 #[test]
 fn served_results_are_byte_identical_to_a_direct_run() {
     let list = job_list(6_000);
-    let config = EngineConfig::with_workers(2);
-    let direct = engine::run_jobs_in(&list.jobs, &config, Registry::builtin()).expect("direct run");
+    let mut direct = Vec::new();
+    engine::execute(&list.jobs, &RunOptions::new(2), &mut |result, _| {
+        direct.push(result)
+    })
+    .expect("direct run");
     let direct_json = serde_json::to_string_pretty(&direct).expect("serialize direct");
 
     let (server, endpoint) = start_unix("bytes", ServerConfig::default());
@@ -284,7 +288,65 @@ fn bad_specs_get_structured_errors_with_the_cli_version_message() {
         other => panic!("expected Error frame, got {other:?}"),
     }
 
-    server.shutdown();
+    // A prefetcher spec its plugin rejects, or one naming no plugin, is
+    // refused at admission with the CLI's message: the first frame is the
+    // error, so no job runs and no result streams.
+    let mut bad_region = job_list(2_000);
+    bad_region
+        .jobs
+        .push(job(Application::Ocean, PrefetcherSpec::null(), 2_000));
+    bad_region.jobs.push(job(
+        Application::Ocean,
+        PrefetcherSpec::sms(&SmsConfig {
+            region: RegionConfig {
+                region_bytes: 2048,
+                block_bytes: 96,
+            },
+            ..SmsConfig::paper_default()
+        }),
+        2_000,
+    ));
+    let mut unknown_plugin = job_list(2_000);
+    unknown_plugin.jobs[1].sim.prefetcher.plugin = "smss".to_string();
+    for (list, message) in [
+        (
+            bad_region,
+            "invalid job spec: job 3: bad parameters for plugin \"sms\": region: ",
+        ),
+        (
+            unknown_plugin,
+            "invalid job spec: job 1: unknown prefetcher plugin \"smss\" (did you mean \"sms\"?)",
+        ),
+    ] {
+        let message = message.to_string();
+        let err = client::submit(&endpoint, &list, &SubmitOptions::default(), &mut |frame| {
+            panic!(
+                "{message}: no job may run, got job {}",
+                frame.result.job_index
+            )
+        })
+        .expect_err("a bad prefetcher spec is refused");
+        match err {
+            client::ClientError::Server(frame) => {
+                assert_eq!(frame.code, ErrorFrame::BAD_SPEC);
+                assert!(frame.message.starts_with(&message), "{}", frame.message);
+            }
+            other => panic!("expected a bad_spec frame, got {other:?}"),
+        }
+    }
+
+    // The server keeps serving.
+    let outcome = client::submit(
+        &endpoint,
+        &job_list(2_000),
+        &SubmitOptions::default(),
+        &mut |_| {},
+    )
+    .expect("a healthy spec still runs");
+    assert_eq!(outcome.done.jobs, 2);
+
+    let metrics = server.shutdown();
+    assert_eq!(metrics.jobs_served, 2, "only the healthy submission ran");
 }
 
 #[test]

@@ -1,13 +1,17 @@
 //! Span-based pipeline tracing with Chrome trace-event export.
 //!
-//! The engine's counters (PR 4) say *that* simulate dominates; this crate
-//! says *where time goes within and between stages*.  The design follows the
-//! same telemetry contract as `crates/metrics`:
+//! The engine's per-job metrics say *that* simulate dominates; this crate
+//! says *where time goes within and between stages*:
 //!
-//! - **Zero-cost when disabled.**  A disabled [`Trace`] hands out disabled
-//!   [`Recorder`]s whose spans and events are no-ops that never read the
-//!   clock and never allocate.  Simulation results are byte-identical with
-//!   tracing on or off (pinned by `tests/metrics_telemetry.rs`).
+//! - **Nothing recorded when disabled.**  A disabled [`Trace`] hands out
+//!   disabled [`Recorder`]s whose spans and events are no-ops that never
+//!   read the clock and never allocate.  Simulation results are
+//!   byte-identical with tracing on or off (pinned by
+//!   `tests/metrics_telemetry.rs`).
+//! - **One clock for spans and metrics.**  A loop that already reads the
+//!   clock at its stage boundaries records those same instants as spans
+//!   ([`Recorder::span_between`]), so its trace and its own stage timings
+//!   agree by construction.
 //! - **The hot loop never locks.**  Each thread records into its own bounded
 //!   ring buffer through a [`Recorder`]; buffers are drained into the shared
 //!   collector exactly once, when the recorder is dropped.  When a ring
@@ -155,7 +159,7 @@ impl Default for Trace {
 impl Trace {
     /// A trace that records nothing: every recorder, span and event is a
     /// no-op that never reads the clock.
-    pub fn disabled() -> Trace {
+    pub const fn disabled() -> Trace {
         Trace { inner: None }
     }
 
@@ -303,6 +307,37 @@ impl Recorder {
                     args: Vec::new(),
                 }),
             },
+        }
+    }
+
+    /// Records a span named `name` that ran from `start` to `end`, for a
+    /// caller that reads the clock itself.  `fill` attaches arguments; like
+    /// [`instant`](Self::instant), nothing happens on a disabled recorder.
+    pub fn span_between<F: FnOnce(&mut Args)>(
+        &self,
+        name: &'static str,
+        start: Instant,
+        end: Instant,
+        fill: F,
+    ) {
+        if let Some(inner) = &self.inner {
+            let at = |instant: Instant| {
+                instant
+                    .saturating_duration_since(inner.trace.origin)
+                    .as_micros() as u64
+            };
+            let start_us = at(start);
+            let mut args = Args(Vec::new());
+            fill(&mut args);
+            let event = TraceEvent {
+                name,
+                kind: EventKind::Span {
+                    start_us,
+                    dur_us: at(end).saturating_sub(start_us),
+                },
+                args: args.0,
+            };
+            inner.ring.borrow_mut().push(event);
         }
     }
 
@@ -506,6 +541,33 @@ mod tests {
         assert!(outer_start <= inner_start);
         assert!(inner_start + inner_dur <= outer_start + outer_dur);
         assert!(inner_dur <= outer_dur);
+    }
+
+    #[test]
+    fn span_between_records_the_given_interval() {
+        let trace = Trace::enabled();
+        let start = Instant::now();
+        let end = start + std::time::Duration::from_micros(1_500);
+        {
+            let rec = trace.recorder("t0");
+            rec.span_between("stage", start, end, |a| {
+                a.u64("segment", 7);
+            });
+            Recorder::disabled().span_between("never", start, end, |_| {
+                panic!("a disabled recorder never builds arguments")
+            });
+        }
+        let logs = trace.logs();
+        assert_eq!(logs.len(), 1);
+        let event = &logs[0].events[0];
+        assert_eq!(event.name, "stage");
+        assert_eq!(event.args, vec![("segment", ArgValue::U64(7))]);
+        match event.kind {
+            // Both ends round down to whole microseconds of the run, which
+            // keeps a whole number of microseconds exact.
+            EventKind::Span { dur_us, .. } => assert_eq!(dur_us, 1_500),
+            _ => panic!("a span"),
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! ([`faultinject::FaultPlan`]), so a failure here is a constant to bisect,
 //! not a flake to shrug at.
 
-use engine::{EngineConfig, JobList, PrefetcherSpec, Registry, SimJob};
+use engine::{JobList, JobResult, PrefetcherSpec, Registry, RunOptions, SimJob};
 use faultinject::{Fault, FaultPlan};
 use memsim::HierarchyConfig;
 use server::{client, Endpoint, ErrorFrame, Server, ServerConfig, SubmitOptions};
@@ -31,6 +31,22 @@ const APPS: [Application; 4] = [
     Application::Sparse,
     Application::DssQry1,
 ];
+
+/// Runs `jobs` through `engine::execute` with `workers` workers over
+/// `registry` and collects the results.
+fn run_in(
+    jobs: &[SimJob],
+    workers: usize,
+    registry: &Registry,
+) -> Result<Vec<JobResult>, engine::EngineError> {
+    let mut results = Vec::new();
+    let options = RunOptions {
+        registry,
+        ..RunOptions::new(workers)
+    };
+    engine::execute(jobs, &options, &mut |result, _| results.push(result))?;
+    Ok(results)
+}
 
 fn unique_socket(tag: &str) -> std::path::PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -136,8 +152,7 @@ fn seeded_panic_plans_fail_cleanly_and_leave_the_prefix_intact() {
         // The delivered prefix is byte-identical to a direct serial run of
         // the same (non-faulted) jobs.
         let prefix = &list.jobs[..first_panic];
-        let direct = engine::run_jobs_in(prefix, &EngineConfig::serial(), &registry)
-            .expect("prefix jobs are healthy");
+        let direct = run_in(prefix, 1, &registry).expect("prefix jobs are healthy");
         let direct_json = serde_json::to_string(&direct).unwrap();
         let served_json = serde_json::to_string(&streamed).unwrap();
         assert_eq!(served_json, direct_json, "seed {seed}: prefix must match");
@@ -158,8 +173,7 @@ fn delay_faults_slow_jobs_down_but_corrupt_nothing() {
 
     let outcome = client::submit(&endpoint, &list, &SubmitOptions::default(), &mut |_| {})
         .expect("delayed jobs still complete");
-    let direct =
-        engine::run_jobs_in(&list.jobs, &EngineConfig::serial(), &registry).expect("direct run");
+    let direct = run_in(&list.jobs, 1, &registry).expect("direct run");
     let direct_json = serde_json::to_string(&direct).unwrap();
     let served: Vec<engine::JobResult> = outcome.frames.iter().map(|f| f.result.clone()).collect();
     assert_eq!(
@@ -299,14 +313,11 @@ fn dropped_connections_cancel_cleanly_and_the_server_keeps_serving() {
 
 #[test]
 fn an_idle_chaos_registry_changes_no_bytes() {
-    // The fault seams are zero-cost when unused: the same healthy jobs run
+    // The fault seams cost nothing when unused: the same healthy jobs run
     // byte-identically whether or not the chaos plugin is registered.
     let list = healthy_list(0);
-    let config = EngineConfig::with_workers(2);
-    let with_builtins =
-        engine::run_jobs_in(&list.jobs, &config, Registry::builtin()).expect("builtin run");
-    let with_chaos = engine::run_jobs_in(&list.jobs, &config, &faultinject::registry())
-        .expect("chaos-registry run");
+    let with_builtins = run_in(&list.jobs, 2, Registry::builtin()).expect("builtin run");
+    let with_chaos = run_in(&list.jobs, 2, &faultinject::registry()).expect("chaos-registry run");
     assert_eq!(
         serde_json::to_string(&with_builtins).unwrap(),
         serde_json::to_string(&with_chaos).unwrap(),
@@ -361,15 +372,12 @@ fn a_panic_inside_a_shared_trace_group_fails_only_its_own_job() {
     for (jobs, panicking) in cases {
         for workers in [1, 2] {
             let mut delivered = Vec::new();
-            let err = engine::run_jobs_streamed(
-                &jobs,
-                &EngineConfig::with_workers(workers),
-                &registry,
-                &metrics::MetricsConfig::disabled(),
-                &engine::CancelToken::new(),
-                &mut |result, _| delivered.push(result),
-            )
-            .expect_err("the panicking job fails the run");
+            let options = RunOptions {
+                registry: &registry,
+                ..RunOptions::new(workers)
+            };
+            let err = engine::execute(&jobs, &options, &mut |result, _| delivered.push(result))
+                .expect_err("the panicking job fails the run");
             assert_eq!(
                 err.to_string(),
                 format!("job {panicking}: panicked: injected chaos panic at access 300"),
@@ -378,7 +386,13 @@ fn a_panic_inside_a_shared_trace_group_fails_only_its_own_job() {
             let alone: Vec<_> = jobs[..panicking]
                 .iter()
                 .enumerate()
-                .map(|(index, job)| engine::run_job(index, job, &registry).expect("healthy job"))
+                .map(|(index, job)| {
+                    let mut alone = run_in(std::slice::from_ref(job), 1, &registry)
+                        .expect("healthy job")
+                        .remove(0);
+                    alone.job_index = index;
+                    alone
+                })
                 .collect();
             assert_eq!(delivered, alone, "workers = {workers}");
         }

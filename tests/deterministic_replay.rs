@@ -8,7 +8,7 @@
 //! loops (`memsim::run`, `TimingModel::evaluate`) bit for bit.
 
 use engine::segment::SEGMENT;
-use engine::{EngineConfig, JobResult, JobWarning, PrefetcherSpec, Registry, SimJob};
+use engine::{JobResult, JobWarning, PrefetcherSpec, Registry, RunOptions, SimJob};
 use ghb::GhbConfig;
 use memsim::{HierarchyConfig, MultiCpuSystem, NullPrefetcher, RunSummary};
 use sms::SmsConfig;
@@ -27,6 +27,27 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+/// Runs `jobs` through `engine::execute` with `workers` workers over
+/// `registry` and collects the results.
+fn run_in(
+    jobs: &[SimJob],
+    workers: usize,
+    registry: &Registry,
+) -> Result<Vec<JobResult>, engine::EngineError> {
+    let mut results = Vec::new();
+    let options = RunOptions {
+        registry,
+        ..RunOptions::new(workers)
+    };
+    engine::execute(jobs, &options, &mut |result, _| results.push(result))?;
+    Ok(results)
+}
+
+/// [`run_in`] over the built-ins, where every job runs.
+fn run(jobs: &[SimJob], workers: usize) -> Vec<JobResult> {
+    run_in(jobs, workers, Registry::builtin()).expect("every job runs")
 }
 
 fn run_baseline(app: Application) -> RunSummary {
@@ -175,8 +196,8 @@ fn engine_job_list() -> Vec<SimJob> {
 #[test]
 fn parallel_engine_matches_serial_bit_for_bit() {
     let jobs = engine_job_list();
-    let serial = engine::run_jobs_with(&jobs, &EngineConfig::serial());
-    let parallel = engine::run_jobs_with(&jobs, &EngineConfig::with_workers(4));
+    let serial = run(&jobs, 1);
+    let parallel = run(&jobs, 4);
     assert_eq!(serial.len(), jobs.len());
     assert_eq!(
         serial, parallel,
@@ -207,7 +228,7 @@ fn segment_parallel_engine_matches_serial_bit_for_bit() {
     assert_ne!(ACCESSES % SEGMENT, 0, "the last segment is partial");
     let expected = reference_json(&jobs);
     for workers in [1, 2, 4, 8] {
-        let results = engine::run_jobs_with(&jobs, &EngineConfig::with_workers(workers));
+        let results = run(&jobs, workers);
         assert_eq!(
             serde_json::to_string(&results).expect("serialize engine results"),
             expected,
@@ -230,10 +251,7 @@ fn segmented_sms_run_reproduces_the_pinned_golden_hash() {
         "reference SMS summary drifted from the pinned hash (got {got:#018x}; summary {json})"
     );
     for workers in [1, 3] {
-        let results = engine::run_jobs_with(
-            &[pinned_sms_job(), pinned_sms_job()],
-            &EngineConfig::with_workers(workers),
-        );
+        let results = run(&[pinned_sms_job(), pinned_sms_job()], workers);
         for result in &results {
             let json = serde_json::to_string(&result.summary).expect("serialize summary");
             assert_eq!(
@@ -281,7 +299,7 @@ fn sixteen_cpu_table1_runs_reproduce_their_pinned_golden_hashes() {
     ];
 
     let jobs = sixteen_cpu_table1_jobs();
-    let engine_results = engine::run_jobs_with(&jobs, &EngineConfig::with_workers(2));
+    let engine_results = run(&jobs, 2);
     for (index, job) in jobs.iter().enumerate() {
         let reference = reference(index, job);
         assert_eq!(reference.summary.skipped_accesses, 0);
@@ -365,7 +383,7 @@ fn registry_built_sms_run_is_pinned() {
     // for an intentional, documented change.
     const GOLDEN_SUMMARY_HASH: u64 = 0x2c60632b11e41c1c;
 
-    let results = engine::run_jobs_with(&[pinned_sms_job()], &EngineConfig::serial());
+    let results = run(&[pinned_sms_job()], 1);
     let json = serde_json::to_string(&results[0].summary).expect("serialize summary");
     let got = fnv1a(json.as_bytes());
     assert_eq!(
@@ -378,8 +396,7 @@ fn registry_built_sms_run_is_pinned() {
     // not nominal.
     let mut registry = Registry::with_builtins();
     let _ = registry.register(std::sync::Arc::new(DelegatingSmsPlugin));
-    let custom = engine::run_jobs_in(&[pinned_sms_job()], &EngineConfig::serial(), &registry)
-        .expect("custom-registered sms plugin");
+    let custom = run_in(&[pinned_sms_job()], 1, &registry).expect("custom-registered sms plugin");
     assert_eq!(
         results, custom,
         "a custom-registered SMS plugin must reproduce the built-in bit for bit"
@@ -471,7 +488,7 @@ mod segmented_properties {
             workers in 1usize..9,
         ) {
             let jobs = random_jobs(app_idx, seed, accesses_for(choice, segments, short));
-            let results = engine::run_jobs_with(&jobs, &EngineConfig::with_workers(workers));
+            let results = run(&jobs, workers);
             let got = serde_json::to_string(&results).expect("serialize engine results");
             prop_assert_eq!(got, reference_json(&jobs));
         }
@@ -483,10 +500,7 @@ mod segmented_properties {
             const GOLDEN_SUMMARY_HASH: u64 = 0x2c60632b11e41c1c;
             let mut baseline = pinned_sms_job();
             baseline.sim.prefetcher = PrefetcherSpec::null();
-            let results = engine::run_jobs_with(
-                &[baseline, pinned_sms_job()],
-                &EngineConfig::with_workers(workers),
-            );
+            let results = run(&[baseline, pinned_sms_job()], workers);
             let json = serde_json::to_string(&results[1].summary).expect("serialize summary");
             let got = fnv1a(json.as_bytes());
             prop_assert_eq!(
@@ -521,9 +535,8 @@ fn file_backed_trace_source_replays_bit_identically() {
     let mut replayed = pinned_sms_job();
     replayed.sim.source = TraceSource::binary_file(path.to_string_lossy());
 
-    let a = engine::run_jobs_with(&[synthetic], &EngineConfig::serial());
-    let b = engine::run_jobs_in(&[replayed], &EngineConfig::serial(), Registry::builtin())
-        .expect("file-backed job");
+    let a = run(&[synthetic], 1);
+    let b = run_in(&[replayed], 1, Registry::builtin()).expect("file-backed job");
     std::fs::remove_file(&path).ok();
 
     assert_eq!(a[0].summary.accesses, ACCESSES as u64);

@@ -1,18 +1,17 @@
-//! Telemetry must observe, never perturb: metrics collection (disabled vs.
-//! enabled) and the batched vs. pre-batching driver loops must all produce
-//! byte-identical simulation results, and the collected metrics must be
-//! consistent with the results they describe.
+//! Telemetry must observe, never perturb: every engine job reports its
+//! metrics, tracing is on or off, and the batched and pre-batching driver
+//! loops must all produce byte-identical simulation results, and the
+//! collected metrics must be consistent with the results they describe.
 
 use engine::segment::SEGMENT;
-use engine::{EngineConfig, PrefetcherSpec, Registry, SimJob};
+use engine::{JobMetrics, JobResult, PrefetcherSpec, Registry, RunOptions, SimJob, TrainingSpec};
 use ghb::GhbConfig;
 use memsim::{
-    DriverMetrics, HierarchyConfig, MissAccounting, MultiCpuSystem, OutcomeTape, PrefetchLevel,
-    Prefetcher, RunSummary, SegmentCounts,
+    HierarchyConfig, MissAccounting, MultiCpuSystem, OutcomeTape, PrefetchLevel, Prefetcher,
+    RunSummary, SegmentCounts,
 };
-use metrics::MetricsConfig;
-use sms::SmsConfig;
-use timing::TimingConfig;
+use sms::{IndexScheme, PhtCapacity, RegionConfig, SmsConfig, TrainerKind};
+use timing::{TimingConfig, TimingModel};
 use trace::{Application, GeneratorConfig, TraceSource};
 
 const CPUS: usize = 2;
@@ -53,92 +52,96 @@ fn job_list() -> Vec<SimJob> {
     ]
 }
 
+/// Runs `jobs` through `engine::execute` with `options` and collects every
+/// result beside its metrics.
+fn run(jobs: &[SimJob], options: &RunOptions<'_>) -> (Vec<JobResult>, Vec<JobMetrics>) {
+    let (mut results, mut metrics) = (Vec::new(), Vec::new());
+    engine::execute(jobs, options, &mut |result, job_metrics| {
+        results.push(result);
+        metrics.push(job_metrics);
+    })
+    .expect("jobs prepare");
+    (results, metrics)
+}
+
+/// The per-access reference run of `job` — `memsim::run`, or
+/// `TimingModel::evaluate` for a timing job — which collects no metrics.
+fn reference(index: usize, job: &SimJob) -> JobResult {
+    let sim = &job.sim;
+    let mut prefetcher = Registry::builtin()
+        .build(&sim.prefetcher, sim.cpus)
+        .expect("built-in plugin");
+    let mut stream = sim.source.open().expect("synthetic source");
+    let (summary, timing) = match &job.timing {
+        Some(spec) => {
+            let model = TimingModel::new(sim.hierarchy, sim.cpus, spec.config);
+            let (timing, summary) =
+                model.evaluate(&mut prefetcher, &mut stream, sim.accesses, spec.segments);
+            (summary, Some(timing))
+        }
+        None => {
+            let mut system = MultiCpuSystem::new(sim.cpus, &sim.hierarchy);
+            let summary = memsim::run(&mut system, &mut prefetcher, &mut stream, sim.accesses);
+            (summary, None)
+        }
+    };
+    JobResult {
+        job_index: index,
+        summary,
+        probe: prefetcher.into_report(),
+        timing,
+        warnings: Vec::new(),
+    }
+}
+
 #[test]
 fn metrics_collection_disabled_vs_enabled_is_byte_identical() {
+    // The engine collects every job's metrics; the per-access reference
+    // collects none.  Collecting must not alter a single result byte.
     let jobs = job_list();
+    let reference: Vec<JobResult> = jobs
+        .iter()
+        .enumerate()
+        .map(|(index, job)| reference(index, job))
+        .collect();
+    let expected = serde_json::to_string(&reference).expect("serialize");
     for workers in [1, 3] {
-        let config = EngineConfig::with_workers(workers);
-        let (disabled, _) = engine::run_jobs_metered(
-            &jobs,
-            &config,
-            Registry::builtin(),
-            &MetricsConfig::disabled(),
-        )
-        .expect("jobs prepare");
-        let (enabled, collected) = engine::run_jobs_metered(
-            &jobs,
-            &config,
-            Registry::builtin(),
-            &MetricsConfig::enabled(),
-        )
-        .expect("jobs prepare");
-
-        // Byte-identical, not merely `==`: serialize both result lists.
-        let a = serde_json::to_string(&disabled).expect("serialize");
-        let b = serde_json::to_string(&enabled).expect("serialize");
+        let (results, metrics) = run(&jobs, &RunOptions::new(workers));
         assert_eq!(
-            a, b,
+            serde_json::to_string(&results).expect("serialize"),
+            expected,
             "{workers} workers: collecting metrics must not alter a single result byte"
         );
 
-        // And the plain (unmetered) entry point agrees too.
-        let plain = engine::run_jobs_with(&jobs, &config);
-        assert_eq!(
-            serde_json::to_string(&plain).expect("serialize"),
-            a,
-            "{workers} workers: run_jobs_with must match the metered paths"
-        );
-
         // The collected telemetry describes the run it observed.
-        assert_eq!(collected.jobs.len(), jobs.len());
-        assert_eq!(collected.workers.len(), workers);
-        assert_eq!(
-            collected.total_accesses,
-            enabled.iter().map(|r| r.summary.accesses).sum::<u64>()
-        );
-        for (result, job) in enabled.iter().zip(&collected.jobs) {
+        assert_eq!(metrics.len(), jobs.len());
+        for (result, job) in results.iter().zip(&metrics) {
             assert_eq!(job.job_index, result.job_index);
             assert_eq!(job.accesses, result.summary.accesses);
             assert!(job.elapsed_seconds > 0.0);
             assert!(job.accesses_per_sec > 0.0);
         }
-        assert!(collected.total_seconds > 0.0);
-        assert!(collected.report().validate().is_ok());
     }
 }
 
 #[test]
 fn segmented_metrics_collection_is_byte_identical_and_counts_segments() {
-    // Every job runs the segment loop: metrics on/off must not change a
-    // byte, the per-job metrics must report the segment count and stage
-    // timings the loop actually ran, and with metrics off the loop reads no
-    // clock but still counts its segments.
+    // Every job runs the segment loop: the worker count must not change a
+    // byte, and the per-job metrics must report the segment count and stage
+    // timings the loop actually ran.
     let jobs = job_list();
+    let (serial, _) = run(&jobs, &RunOptions::new(1));
+    let expected = serde_json::to_string(&serial).expect("serialize");
     for workers in [1, 2, 3] {
-        let config = EngineConfig::with_workers(workers);
-        let (disabled, quiet) = engine::run_jobs_metered(
-            &jobs,
-            &config,
-            Registry::builtin(),
-            &MetricsConfig::disabled(),
-        )
-        .expect("jobs prepare");
-        let (enabled, collected) = engine::run_jobs_metered(
-            &jobs,
-            &config,
-            Registry::builtin(),
-            &MetricsConfig::enabled(),
-        )
-        .expect("jobs prepare");
-        let a = serde_json::to_string(&disabled).expect("serialize");
-        let b = serde_json::to_string(&enabled).expect("serialize");
+        let (results, metrics) = run(&jobs, &RunOptions::new(workers));
         assert_eq!(
-            a, b,
-            "{workers} workers: metrics must not alter a result byte"
+            serde_json::to_string(&results).expect("serialize"),
+            expected,
+            "{workers} workers: the worker count must not alter a result byte"
         );
 
         let segments = (ACCESSES as u64).div_ceil(SEGMENT as u64);
-        for job in &collected.jobs {
+        for job in &metrics {
             assert_eq!(
                 job.segments, segments,
                 "10k accesses in 4096-access segments"
@@ -148,43 +151,26 @@ fn segmented_metrics_collection_is_byte_identical_and_counts_segments() {
             assert!(job.account_seconds > 0.0, "the loop replays every tape");
             assert_eq!(job.simulate_segment_us.count(), segments);
         }
-        for job in &quiet.jobs {
-            assert_eq!(job.segments, segments);
-            assert_eq!(job.elapsed_seconds, 0.0);
-            assert_eq!(job.pull_seconds, 0.0);
-            assert_eq!(job.simulate_segment_us.count(), 0);
-        }
-        assert!(collected.report().validate().is_ok());
     }
 }
 
 #[test]
 fn tracing_enabled_vs_disabled_is_byte_identical() {
-    // The PR 4 telemetry contract extends to span tracing: recording spans
-    // must never alter a single result byte, serially or sharded.
+    // Recording spans must never alter a single result byte, on the calling
+    // thread or on scoped workers.
     let jobs = job_list();
-    for config in [EngineConfig::serial(), EngineConfig::with_workers(3)] {
-        let (untraced, _) = engine::run_jobs_observed(
-            &jobs,
-            &config,
-            Registry::builtin(),
-            &MetricsConfig::disabled(),
-            &tracelog::Trace::disabled(),
-        )
-        .expect("jobs prepare");
+    for workers in [1, 3] {
+        let (untraced, _) = run(&jobs, &RunOptions::new(workers));
         let trace = tracelog::Trace::enabled();
-        let (traced, _) = engine::run_jobs_observed(
-            &jobs,
-            &config,
-            Registry::builtin(),
-            &MetricsConfig::enabled(),
-            &trace,
-        )
-        .expect("jobs prepare");
+        let options = RunOptions {
+            trace: &trace,
+            ..RunOptions::new(workers)
+        };
+        let (traced, _) = run(&jobs, &options);
         assert_eq!(
             serde_json::to_string(&untraced).expect("serialize"),
             serde_json::to_string(&traced).expect("serialize"),
-            "{config:?}: tracing must not alter a single result byte"
+            "{workers} workers: tracing must not alter a single result byte"
         );
         let chrome = trace.to_chrome_json().expect("enabled trace exports");
         let check = tracelog::check_chrome_trace(&chrome, &["job", "seg.simulate"])
@@ -239,11 +225,23 @@ fn run_pre_batching(
 
 #[test]
 fn batched_and_unbatched_drivers_agree_for_every_builtin_prefetcher() {
-    for spec in [
+    let training = |trainer| {
+        PrefetcherSpec::training(&TrainingSpec {
+            trainer,
+            region: RegionConfig::paper_default(),
+            index_scheme: IndexScheme::PcOffset,
+            pht: PhtCapacity::paper_default(),
+            l1_capacity_bytes: HierarchyConfig::scaled().l1.capacity_bytes,
+        })
+    };
+    let specs = [
         PrefetcherSpec::null(),
         PrefetcherSpec::sms(&SmsConfig::paper_default()),
         PrefetcherSpec::ghb(&GhbConfig::paper_small()),
-    ] {
+    ]
+    .into_iter()
+    .chain(TrainerKind::ALL.map(training));
+    for spec in specs {
         for app in [Application::Ocean, Application::DssQry1] {
             let generator = GeneratorConfig::default().with_cpus(CPUS);
             let registry = Registry::builtin();
@@ -276,9 +274,9 @@ fn batched_and_unbatched_drivers_agree_for_every_builtin_prefetcher() {
 
 #[test]
 fn driver_metrics_reconcile_with_the_summary() {
-    // The engine's simulate step, metered: driving a trace through
+    // The engine's simulate step: driving a trace through
     // `run_segment_deferred` one segment at a time and replaying each tape
-    // reproduces the per-access reference, and the meter's counts add up.
+    // reproduces the per-access reference, and the driver's counts add up.
     let generator = GeneratorConfig::default().with_cpus(CPUS);
     let spec = PrefetcherSpec::sms_paper_default();
     let accesses: Vec<trace::MemAccess> = Application::Sparse
@@ -300,7 +298,6 @@ fn driver_metrics_reconcile_with_the_summary() {
     let mut accounting = MissAccounting::new(CPUS, &HierarchyConfig::scaled());
     let (mut batch, mut tape) = (Vec::new(), OutcomeTape::new());
     let mut counts = SegmentCounts::default();
-    let mut driver = DriverMetrics::default();
     for segment in accesses.chunks(SEGMENT) {
         tape.clear();
         memsim::run_segment_deferred(
@@ -310,7 +307,6 @@ fn driver_metrics_reconcile_with_the_summary() {
             &mut batch,
             &mut tape,
             &mut counts,
-            &mut driver,
         );
         accounting.replay(segment, &tape);
     }
@@ -318,7 +314,9 @@ fn driver_metrics_reconcile_with_the_summary() {
 
     assert_eq!(summary, reference);
     assert_eq!(summary.accesses, ACCESSES as u64);
-    assert!(driver.prefetch_issues > 0, "SMS streams blocks");
-    assert_eq!(driver.cache_ops, summary.accesses + driver.prefetch_issues);
-    assert!(driver.request_batches > 0);
+    assert!(counts.prefetch_issues > 0, "SMS streams blocks");
+    assert!(counts.prefetch_issues <= summary.prefetch_requests);
+    assert!(counts.request_batches > 0);
+    let metrics = JobMetrics::from_driver(0, &counts, 1.0);
+    assert_eq!(metrics.cache_ops, summary.accesses + counts.prefetch_issues);
 }

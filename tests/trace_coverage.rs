@@ -1,15 +1,17 @@
 //! The Chrome-trace export must be structurally valid and must actually
 //! account for the run it claims to describe: a job's stage spans have to
-//! cover (nearly) all of its measured wall-clock, and the job server has to
-//! record the full submission lifecycle.
+//! cover (nearly) all of its measured wall-clock and agree with the job's
+//! own metrics, and the job server has to record the full submission
+//! lifecycle.
 
 use engine::segment::SEGMENT;
-use engine::{EngineConfig, JobList, PrefetcherSpec, Registry, SimJob};
+use engine::{JobList, JobMetrics, PrefetcherSpec, RunOptions, SimJob};
+use ghb::GhbConfig;
 use memsim::HierarchyConfig;
-use metrics::{MetricsConfig, Stopwatch};
 use sms::SmsConfig;
+use timing::TimingConfig;
 use trace::{Application, GeneratorConfig};
-use tracelog::{check_chrome_trace, span_total_us, Trace};
+use tracelog::{check_chrome_trace, span_total_us, EventKind, Trace};
 
 const CPUS: usize = 2;
 const SEED: u64 = 2006;
@@ -30,19 +32,15 @@ fn sms_job() -> SimJob {
 #[test]
 fn segmented_job_spans_cover_the_measured_wall_clock() {
     let jobs = vec![sms_job()];
-    let config = EngineConfig::default();
     let trace = Trace::enabled();
-    let watch = Stopwatch::started();
-    let (results, _) = engine::run_jobs_observed(
-        &jobs,
-        &config,
-        Registry::builtin(),
-        &MetricsConfig::disabled(),
-        &trace,
-    )
-    .expect("job prepares");
-    let wall_us = (watch.elapsed_seconds() * 1e6) as u64;
-    assert_eq!(results.len(), 1);
+    let options = RunOptions {
+        trace: &trace,
+        ..RunOptions::new(0)
+    };
+    let start = std::time::Instant::now();
+    let delivered = engine::execute(&jobs, &options, &mut |_, _| {}).expect("job prepares");
+    let wall_us = start.elapsed().as_micros() as u64;
+    assert_eq!(delivered, 1);
 
     let chrome = trace.to_chrome_json().expect("enabled trace exports");
     let check = check_chrome_trace(&chrome, &["job", "seg.pull", "seg.simulate", "seg.account"])
@@ -71,6 +69,86 @@ fn segmented_job_spans_cover_the_measured_wall_clock() {
         stage_us as f64 >= 0.95 * job_us as f64,
         "stage spans cover {stage_us} of {job_us} job us"
     );
+}
+
+/// Summed durations of the spans named `name` in the log labelled `label`,
+/// microseconds.
+fn span_sum_us(trace: &Trace, label: &str, name: &str) -> u64 {
+    trace
+        .logs()
+        .iter()
+        .filter(|log| log.label == label)
+        .flat_map(|log| &log.events)
+        .filter(|event| event.name == name)
+        .map(|event| match event.kind {
+            EventKind::Span { dur_us, .. } => dur_us,
+            _ => panic!("{name} must be a span"),
+        })
+        .sum()
+}
+
+#[test]
+fn stage_spans_and_job_metrics_read_the_same_clock() {
+    // Baseline, SMS, GHB and a timing job, on the calling thread and on
+    // scoped workers: every job's stage spans sum to its metrics' stage
+    // times.  A span's two ends are each rounded down to whole run-relative
+    // microseconds, so the sums may differ by less than 1 us per span.
+    let jobs = vec![
+        sms_job(),
+        SimJob::new(memsim::SimJob {
+            prefetcher: PrefetcherSpec::null(),
+            ..sms_job().sim
+        }),
+        SimJob::new(memsim::SimJob {
+            prefetcher: PrefetcherSpec::ghb(&GhbConfig::paper_small()),
+            accesses: 3 * SEGMENT + 5,
+            ..sms_job().sim
+        }),
+        sms_job().with_timing(TimingConfig::table1(), 4),
+    ];
+    for workers in [1, 3] {
+        let trace = Trace::enabled();
+        let options = RunOptions {
+            trace: &trace,
+            ..RunOptions::new(workers)
+        };
+        let mut delivered: Vec<(u64, JobMetrics)> = Vec::new();
+        engine::execute(&jobs, &options, &mut |result, metrics| {
+            delivered.push((result.summary.accesses, metrics));
+        })
+        .expect("every job runs");
+        assert_eq!(delivered.len(), jobs.len());
+        for (index, (accesses, metrics)) in delivered.iter().enumerate() {
+            assert_eq!(metrics.job_index, index);
+            assert_eq!(metrics.accesses, *accesses);
+            assert_eq!(
+                metrics.cache_ops,
+                metrics.accesses + metrics.prefetch_issues
+            );
+            assert!(metrics.segments > 0 && metrics.elapsed_seconds > 0.0);
+            assert!(metrics.pull_seconds > 0.0 && metrics.account_seconds > 0.0);
+            assert!(metrics.simulate_segment_us.sum() > 0);
+
+            let label = format!("job{index}.pipeline");
+            let tolerance = metrics.pull_segment_us.count() as f64;
+            let stages = [
+                ("seg.pull", metrics.pull_seconds * 1e6),
+                ("seg.simulate", metrics.simulate_segment_us.sum() as f64),
+                ("seg.account", metrics.account_seconds * 1e6),
+            ];
+            for (name, metric_us) in stages {
+                let spans_us = span_sum_us(&trace, &label, name) as f64;
+                assert!(
+                    (spans_us - metric_us).abs() <= tolerance,
+                    "workers={workers} job {index}: {name} spans sum to {spans_us} us, \
+                     its metrics to {metric_us} us"
+                );
+            }
+        }
+        // Prefetching jobs issue fills; the baseline issues none.
+        assert!(delivered[0].1.prefetch_issues > 0 && delivered[0].1.request_batches > 0);
+        assert_eq!(delivered[1].1.prefetch_issues, 0);
+    }
 }
 
 #[test]
