@@ -133,47 +133,6 @@ impl SpatialPattern {
             None
         }
     }
-
-    /// Unions another pattern into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn union_with(&mut self, other: &SpatialPattern) {
-        assert_eq!(
-            self.len, other.len,
-            "cannot union patterns of different lengths"
-        );
-        self.bits[0] |= other.bits[0];
-        self.bits[1] |= other.bits[1];
-    }
-
-    /// Counts bits set in `self` but not in `other` (predicted but unused
-    /// when `other` is the observed pattern).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn count_minus(&self, other: &SpatialPattern) -> u32 {
-        assert_eq!(
-            self.len, other.len,
-            "cannot compare patterns of different lengths"
-        );
-        (self.bits[0] & !other.bits[0]).count_ones() + (self.bits[1] & !other.bits[1]).count_ones()
-    }
-
-    /// Counts bits set in both patterns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn count_intersection(&self, other: &SpatialPattern) -> u32 {
-        assert_eq!(
-            self.len, other.len,
-            "cannot compare patterns of different lengths"
-        );
-        (self.bits[0] & other.bits[0]).count_ones() + (self.bits[1] & other.bits[1]).count_ones()
-    }
 }
 
 /// Iterator over the set offsets of a [`SpatialPattern`], ascending.
@@ -256,35 +215,10 @@ mod tests {
     }
 
     #[test]
-    fn set_difference_and_intersection() {
-        let a = SpatialPattern::from_offsets(32, &[0, 1, 2, 3]);
-        let b = SpatialPattern::from_offsets(32, &[2, 3, 4]);
-        assert_eq!(a.count_minus(&b), 2);
-        assert_eq!(b.count_minus(&a), 1);
-        assert_eq!(a.count_intersection(&b), 2);
-    }
-
-    #[test]
-    fn union_accumulates() {
-        let mut a = SpatialPattern::from_offsets(32, &[0]);
-        let b = SpatialPattern::from_offsets(32, &[5, 9]);
-        a.union_with(&b);
-        assert_eq!(a.iter_set().collect::<Vec<_>>(), vec![0, 5, 9]);
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_offset_panics() {
         let mut p = SpatialPattern::new(32);
         p.set(32);
-    }
-
-    #[test]
-    #[should_panic(expected = "different lengths")]
-    fn mismatched_lengths_panic() {
-        let a = SpatialPattern::new(32);
-        let b = SpatialPattern::new(64);
-        let _ = a.count_minus(&b);
     }
 
     #[test]
@@ -332,19 +266,6 @@ mod tests {
             for &o in &offsets {
                 prop_assert!(p.get(o));
             }
-        }
-
-        #[test]
-        fn union_is_superset(xs in proptest::collection::vec(0u32..32, 0..20),
-                             ys in proptest::collection::vec(0u32..32, 0..20)) {
-            let a = SpatialPattern::from_offsets(32, &xs);
-            let b = SpatialPattern::from_offsets(32, &ys);
-            let mut u = a;
-            u.union_with(&b);
-            for o in a.iter_set().chain(b.iter_set()) {
-                prop_assert!(u.get(o));
-            }
-            prop_assert_eq!(u.count_minus(&a), b.count_minus(&a));
         }
     }
 }

@@ -25,6 +25,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
+use std::time::Instant;
 use timing::{TimingConfig, TimingResult};
 use tracelog::{Recorder, Trace};
 
@@ -392,15 +393,19 @@ impl RunOptions<'_> {
     }
 }
 
-/// A shared cooperative-cancellation flag for an engine run.
+/// A shared cooperative-cancellation flag for an engine run, with an
+/// optional deadline.
 ///
 /// Cancellation is observed between jobs, never mid-job: workers stop
 /// claiming new work, already-running jobs complete, and the run returns
-/// cleanly with the contiguous prefix of results delivered so far.  Cloning
-/// shares the flag.
+/// cleanly with the contiguous prefix of results delivered so far.  A
+/// token with a deadline counts as cancelled once the deadline has passed,
+/// so no thread has to wait for it.  Cloning shares the flag and copies the
+/// deadline.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
+    deadline: Option<Instant>,
 }
 
 impl CancelToken {
@@ -409,14 +414,22 @@ impl CancelToken {
         Self::default()
     }
 
+    /// A fresh token that cancels itself at `deadline`.
+    pub fn with_deadline(deadline: Instant) -> Self {
+        Self {
+            deadline: Some(deadline),
+            ..Self::default()
+        }
+    }
+
     /// Requests cancellation; idempotent.
     pub fn cancel(&self) {
         self.flag.store(true, Ordering::SeqCst);
     }
 
-    /// Whether cancellation has been requested.
+    /// Whether cancellation has been requested or the deadline has passed.
     pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::SeqCst)
+        self.flag.load(Ordering::SeqCst) || self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 }
 
@@ -999,6 +1012,32 @@ pub(crate) mod tests {
                 (0..delivered).collect::<Vec<_>>(),
                 "workers = {workers}"
             );
+        }
+    }
+
+    #[test]
+    fn a_deadline_in_the_token_stops_the_run_without_a_watchdog() {
+        let jobs = job_list();
+        let now = std::time::Instant::now();
+        for workers in [1, 2] {
+            let passed = CancelToken::with_deadline(now);
+            let options = RunOptions {
+                cancel: Some(&passed),
+                ..RunOptions::new(workers)
+            };
+            let mut streamed = 0;
+            let delivered = execute(&jobs, &options, &mut |_, _| streamed += 1)
+                .expect("a passed deadline is not an error");
+            assert_eq!((delivered, streamed), (0, 0), "workers = {workers}");
+
+            let far = CancelToken::with_deadline(now + std::time::Duration::from_secs(3600));
+            let options = RunOptions {
+                cancel: Some(&far),
+                ..RunOptions::new(workers)
+            };
+            let delivered = execute(&jobs, &options, &mut |_, _| {}).expect("runs");
+            assert_eq!(delivered, jobs.len(), "workers = {workers}");
+            assert!(!far.is_cancelled());
         }
     }
 

@@ -4,12 +4,13 @@
 //! table achieve the same coverage as unbounded tables.  This experiment
 //! sweeps AGT sizes and reports class-average coverage.
 
-use crate::common::{classes_with_applications, ExperimentConfig};
+use crate::common::{
+    class_average, class_sweep_jobs, class_sweep_points, coverage_grid, ExperimentConfig,
+};
 use crate::report::Table;
 use engine::{JobResult, PrefetcherSpec, SimJob};
 use serde::{Deserialize, Serialize};
-use sms::{AgtConfig, CoverageLevel, IndexScheme, PhtCapacity, RegionConfig, SmsConfig};
-use stats::mean;
+use sms::{AgtConfig, IndexScheme, PhtCapacity, RegionConfig, SmsConfig};
 use trace::ApplicationClass;
 
 /// The (filter, accumulation) sizes swept; `None` is the unbounded AGT.
@@ -57,21 +58,12 @@ fn sms_config(sizes: Option<(usize, usize)>) -> SmsConfig {
     }
 }
 
-/// The engine jobs this experiment declares: per class, one baseline per
-/// application followed by one SMS job per (AGT size, application).
+/// The engine jobs this experiment declares: a class sweep of SMS over the
+/// AGT sizes.
 pub fn jobs(config: &ExperimentConfig, representative_only: bool) -> Vec<SimJob> {
-    let mut jobs = Vec::new();
-    for (_, apps) in classes_with_applications(representative_only) {
-        for &app in &apps {
-            jobs.push(config.baseline_job(app));
-        }
-        for &sizes in &AGT_SIZES {
-            for &app in &apps {
-                jobs.push(config.job(app, PrefetcherSpec::sms(&sms_config(sizes))));
-            }
-        }
-    }
-    jobs
+    class_sweep_jobs(config, representative_only, &AGT_SIZES, |sizes| {
+        PrefetcherSpec::sms(&sms_config(sizes))
+    })
 }
 
 /// Runs the AGT sizing experiment.
@@ -87,65 +79,34 @@ pub fn from_results(
     representative_only: bool,
     results: &[JobResult],
 ) -> AgtSizeResult {
-    let classes = classes_with_applications(representative_only);
-    let mut cursor = results.iter();
-
-    let mut result = AgtSizeResult::default();
-    for (class, apps) in &classes {
-        let baselines: Vec<_> = apps
-            .iter()
-            .map(|_| cursor.next().expect("baseline"))
-            .collect();
-        for &sizes in &AGT_SIZES {
-            let coverages: Vec<f64> = baselines
-                .iter()
-                .map(|baseline| {
-                    let with = cursor.next().expect("sms run");
-                    config
-                        .coverage(&baseline.summary, &with.summary, CoverageLevel::L1)
-                        .coverage()
-                })
-                .collect();
-            result.points.push(AgtSizePoint {
-                class: *class,
-                sizes,
-                coverage: mean(&coverages),
-            });
-        }
-    }
-    assert!(
-        cursor.next().is_none(),
-        "job declaration and result post-processing fell out of sync"
+    let points = class_sweep_points(
+        representative_only,
+        &AGT_SIZES,
+        results,
+        |class, sizes, runs| AgtSizePoint {
+            class,
+            sizes,
+            coverage: class_average(&config.l1_coverage(runs)).coverage,
+        },
     );
-    result
+    AgtSizeResult { points }
 }
 
 /// Renders the experiment as a text table.
 pub fn table(result: &AgtSizeResult) -> Table {
-    let mut headers = vec!["Class".to_string()];
-    headers.extend(AGT_SIZES.iter().map(|s| match s {
-        Some((f, a)) => format!("{f}/{a}"),
-        None => "infinite".to_string(),
-    }));
-    let headers_ref: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-    let mut t = Table::new(
+    coverage_grid(
         "Section 4.5: coverage vs AGT size (filter/accumulation entries)",
-        &headers_ref,
-    );
-    for class in ApplicationClass::ALL {
-        let mut row = vec![class.to_string()];
-        for &sizes in &AGT_SIZES {
-            let cov = result
-                .points
-                .iter()
-                .find(|p| p.class == class && p.sizes == sizes)
-                .map(|p| p.coverage)
-                .unwrap_or(0.0);
-            row.push(Table::pct(cov));
-        }
-        t.push_row(row);
-    }
-    t
+        &["Class"],
+        &AGT_SIZES,
+        |sizes| match sizes {
+            Some((filter, accumulation)) => format!("{filter}/{accumulation}"),
+            None => "infinite".to_string(),
+        },
+        result
+            .points
+            .iter()
+            .map(|p| (vec![p.class.to_string()], p.sizes, p.coverage)),
+    )
 }
 
 #[cfg(test)]

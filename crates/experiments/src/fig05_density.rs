@@ -1,7 +1,7 @@
 //! Figure 5: memory access density — the fraction of L1/L2 read misses that
 //! fall in spatial region generations of each density class (2 kB regions).
 
-use crate::common::{apps_or_all, ExperimentConfig};
+use crate::common::ExperimentConfig;
 use crate::report::Table;
 use engine::{JobResult, PrefetcherSpec, SimJob};
 use serde::{Deserialize, Serialize};
@@ -39,11 +39,10 @@ pub fn jobs(config: &ExperimentConfig, apps: &[Application]) -> Vec<SimJob> {
         .collect()
 }
 
-/// Runs the Figure 5 experiment over `apps` (the full suite when empty).
+/// Runs the Figure 5 experiment over `apps`.
 pub fn run(config: &ExperimentConfig, apps: &[Application]) -> Fig5Result {
-    let apps = apps_or_all(apps);
-    let results = config.run_jobs(&jobs(config, &apps));
-    from_results(&apps, &results)
+    let results = config.run_jobs(&jobs(config, apps));
+    from_results(apps, &results)
 }
 
 /// Post-processes the [`JobResult`]s of this figure's [`jobs`] list (in

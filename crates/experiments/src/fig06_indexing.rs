@@ -1,11 +1,13 @@
 //! Figure 6: prediction-index comparison (Address, PC+address, PC, PC+offset)
 //! with an unbounded PHT.
 
-use crate::common::{class_average, classes_with_applications, ClassAverage, ExperimentConfig};
+use crate::common::{
+    class_average, class_sweep_jobs, class_sweep_points, ClassAverage, ExperimentConfig,
+};
 use crate::report::Table;
 use engine::{JobResult, PrefetcherSpec, SimJob};
 use serde::{Deserialize, Serialize};
-use sms::{CoverageLevel, IndexScheme, RegionConfig, SmsConfig};
+use sms::{IndexScheme, RegionConfig, SmsConfig};
 use trace::ApplicationClass;
 
 /// Result for one (class, index scheme) pair.
@@ -26,22 +28,12 @@ pub struct Fig6Result {
     pub points: Vec<IndexingPoint>,
 }
 
-/// The engine jobs this figure declares: per class, one baseline per
-/// application followed by one idealized-SMS job per (scheme, application).
+/// The engine jobs this figure declares: a class sweep of idealized SMS
+/// over the index schemes.
 pub fn jobs(config: &ExperimentConfig, representative_only: bool) -> Vec<SimJob> {
-    let mut jobs = Vec::new();
-    for (_, apps) in classes_with_applications(representative_only) {
-        for &app in &apps {
-            jobs.push(config.baseline_job(app));
-        }
-        for scheme in IndexScheme::ALL {
-            for &app in &apps {
-                let sms_config = SmsConfig::idealized(scheme, RegionConfig::paper_default());
-                jobs.push(config.job(app, PrefetcherSpec::sms(&sms_config)));
-            }
-        }
-    }
-    jobs
+    class_sweep_jobs(config, representative_only, &IndexScheme::ALL, |scheme| {
+        PrefetcherSpec::sms(&SmsConfig::idealized(scheme, RegionConfig::paper_default()))
+    })
 }
 
 /// Runs the Figure 6 experiment.
@@ -57,36 +49,17 @@ pub fn from_results(
     representative_only: bool,
     results: &[JobResult],
 ) -> Fig6Result {
-    let classes = classes_with_applications(representative_only);
-    let mut cursor = results.iter();
-
-    let mut result = Fig6Result::default();
-    for (class, apps) in &classes {
-        // One baseline per application, reused across schemes.
-        let baselines: Vec<_> = apps
-            .iter()
-            .map(|_| cursor.next().expect("baseline"))
-            .collect();
-        for scheme in IndexScheme::ALL {
-            let stats: Vec<_> = baselines
-                .iter()
-                .map(|baseline| {
-                    let with = cursor.next().expect("sms run");
-                    config.coverage(&baseline.summary, &with.summary, CoverageLevel::L1)
-                })
-                .collect();
-            result.points.push(IndexingPoint {
-                class: *class,
-                scheme,
-                average: class_average(&stats),
-            });
-        }
-    }
-    assert!(
-        cursor.next().is_none(),
-        "job declaration and result post-processing fell out of sync"
+    let points = class_sweep_points(
+        representative_only,
+        &IndexScheme::ALL,
+        results,
+        |class, scheme, runs| IndexingPoint {
+            class,
+            scheme,
+            average: class_average(&config.l1_coverage(runs)),
+        },
     );
-    result
+    Fig6Result { points }
 }
 
 /// Renders the figure as a text table.

@@ -1,15 +1,18 @@
 //! Figure 7: PHT storage sensitivity for PC+address versus PC+offset
 //! indexing (16-way set-associative finite PHTs).
 
-use crate::common::{class_average, classes_with_applications, ExperimentConfig};
+use crate::common::{
+    class_average, class_sweep_jobs, class_sweep_points, coverage_grid, pht_capacity,
+    pht_size_label, with_pht_sizes, ExperimentConfig, PHT_SIZES,
+};
 use crate::report::Table;
 use engine::{JobResult, PrefetcherSpec, SimJob};
 use serde::{Deserialize, Serialize};
-use sms::{CoverageLevel, IndexScheme, PhtCapacity, RegionConfig, SmsConfig};
+use sms::{IndexScheme, RegionConfig, SmsConfig};
 use trace::ApplicationClass;
 
-/// PHT sizes swept by the paper (`None` is the unbounded table).
-pub const PHT_SIZES: [Option<usize>; 5] = [Some(256), Some(1024), Some(4096), Some(16384), None];
+/// The index schemes this figure compares, in figure order.
+const SCHEMES: [IndexScheme; 2] = [IndexScheme::PcAddress, IndexScheme::PcOffset];
 
 /// Coverage at one (class, scheme, PHT size) point.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -31,59 +34,26 @@ pub struct Fig7Result {
     pub points: Vec<PhtSizePoint>,
 }
 
-fn capacity(entries: Option<usize>) -> PhtCapacity {
-    match entries {
-        Some(entries) => PhtCapacity::Bounded {
-            entries,
-            associativity: 16,
+/// The engine jobs this figure declares: a class sweep of idealized SMS
+/// over every (index scheme, PHT size) pair.
+pub fn jobs(config: &ExperimentConfig, representative_only: bool) -> Vec<SimJob> {
+    class_sweep_jobs(
+        config,
+        representative_only,
+        &with_pht_sizes(&SCHEMES),
+        |(scheme, entries)| {
+            PrefetcherSpec::sms(
+                &SmsConfig::idealized(scheme, RegionConfig::paper_default())
+                    .with_pht(pht_capacity(entries)),
+            )
         },
-        None => PhtCapacity::Unbounded,
-    }
+    )
 }
 
-fn schemes_or_default(schemes: &[IndexScheme]) -> Vec<IndexScheme> {
-    if schemes.is_empty() {
-        vec![IndexScheme::PcAddress, IndexScheme::PcOffset]
-    } else {
-        schemes.to_vec()
-    }
-}
-
-/// The engine jobs this figure declares: per class, one baseline per
-/// application followed by one SMS job per (scheme, PHT size, application).
-pub fn jobs(
-    config: &ExperimentConfig,
-    representative_only: bool,
-    schemes: &[IndexScheme],
-) -> Vec<SimJob> {
-    let schemes = schemes_or_default(schemes);
-    let mut jobs = Vec::new();
-    for (_, apps) in classes_with_applications(representative_only) {
-        for &app in &apps {
-            jobs.push(config.baseline_job(app));
-        }
-        for &scheme in &schemes {
-            for &entries in &PHT_SIZES {
-                for &app in &apps {
-                    let sms_config = SmsConfig::idealized(scheme, RegionConfig::paper_default())
-                        .with_pht(capacity(entries));
-                    jobs.push(config.job(app, PrefetcherSpec::sms(&sms_config)));
-                }
-            }
-        }
-    }
-    jobs
-}
-
-/// Runs the Figure 7 experiment for the given schemes (defaults to the
-/// paper's PC+address vs PC+offset comparison when `schemes` is empty).
-pub fn run(
-    config: &ExperimentConfig,
-    representative_only: bool,
-    schemes: &[IndexScheme],
-) -> Fig7Result {
-    let results = config.run_jobs(&jobs(config, representative_only, schemes));
-    from_results(config, representative_only, schemes, &results)
+/// Runs the Figure 7 experiment: PC+address versus PC+offset indexing.
+pub fn run(config: &ExperimentConfig, representative_only: bool) -> Fig7Result {
+    let results = config.run_jobs(&jobs(config, representative_only));
+    from_results(config, representative_only, &results)
 }
 
 /// Post-processes the [`JobResult`]s of this figure's [`jobs`] list (in
@@ -91,77 +61,35 @@ pub fn run(
 pub fn from_results(
     config: &ExperimentConfig,
     representative_only: bool,
-    schemes: &[IndexScheme],
     results: &[JobResult],
 ) -> Fig7Result {
-    let classes = classes_with_applications(representative_only);
-    let schemes = schemes_or_default(schemes);
-    let mut cursor = results.iter();
-
-    let mut result = Fig7Result::default();
-    for (class, apps) in &classes {
-        let baselines: Vec<_> = apps
-            .iter()
-            .map(|_| cursor.next().expect("baseline"))
-            .collect();
-        for &scheme in &schemes {
-            for &entries in &PHT_SIZES {
-                let stats: Vec<_> = baselines
-                    .iter()
-                    .map(|baseline| {
-                        let with = cursor.next().expect("sms run");
-                        config.coverage(&baseline.summary, &with.summary, CoverageLevel::L1)
-                    })
-                    .collect();
-                result.points.push(PhtSizePoint {
-                    class: *class,
-                    scheme,
-                    pht_entries: entries,
-                    coverage: class_average(&stats).coverage,
-                });
-            }
-        }
-    }
-    assert!(
-        cursor.next().is_none(),
-        "job declaration and result post-processing fell out of sync"
+    let points = class_sweep_points(
+        representative_only,
+        &with_pht_sizes(&SCHEMES),
+        results,
+        |class, (scheme, pht_entries), runs| PhtSizePoint {
+            class,
+            scheme,
+            pht_entries,
+            coverage: class_average(&config.l1_coverage(runs)).coverage,
+        },
     );
-    result
+    Fig7Result { points }
 }
 
 /// Renders the figure as a text table (one row per class and scheme, one
 /// column per PHT size).
 pub fn table(result: &Fig7Result) -> Table {
-    let mut headers = vec!["Class".to_string(), "Index".to_string()];
-    headers.extend(PHT_SIZES.iter().map(|s| match s {
-        Some(n) => format!("{n}"),
-        None => "infinite".to_string(),
-    }));
-    let headers_ref: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-    let mut t = Table::new("Figure 7: coverage vs PHT size (16-way)", &headers_ref);
-    for class in ApplicationClass::ALL {
-        for scheme in [IndexScheme::PcAddress, IndexScheme::PcOffset] {
-            let row_points: Vec<&PhtSizePoint> = result
-                .points
-                .iter()
-                .filter(|p| p.class == class && p.scheme == scheme)
-                .collect();
-            if row_points.is_empty() {
-                continue;
-            }
-            let mut row = vec![class.to_string(), scheme.label().to_string()];
-            for &entries in &PHT_SIZES {
-                let cov = row_points
-                    .iter()
-                    .find(|p| p.pht_entries == entries)
-                    .map(|p| p.coverage)
-                    .unwrap_or(0.0);
-                row.push(Table::pct(cov));
-            }
-            t.push_row(row);
-        }
-    }
-    t
+    coverage_grid(
+        "Figure 7: coverage vs PHT size (16-way)",
+        &["Class", "Index"],
+        &PHT_SIZES,
+        pht_size_label,
+        result.points.iter().map(|p| {
+            let row = vec![p.class.to_string(), p.scheme.label().to_string()];
+            (row, p.pht_entries, p.coverage)
+        }),
+    )
 }
 
 #[cfg(test)]
@@ -173,11 +101,7 @@ mod tests {
         // Restrict to DSS (the most size-sensitive class for PC+address) to
         // keep the test fast; check the paper's qualitative claims.
         let config = ExperimentConfig::tiny();
-        let result = run(
-            &config,
-            true,
-            &[IndexScheme::PcAddress, IndexScheme::PcOffset],
-        );
+        let result = run(&config, true);
         let dss_points: Vec<&PhtSizePoint> = result
             .points
             .iter()

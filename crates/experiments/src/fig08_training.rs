@@ -1,11 +1,11 @@
 //! Figure 8: comparison of training structures (decoupled sectored, logical
 //! sectored, AGT) with an unbounded PHT.
 
-use crate::common::{classes_with_applications, ExperimentConfig};
+use crate::common::{class_sweep_jobs, class_sweep_points, ExperimentConfig};
 use crate::report::Table;
 use engine::{JobResult, PrefetcherSpec, SimJob, TrainingSpec};
 use serde::{Deserialize, Serialize};
-use sms::{CoverageLevel, IndexScheme, PhtCapacity, RegionConfig, TrainerKind};
+use sms::{IndexScheme, PhtCapacity, RegionConfig, TrainerKind};
 use stats::mean;
 use trace::ApplicationClass;
 
@@ -34,45 +34,23 @@ pub struct Fig8Result {
     pub points: Vec<TrainingPoint>,
 }
 
-/// The training-prefetcher spec this figure evaluates.
-fn training_spec(
-    config: &ExperimentConfig,
-    trainer: TrainerKind,
-    pht: PhtCapacity,
-) -> TrainingSpec {
-    TrainingSpec {
-        trainer,
-        region: RegionConfig::paper_default(),
-        index_scheme: IndexScheme::PcOffset,
-        pht,
-        l1_capacity_bytes: config.hierarchy.l1.capacity_bytes,
-    }
+/// The engine jobs this figure declares: a class sweep of the training
+/// prefetcher over the training structures, each with an unbounded PHT.
+pub fn jobs(config: &ExperimentConfig, representative_only: bool) -> Vec<SimJob> {
+    class_sweep_jobs(config, representative_only, &TrainerKind::ALL, |trainer| {
+        PrefetcherSpec::training(&TrainingSpec {
+            trainer,
+            region: RegionConfig::paper_default(),
+            index_scheme: IndexScheme::PcOffset,
+            pht: PhtCapacity::Unbounded,
+            l1_capacity_bytes: config.hierarchy.l1.capacity_bytes,
+        })
+    })
 }
 
-/// The engine jobs this figure declares: per class, one baseline per
-/// application followed by one training run per (trainer, application).
-pub fn jobs(config: &ExperimentConfig, representative_only: bool, pht: PhtCapacity) -> Vec<SimJob> {
-    let mut jobs = Vec::new();
-    for (_, apps) in classes_with_applications(representative_only) {
-        for &app in &apps {
-            jobs.push(config.baseline_job(app));
-        }
-        for trainer in TrainerKind::ALL {
-            for &app in &apps {
-                jobs.push(config.job(
-                    app,
-                    PrefetcherSpec::training(&training_spec(config, trainer, pht)),
-                ));
-            }
-        }
-    }
-    jobs
-}
-
-/// Runs the Figure 8 experiment with the given PHT bound (the paper uses an
-/// unbounded PHT for this figure; Figure 9 sweeps the bound).
-pub fn run(config: &ExperimentConfig, representative_only: bool, pht: PhtCapacity) -> Fig8Result {
-    let results = config.run_jobs(&jobs(config, representative_only, pht));
+/// Runs the Figure 8 experiment (Figure 9 sweeps the PHT bound).
+pub fn run(config: &ExperimentConfig, representative_only: bool) -> Fig8Result {
+    let results = config.run_jobs(&jobs(config, representative_only));
     from_results(config, representative_only, &results)
 }
 
@@ -83,46 +61,34 @@ pub fn from_results(
     representative_only: bool,
     results: &[JobResult],
 ) -> Fig8Result {
-    let classes = classes_with_applications(representative_only);
-    let mut cursor = results.iter();
-
-    let mut result = Fig8Result::default();
-    for (class, apps) in &classes {
-        let baselines: Vec<_> = apps
-            .iter()
-            .map(|_| cursor.next().expect("baseline"))
-            .collect();
-        for trainer in TrainerKind::ALL {
+    let points = class_sweep_points(
+        representative_only,
+        &TrainerKind::ALL,
+        results,
+        |class, trainer, runs| {
             let mut coverages = Vec::new();
             let mut uncovered = Vec::new();
             let mut overpredictions = Vec::new();
             let mut pht_entries = Vec::new();
-            for baseline in &baselines {
-                let with = cursor.next().expect("training run");
-                let report = with.probe.training().expect("training job");
-                let (extra_misses, pht_len) = (report.extra_misses, report.pht_len);
-                let cov = config.coverage(&baseline.summary, &with.summary, CoverageLevel::L1);
-                let extra = extra_misses as f64 / cov.baseline_misses.max(1) as f64;
+            for (run, cov) in runs.iter().zip(config.l1_coverage(runs)) {
+                let report = run.with.probe.training().expect("training job");
+                let extra = report.extra_misses as f64 / cov.baseline_misses.max(1) as f64;
                 coverages.push((cov.coverage() - extra).max(-1.0));
                 uncovered.push(cov.uncovered() + extra);
                 overpredictions.push(cov.overprediction_fraction());
-                pht_entries.push(pht_len as f64);
+                pht_entries.push(report.pht_len as f64);
             }
-            result.points.push(TrainingPoint {
-                class: *class,
+            TrainingPoint {
+                class,
                 trainer,
                 coverage: mean(&coverages),
                 uncovered: mean(&uncovered),
                 overpredictions: mean(&overpredictions),
                 pht_entries: mean(&pht_entries),
-            });
-        }
-    }
-    assert!(
-        cursor.next().is_none(),
-        "job declaration and result post-processing fell out of sync"
+            }
+        },
     );
-    result
+    Fig8Result { points }
 }
 
 /// Renders the figure as a text table.
@@ -157,7 +123,7 @@ mod tests {
 
     #[test]
     fn agt_is_at_least_as_good_as_sectored_trainers_on_oltp() {
-        let result = run(&ExperimentConfig::tiny(), true, PhtCapacity::Unbounded);
+        let result = run(&ExperimentConfig::tiny(), true);
         assert_eq!(result.points.len(), 12);
         let oltp = |trainer| {
             result

@@ -1,16 +1,15 @@
 //! Figure 9: PHT storage sensitivity of the logical sectored trainer versus
 //! the AGT.
 
-use crate::common::{classes_with_applications, ExperimentConfig};
+use crate::common::{
+    class_average, class_sweep_jobs, class_sweep_points, coverage_grid, pht_capacity,
+    pht_size_label, with_pht_sizes, ExperimentConfig, PHT_SIZES,
+};
 use crate::report::Table;
 use engine::{JobResult, PrefetcherSpec, SimJob, TrainingSpec};
 use serde::{Deserialize, Serialize};
-use sms::{CoverageLevel, IndexScheme, PhtCapacity, RegionConfig, TrainerKind};
-use stats::mean;
+use sms::{IndexScheme, RegionConfig, TrainerKind};
 use trace::ApplicationClass;
-
-/// PHT sizes swept (`None` = unbounded).
-pub const PHT_SIZES: [Option<usize>; 5] = [Some(256), Some(1024), Some(4096), Some(16384), None];
 
 /// Coverage at one (class, trainer, PHT size) point.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -32,46 +31,26 @@ pub struct Fig9Result {
     pub points: Vec<PhtTrainingPoint>,
 }
 
-fn capacity(entries: Option<usize>) -> PhtCapacity {
-    match entries {
-        Some(entries) => PhtCapacity::Bounded {
-            entries,
-            associativity: 16,
-        },
-        None => PhtCapacity::Unbounded,
-    }
-}
-
 /// The trainers this figure compares, in figure order.
 const TRAINERS: [TrainerKind; 2] = [TrainerKind::LogicalSectored, TrainerKind::Agt];
 
-/// The engine jobs this figure declares: per class, one baseline per
-/// application followed by one training run per (trainer, PHT size,
-/// application).
+/// The engine jobs this figure declares: a class sweep of the training
+/// prefetcher over every (trainer, PHT size) pair.
 pub fn jobs(config: &ExperimentConfig, representative_only: bool) -> Vec<SimJob> {
-    let mut jobs = Vec::new();
-    for (_, apps) in classes_with_applications(representative_only) {
-        for &app in &apps {
-            jobs.push(config.baseline_job(app));
-        }
-        for trainer in TRAINERS {
-            for &entries in &PHT_SIZES {
-                for &app in &apps {
-                    jobs.push(config.job(
-                        app,
-                        PrefetcherSpec::training(&TrainingSpec {
-                            trainer,
-                            region: RegionConfig::paper_default(),
-                            index_scheme: IndexScheme::PcOffset,
-                            pht: capacity(entries),
-                            l1_capacity_bytes: config.hierarchy.l1.capacity_bytes,
-                        }),
-                    ));
-                }
-            }
-        }
-    }
-    jobs
+    class_sweep_jobs(
+        config,
+        representative_only,
+        &with_pht_sizes(&TRAINERS),
+        |(trainer, entries)| {
+            PrefetcherSpec::training(&TrainingSpec {
+                trainer,
+                region: RegionConfig::paper_default(),
+                index_scheme: IndexScheme::PcOffset,
+                pht: pht_capacity(entries),
+                l1_capacity_bytes: config.hierarchy.l1.capacity_bytes,
+            })
+        },
+    )
 }
 
 /// Runs the Figure 9 experiment.
@@ -87,77 +66,32 @@ pub fn from_results(
     representative_only: bool,
     results: &[JobResult],
 ) -> Fig9Result {
-    let classes = classes_with_applications(representative_only);
-    let mut cursor = results.iter();
-
-    let mut result = Fig9Result::default();
-    for (class, apps) in &classes {
-        let baselines: Vec<_> = apps
-            .iter()
-            .map(|_| cursor.next().expect("baseline"))
-            .collect();
-        for trainer in TRAINERS {
-            for &entries in &PHT_SIZES {
-                let coverages: Vec<f64> = baselines
-                    .iter()
-                    .map(|baseline| {
-                        let with = cursor.next().expect("training run");
-                        config
-                            .coverage(&baseline.summary, &with.summary, CoverageLevel::L1)
-                            .coverage()
-                    })
-                    .collect();
-                result.points.push(PhtTrainingPoint {
-                    class: *class,
-                    trainer,
-                    pht_entries: entries,
-                    coverage: mean(&coverages),
-                });
-            }
-        }
-    }
-    assert!(
-        cursor.next().is_none(),
-        "job declaration and result post-processing fell out of sync"
+    let points = class_sweep_points(
+        representative_only,
+        &with_pht_sizes(&TRAINERS),
+        results,
+        |class, (trainer, pht_entries), runs| PhtTrainingPoint {
+            class,
+            trainer,
+            pht_entries,
+            coverage: class_average(&config.l1_coverage(runs)).coverage,
+        },
     );
-    result
+    Fig9Result { points }
 }
 
 /// Renders the figure as a text table.
 pub fn table(result: &Fig9Result) -> Table {
-    let mut headers = vec!["Class".to_string(), "Trainer".to_string()];
-    headers.extend(PHT_SIZES.iter().map(|s| match s {
-        Some(n) => format!("{n}"),
-        None => "infinite".to_string(),
-    }));
-    let headers_ref: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-    let mut t = Table::new(
+    coverage_grid(
         "Figure 9: coverage vs PHT size, LS vs AGT training",
-        &headers_ref,
-    );
-    for class in ApplicationClass::ALL {
-        for trainer in [TrainerKind::LogicalSectored, TrainerKind::Agt] {
-            let points: Vec<&PhtTrainingPoint> = result
-                .points
-                .iter()
-                .filter(|p| p.class == class && p.trainer == trainer)
-                .collect();
-            if points.is_empty() {
-                continue;
-            }
-            let mut row = vec![class.to_string(), trainer.label().to_string()];
-            for &entries in &PHT_SIZES {
-                let cov = points
-                    .iter()
-                    .find(|p| p.pht_entries == entries)
-                    .map(|p| p.coverage)
-                    .unwrap_or(0.0);
-                row.push(Table::pct(cov));
-            }
-            t.push_row(row);
-        }
-    }
-    t
+        &["Class", "Trainer"],
+        &PHT_SIZES,
+        pht_size_label,
+        result.points.iter().map(|p| {
+            let row = vec![p.class.to_string(), p.trainer.label().to_string()];
+            (row, p.pht_entries, p.coverage)
+        }),
+    )
 }
 
 #[cfg(test)]

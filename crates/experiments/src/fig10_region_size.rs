@@ -1,12 +1,13 @@
 //! Figure 10: coverage versus spatial region size (PC+offset indexing, AGT
 //! training, unbounded PHT).
 
-use crate::common::{classes_with_applications, ExperimentConfig};
+use crate::common::{
+    class_average, class_sweep_jobs, class_sweep_points, coverage_grid, ExperimentConfig,
+};
 use crate::report::Table;
 use engine::{JobResult, PrefetcherSpec, SimJob};
 use serde::{Deserialize, Serialize};
-use sms::{CoverageLevel, IndexScheme, RegionConfig, SmsConfig};
-use stats::mean;
+use sms::{IndexScheme, RegionConfig, SmsConfig};
 use trace::ApplicationClass;
 
 /// Region sizes swept by the paper (bytes).
@@ -30,24 +31,15 @@ pub struct Fig10Result {
     pub points: Vec<RegionSizePoint>,
 }
 
-/// The engine jobs this figure declares: per class, one baseline per
-/// application followed by one idealized-SMS job per (region size,
-/// application).
+/// The engine jobs this figure declares: a class sweep of idealized
+/// PC+offset SMS over the region sizes.
 pub fn jobs(config: &ExperimentConfig, representative_only: bool) -> Vec<SimJob> {
-    let mut jobs = Vec::new();
-    for (_, apps) in classes_with_applications(representative_only) {
-        for &app in &apps {
-            jobs.push(config.baseline_job(app));
-        }
-        for &region_bytes in &REGION_SIZES {
-            let region = RegionConfig::new(region_bytes, 64);
-            for &app in &apps {
-                let sms_config = SmsConfig::idealized(IndexScheme::PcOffset, region);
-                jobs.push(config.job(app, PrefetcherSpec::sms(&sms_config)));
-            }
-        }
-    }
-    jobs
+    class_sweep_jobs(config, representative_only, &REGION_SIZES, |region_bytes| {
+        PrefetcherSpec::sms(&SmsConfig::idealized(
+            IndexScheme::PcOffset,
+            RegionConfig::new(region_bytes, 64),
+        ))
+    })
 }
 
 /// Runs the Figure 10 experiment.
@@ -63,62 +55,31 @@ pub fn from_results(
     representative_only: bool,
     results: &[JobResult],
 ) -> Fig10Result {
-    let classes = classes_with_applications(representative_only);
-    let mut cursor = results.iter();
-
-    let mut result = Fig10Result::default();
-    for (class, apps) in &classes {
-        let baselines: Vec<_> = apps
-            .iter()
-            .map(|_| cursor.next().expect("baseline"))
-            .collect();
-        for &region_bytes in &REGION_SIZES {
-            let coverages: Vec<f64> = baselines
-                .iter()
-                .map(|baseline| {
-                    let with = cursor.next().expect("sms run");
-                    config
-                        .coverage(&baseline.summary, &with.summary, CoverageLevel::L1)
-                        .coverage()
-                })
-                .collect();
-            result.points.push(RegionSizePoint {
-                class: *class,
-                region_bytes,
-                coverage: mean(&coverages),
-            });
-        }
-    }
-    assert!(
-        cursor.next().is_none(),
-        "job declaration and result post-processing fell out of sync"
+    let points = class_sweep_points(
+        representative_only,
+        &REGION_SIZES,
+        results,
+        |class, region_bytes, runs| RegionSizePoint {
+            class,
+            region_bytes,
+            coverage: class_average(&config.l1_coverage(runs)).coverage,
+        },
     );
-    result
+    Fig10Result { points }
 }
 
 /// Renders the figure as a text table.
 pub fn table(result: &Fig10Result) -> Table {
-    let mut headers = vec!["Class".to_string()];
-    headers.extend(REGION_SIZES.iter().map(|s| format!("{s}B")));
-    let headers_ref: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-    let mut t = Table::new(
+    coverage_grid(
         "Figure 10: coverage vs spatial region size (PC+offset, AGT, unbounded PHT)",
-        &headers_ref,
-    );
-    for class in ApplicationClass::ALL {
-        let mut row = vec![class.to_string()];
-        for &size in &REGION_SIZES {
-            let cov = result
-                .points
-                .iter()
-                .find(|p| p.class == class && p.region_bytes == size)
-                .map(|p| p.coverage)
-                .unwrap_or(0.0);
-            row.push(Table::pct(cov));
-        }
-        t.push_row(row);
-    }
-    t
+        &["Class"],
+        &REGION_SIZES,
+        |size| format!("{size}B"),
+        result
+            .points
+            .iter()
+            .map(|p| (vec![p.class.to_string()], p.region_bytes, p.coverage)),
+    )
 }
 
 #[cfg(test)]

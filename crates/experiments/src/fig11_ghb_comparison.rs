@@ -2,7 +2,7 @@
 //! Buffer (GHB PC/DC) at 256 and 16 k entries — off-chip (L2) read-miss
 //! coverage per application.
 
-use crate::common::{apps_or_all, ExperimentConfig};
+use crate::common::ExperimentConfig;
 use crate::report::Table;
 use engine::{JobResult, PrefetcherSpec, SimJob};
 use ghb::GhbConfig;
@@ -80,11 +80,10 @@ pub fn jobs(config: &ExperimentConfig, apps: &[Application]) -> Vec<SimJob> {
     jobs
 }
 
-/// Runs the Figure 11 experiment over `apps` (the full suite when empty).
+/// Runs the Figure 11 experiment over `apps`.
 pub fn run(config: &ExperimentConfig, apps: &[Application]) -> Fig11Result {
-    let apps = apps_or_all(apps);
-    let results = config.run_jobs(&jobs(config, &apps));
-    from_results(config, &apps, &results)
+    let results = config.run_jobs(&jobs(config, apps));
+    from_results(config, apps, &results)
 }
 
 /// Post-processes the [`JobResult`]s of this figure's [`jobs`] list (in

@@ -1,7 +1,7 @@
 //! Figure 12: speedup of SMS over the baseline system with 95 % confidence
 //! intervals, per application, plus the geometric mean.
 
-use crate::common::{apps_or_all, ExperimentConfig};
+use crate::common::ExperimentConfig;
 use crate::report::Table;
 use engine::{JobResult, PrefetcherSpec, SimJob};
 use serde::{Deserialize, Serialize};
@@ -50,14 +50,10 @@ pub fn timing_jobs(config: &ExperimentConfig, app: Application) -> [SimJob; 2] {
     let timing =
         TimingConfig::table1().with_system_busy_fraction(system_busy_fraction(app.class()));
     [
-        config.timing_job(app, PrefetcherSpec::null(), timing, SEGMENTS),
-        config.timing_job(
-            app,
-            PrefetcherSpec::sms(&SmsConfig::paper_default()),
-            timing,
-            SEGMENTS,
-        ),
+        PrefetcherSpec::null(),
+        PrefetcherSpec::sms(&SmsConfig::paper_default()),
     ]
+    .map(|prefetcher| config.job(app, prefetcher).with_timing(timing, SEGMENTS))
 }
 
 /// The engine jobs this figure declares: a (baseline, SMS) timing pair per
@@ -68,17 +64,9 @@ pub fn jobs(config: &ExperimentConfig, apps: &[Application]) -> Vec<SimJob> {
         .collect()
 }
 
-/// Executes the job list and returns, per application, the (baseline, SMS)
-/// timing result pair; shared with Figure 13.
-pub fn evaluate_apps(
-    config: &ExperimentConfig,
-    apps: &[Application],
-) -> Vec<(TimingResult, TimingResult)> {
-    evaluations_from_results(&config.run_jobs(&jobs(config, apps)))
-}
-
 /// Extracts the per-application (baseline, SMS) timing pairs from the
-/// [`JobResult`]s of this figure's [`jobs`] list, in submission order.
+/// [`JobResult`]s of this figure's [`jobs`] list, in submission order;
+/// shared with Figure 13, which reads the same pairs.
 pub fn evaluations_from_results(results: &[JobResult]) -> Vec<(TimingResult, TimingResult)> {
     results
         .chunks_exact(2)
@@ -90,16 +78,14 @@ pub fn evaluations_from_results(results: &[JobResult]) -> Vec<(TimingResult, Tim
         .collect()
 }
 
-/// Builds the figure from already-executed (baseline, SMS) timing pairs —
-/// shared with Figure 13 so an `all` run simulates each pair only once.
-pub fn from_evaluations(
-    apps: &[Application],
-    evaluations: &[(TimingResult, TimingResult)],
-) -> Fig12Result {
+/// Post-processes the [`JobResult`]s of this figure's [`jobs`] list (in
+/// submission order) into the figure.
+pub fn from_results(apps: &[Application], results: &[JobResult]) -> Fig12Result {
+    let evaluations = evaluations_from_results(results);
     assert_eq!(apps.len(), evaluations.len(), "one timing pair per app");
     let mut result = Fig12Result::default();
     let mut aggregates = Vec::new();
-    for (app, (base_result, sms_result)) in apps.iter().zip(evaluations) {
+    for (app, (base_result, sms_result)) in apps.iter().zip(&evaluations) {
         let ci = speedup_with_ci(base_result, sms_result);
         let aggregate = base_result.total_cycles / sms_result.total_cycles.max(1e-9);
         aggregates.push(aggregate);
@@ -113,10 +99,9 @@ pub fn from_evaluations(
     result
 }
 
-/// Runs the Figure 12 experiment over `apps` (the full suite when empty).
+/// Runs the Figure 12 experiment over `apps`.
 pub fn run(config: &ExperimentConfig, apps: &[Application]) -> Fig12Result {
-    let apps = apps_or_all(apps);
-    from_evaluations(&apps, &evaluate_apps(config, &apps))
+    from_results(apps, &config.run_jobs(&jobs(config, apps)))
 }
 
 /// Renders the figure as a text table.

@@ -2,10 +2,11 @@
 //! systems, per application.
 
 use crate::common::ExperimentConfig;
-use crate::fig12_speedup::evaluate_apps;
+use crate::fig12_speedup::evaluations_from_results;
 use crate::report::Table;
+use engine::JobResult;
 use serde::{Deserialize, Serialize};
-use timing::{BreakdownComparison, TimingResult};
+use timing::BreakdownComparison;
 use trace::Application;
 
 /// This figure evaluates exactly the (baseline, SMS) timing pairs of
@@ -28,15 +29,13 @@ pub struct Fig13Result {
     pub points: Vec<BreakdownPoint>,
 }
 
-/// Builds the figure from already-executed (baseline, SMS) timing pairs —
-/// shared with Figure 12 so an `all` run simulates each pair only once.
-pub fn from_evaluations(
-    apps: &[Application],
-    evaluations: &[(TimingResult, TimingResult)],
-) -> Fig13Result {
+/// Post-processes the [`JobResult`]s of this figure's [`jobs`] list (in
+/// submission order) into the figure.
+pub fn from_results(apps: &[Application], results: &[JobResult]) -> Fig13Result {
+    let evaluations = evaluations_from_results(results);
     assert_eq!(apps.len(), evaluations.len(), "one timing pair per app");
     let mut result = Fig13Result::default();
-    for (app, (base_result, sms_result)) in apps.iter().zip(evaluations) {
+    for (app, (base_result, sms_result)) in apps.iter().zip(&evaluations) {
         result.points.push(BreakdownPoint {
             app: *app,
             comparison: BreakdownComparison::new(base_result, sms_result),
@@ -45,10 +44,9 @@ pub fn from_evaluations(
     result
 }
 
-/// Runs the Figure 13 experiment over `apps` (the full suite when empty).
+/// Runs the Figure 13 experiment over `apps`.
 pub fn run(config: &ExperimentConfig, apps: &[Application]) -> Fig13Result {
-    let apps = crate::common::apps_or_all(apps);
-    from_evaluations(&apps, &evaluate_apps(config, &apps))
+    from_results(apps, &config.run_jobs(&jobs(config, apps)))
 }
 
 /// Renders the figure as a text table (two rows per application).

@@ -12,7 +12,18 @@
 //! executes the list across worker threads with results bit-identical to a
 //! serial run.  Because declaration and post-processing are split, the
 //! `sms-experiments` binary can also write any figure's job list to a JSON
-//! spec file and execute arbitrary spec files:
+//! spec file and execute arbitrary spec files.
+//!
+//! Two shared pieces carry the modules.  [`catalog::EXPERIMENTS`] is the one
+//! experiment table: each entry names an experiment, declares its jobs and
+//! reports their results as printed tables and a `--json` value, and the
+//! CLI reads nothing else to run, emit, dump or list experiments.  The class
+//! sweep in [`common`] ([`common::class_sweep_jobs`],
+//! [`common::class_sweep_points`], [`common::coverage_grid`]) is the
+//! experiment Figures 6–10 and [`agt_size`] repeat: per workload class, L1
+//! read-miss coverage against a no-prefetch baseline while one design
+//! parameter varies; those modules declare only their variants and their
+//! per-point arithmetic.
 //!
 //! ```text
 //! sms-experiments all                  # regenerate everything (slow)

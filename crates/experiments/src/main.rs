@@ -24,8 +24,8 @@
 //! sms-experiments submit (--socket PATH | --tcp ADDR) --shutdown
 //! sms-experiments trace-check <trace.json> [--require NAME]...
 //!
-//! experiments: all, table1, fig4, fig5, fig6, fig7, fig8, fig9, fig10,
-//!              agt-size, fig11, fig12, fig13 (leading zeros accepted: fig05)
+//! experiments: `all`, or any experiment `list` prints (leading zeros
+//!              accepted: fig05)
 //! list           print the experiments and the registered prefetcher plugins
 //!                (--json: the machine-readable catalog)
 //! run --spec P   execute a serialized engine job list (see --emit-spec)
@@ -88,40 +88,20 @@
 //! A `--flag` the chosen subcommand does not take is an error (exit 2, with
 //! a "did you mean" suggestion when one is close), never silently ignored.
 
-use engine::{JobList, JobResult, Registry, RunOptions};
-use experiments::catalog::{catalog, figure_jobs, EXPERIMENTS};
+use engine::{CancelToken, JobList, JobResult, Registry, RunOptions};
+use experiments::catalog::{self, catalog};
 use experiments::common::ExperimentConfig;
-use experiments::{
-    agt_size, fig04_block_size, fig05_density, fig06_indexing, fig07_pht_size, fig08_training,
-    fig09_pht_training, fig10_region_size, fig11_ghb_comparison, fig12_speedup, fig13_breakdown,
-    table1,
-};
-use serde::Serialize;
+use serde_json::Value;
 use server::{Endpoint, Server, ServerConfig, ServerMetrics, SubmitOptions};
 use std::path::PathBuf;
 use std::process::ExitCode;
-use timing::TimingConfig;
-use trace::Application;
+use std::str::FromStr;
+use std::time::{Duration, Instant};
 use tracelog::Trace;
-
-#[derive(Debug, Default, Serialize)]
-struct JsonDump {
-    fig4: Option<fig04_block_size::Fig4Result>,
-    fig5: Option<fig05_density::Fig5Result>,
-    fig6: Option<fig06_indexing::Fig6Result>,
-    fig7: Option<fig07_pht_size::Fig7Result>,
-    fig8: Option<fig08_training::Fig8Result>,
-    fig9: Option<fig09_pht_training::Fig9Result>,
-    fig10: Option<fig10_region_size::Fig10Result>,
-    agt_size: Option<agt_size::AgtSizeResult>,
-    fig11: Option<fig11_ghb_comparison::Fig11Result>,
-    fig12: Option<fig12_speedup::Fig12Result>,
-    fig13: Option<fig13_breakdown::Fig13Result>,
-}
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: sms-experiments <all|table1|fig4|fig5|fig6|fig7|fig8|fig9|fig10|agt-size|fig11|fig12|fig13> \
+        "usage: sms-experiments <{}> \
          [--quick] [--jobs N] [--json PATH] [--out PATH] [--emit-spec PATH] [--trace-out PATH]\n\
        \x20      sms-experiments run --spec JOBS.json [--jobs N] [--timeout MS] [--out PATH] [--trace-out PATH]\n\
        \x20      sms-experiments list [--json]\n\
@@ -131,14 +111,187 @@ fn usage() -> ExitCode {
        \x20                             [--jobs N] [--timeout MS] [--retries N]\n\
        \x20                             [--out PATH] [--expect-cache-hit]\n\
        \x20      sms-experiments submit (--socket PATH | --tcp ADDR) --status [--json] | --shutdown\n\
-       \x20      sms-experiments trace-check TRACE.json [--require NAME]..."
+       \x20      sms-experiments trace-check TRACE.json [--require NAME]...",
+        catalog::names().collect::<Vec<_>>().join("|")
     );
     ExitCode::from(2)
 }
 
-/// Writes the spans recorded in `trace` as Chrome trace-event JSON (the
-/// `--trace-out` output, loadable at <https://ui.perfetto.dev>).
-fn write_trace(trace: &Trace, path: &str) -> Result<(), ExitCode> {
+/// A flag: its name, the commands that take it (`experiment` stands for
+/// `all` and every experiment) and, for a flag followed by a value, what
+/// that value is, in the words of its error messages; a switch has `None`.
+type Flag = (&'static str, &'static str, Option<&'static str>);
+
+/// Every flag, in the order a command suggests them for a mistyped flag.
+const FLAGS: [Flag; 24] = [
+    ("--socket", "serve submit", Some("a socket path")),
+    ("--tcp", "serve submit", Some("an address")),
+    ("--spec", "run submit", Some("a job spec path")),
+    ("--client", "submit", Some("a client name")),
+    ("--priority", "submit", Some("an integer")),
+    ("--quota", "serve", Some("a number of jobs")),
+    ("--jobs", "run serve submit experiment", Some("a number")),
+    ("--cache-max-entries", "serve", Some("a number of entries")),
+    ("--cache-max-bytes", "serve", Some("a number of bytes")),
+    ("--queue-max", "serve", Some("a number of submissions")),
+    ("--cache-dir", "serve", Some("a directory")),
+    ("--metrics-out", "serve", Some("an output path")),
+    ("--json", "experiment", Some("an output path")),
+    (
+        "--timeout",
+        "run submit",
+        Some("a deadline in milliseconds"),
+    ),
+    ("--retries", "submit", Some("a retry count")),
+    ("--out", "run submit experiment", Some("an output path")),
+    ("--emit-spec", "experiment", Some("an output path")),
+    (
+        "--trace-out",
+        "run serve experiment",
+        Some("the output path for the chrome trace"),
+    ),
+    (
+        "--require",
+        "trace-check",
+        Some("a span name after each occurrence"),
+    ),
+    ("--quick", "experiment", None),
+    ("--expect-cache-hit", "submit", None),
+    ("--status", "submit", None),
+    ("--json", "list submit", None),
+    ("--shutdown", "submit", None),
+];
+
+/// `--figure NAME` names the command, so every command takes it; it is
+/// never suggested.
+const FIGURE: Flag = ("--figure", "", Some("an experiment name"));
+
+/// The flags `command` takes, in suggestion order.
+fn flags(command: &str) -> impl Iterator<Item = &'static Flag> + '_ {
+    let kind = match command {
+        "list" | "trace-check" | "run" | "serve" | "submit" => command,
+        _ => "experiment",
+    };
+    FLAGS
+        .iter()
+        .filter(move |(_, commands, _)| commands.split_whitespace().any(|c| c == kind))
+}
+
+/// The command line, checked against the flag table.
+struct Args {
+    /// The experiment or subcommand, named positionally or by `--figure`.
+    command: String,
+    /// The arguments as given.
+    raw: Vec<String>,
+    /// Each flag given, in order, with its value (`None` for a switch).
+    given: Vec<(&'static Flag, Option<String>)>,
+}
+
+impl Args {
+    /// Parses the command line.  A `--flag` the command does not take, or a
+    /// flag that takes a value given without one, exits 2, so a mistyped or
+    /// retired flag fails loudly instead of being silently ignored.
+    fn parse(raw: Vec<String>) -> Result<Self, ExitCode> {
+        let named = raw
+            .iter()
+            .position(|a| a == FIGURE.0)
+            .and_then(|i| raw.get(i + 1));
+        let Some(command) = named.or(raw.first().filter(|a| !a.starts_with("--"))) else {
+            return Err(usage());
+        };
+        let command = normalize_experiment(command);
+        let mut given = Vec::new();
+        let mut args = raw.iter();
+        while let Some(arg) = args.next() {
+            if !arg.starts_with("--") {
+                continue;
+            }
+            let Some(flag) = flags(&command).chain([&FIGURE]).find(|f| f.0 == arg) else {
+                match engine::closest_match(arg, flags(&command).map(|f| f.0)) {
+                    Some(suggestion) => {
+                        eprintln!("{command}: unknown flag {arg:?} (did you mean {suggestion:?}?)")
+                    }
+                    None => eprintln!(
+                        "{command}: unknown flag {arg:?}; run without arguments for usage"
+                    ),
+                }
+                return Err(ExitCode::from(2));
+            };
+            let value = match flag {
+                (_, _, None) => None,
+                // The value may itself start with `--`.
+                (name, _, Some(what)) => match args.next() {
+                    Some(value) => Some(value.clone()),
+                    None => {
+                        eprintln!("{name} expects {what}");
+                        return Err(usage());
+                    }
+                },
+            };
+            given.push((flag, value));
+        }
+        Ok(Self {
+            command,
+            raw,
+            given,
+        })
+    }
+
+    /// Every value given for `flag`, in order.
+    fn values(&self, flag: &'static str) -> impl Iterator<Item = &str> {
+        self.given
+            .iter()
+            .filter(move |(given, _)| given.0 == flag)
+            .filter_map(|(_, value)| value.as_deref())
+    }
+
+    /// The value given for `flag`; the first, if it was given twice.
+    fn value(&self, flag: &'static str) -> Option<&str> {
+        self.values(flag).next()
+    }
+
+    /// Whether switch `flag` was given.
+    fn switch(&self, flag: &str) -> bool {
+        self.given.iter().any(|(given, _)| given.0 == flag)
+    }
+
+    /// The number given for `flag`, or 0 when it is absent.  A value that
+    /// does not parse exits 2, saying what the flag expects.
+    fn number<T: FromStr + Default>(&self, flag: &str) -> Result<T, ExitCode> {
+        let Some(((_, _, Some(what)), Some(text))) = self.given.iter().find(|(f, _)| f.0 == flag)
+        else {
+            return Ok(T::default());
+        };
+        text.parse().map_err(|_| {
+            eprintln!("{flag} expects {what}, got {text:?}");
+            usage()
+        })
+    }
+}
+
+/// Reads `path`, or reports why it could not (exit 1).
+fn read_file(path: &str) -> Result<String, ExitCode> {
+    std::fs::read_to_string(path).map_err(|e| {
+        eprintln!("failed to read {path}: {e}");
+        ExitCode::FAILURE
+    })
+}
+
+/// Writes `contents` to `path`, or reports why it could not (exit 1).
+fn write_file(path: &str, contents: String) -> Result<(), ExitCode> {
+    std::fs::write(path, contents).map_err(|e| {
+        eprintln!("failed to write {path}: {e}");
+        ExitCode::FAILURE
+    })
+}
+
+/// Writes the spans recorded in `trace` as Chrome trace-event JSON to the
+/// `--trace-out` path, if one was given (loadable at
+/// <https://ui.perfetto.dev>).
+fn write_trace_out(args: &Args, trace: &Trace) -> Result<(), ExitCode> {
+    let Some(path) = args.value("--trace-out") else {
+        return Ok(());
+    };
     match trace.write_chrome_trace(std::path::Path::new(path)) {
         Ok(true) => {
             println!("chrome trace written to {path} (load in Perfetto or chrome://tracing)");
@@ -154,53 +307,6 @@ fn write_trace(trace: &Trace, path: &str) -> Result<(), ExitCode> {
     }
 }
 
-/// The flags a subcommand takes: those followed by a value, then the
-/// switches.  Every figure experiment (and `all`, `table1`) shares the last
-/// arm; `--figure NAME` is accepted everywhere, since it names the command.
-fn known_flags(command: &str) -> (&'static str, &'static str) {
-    match command {
-        "list" => ("", "--json"),
-        "trace-check" => ("--require", ""),
-        "run" => ("--spec --jobs --timeout --out --trace-out", ""),
-        "serve" => (
-            "--socket --tcp --quota --jobs --cache-max-entries --cache-max-bytes \
-             --queue-max --cache-dir --metrics-out --trace-out",
-            "",
-        ),
-        "submit" => (
-            "--socket --tcp --spec --client --priority --jobs --timeout --retries --out",
-            "--expect-cache-hit --status --json --shutdown",
-        ),
-        _ => ("--jobs --json --out --emit-spec --trace-out", "--quick"),
-    }
-}
-
-/// Rejects any `--flag` that `command` does not take, so a mistyped or
-/// retired flag fails loudly instead of being silently ignored.
-fn check_flags(command: &str, args: &[String]) -> Result<(), String> {
-    let (valued, switches) = known_flags(command);
-    let takes = |flags: &str, arg: &str| flags.split_whitespace().any(|flag| flag == arg);
-    let mut args = args.iter();
-    while let Some(arg) = args.next() {
-        if !arg.starts_with("--") || takes(switches, arg) {
-            continue;
-        }
-        if arg == "--figure" || takes(valued, arg) {
-            // Skip the flag's value, which may itself start with `--`.
-            args.next();
-            continue;
-        }
-        let candidates = valued.split_whitespace().chain(switches.split_whitespace());
-        return Err(match engine::closest_match(arg, candidates) {
-            Some(suggestion) => {
-                format!("{command}: unknown flag {arg:?} (did you mean {suggestion:?}?)")
-            }
-            None => format!("{command}: unknown flag {arg:?}; run without arguments for usage"),
-        });
-    }
-    Ok(())
-}
-
 /// Canonicalizes an experiment name: lowercase, zero-padded figure numbers
 /// accepted ("fig05" and "fig5" both select Figure 5).
 fn normalize_experiment(name: &str) -> String {
@@ -213,29 +319,55 @@ fn normalize_experiment(name: &str) -> String {
 
 /// Prints the experiments and the plugins of the built-in registry —
 /// human-readable by default, the machine-readable catalog with `--json`.
-fn list(json: bool) -> ExitCode {
+fn list(json: bool) -> Result<(), ExitCode> {
+    let catalog = catalog();
     if json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&catalog()).expect("catalog serializes")
-        );
-        return ExitCode::SUCCESS;
+        let json = serde_json::to_string_pretty(&catalog).expect("catalog serializes");
+        println!("{json}");
+        return Ok(());
     }
     println!("experiments:");
-    for name in EXPERIMENTS {
+    for name in &catalog.experiments {
         println!("  {name}");
     }
     println!("\nprefetcher plugins (built-in registry):");
-    let registry = Registry::builtin();
-    for name in registry.names() {
-        let description = registry.get(name).map(|p| p.description()).unwrap_or("");
-        if description.is_empty() {
-            println!("  {name}");
+    for plugin in &catalog.plugins {
+        if plugin.description.is_empty() {
+            println!("  {}", plugin.name);
         } else {
-            println!("  {name:<14} {description}");
+            println!("  {:<14} {}", plugin.name, plugin.description);
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+/// Validates a Chrome trace-event file (`trace-check`).
+fn trace_check(args: &Args) -> Result<(), ExitCode> {
+    // The file is named positionally right after the subcommand.
+    let Some(path) = args.raw.get(1).filter(|path| !path.starts_with("--")) else {
+        eprintln!("trace-check requires the trace file to validate");
+        return Err(usage());
+    };
+    let required: Vec<&str> = args.values("--require").collect();
+    let text = read_file(path)?;
+    match tracelog::check_chrome_trace(&text, &required) {
+        Ok(check) => {
+            println!(
+                "{path}: valid chrome trace: {} events, {} spans ({} distinct names), \
+                 ends at {} us, {} events dropped to ring overflow",
+                check.events,
+                check.spans,
+                check.span_names.len(),
+                check.end_us,
+                check.dropped,
+            );
+            Ok(())
+        }
+        Err(e) => {
+            eprintln!("{path}: {e}");
+            Err(ExitCode::FAILURE)
+        }
+    }
 }
 
 /// Header of the per-job summary table shared by `run --spec` and `submit`
@@ -268,63 +400,52 @@ fn print_spec_warnings(result: &JobResult) {
     }
 }
 
-/// Flags of the `serve` subcommand beyond the shared ones.
-struct ServeFlags {
-    socket: Option<String>,
-    tcp: Option<String>,
-    quota: usize,
-    cache_max_entries: usize,
-    cache_max_bytes: u64,
-    queue_max: usize,
-    cache_dir: Option<String>,
-    metrics_out: Option<String>,
-    trace_out: Option<String>,
-}
-
 /// Starts the resident job server (`serve`) and blocks until a client asks
 /// it to shut down, then optionally writes the server's counters as a
 /// metrics report and its recorded spans as a Chrome trace.
-fn run_serve(flags: &ServeFlags, workers: usize, trace: &Trace) -> ExitCode {
-    let server = match Server::start(ServerConfig {
-        unix_socket: flags.socket.clone().map(PathBuf::from),
-        tcp: flags.tcp.clone(),
-        quota: flags.quota,
+fn run_serve(args: &Args, trace: &Trace) -> Result<(), ExitCode> {
+    let workers = args.number("--jobs")?;
+    let quota = args.number("--quota")?;
+    let cache_max_entries = args.number("--cache-max-entries")?;
+    let cache_max_bytes = args.number("--cache-max-bytes")?;
+    let queue_max = args.number("--queue-max")?;
+    let cache_dir = args.value("--cache-dir");
+    let server = Server::start(ServerConfig {
+        unix_socket: args.value("--socket").map(PathBuf::from),
+        tcp: args.value("--tcp").map(str::to_string),
+        quota,
         workers,
-        cache_max_entries: flags.cache_max_entries,
-        cache_max_bytes: flags.cache_max_bytes,
-        queue_max: flags.queue_max,
-        cache_dir: flags.cache_dir.clone().map(PathBuf::from),
+        cache_max_entries,
+        cache_max_bytes,
+        queue_max,
+        cache_dir: cache_dir.map(PathBuf::from),
         trace: trace.clone(),
         ..ServerConfig::default()
-    }) {
-        Ok(server) => server,
-        Err(e) => {
-            eprintln!("serve: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    })
+    .map_err(|e| {
+        eprintln!("serve: {e}");
+        ExitCode::FAILURE
+    })?;
     if let Some(path) = server.unix_socket() {
         println!("serving on unix:{}", path.display());
     }
     if let Some(addr) = server.tcp_addr() {
         println!("serving on tcp:{addr}");
     }
-    if flags.quota > 0 {
-        println!("per-client quota: {} jobs queued or running", flags.quota);
+    if quota > 0 {
+        println!("per-client quota: {quota} jobs queued or running");
     }
-    if flags.cache_max_entries > 0 || flags.cache_max_bytes > 0 {
+    if cache_max_entries > 0 || cache_max_bytes > 0 {
         println!(
-            "result cache budget: {} entries, {} bytes (0 = unlimited)",
-            flags.cache_max_entries, flags.cache_max_bytes
+            "result cache budget: {cache_max_entries} entries, {cache_max_bytes} bytes (0 = unlimited)"
         );
     }
-    if flags.queue_max > 0 {
+    if queue_max > 0 {
         println!(
-            "submission queue bound: {} (excess submissions are shed as `overloaded`)",
-            flags.queue_max
+            "submission queue bound: {queue_max} (excess submissions are shed as `overloaded`)"
         );
     }
-    if let Some(dir) = &flags.cache_dir {
+    if let Some(dir) = cache_dir {
         let m = server.metrics();
         println!(
             "result cache persisted in {dir}: {} entries reloaded, {} skipped as corrupt",
@@ -354,37 +475,13 @@ fn run_serve(flags: &ServeFlags, workers: usize, trace: &Trace) -> ExitCode {
             metrics.overload_rejections,
         );
     }
-    if let Some(path) = &flags.metrics_out {
+    if let Some(path) = args.value("--metrics-out") {
         let json = serde_json::to_string_pretty(&metrics.report())
             .expect("server metrics report serializes");
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("failed to write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        write_file(path, json)?;
         println!("server metrics written to {path}");
     }
-    if let Some(path) = &flags.trace_out {
-        if let Err(code) = write_trace(trace, path) {
-            return code;
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-/// Flags of the `submit` subcommand beyond the shared ones.
-struct SubmitFlags {
-    socket: Option<String>,
-    tcp: Option<String>,
-    spec: Option<String>,
-    client: String,
-    priority: i64,
-    timeout_ms: u64,
-    retries: usize,
-    expect_cache_hit: bool,
-    status: bool,
-    status_json: bool,
-    shutdown: bool,
-    out: Option<String>,
+    write_trace_out(args, trace)
 }
 
 /// Renders the server's counters as the human-readable `submit --status`
@@ -460,93 +557,73 @@ fn render_status(m: &ServerMetrics) -> String {
 /// Sends a serialized job list to a running server (`submit`), streaming the
 /// same per-job table `run --spec` prints as result frames arrive.  Also
 /// carries the server's control verbs (`--status`, `--shutdown`).
-fn run_submit(flags: &SubmitFlags, workers: usize) -> ExitCode {
-    let endpoint = match (&flags.socket, &flags.tcp) {
+fn run_submit(args: &Args) -> Result<(), ExitCode> {
+    let workers = args.number("--jobs")?;
+    let timeout_ms = args.number("--timeout")?;
+    let priority = args.number("--priority")?;
+    let retries = args.number("--retries")?;
+    let endpoint = match (args.value("--socket"), args.value("--tcp")) {
         (Some(path), None) => Endpoint::Unix(PathBuf::from(path)),
-        (None, Some(addr)) => Endpoint::Tcp(addr.clone()),
+        (None, Some(addr)) => Endpoint::Tcp(addr.to_string()),
         (Some(_), Some(_)) => {
             eprintln!("submit takes --socket PATH or --tcp ADDR, not both");
-            return usage();
+            return Err(usage());
         }
         (None, None) => {
             eprintln!("submit requires the server endpoint: --socket PATH or --tcp ADDR");
-            return usage();
+            return Err(usage());
         }
     };
-    if flags.status {
-        return match server::client::status(&endpoint) {
-            Ok(report) if flags.status_json => {
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&report)
-                        .expect("server metrics report serializes")
-                );
-                ExitCode::SUCCESS
+    let failed = |e: &dyn std::fmt::Display| {
+        eprintln!("{endpoint}: {e}");
+        ExitCode::FAILURE
+    };
+    if args.switch("--status") {
+        let report = server::client::status(&endpoint).map_err(|e| failed(&e))?;
+        if args.switch("--json") {
+            println!(
+                "{}",
+                serde_json::to_string_pretty(&report).expect("server metrics report serializes")
+            );
+            return Ok(());
+        }
+        let metrics = match report.decode::<ServerMetrics>(server::REPORT_KIND) {
+            Ok(Some(metrics)) => metrics,
+            Ok(None) => {
+                let kind = &report.kind;
+                return Err(failed(&format!(
+                    "unexpected report kind {kind:?} (try --status --json)"
+                )));
             }
-            Ok(report) => match report.decode::<ServerMetrics>(server::REPORT_KIND) {
-                Ok(Some(metrics)) => {
-                    print!("{}", render_status(&metrics));
-                    ExitCode::SUCCESS
-                }
-                Ok(None) => {
-                    eprintln!(
-                        "{endpoint}: unexpected report kind {:?} (try --status --json)",
-                        report.kind
-                    );
-                    ExitCode::FAILURE
-                }
-                Err(e) => {
-                    eprintln!("{endpoint}: undecodable status report: {e}");
-                    ExitCode::FAILURE
-                }
-            },
-            Err(e) => {
-                eprintln!("{endpoint}: {e}");
-                ExitCode::FAILURE
-            }
+            Err(e) => return Err(failed(&format!("undecodable status report: {e}"))),
         };
+        print!("{}", render_status(&metrics));
+        return Ok(());
     }
-    if flags.shutdown {
-        return match server::client::shutdown(&endpoint) {
-            Ok(ack) => {
-                println!(
-                    "server shutting down ({} submissions draining)",
-                    ack.draining
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("{endpoint}: {e}");
-                ExitCode::FAILURE
-            }
-        };
+    if args.switch("--shutdown") {
+        let ack = server::client::shutdown(&endpoint).map_err(|e| failed(&e))?;
+        println!(
+            "server shutting down ({} submissions draining)",
+            ack.draining
+        );
+        return Ok(());
     }
-    let Some(spec_path) = &flags.spec else {
+    let Some(spec_path) = args.value("--spec") else {
         eprintln!("submit requires --spec JOBS.json (or --status / --shutdown)");
-        return usage();
-    };
-    let text = match std::fs::read_to_string(spec_path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("failed to read {spec_path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        return Err(usage());
     };
     // The spec is validated client-side first so a bad file gets the same
     // error `run --spec` prints, without a server round trip.
-    let list = match JobList::from_json(&text) {
-        Ok(list) => list,
-        Err(e) => {
-            eprintln!("{spec_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let list = JobList::from_json(&read_file(spec_path)?).map_err(|e| {
+        eprintln!("{spec_path}: {e}");
+        ExitCode::FAILURE
+    })?;
     let options = SubmitOptions {
-        client: flags.client.clone(),
-        priority: flags.priority,
+        client: args.value("--client").unwrap_or("anonymous").to_string(),
+        priority,
         workers,
-        timeout_ms: flags.timeout_ms,
-        retries: flags.retries,
+        timeout_ms,
+        retries,
     };
     // Rows stream as frames arrive; the header waits for the first frame so
     // a refused submission leaves stdout untouched.
@@ -560,13 +637,8 @@ fn run_submit(flags: &SubmitFlags, workers: usize) -> ExitCode {
             print_spec_row(job, &frame.result);
         }
     };
-    let outcome = match server::client::submit(&endpoint, &list, &options, &mut print_frame) {
-        Ok(outcome) => outcome,
-        Err(e) => {
-            eprintln!("{endpoint}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let outcome = server::client::submit(&endpoint, &list, &options, &mut print_frame)
+        .map_err(|e| failed(&e))?;
     if !header_printed {
         // `run --spec` prints the header even for an empty job list.
         println!("{SPEC_TABLE_HEADER}");
@@ -582,93 +654,55 @@ fn run_submit(flags: &SubmitFlags, workers: usize) -> ExitCode {
             outcome.done.jobs
         );
     }
-    if flags.expect_cache_hit && !outcome.done.cache_hit {
+    if args.switch("--expect-cache-hit") && !outcome.done.cache_hit {
         eprintln!("--expect-cache-hit: the submission was computed, not replayed from the cache");
-        return ExitCode::FAILURE;
+        return Err(ExitCode::FAILURE);
     }
-    if let Some(path) = &flags.out {
+    if let Some(path) = args.value("--out") {
         let results: Vec<JobResult> = outcome.frames.iter().map(|f| f.result.clone()).collect();
-        if let Err(code) = write_results(path, &results) {
-            return code;
-        }
+        write_results(path, &results)?;
     }
-    ExitCode::SUCCESS
-}
-
-/// Flags of the `run` subcommand beyond the shared ones.
-struct RunFlags<'a> {
-    spec_path: &'a str,
-    timeout_ms: u64,
-    out: Option<&'a str>,
-    trace_out: Option<&'a str>,
+    Ok(())
 }
 
 /// Executes a serialized job list (`run --spec`), printing a per-job summary
 /// table and optionally dumping the raw results.
-fn run_spec(flags: &RunFlags<'_>, workers: usize, trace: &Trace) -> ExitCode {
-    let RunFlags {
-        spec_path,
-        timeout_ms,
-        out,
-        trace_out,
-    } = *flags;
-    let text = match std::fs::read_to_string(spec_path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("failed to read {spec_path}: {e}");
-            return ExitCode::FAILURE;
-        }
+fn run_spec(args: &Args, trace: &Trace) -> Result<(), ExitCode> {
+    let workers = args.number("--jobs")?;
+    let timeout_ms = args.number("--timeout")?;
+    let Some(spec_path) = args.value("--spec") else {
+        eprintln!("run requires --spec JOBS.json");
+        return Err(usage());
     };
+    let text = read_file(spec_path)?;
     // `from_json` checks the spec version before decoding jobs, so a
     // future-versioned spec gets the actionable version error rather than a
     // confusing field-level parse failure; `check` then refuses a prefetcher
     // spec its plugin would reject, before any job runs.
-    let list = match JobList::from_json(&text).and_then(|list| {
-        list.check(Registry::builtin())?;
-        Ok(list)
-    }) {
-        Ok(list) => list,
-        Err(e) => {
-            eprintln!("{spec_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let cancel = engine::CancelToken::new();
-    let watchdog_done = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let watchdog = (timeout_ms > 0).then(|| {
-        let cancel = cancel.clone();
-        let done = std::sync::Arc::clone(&watchdog_done);
-        let deadline = std::time::Instant::now() + std::time::Duration::from_millis(timeout_ms);
-        std::thread::spawn(move || {
-            while !done.load(std::sync::atomic::Ordering::SeqCst) {
-                let now = std::time::Instant::now();
-                if now >= deadline {
-                    cancel.cancel();
-                    return;
-                }
-                std::thread::park_timeout(deadline - now);
-            }
+    let list = JobList::from_json(&text)
+        .and_then(|list| {
+            list.check(Registry::builtin())?;
+            Ok(list)
         })
-    });
-    let mut results: Vec<JobResult> = Vec::new();
+        .map_err(|e| {
+            eprintln!("{spec_path}: {e}");
+            ExitCode::FAILURE
+        })?;
+    // The engine checks the token between jobs, so a run past its deadline
+    // is cancelled at the next job boundary.
+    let cancel = (timeout_ms > 0)
+        .then(|| CancelToken::with_deadline(Instant::now() + Duration::from_millis(timeout_ms)));
     let options = RunOptions {
         trace,
-        cancel: Some(&cancel),
+        cancel: cancel.as_ref(),
         ..RunOptions::new(workers)
     };
-    let outcome = engine::execute(&list.jobs, &options, &mut |result, _| results.push(result));
-    if let Some(handle) = watchdog {
-        watchdog_done.store(true, std::sync::atomic::Ordering::SeqCst);
-        handle.thread().unpark();
-        handle.join().expect("deadline watchdog never panics");
-    }
-    let timed_out = match outcome {
-        Ok(delivered) => delivered < list.jobs.len(),
-        Err(e) => {
+    let mut results: Vec<JobResult> = Vec::new();
+    let delivered = engine::execute(&list.jobs, &options, &mut |result, _| results.push(result))
+        .map_err(|e| {
             eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+            ExitCode::FAILURE
+        })?;
     println!("{SPEC_TABLE_HEADER}");
     for (job, result) in list.jobs.iter().zip(&results) {
         print_spec_row(job, result);
@@ -676,7 +710,7 @@ fn run_spec(flags: &RunFlags<'_>, workers: usize, trace: &Trace) -> ExitCode {
     for result in &results {
         print_spec_warnings(result);
     }
-    if timed_out {
+    if delivered < list.jobs.len() {
         // Partial results were printed above but are not dumped to --out: a
         // truncated dump must not masquerade as the full run.
         eprintln!(
@@ -685,438 +719,135 @@ fn run_spec(flags: &RunFlags<'_>, workers: usize, trace: &Trace) -> ExitCode {
             results.len(),
             list.jobs.len(),
         );
-        if let Some(path) = trace_out {
-            if let Err(code) = write_trace(trace, path) {
-                return code;
-            }
-        }
-        return ExitCode::FAILURE;
+        write_trace_out(args, trace)?;
+        return Err(ExitCode::FAILURE);
     }
-    if let Some(path) = out {
-        if let Err(code) = write_results(path, &results) {
-            return code;
-        }
+    if let Some(path) = args.value("--out") {
+        write_results(path, &results)?;
     }
-    if let Some(path) = trace_out {
-        if let Err(code) = write_trace(trace, path) {
-            return code;
-        }
-    }
-    ExitCode::SUCCESS
+    write_trace_out(args, trace)
 }
 
 /// Writes raw engine results as pretty JSON (the `--out` format, shared by
 /// `run --spec` and direct figure runs so the two are byte-comparable).
 fn write_results(path: &str, results: &[JobResult]) -> Result<(), ExitCode> {
     let json = serde_json::to_string_pretty(results).expect("results serialize");
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("failed to write {path}: {e}");
-        return Err(ExitCode::FAILURE);
-    }
+    write_file(path, json)?;
     println!("\nraw engine results written to {path}");
     Ok(())
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    // The experiment (or subcommand) is named positionally or via --figure.
-    let experiment = match flag_value("--figure") {
-        Some(name) => name,
-        None => match args.first() {
-            Some(first) if !first.starts_with("--") => first.clone(),
-            _ => return usage(),
-        },
-    };
-    let experiment = normalize_experiment(&experiment);
-    if let Err(message) = check_flags(&experiment, &args) {
-        eprintln!("{message}");
-        return ExitCode::from(2);
-    }
-    let quick = args.iter().any(|a| a == "--quick");
-    let json_path = flag_value("--json");
-    let out_path = flag_value("--out");
-    let emit_spec_path = flag_value("--emit-spec");
-    let trace_out = flag_value("--trace-out");
-    if trace_out.is_none() && args.iter().any(|a| a == "--trace-out") {
-        eprintln!("--trace-out requires the output path for the chrome trace");
-        return usage();
-    }
-    // Tracing is enabled only when there is somewhere to write it; a
-    // disabled trace records nothing and costs nothing on the hot paths.
-    let run_trace = if trace_out.is_some() {
-        Trace::enabled()
-    } else {
-        Trace::disabled()
-    };
-    let workers = match flag_value("--jobs") {
-        Some(n) => match n.parse::<usize>() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!("--jobs expects a number, got {n:?}");
-                return usage();
-            }
-        },
-        None => 0,
-    };
-    let timeout_ms = match flag_value("--timeout") {
-        Some(n) => match n.parse::<u64>() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!("--timeout expects a deadline in milliseconds, got {n:?}");
-                return usage();
-            }
-        },
-        None => 0,
-    };
-
-    if experiment == "list" {
-        return list(args.iter().any(|a| a == "--json"));
-    }
-    if experiment == "trace-check" {
-        // The file is named positionally right after the subcommand.
-        let path = match args.get(1) {
-            Some(path) if !path.starts_with("--") => path.clone(),
-            _ => {
-                eprintln!("trace-check requires the trace file to validate");
-                return usage();
-            }
-        };
-        let required: Vec<&str> = args
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| *a == "--require")
-            .filter_map(|(i, _)| args.get(i + 1))
-            .map(String::as_str)
-            .collect();
-        if required.len() != args.iter().filter(|a| *a == "--require").count() {
-            eprintln!("--require expects a span name after each occurrence");
-            return usage();
-        }
-        let text = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!("failed to read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match tracelog::check_chrome_trace(&text, &required) {
-            Ok(check) => {
-                println!(
-                    "{path}: valid chrome trace: {} events, {} spans ({} distinct names), \
-                     ends at {} us, {} events dropped to ring overflow",
-                    check.events,
-                    check.spans,
-                    check.span_names.len(),
-                    check.end_us,
-                    check.dropped,
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if experiment == "run" {
-        let Some(spec_path) = flag_value("--spec") else {
-            eprintln!("run requires --spec JOBS.json");
-            return usage();
-        };
-        return run_spec(
-            &RunFlags {
-                spec_path: &spec_path,
-                timeout_ms,
-                out: out_path.as_deref(),
-                trace_out: trace_out.as_deref(),
-            },
-            workers,
-            &run_trace,
-        );
-    }
-    if experiment == "serve" {
-        let quota = match flag_value("--quota") {
-            Some(n) => match n.parse::<usize>() {
-                Ok(n) => n,
-                Err(_) => {
-                    eprintln!("--quota expects a number of jobs, got {n:?}");
-                    return usage();
-                }
-            },
-            None => 0,
-        };
-        let cache_max_entries = match flag_value("--cache-max-entries") {
-            Some(n) => match n.parse::<usize>() {
-                Ok(n) => n,
-                Err(_) => {
-                    eprintln!("--cache-max-entries expects a number of entries, got {n:?}");
-                    return usage();
-                }
-            },
-            None => 0,
-        };
-        let cache_max_bytes = match flag_value("--cache-max-bytes") {
-            Some(n) => match n.parse::<u64>() {
-                Ok(n) => n,
-                Err(_) => {
-                    eprintln!("--cache-max-bytes expects a number of bytes, got {n:?}");
-                    return usage();
-                }
-            },
-            None => 0,
-        };
-        let queue_max = match flag_value("--queue-max") {
-            Some(n) => match n.parse::<usize>() {
-                Ok(n) => n,
-                Err(_) => {
-                    eprintln!("--queue-max expects a number of submissions, got {n:?}");
-                    return usage();
-                }
-            },
-            None => 0,
-        };
-        return run_serve(
-            &ServeFlags {
-                socket: flag_value("--socket"),
-                tcp: flag_value("--tcp"),
-                quota,
-                cache_max_entries,
-                cache_max_bytes,
-                queue_max,
-                cache_dir: flag_value("--cache-dir"),
-                metrics_out: flag_value("--metrics-out"),
-                trace_out,
-            },
-            workers,
-            &run_trace,
-        );
-    }
-    if experiment == "submit" {
-        let priority = match flag_value("--priority") {
-            Some(n) => match n.parse::<i64>() {
-                Ok(n) => n,
-                Err(_) => {
-                    eprintln!("--priority expects an integer, got {n:?}");
-                    return usage();
-                }
-            },
-            None => 0,
-        };
-        let retries = match flag_value("--retries") {
-            Some(n) => match n.parse::<usize>() {
-                Ok(n) => n,
-                Err(_) => {
-                    eprintln!("--retries expects a retry count, got {n:?}");
-                    return usage();
-                }
-            },
-            None => 0,
-        };
-        return run_submit(
-            &SubmitFlags {
-                socket: flag_value("--socket"),
-                tcp: flag_value("--tcp"),
-                spec: flag_value("--spec"),
-                client: flag_value("--client").unwrap_or_else(|| "anonymous".to_string()),
-                priority,
-                timeout_ms,
-                retries,
-                expect_cache_hit: args.iter().any(|a| a == "--expect-cache-hit"),
-                status: args.iter().any(|a| a == "--status"),
-                status_json: args.iter().any(|a| a == "--json"),
-                shutdown: args.iter().any(|a| a == "--shutdown"),
-                out: out_path,
-            },
-            workers,
-        );
-    }
-    if !EXPERIMENTS.contains(&experiment.as_str()) {
-        match engine::closest_match(&experiment, EXPERIMENTS.into_iter()) {
+/// Runs the experiments the command selects from the experiment table
+/// (`all` runs every one), printing their tables; or, with `--emit-spec`,
+/// writes their jobs as a spec file instead.
+fn run_experiments(args: &Args, trace: &Trace) -> Result<(), ExitCode> {
+    let workers = args.number("--jobs")?;
+    let name = args.command.as_str();
+    if !catalog::names().any(|known| known == name) {
+        match engine::closest_match(name, catalog::names()) {
             Some(suggestion) => {
-                eprintln!("unknown experiment {experiment:?} (did you mean {suggestion:?}?)")
+                eprintln!("unknown experiment {name:?} (did you mean {suggestion:?}?)")
             }
-            None => eprintln!(
-                "unknown experiment {experiment:?}; `sms-experiments list` shows the choices"
-            ),
+            None => {
+                eprintln!("unknown experiment {name:?}; `sms-experiments list` shows the choices")
+            }
         }
-        return ExitCode::from(2);
+        return Err(ExitCode::from(2));
     }
-
-    let config = if quick {
+    // Quick runs also restrict class-level experiments to representative
+    // applications; full runs use the whole suite.
+    let representative_only = args.switch("--quick");
+    let config = if representative_only {
         ExperimentConfig::quick()
     } else {
         ExperimentConfig::full()
     }
     .with_workers(workers);
-    // Quick runs restrict class-level experiments to representative
-    // applications; full runs use the whole suite.
-    let representative_only = quick;
-    let want = |name: &str| experiment == "all" || experiment == name;
+    let experiments = catalog::select(name);
+    let lists = catalog::job_lists(&experiments, &config, representative_only);
 
-    // With --emit-spec, collect the exact jobs the selected experiment would
-    // run and write them as a spec file instead of executing anything.
-    if let Some(path) = emit_spec_path {
-        let mut jobs = Vec::new();
-        let mut fig12_emitted = false;
-        for name in EXPERIMENTS {
-            if !want(name) {
-                continue;
-            }
-            // Figures 12 and 13 share one job list; emit it once.
-            if name == "fig12" || name == "fig13" {
-                if fig12_emitted {
-                    continue;
-                }
-                fig12_emitted = true;
-            }
-            if let Some(figure_jobs) = figure_jobs(name, &config, representative_only) {
-                jobs.extend(figure_jobs);
-            }
-        }
+    if let Some(path) = args.value("--emit-spec") {
+        let jobs: Vec<_> = lists.into_iter().flatten().flatten().collect();
         if jobs.is_empty() {
-            eprintln!("{experiment}: declares no engine jobs (nothing to emit)");
-            return ExitCode::FAILURE;
+            eprintln!("{name}: declares no engine jobs (nothing to emit)");
+            return Err(ExitCode::FAILURE);
         }
         let json = serde_json::to_string_pretty(&JobList::new(jobs)).expect("jobs serialize");
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("failed to write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        write_file(path, json)?;
         println!("engine job spec written to {path}");
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
 
-    let mut dump = JsonDump::default();
-    let mut raw_results: Vec<JobResult> = Vec::new();
-    // Runs one experiment's job list through the engine and, with --out,
-    // accumulates the raw results.  Accumulated job indices are shifted to
-    // continue across experiments, so a multi-figure --out dump is
-    // byte-identical to `run --spec` over the same figures' emitted spec
-    // (which concatenates the job lists into one continuously-indexed run).
-    let mut run_figure = |name: &str| -> Vec<JobResult> {
-        let jobs = figure_jobs(name, &config, representative_only).expect("experiment with jobs");
-        let results = config.run_jobs_traced(&jobs, &run_trace);
-        if out_path.is_some() {
+    // The --out dump continues job indices from one list to the next, so it
+    // is byte-identical to `run --spec` over the emitted spec, which
+    // concatenates the lists into one run.
+    let mut results = Vec::new();
+    let mut raw_results = Vec::new();
+    // The --json document: every experiment with a JSON key, in table
+    // order, `null` where it does not run.
+    let mut document: Vec<(String, Value)> = catalog::EXPERIMENTS
+        .iter()
+        .filter_map(|experiment| Some((experiment.json_key?.to_string(), Value::Null)))
+        .collect();
+    for (experiment, jobs) in experiments.iter().zip(lists) {
+        // `None`: the experiment reports from the previous list's results.
+        // An empty list (Table 1) runs nothing, so it records no spans.
+        if let Some(jobs) = jobs {
+            results = if jobs.is_empty() {
+                Vec::new()
+            } else {
+                config.run_jobs_traced(&jobs, trace)
+            };
             let offset = raw_results.len();
-            raw_results.extend(results.iter().cloned().map(|mut r| {
-                r.job_index += offset;
-                r
+            raw_results.extend(results.iter().cloned().map(|mut result| {
+                result.job_index += offset;
+                result
             }));
         }
-        results
-    };
-
-    if want("table1") {
-        println!(
-            "{}",
-            table1::system_table(&config.hierarchy, &TimingConfig::table1(), config.cpus)
-        );
-        println!("{}", table1::application_table());
-    }
-    if want("fig4") {
-        let results = run_figure("fig4");
-        let r = fig04_block_size::from_results(representative_only, &results);
-        println!("{}", fig04_block_size::table(&r));
-        dump.fig4 = Some(r);
-    }
-    if want("fig5") {
-        let apps = experiments::common::apps_or_all(&[]);
-        let results = run_figure("fig5");
-        let r = fig05_density::from_results(&apps, &results);
-        println!("{}", fig05_density::table(&r));
-        dump.fig5 = Some(r);
-    }
-    if want("fig6") {
-        let results = run_figure("fig6");
-        let r = fig06_indexing::from_results(&config, representative_only, &results);
-        println!("{}", fig06_indexing::table(&r));
-        dump.fig6 = Some(r);
-    }
-    if want("fig7") {
-        let results = run_figure("fig7");
-        let r = fig07_pht_size::from_results(&config, representative_only, &[], &results);
-        println!("{}", fig07_pht_size::table(&r));
-        dump.fig7 = Some(r);
-    }
-    if want("fig8") {
-        let results = run_figure("fig8");
-        let r = fig08_training::from_results(&config, representative_only, &results);
-        println!("{}", fig08_training::table(&r));
-        dump.fig8 = Some(r);
-    }
-    if want("fig9") {
-        let results = run_figure("fig9");
-        let r = fig09_pht_training::from_results(&config, representative_only, &results);
-        println!("{}", fig09_pht_training::table(&r));
-        dump.fig9 = Some(r);
-    }
-    if want("fig10") {
-        let results = run_figure("fig10");
-        let r = fig10_region_size::from_results(&config, representative_only, &results);
-        println!("{}", fig10_region_size::table(&r));
-        dump.fig10 = Some(r);
-    }
-    if want("agt-size") {
-        let results = run_figure("agt-size");
-        let r = agt_size::from_results(&config, representative_only, &results);
-        println!("{}", agt_size::table(&r));
-        dump.agt_size = Some(r);
-    }
-    if want("fig11") {
-        let apps = experiments::common::apps_or_all(&[]);
-        let results = run_figure("fig11");
-        let r = fig11_ghb_comparison::from_results(&config, &apps, &results);
-        println!("{}", fig11_ghb_comparison::table(&r));
-        dump.fig11 = Some(r);
-    }
-    if want("fig12") || want("fig13") {
-        // Figures 12 and 13 post-process the same (baseline, SMS) timing
-        // evaluations, so an `all` run executes the job list only once.
-        let apps = Application::ALL;
-        let results = run_figure("fig12");
-        let evaluations = fig12_speedup::evaluations_from_results(&results);
-        if want("fig12") {
-            let r = fig12_speedup::from_evaluations(&apps, &evaluations);
-            println!("{}", fig12_speedup::table(&r));
-            dump.fig12 = Some(r);
+        let report = (experiment.report)(&config, representative_only, &results);
+        for table in &report.tables {
+            println!("{table}");
         }
-        if want("fig13") {
-            let r = fig13_breakdown::from_evaluations(&apps, &evaluations);
-            println!("{}", fig13_breakdown::table(&r));
-            dump.fig13 = Some(r);
+        if let Some(entry) = document
+            .iter_mut()
+            .find(|(key, _)| Some(key.as_str()) == experiment.json_key)
+        {
+            entry.1 = report.json;
         }
     }
 
-    if let Some(path) = out_path {
-        if let Err(code) = write_results(&path, &raw_results) {
-            return code;
-        }
+    if let Some(path) = args.value("--out") {
+        write_results(path, &raw_results)?;
     }
-    if let Some(path) = json_path {
-        match serde_json::to_string_pretty(&dump) {
-            Ok(json) => {
-                if let Err(e) = std::fs::write(&path, json) {
-                    eprintln!("failed to write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                println!("\nraw results written to {path}");
-            }
-            Err(e) => {
-                eprintln!("failed to serialize results: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Some(path) = args.value("--json") {
+        let json =
+            serde_json::to_string_pretty(&Value::Object(document)).expect("results serialize");
+        write_file(path, json)?;
+        println!("\nraw results written to {path}");
     }
-    if let Some(path) = trace_out {
-        if let Err(code) = write_trace(&run_trace, &path) {
-            return code;
+    write_trace_out(args, trace)
+}
+
+fn main() -> ExitCode {
+    let outcome = Args::parse(std::env::args().skip(1).collect()).and_then(|args| {
+        // Tracing is enabled only when there is somewhere to write it; a
+        // disabled trace records nothing and costs nothing on the hot paths.
+        let trace = if args.value("--trace-out").is_some() {
+            Trace::enabled()
+        } else {
+            Trace::disabled()
+        };
+        match args.command.as_str() {
+            "list" => list(args.switch("--json")),
+            "trace-check" => trace_check(&args),
+            "run" => run_spec(&args, &trace),
+            "serve" => run_serve(&args, &trace),
+            "submit" => run_submit(&args),
+            _ => run_experiments(&args, &trace),
         }
+    });
+    match outcome {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(code) => code,
     }
-    ExitCode::SUCCESS
 }

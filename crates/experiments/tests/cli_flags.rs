@@ -78,3 +78,89 @@ fn flags_a_subcommand_does_not_take_are_rejected() {
     let output = sms_experiments(&["trace-check", "/nonexistent.json", "--require", "--x"]);
     assert_eq!(output.status.code(), Some(1), "{}", stderr(&output));
 }
+
+#[test]
+fn every_numeric_flag_rejects_a_value_that_is_not_a_number() {
+    let serve = ["serve", "--socket", "/nonexistent/dir/sms.sock"];
+    let submit = [
+        "submit",
+        "--socket",
+        "/nonexistent.sock",
+        "--spec",
+        "jobs.json",
+    ];
+    for (command, flag, message) in [
+        (
+            &["fig05", "--quick"][..],
+            "--jobs",
+            "--jobs expects a number",
+        ),
+        (
+            &["run", "--spec", "jobs.json"],
+            "--timeout",
+            "--timeout expects a deadline in milliseconds",
+        ),
+        (&serve, "--quota", "--quota expects a number of jobs"),
+        (
+            &serve,
+            "--cache-max-entries",
+            "--cache-max-entries expects a number of entries",
+        ),
+        (
+            &serve,
+            "--cache-max-bytes",
+            "--cache-max-bytes expects a number of bytes",
+        ),
+        (
+            &serve,
+            "--queue-max",
+            "--queue-max expects a number of submissions",
+        ),
+        (&submit, "--priority", "--priority expects an integer"),
+        (&submit, "--retries", "--retries expects a retry count"),
+    ] {
+        let args = [command, &[flag, "many"]].concat();
+        let output = sms_experiments(&args);
+        assert_eq!(
+            output.status.code(),
+            Some(2),
+            "{args:?}: {}",
+            stderr(&output)
+        );
+        assert!(
+            stderr(&output).contains(&format!(r#"{message}, got "many""#)),
+            "{args:?}: {}",
+            stderr(&output)
+        );
+        assert!(output.stdout.is_empty(), "{args:?} ran anyway");
+    }
+}
+
+#[test]
+fn a_flag_that_takes_a_value_cannot_come_last_without_one() {
+    for (args, message) in [
+        (
+            &["fig05", "--quick", "--trace-out"][..],
+            "--trace-out expects the output path for the chrome trace",
+        ),
+        (&["fig05", "--quick", "--jobs"], "--jobs expects a number"),
+        (
+            &["fig05", "--quick", "--out"],
+            "--out expects an output path",
+        ),
+    ] {
+        let output = sms_experiments(args);
+        assert_eq!(
+            output.status.code(),
+            Some(2),
+            "{args:?}: {}",
+            stderr(&output)
+        );
+        assert!(
+            stderr(&output).contains(message),
+            "{args:?}: {}",
+            stderr(&output)
+        );
+        assert!(output.stdout.is_empty(), "{args:?} ran anyway");
+    }
+}

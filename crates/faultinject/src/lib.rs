@@ -58,7 +58,7 @@ pub enum Fault {
         after: u64,
     },
     /// Sleep `micros` microseconds at every `every`-th observed access —
-    /// slow, never wrong; the deadline watchdog's prey.
+    /// slow, never wrong; what a deadline cuts short.
     Delay {
         /// Period, in observed accesses.
         every: u64,
@@ -78,7 +78,7 @@ pub enum Fault {
 /// Wire form of the chaos plugin's parameter tree.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ChaosParams {
-    /// Fault kind: `"none"`, `"panic"` or `"delay"`.
+    /// Fault kind: `"none"`, `"panic"`, `"delay"` or `"gate"`.
     pub fault: String,
     /// For `"panic"`: the 1-based access count at which the panic fires
     /// (absent = the first access).
@@ -208,31 +208,41 @@ impl PrefetcherPlugin for ChaosPlugin {
         params: &serde_json::Value,
         _num_cpus: usize,
     ) -> Result<BuiltPrefetcher, PluginError> {
-        let params: ChaosParams = decode_params(PLUGIN_NAME, params)?;
-        let fault = match params.fault.as_str() {
-            "none" => Fault::None,
-            "panic" => Fault::Panic {
-                after: params.after.unwrap_or(1),
-            },
-            "delay" => Fault::Delay {
-                every: params.every.unwrap_or(1),
-                micros: params.micros.unwrap_or(100),
-            },
-            "gate" => Fault::Gate {
-                token: params.token.unwrap_or(0),
-            },
-            other => {
-                return Err(PluginError::BadParams {
-                    plugin: PLUGIN_NAME.to_string(),
-                    message: format!(
-                        "unknown fault kind {other:?} (expected \"none\", \"panic\", \
-                         \"delay\" or \"gate\")"
-                    ),
-                })
-            }
-        };
+        let fault = decode_fault(params)?;
         Ok(BuiltPrefetcher::new(ChaosPrefetcher { fault, seen: 0 }))
     }
+
+    fn check(&self, params: &serde_json::Value) -> Result<(), PluginError> {
+        decode_fault(params).map(|_| ())
+    }
+}
+
+/// Decodes the chaos plugin's parameters into the fault they inject; the
+/// one decoder behind both [`ChaosPlugin::build`] and its admission check.
+fn decode_fault(params: &serde_json::Value) -> Result<Fault, PluginError> {
+    let params: ChaosParams = decode_params(PLUGIN_NAME, params)?;
+    Ok(match params.fault.as_str() {
+        "none" => Fault::None,
+        "panic" => Fault::Panic {
+            after: params.after.unwrap_or(1),
+        },
+        "delay" => Fault::Delay {
+            every: params.every.unwrap_or(1),
+            micros: params.micros.unwrap_or(100),
+        },
+        "gate" => Fault::Gate {
+            token: params.token.unwrap_or(0),
+        },
+        other => {
+            return Err(PluginError::BadParams {
+                plugin: PLUGIN_NAME.to_string(),
+                message: format!(
+                    "unknown fault kind {other:?} (expected \"none\", \"panic\", \"delay\" \
+                     or \"gate\")"
+                ),
+            })
+        }
+    })
 }
 
 /// The built-in registry plus the chaos plugin — what a chaos-enabled
@@ -395,6 +405,47 @@ mod tests {
         match registry.build(&spec, 2) {
             Err(PluginError::BadParams { plugin, .. }) => assert_eq!(plugin, PLUGIN_NAME),
             other => panic!("expected BadParams, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_unknown_fault_kind_is_refused_at_admission() {
+        let explode = PrefetcherSpec::custom(
+            PLUGIN_NAME,
+            &ChaosParams {
+                fault: "explode".to_string(),
+                after: None,
+                every: None,
+                micros: None,
+                token: None,
+            },
+        );
+        let job = |prefetcher: PrefetcherSpec| {
+            engine::SimJob::new(memsim::SimJob::synthetic(
+                trace::Application::Ocean,
+                trace::GeneratorConfig::default().with_cpus(1),
+                1,
+                1,
+                memsim::HierarchyConfig::scaled(),
+                prefetcher,
+                100,
+            ))
+        };
+        let list = engine::JobList::new(vec![
+            job(Fault::None.spec()),
+            job(Fault::Panic { after: 5 }.spec()),
+            job(explode),
+        ]);
+        match list.check(&registry()) {
+            Err(engine::SpecError::Plugin { job, error }) => {
+                assert_eq!(job, 2, "the refusal names the job with the bad fault");
+                assert!(
+                    matches!(&error, PluginError::BadParams { plugin, message }
+                        if plugin == PLUGIN_NAME && message.contains("\"explode\"")),
+                    "{error}"
+                );
+            }
+            other => panic!("expected a Plugin refusal, got {other:?}"),
         }
     }
 

@@ -37,24 +37,6 @@ impl CacheStats {
         Self::default()
     }
 
-    /// Demand read miss rate (misses per read access); zero when no reads.
-    pub fn read_miss_rate(&self) -> f64 {
-        if self.reads == 0 {
-            0.0
-        } else {
-            self.read_misses as f64 / self.reads as f64
-        }
-    }
-
-    /// Demand miss rate over all accesses; zero when no accesses.
-    pub fn miss_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
-    }
-
     /// Adds another set of counters into this one.
     pub fn merge(&mut self, other: &CacheStats) {
         self.accesses += other.accesses;
@@ -74,26 +56,6 @@ impl CacheStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rates_handle_zero_denominators() {
-        let s = CacheStats::new();
-        assert_eq!(s.read_miss_rate(), 0.0);
-        assert_eq!(s.miss_rate(), 0.0);
-    }
-
-    #[test]
-    fn rates_compute() {
-        let s = CacheStats {
-            accesses: 10,
-            reads: 8,
-            misses: 5,
-            read_misses: 4,
-            ..Default::default()
-        };
-        assert!((s.read_miss_rate() - 0.5).abs() < 1e-12);
-        assert!((s.miss_rate() - 0.5).abs() < 1e-12);
-    }
 
     #[test]
     fn merge_adds_fields() {

@@ -45,12 +45,13 @@ pub struct Submission {
     /// When the submission was admitted to the queue, for queue-wait
     /// latency accounting.
     pub queued_at: Instant,
-    /// Cooperative cancellation shared between the scheduler's engine run,
-    /// the deadline watchdog and the connection handler (a disconnected
-    /// client cancels its own submission through this token).
+    /// Cooperative cancellation shared between the scheduler's engine run
+    /// and the connection handler (a disconnected client cancels its own
+    /// submission through this token); it carries the deadline too.
     pub cancel: CancelToken,
     /// Absolute deadline derived from the request's `timeout_ms`, measured
-    /// from admission; `None` means the submission never times out.
+    /// from admission; `None` means the submission never times out.  The
+    /// scheduler reads it to tell a deadline from a client disconnect.
     pub deadline: Option<Instant>,
 }
 

@@ -495,26 +495,9 @@ fn scheduler(shared: &Arc<Shared>) {
         span.arg_text("client", &client);
         span.arg_f64("queue_wait_seconds", queued_at.elapsed().as_secs_f64());
 
-        // Deadline watchdog: parked until the deadline (or until the run
-        // finishes and unparks it), then trips the shared cancel token.
-        // Cancellation is cooperative — the engine stops claiming jobs and
+        // The cancel token carries the deadline: the engine, which checks
+        // the token between jobs, stops claiming jobs once it passes, and
         // the delivered results stay a clean in-order prefix.
-        let watchdog_done = Arc::new(AtomicBool::new(false));
-        let watchdog = deadline.map(|deadline| {
-            let done = Arc::clone(&watchdog_done);
-            let cancel = cancel.clone();
-            std::thread::spawn(move || {
-                while !done.load(Ordering::SeqCst) {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        cancel.cancel();
-                        return;
-                    }
-                    std::thread::park_timeout(deadline - now);
-                }
-            })
-        });
-
         let mut recorded: Vec<JobFrame> = Vec::new();
         let options = RunOptions {
             workers,
@@ -530,11 +513,6 @@ fn scheduler(shared: &Arc<Shared>) {
             let _ = reply.send(Event::Result(Box::new(frame)));
         });
         drop(span);
-        watchdog_done.store(true, Ordering::SeqCst);
-        if let Some(handle) = watchdog {
-            handle.thread().unpark();
-            handle.join().expect("deadline watchdog panicked");
-        }
 
         let streamed = recorded.len() as u64;
         let mut deadline_cancelled = false;
@@ -552,7 +530,7 @@ fn scheduler(shared: &Arc<Shared>) {
                 });
             }
             Ok(delivered) => {
-                // Cut short: by the deadline watchdog, or by the connection
+                // Cut short: by the deadline, or by the connection
                 // handler of a disconnected client (which already counted
                 // itself).  Partial results are never cached.
                 if deadline.is_some_and(|d| Instant::now() >= d) {
@@ -787,11 +765,11 @@ fn handle_submit<S: Write>(
                     ))
                 } else {
                     let (reply, receiver) = std::sync::mpsc::channel();
-                    let cancel = CancelToken::new();
                     let deadline = submit
                         .timeout_ms
                         .filter(|&ms| ms > 0)
                         .map(|ms| Instant::now() + Duration::from_millis(ms));
+                    let cancel = deadline.map_or_else(CancelToken::new, CancelToken::with_deadline);
                     let seq = state.next_seq;
                     state.next_seq += 1;
                     state.submissions += 1;

@@ -492,7 +492,7 @@ fn tcp_endpoint_is_loopback_only() {
 fn timed_out_submission_gets_deadline_exceeded_and_the_server_moves_on() {
     let (server, endpoint) = start_unix("timeout", ServerConfig::default());
     // Four jobs far too slow for a 50 ms deadline, run serially so the
-    // watchdog provably cuts the run short between jobs.
+    // deadline provably cuts the run short between jobs.
     let slow = JobList::new(vec![
         job(
             Application::OltpDb2,

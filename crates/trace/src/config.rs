@@ -48,40 +48,6 @@ impl GeneratorConfig {
         self.cpus = cpus;
         self
     }
-
-    /// Sets the data-set size in bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is smaller than 64 KiB; generators need at least a
-    /// few regions to work with.
-    pub fn with_data_set_bytes(mut self, bytes: u64) -> Self {
-        assert!(bytes >= 64 * 1024, "data set must be at least 64 KiB");
-        self.data_set_bytes = bytes;
-        self
-    }
-
-    /// Sets the fraction of accesses that target shared data.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction` is not in `[0, 1]`.
-    pub fn with_sharing_fraction(mut self, fraction: f64) -> Self {
-        assert!((0.0..=1.0).contains(&fraction), "fraction must be in [0,1]");
-        self.sharing_fraction = fraction;
-        self
-    }
-
-    /// Sets the base write fraction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction` is not in `[0, 1]`.
-    pub fn with_base_write_fraction(mut self, fraction: f64) -> Self {
-        assert!((0.0..=1.0).contains(&fraction), "fraction must be in [0,1]");
-        self.base_write_fraction = fraction;
-        self
-    }
 }
 
 impl Default for GeneratorConfig {
@@ -109,32 +75,13 @@ mod tests {
 
     #[test]
     fn builder_methods_apply() {
-        let c = GeneratorConfig::default()
-            .with_cpus(16)
-            .with_data_set_bytes(128 * 1024 * 1024)
-            .with_sharing_fraction(0.1)
-            .with_base_write_fraction(0.3);
+        let c = GeneratorConfig::default().with_cpus(16);
         assert_eq!(c.cpus, 16);
-        assert_eq!(c.data_set_bytes, 128 * 1024 * 1024);
-        assert!((c.sharing_fraction - 0.1).abs() < 1e-12);
-        assert!((c.base_write_fraction - 0.3).abs() < 1e-12);
     }
 
     #[test]
     #[should_panic(expected = "cpu count")]
     fn zero_cpus_rejected() {
         let _ = GeneratorConfig::default().with_cpus(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "data set")]
-    fn tiny_data_set_rejected() {
-        let _ = GeneratorConfig::default().with_data_set_bytes(1024);
-    }
-
-    #[test]
-    #[should_panic(expected = "fraction")]
-    fn bad_fraction_rejected() {
-        let _ = GeneratorConfig::default().with_sharing_fraction(1.5);
     }
 }

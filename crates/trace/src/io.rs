@@ -12,7 +12,7 @@
 //! the iterators.
 
 use crate::access::{AccessKind, MemAccess};
-use std::io::{self, BufRead, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Magic bytes identifying the binary trace format.
 pub const MAGIC: &[u8; 4] = b"SMST";
@@ -86,26 +86,6 @@ impl<R: Read> BinaryTraceReader<R> {
             pc: u64::from_le_bytes(pc),
             addr: u64::from_le_bytes(addr),
         })
-    }
-}
-
-impl<R: Read + Seek> BinaryTraceReader<R> {
-    /// Skips the next `n` records without decoding them — an O(1) seek,
-    /// which is what makes positioned restart
-    /// ([`TraceSource::open_at`](crate::source::TraceSource::open_at)) free
-    /// for binary traces.  Skipping past the end of the trace leaves the
-    /// reader exhausted (zero remaining), exactly as if the records had been
-    /// read; it is not an error.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error from the underlying seek.
-    pub fn skip_records(&mut self, n: u64) -> io::Result<()> {
-        let skip = n.min(self.remaining);
-        self.reader
-            .seek(SeekFrom::Current((skip as i64) * (RECORD_BYTES as i64)))?;
-        self.remaining -= skip;
-        Ok(())
     }
 }
 

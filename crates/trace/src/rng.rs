@@ -23,18 +23,6 @@ pub fn coin(rng: &mut ChaCha8Rng, p: f64) -> bool {
     rng.gen_bool(p)
 }
 
-/// Draws a value from a (truncated) geometric-like distribution in
-/// `[1, max]`, biased towards small values; used to pick burst lengths and
-/// structure sizes.
-pub fn biased_len(rng: &mut ChaCha8Rng, max: usize) -> usize {
-    debug_assert!(max >= 1);
-    let mut len = 1usize;
-    while len < max && rng.gen_bool(0.5) {
-        len += 1;
-    }
-    len
-}
-
 /// Draws an index in `[0, n)` with a Zipf-like skew: low indices are much
 /// hotter than high indices.  `theta` in `(0, 1)` controls the skew (higher
 /// is more skewed).
@@ -85,15 +73,6 @@ mod tests {
         // With strong skew, far more than 10% of draws land in the lowest
         // decile.
         assert!(low > 3_000, "low-decile draws: {low}");
-    }
-
-    #[test]
-    fn biased_len_bounds() {
-        let mut rng = stream_rng(2, 2);
-        for _ in 0..1000 {
-            let l = biased_len(&mut rng, 8);
-            assert!((1..=8).contains(&l));
-        }
     }
 
     #[test]

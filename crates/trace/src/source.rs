@@ -91,59 +91,22 @@ impl TraceSource {
     /// Any I/O error from opening the file, or `InvalidData` for a bad
     /// binary header.
     pub fn open(&self) -> io::Result<BoxedStream> {
-        self.open_at(0)
-    }
-
-    /// Opens the source positioned after its first `skip` accesses — the
-    /// restart primitive behind segment-granular work: a reader can resume a
-    /// trace at any access boundary and see exactly the suffix a single
-    /// front-to-back read would have seen.
-    ///
-    /// Cost depends on the source: binary traces seek in O(1)
-    /// ([`BinaryTraceReader::skip_records`](crate::io::BinaryTraceReader::skip_records)),
-    /// text traces parse-and-discard `skip` records (a parse error inside the
-    /// skipped prefix surfaces through
-    /// [`take_error`](crate::stream::AccessStream::take_error) exactly as it
-    /// would when reading through it), and synthetic generators
-    /// generate-and-discard (deterministic, no simulation cost).  Skipping
-    /// past the end of a file yields an immediately-exhausted stream, not an
-    /// error.
-    ///
-    /// # Errors
-    ///
-    /// As [`open`](Self::open), plus any I/O error from the binary seek.
-    pub fn open_at(&self, skip: u64) -> io::Result<BoxedStream> {
-        match self {
+        Ok(match self {
             TraceSource::Synthetic {
                 app,
                 generator,
                 seed,
-            } => {
-                let mut stream = app.stream(*seed, generator);
-                for _ in 0..skip {
-                    if stream.next().is_none() {
-                        break;
-                    }
-                }
-                Ok(Box::new(stream))
-            }
+            } => Box::new(app.stream(*seed, generator)),
             TraceSource::BinaryFile { path } => {
-                let mut reader =
+                let reader =
                     read_binary_iter(BufReader::new(retry_transient(|| File::open(path))?))?;
-                reader.skip_records(skip)?;
-                Ok(Box::new(ReplayStream::new(self.describe(), reader)))
+                Box::new(ReplayStream::new(self.describe(), reader))
             }
             TraceSource::TextFile { path } => {
                 let reader = read_text_iter(BufReader::new(retry_transient(|| File::open(path))?));
-                let mut stream = ReplayStream::new(self.describe(), reader);
-                for _ in 0..skip {
-                    if stream.next().is_none() {
-                        break;
-                    }
-                }
-                Ok(Box::new(stream))
+                Box::new(ReplayStream::new(self.describe(), reader))
             }
-        }
+        })
     }
 }
 
@@ -311,49 +274,6 @@ mod tests {
         std::fs::remove_file(&path).ok();
         assert_eq!(got, recorded[..recorded.len() - 1]);
         assert!(stream.error().is_some(), "truncation must be recorded");
-    }
-
-    #[test]
-    fn open_at_resumes_every_source_kind_at_the_exact_access() {
-        let generator = GeneratorConfig::default().with_cpus(2);
-        let recorded = collect_n(&mut Application::DssQry1.stream(9, &generator), 1_000);
-        let bin_path = temp_path("openat-bin");
-        let text_path = temp_path("openat-text");
-        write_binary(File::create(&bin_path).unwrap(), &recorded).unwrap();
-        crate::io::write_text(File::create(&text_path).unwrap(), &recorded).unwrap();
-
-        let sources = vec![
-            TraceSource::synthetic(Application::DssQry1, generator.clone(), 9),
-            TraceSource::binary_file(bin_path.to_string_lossy()),
-            TraceSource::text_file(text_path.to_string_lossy()),
-        ];
-        for source in sources {
-            for skip in [0u64, 1, 250, 999] {
-                let mut resumed = source.open_at(skip).expect("open_at");
-                let suffix = collect_n(&mut *resumed, 1_000 - skip as usize);
-                assert_eq!(
-                    suffix,
-                    recorded[skip as usize..],
-                    "{}: open_at({skip}) must deliver the exact suffix",
-                    source.describe()
-                );
-            }
-        }
-        std::fs::remove_file(&bin_path).ok();
-        std::fs::remove_file(&text_path).ok();
-    }
-
-    #[test]
-    fn open_at_past_end_of_file_is_exhausted_not_an_error() {
-        let generator = GeneratorConfig::default().with_cpus(1);
-        let recorded = collect_n(&mut Application::Ocean.stream(4, &generator), 50);
-        let path = temp_path("openat-past-end");
-        write_binary(File::create(&path).unwrap(), &recorded).unwrap();
-        let source = TraceSource::binary_file(path.to_string_lossy());
-        let mut stream = source.open_at(1_000).expect("past-end open succeeds");
-        assert!(stream.next().is_none());
-        assert!(stream.take_error().is_none(), "exhaustion is not an error");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -154,15 +154,6 @@ impl Application {
             }
         }
     }
-
-    /// Parses the short name (case-insensitive) used on experiment command
-    /// lines.
-    pub fn from_short_name(name: &str) -> Option<Application> {
-        let lower = name.to_ascii_lowercase();
-        Application::ALL
-            .into_iter()
-            .find(|a| a.short_name().to_ascii_lowercase() == lower)
-    }
 }
 
 impl fmt::Display for Application {
@@ -200,14 +191,6 @@ mod tests {
             let n = app.stream(1, &config).take(500).count();
             assert_eq!(n, 500, "{app} produced a short stream");
         }
-    }
-
-    #[test]
-    fn short_name_round_trips() {
-        for app in Application::ALL {
-            assert_eq!(Application::from_short_name(app.short_name()), Some(app));
-        }
-        assert_eq!(Application::from_short_name("nonexistent"), None);
     }
 
     #[test]
