@@ -87,7 +87,7 @@ fn bench_structures(c: &mut Criterion) {
     });
 
     group.bench_function("pht_insert_lookup", |b| {
-        let mut pht = PatternHistoryTable::new(PhtCapacity::paper_default());
+        let mut pht = PatternHistoryTable::new(PhtCapacity::paper_default(), 32);
         let pattern = SpatialPattern::from_offsets(32, &[0, 3, 7, 12, 31]);
         b.iter(|| {
             for i in 0..OPS {

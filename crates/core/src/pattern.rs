@@ -45,6 +45,29 @@ impl SpatialPattern {
         p
     }
 
+    /// Creates a pattern over `len` blocks from its two words of bits, as
+    /// [`words`](Self::words) returns them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` is out of range or a bit at or beyond `len` is set.
+    pub fn from_words(len: u32, bits: [u64; 2]) -> Self {
+        let mut p = Self::new(len);
+        // One past the highest set bit (0 when none is set).
+        let end = match bits {
+            [low, 0] => 64 - low.leading_zeros(),
+            [_, high] => 128 - high.leading_zeros(),
+        };
+        assert!(end <= len, "pattern bits beyond its length {len}");
+        p.bits = bits;
+        p
+    }
+
+    /// The pattern's bits: offset `o` is bit `o % 64` of word `o / 64`.
+    pub fn words(&self) -> [u64; 2] {
+        self.bits
+    }
+
     /// Number of blocks the pattern covers.
     pub fn len(&self) -> u32 {
         self.len
@@ -239,6 +262,24 @@ mod tests {
         assert_eq!(it.next(), Some(0));
         assert_eq!(it.len(), 3);
         assert!(it.by_ref().count() == 3 && it.next().is_none() && it.next().is_none());
+    }
+
+    #[test]
+    fn words_round_trip_and_refuse_bits_beyond_the_length() {
+        for (len, offsets) in [
+            (1, &[0][..]),
+            (32, &[0, 31]),
+            (64, &[63]),
+            (100, &[5, 99]),
+            (128, &[127]),
+        ] {
+            let p = SpatialPattern::from_offsets(len, offsets);
+            assert_eq!(SpatialPattern::from_words(len, p.words()), p);
+        }
+        for (len, bits) in [(32, [1 << 32, 0]), (64, [0, 1]), (100, [0, 1 << 36])] {
+            let refused = std::panic::catch_unwind(|| SpatialPattern::from_words(len, bits));
+            assert!(refused.is_err(), "len {len}, bits {bits:?}");
+        }
     }
 
     proptest! {

@@ -6,12 +6,13 @@
 //! set-associative — about the same storage as a 64 kB L1 data array.  An
 //! unbounded variant supports the paper's limit studies (Figures 6, 8, 10).
 //!
-//! Storage is hot-path tuned: the bounded table is one flat, open-addressed
-//! slot array (a set is a fixed run of ways, scanned linearly — no per-set
-//! vector indirection or insert-time allocation), and the unbounded map uses
-//! the simulator's fast deterministic hasher.  Both changes are strictly
-//! representational: lookup, LRU refresh and LRU eviction behave exactly as
-//! before (ticks are unique, so the LRU victim is unambiguous), which the
+//! Storage is hot-path tuned: the bounded table is flat columns of slots (a
+//! set is a fixed run of ways, found by mask and scanned linearly — no
+//! per-set vector indirection or insert-time allocation), 32 bytes per
+//! entry, and the unbounded map uses the simulator's fast deterministic
+//! hasher.  Both store a pattern's bits only; its length is the table's.
+//! Lookup, LRU refresh and LRU eviction are those of a set-associative
+//! cache (ticks are unique, so the LRU victim is unambiguous), which the
 //! eviction-order tests below and the workspace golden hashes pin.
 
 use crate::pattern::SpatialPattern;
@@ -43,7 +44,8 @@ impl PhtCapacity {
         }
     }
 
-    /// Checks that a bounded table has entries and ways, and whole sets.
+    /// Checks that a bounded table has entries and ways, whole sets, and a
+    /// power-of-two number of sets (a key finds its set by mask).
     ///
     /// # Errors
     ///
@@ -59,6 +61,8 @@ impl PhtCapacity {
                     Err(PhtError::Empty)
                 } else if !entries.is_multiple_of(associativity) {
                     Err(PhtError::PartialSet)
+                } else if !(entries / associativity).is_power_of_two() {
+                    Err(PhtError::SetsNotPowerOfTwo)
                 } else {
                     Ok(())
                 }
@@ -74,6 +78,8 @@ pub enum PhtError {
     Empty,
     /// The entry count is not a multiple of the associativity.
     PartialSet,
+    /// The number of sets is not a power of two.
+    SetsNotPowerOfTwo,
 }
 
 impl fmt::Display for PhtError {
@@ -81,6 +87,7 @@ impl fmt::Display for PhtError {
         f.write_str(match self {
             PhtError::Empty => "PHT capacity must be positive",
             PhtError::PartialSet => "entries must be a multiple of associativity",
+            PhtError::SetsNotPowerOfTwo => "number of sets must be a power of two",
         })
     }
 }
@@ -98,19 +105,19 @@ const FREE: u64 = 0;
 
 #[derive(Debug, Clone)]
 enum Storage {
-    Unbounded(FastMap<u64, SpatialPattern>),
+    Unbounded(FastMap<u64, [u64; 2]>),
     Bounded {
-        /// Struct-of-arrays slot storage, `num_sets * associativity` slots
-        /// per column; set `s` owns the contiguous run
-        /// `s*associativity .. (s+1)*associativity` of every column.  The
-        /// probe scans only `keys` and `lru` (16 ways x 8 B each — two cache
-        /// lines per column) and touches a `patterns` entry only on a hit,
-        /// instead of dragging 40-byte key+pattern+lru slots through the
-        /// cache on every way.
+        /// Struct-of-arrays slot storage, 32 bytes per entry: a key, a
+        /// pattern's two words and an LRU tick.  Set `s` owns the
+        /// contiguous run `s*associativity .. (s+1)*associativity` of every
+        /// column.  The probe scans only `keys` and `lru` (16 ways x 8 B
+        /// each — two cache lines per column) and touches `bits` only on a
+        /// hit.  An all-zero slot is free, so a new table is zeroed memory.
         keys: Vec<u64>,
-        patterns: Vec<SpatialPattern>,
+        bits: Vec<[u64; 2]>,
         lru: Vec<u64>,
-        num_sets: usize,
+        /// `num_sets - 1`: a key masked by it is its set.
+        set_mask: usize,
         associativity: usize,
         tick: u64,
         /// Occupied slots, maintained so [`PatternHistoryTable::len`] is O(1).
@@ -119,18 +126,24 @@ enum Storage {
 }
 
 /// Long-term storage of spatial patterns, keyed by the prediction index.
+///
+/// Every pattern in one table covers the same region, so the table keeps
+/// the pattern length once and stores only each pattern's bits.
 #[derive(Debug, Clone)]
 pub struct PatternHistoryTable {
     storage: Storage,
+    /// The length of every pattern stored: the region's block count.
+    blocks: u32,
 }
 
 impl PatternHistoryTable {
-    /// Creates an empty PHT with the given capacity.
+    /// Creates an empty PHT with the given capacity, for patterns over
+    /// `blocks` blocks.
     ///
     /// # Panics
     ///
     /// Panics if [`PhtCapacity::validate`] rejects the capacity.
-    pub fn new(capacity: PhtCapacity) -> Self {
+    pub fn new(capacity: PhtCapacity, blocks: u32) -> Self {
         if let Err(error) = capacity.validate() {
             panic!("{error}");
         }
@@ -139,40 +152,47 @@ impl PatternHistoryTable {
             PhtCapacity::Bounded {
                 entries,
                 associativity,
-            } => {
-                let num_sets = (entries / associativity).max(1);
-                let slots = num_sets * associativity;
-                Storage::Bounded {
-                    keys: vec![0; slots],
-                    patterns: vec![SpatialPattern::new(1); slots],
-                    lru: vec![FREE; slots],
-                    num_sets,
-                    associativity,
-                    tick: 0,
-                    occupied: 0,
-                }
-            }
+            } => Storage::Bounded {
+                // Zeroed allocations: every slot starts free, and the pages
+                // are mapped only when first written.
+                keys: vec![0; entries],
+                bits: vec![[0; 2]; entries],
+                lru: vec![FREE; entries],
+                set_mask: entries / associativity - 1,
+                associativity,
+                tick: 0,
+                occupied: 0,
+            },
         };
-        Self { storage }
+        Self { storage, blocks }
     }
 
     /// Stores (or overwrites) the pattern for `key`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pattern's length is not the table's block count.
     pub fn insert(&mut self, key: u64, pattern: SpatialPattern) {
+        assert_eq!(
+            pattern.len(),
+            self.blocks,
+            "pattern length differs from the PHT's"
+        );
         match &mut self.storage {
             Storage::Unbounded(map) => {
-                map.insert(key, pattern);
+                map.insert(key, pattern.words());
             }
             Storage::Bounded {
                 keys,
-                patterns,
+                bits,
                 lru,
-                num_sets,
+                set_mask,
                 associativity,
                 tick,
                 occupied,
             } => {
                 *tick += 1;
-                let start = ((key as usize) % *num_sets) * *associativity;
+                let start = (key as usize & *set_mask) * *associativity;
                 // One linear scan over the dense key/lru columns resolves the
                 // whole insert: a key match wins outright; otherwise the
                 // first free way is preferred (FREE = 0 always loses the lru
@@ -199,7 +219,7 @@ impl PatternHistoryTable {
                     *occupied += 1;
                 }
                 keys[slot] = key;
-                patterns[slot] = pattern;
+                bits[slot] = pattern.words();
                 lru[slot] = *tick;
             }
         }
@@ -207,25 +227,26 @@ impl PatternHistoryTable {
 
     /// Looks up the pattern for `key`, refreshing its recency.
     pub fn lookup(&mut self, key: u64) -> Option<SpatialPattern> {
-        match &mut self.storage {
-            Storage::Unbounded(map) => map.get(&key).copied(),
+        let words = match &mut self.storage {
+            Storage::Unbounded(map) => *map.get(&key)?,
             Storage::Bounded {
                 keys,
-                patterns,
+                bits,
                 lru,
-                num_sets,
+                set_mask,
                 associativity,
                 tick,
                 ..
             } => {
                 *tick += 1;
-                let start = ((key as usize) % *num_sets) * *associativity;
+                let start = (key as usize & *set_mask) * *associativity;
                 let hit = (start..start + *associativity)
                     .find(|&slot| lru[slot] != FREE && keys[slot] == key)?;
                 lru[hit] = *tick;
-                Some(patterns[hit])
+                bits[hit]
             }
-        }
+        };
+        Some(SpatialPattern::from_words(self.blocks, words))
     }
 
     /// Number of patterns currently stored.
@@ -252,7 +273,7 @@ mod tests {
 
     #[test]
     fn unbounded_insert_lookup_overwrite() {
-        let mut pht = PatternHistoryTable::new(PhtCapacity::Unbounded);
+        let mut pht = PatternHistoryTable::new(PhtCapacity::Unbounded, 32);
         assert!(pht.is_empty());
         pht.insert(1, pat(&[0, 1]));
         pht.insert(1, pat(&[2]));
@@ -267,10 +288,13 @@ mod tests {
     #[test]
     fn bounded_capacity_evicts_lru() {
         // 1 set x 2 ways.
-        let mut pht = PatternHistoryTable::new(PhtCapacity::Bounded {
-            entries: 2,
-            associativity: 2,
-        });
+        let mut pht = PatternHistoryTable::new(
+            PhtCapacity::Bounded {
+                entries: 2,
+                associativity: 2,
+            },
+            32,
+        );
         pht.insert(10, pat(&[1]));
         pht.insert(20, pat(&[2]));
         // Touch key 10 so key 20 becomes LRU.
@@ -284,10 +308,13 @@ mod tests {
 
     #[test]
     fn bounded_reinsert_updates_in_place() {
-        let mut pht = PatternHistoryTable::new(PhtCapacity::Bounded {
-            entries: 4,
-            associativity: 2,
-        });
+        let mut pht = PatternHistoryTable::new(
+            PhtCapacity::Bounded {
+                entries: 4,
+                associativity: 2,
+            },
+            32,
+        );
         pht.insert(7, pat(&[1]));
         pht.insert(7, pat(&[1, 2]));
         assert_eq!(pht.len(), 1);
@@ -296,10 +323,13 @@ mod tests {
 
     #[test]
     fn keys_map_to_distinct_sets() {
-        let mut pht = PatternHistoryTable::new(PhtCapacity::Bounded {
-            entries: 8,
-            associativity: 2,
-        });
+        let mut pht = PatternHistoryTable::new(
+            PhtCapacity::Bounded {
+                entries: 8,
+                associativity: 2,
+            },
+            32,
+        );
         for key in 0..8u64 {
             pht.insert(key, pat(&[(key % 32) as u32]));
         }
@@ -310,10 +340,13 @@ mod tests {
     #[test]
     fn set_associative_eviction_follows_lru_order() {
         // 2 sets x 4 ways; even keys map to set 0.
-        let mut pht = PatternHistoryTable::new(PhtCapacity::Bounded {
-            entries: 8,
-            associativity: 4,
-        });
+        let mut pht = PatternHistoryTable::new(
+            PhtCapacity::Bounded {
+                entries: 8,
+                associativity: 4,
+            },
+            32,
+        );
         for key in [10u64, 20, 30, 40] {
             pht.insert(key, pat(&[1]));
         }
@@ -352,10 +385,13 @@ mod tests {
     fn eviction_is_per_set_not_global() {
         // 2 sets x 2 ways: filling set 0 (even keys) never evicts set 1's
         // entries, however stale they are.
-        let mut pht = PatternHistoryTable::new(PhtCapacity::Bounded {
-            entries: 4,
-            associativity: 2,
-        });
+        let mut pht = PatternHistoryTable::new(
+            PhtCapacity::Bounded {
+                entries: 4,
+                associativity: 2,
+            },
+            32,
+        );
         pht.insert(1, pat(&[7])); // set 1, never refreshed
         for key in [0u64, 2, 4, 6, 8] {
             pht.insert(key, pat(&[1]));
@@ -381,11 +417,50 @@ mod tests {
     }
 
     #[test]
+    fn a_bounded_entry_is_32_bytes() {
+        let pht = PatternHistoryTable::new(PhtCapacity::paper_default(), 32);
+        let Storage::Bounded {
+            keys, bits, lru, ..
+        } = &pht.storage
+        else {
+            panic!("the paper's PHT is bounded");
+        };
+        let bytes = std::mem::size_of_val(&keys[..])
+            + std::mem::size_of_val(&bits[..])
+            + std::mem::size_of_val(&lru[..]);
+        assert_eq!(bytes, 32 * 16 * 1024);
+    }
+
+    #[test]
+    fn the_set_count_must_be_a_power_of_two() {
+        let bounded = |entries, associativity| PhtCapacity::Bounded {
+            entries,
+            associativity,
+        };
+        for entries in [256, 1024, 4096, 16384] {
+            assert_eq!(bounded(entries, 16).validate(), Ok(()));
+        }
+        assert_eq!(bounded(3, 1).validate(), Err(PhtError::SetsNotPowerOfTwo));
+        assert_eq!(bounded(48, 16).validate(), Err(PhtError::SetsNotPowerOfTwo));
+        assert_eq!(bounded(12, 3).validate(), Ok(()), "4 sets of 3 ways");
+    }
+
+    #[test]
+    #[should_panic(expected = "pattern length differs")]
+    fn a_pattern_of_another_length_is_refused() {
+        let mut pht = PatternHistoryTable::new(PhtCapacity::Unbounded, 32);
+        pht.insert(1, SpatialPattern::new(64));
+    }
+
+    #[test]
     #[should_panic(expected = "multiple of associativity")]
     fn bad_capacity_rejected() {
-        let _ = PatternHistoryTable::new(PhtCapacity::Bounded {
-            entries: 10,
-            associativity: 16,
-        });
+        let _ = PatternHistoryTable::new(
+            PhtCapacity::Bounded {
+                entries: 10,
+                associativity: 16,
+            },
+            32,
+        );
     }
 }

@@ -89,7 +89,7 @@ impl SmsPredictor {
         Self {
             config: *config,
             agt: ActiveGenerationTable::new(config.region, config.agt),
-            pht: PatternHistoryTable::new(config.pht),
+            pht: PatternHistoryTable::new(config.pht, config.region.blocks_per_region()),
             registers: PredictionRegisterFile::new(config.region, config.streamer),
             stats: PredictorStats::default(),
         }

@@ -143,7 +143,7 @@ impl TrainingPrefetcher {
                     };
                     sectored.push(SectoredCpu {
                         state,
-                        pht: PatternHistoryTable::new(pht),
+                        pht: PatternHistoryTable::new(pht, region.blocks_per_region()),
                         registers: PredictionRegisterFile::new(region, streamer),
                         extra_misses: 0,
                     });

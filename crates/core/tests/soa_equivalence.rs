@@ -263,10 +263,11 @@ impl RefPht {
 }
 
 fn check_pht_equivalence(entries: usize, associativity: usize, ops: &[(u8, bool, u8)]) {
-    let mut soa = PatternHistoryTable::new(PhtCapacity::Bounded {
+    let capacity = PhtCapacity::Bounded {
         entries,
         associativity,
-    });
+    };
+    let mut soa = PatternHistoryTable::new(capacity, 32);
     let mut reference = RefPht::new(entries, associativity);
     for (step, &(key, is_insert, offset)) in ops.iter().enumerate() {
         // A small key universe hammers each set well past its associativity.

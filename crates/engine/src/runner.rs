@@ -896,6 +896,28 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn check_refuses_a_pht_whose_set_count_is_not_a_power_of_two() {
+        let mut list = JobList::new(job_list());
+        // 768 entries of 16 ways: 48 sets, which no mask can index.
+        list.jobs[2].sim.prefetcher = PrefetcherSpec::sms(&SmsConfig::paper_default().with_pht(
+            sms::PhtCapacity::Bounded {
+                entries: 768,
+                associativity: 16,
+            },
+        ));
+        let json = serde_json::to_string(&list).unwrap();
+        let loaded = JobList::from_json(&json).expect("the cache geometry is fine");
+        let err = loaded
+            .check(Registry::builtin())
+            .expect_err("48 PHT sets are refused");
+        assert_eq!(
+            err.to_string(),
+            "invalid job spec: job 2: bad parameters for plugin \"sms\": pht: number of sets \
+             must be a power of two"
+        );
+    }
+
+    #[test]
     fn short_trace_is_warned_not_failed() {
         // 100 recorded accesses against a 1000-access budget: the job
         // succeeds with a visible short_trace warning.

@@ -624,6 +624,7 @@ mod tests {
             (0, 16, "capacity must be positive"),
             (16, 0, "capacity must be positive"),
             (24, 16, "multiple of associativity"),
+            (48, 16, "number of sets must be a power of two"),
         ] {
             let config = SmsConfig::paper_default().with_pht(PhtCapacity::Bounded {
                 entries,

@@ -196,8 +196,9 @@ pub fn class_average(stats: &[CoverageStats]) -> ClassAverage {
 
 /// The applications evaluated for a class in class-level figures.
 ///
-/// Quick-mode experiments evaluate one representative application per class to
-/// bound runtime; full runs evaluate the complete suite.
+/// Quick-mode experiments evaluate six representative applications to bound
+/// runtime: one each for OLTP and web, two each for DSS and scientific.
+/// Full runs evaluate the complete suite.
 pub fn class_applications(class: ApplicationClass, representative_only: bool) -> Vec<Application> {
     if representative_only {
         match class {

@@ -86,18 +86,40 @@
 //! ```
 //!
 //! A `--flag` the chosen subcommand does not take is an error (exit 2, with
-//! a "did you mean" suggestion when one is close), never silently ignored.
+//! a "did you mean" suggestion when one is close), never silently ignored;
+//! so is an argument that is neither the command nor an operand it takes,
+//! and a second command.
 
 use engine::{CancelToken, JobList, JobResult, Registry, RunOptions};
 use experiments::catalog::{self, catalog};
 use experiments::common::ExperimentConfig;
 use serde_json::Value;
 use server::{Endpoint, Server, ServerConfig, ServerMetrics, SubmitOptions};
+use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::str::FromStr;
 use std::time::{Duration, Instant};
 use tracelog::Trace;
+
+/// `println!` that returns `Result<(), ExitCode>` (see [`write_stdout`]).
+macro_rules! say {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes the command's output.  A write to a stdout its reader has closed
+/// (`sms-experiments all --quick | head -3`) ends the command quietly with
+/// status 1 instead of a panic; any other write error is reported.
+fn write_stdout(text: std::fmt::Arguments) -> Result<(), ExitCode> {
+    std::io::stdout().lock().write_fmt(text).map_err(|e| {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("failed to write to stdout: {e}");
+        }
+        ExitCode::FAILURE
+    })
+}
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -188,23 +210,43 @@ struct Args {
 }
 
 impl Args {
-    /// Parses the command line.  A `--flag` the command does not take, or a
-    /// flag that takes a value given without one, exits 2, so a mistyped or
-    /// retired flag fails loudly instead of being silently ignored.
+    /// Parses the command line.  A `--flag` the command does not take, a
+    /// flag that takes a value given without one, an argument that is
+    /// neither the command nor an operand it takes, or a second command,
+    /// exits 2: a mistyped or retired flag, or a flag missing its dashes,
+    /// fails loudly instead of being silently ignored.
     fn parse(raw: Vec<String>) -> Result<Self, ExitCode> {
+        let positional = raw.first().filter(|a| !a.starts_with("--"));
         let named = raw
             .iter()
             .position(|a| a == FIGURE.0)
             .and_then(|i| raw.get(i + 1));
-        let Some(command) = named.or(raw.first().filter(|a| !a.starts_with("--"))) else {
+        let Some(command) = named.or(positional) else {
             return Err(usage());
         };
         let command = normalize_experiment(command);
+        // Every argument that names the command: the first, and each value
+        // of `--figure`.
+        let mut names: Vec<&str> = positional.into_iter().map(String::as_str).collect();
         let mut given = Vec::new();
-        let mut args = raw.iter();
-        while let Some(arg) = args.next() {
+        let mut args = raw.iter().enumerate();
+        while let Some((i, arg)) = args.next() {
             if !arg.starts_with("--") {
-                continue;
+                // `trace-check` takes the file to check right after its name.
+                let operand = i == 1 && command == "trace-check";
+                if i == 0 || operand {
+                    continue;
+                }
+                let dashed = format!("--{arg}");
+                match flags(&command).find(|f| f.0 == dashed) {
+                    Some(_) => eprintln!(
+                        "{command}: unexpected argument {arg:?} (did you mean {dashed:?}?)"
+                    ),
+                    None => eprintln!(
+                        "{command}: unexpected argument {arg:?}; run without arguments for usage"
+                    ),
+                }
+                return Err(ExitCode::from(2));
             }
             let Some(flag) = flags(&command).chain([&FIGURE]).find(|f| f.0 == arg) else {
                 match engine::closest_match(arg, flags(&command).map(|f| f.0)) {
@@ -221,14 +263,21 @@ impl Args {
                 (_, _, None) => None,
                 // The value may itself start with `--`.
                 (name, _, Some(what)) => match args.next() {
-                    Some(value) => Some(value.clone()),
+                    Some((_, value)) => Some(value),
                     None => {
                         eprintln!("{name} expects {what}");
                         return Err(usage());
                     }
                 },
             };
-            given.push((flag, value));
+            if flag.0 == FIGURE.0 {
+                names.extend(value.map(String::as_str));
+            }
+            given.push((flag, value.cloned()));
+        }
+        if let [first, second, ..] = names[..] {
+            eprintln!("name one experiment or command, not both {first:?} and {second:?}");
+            return Err(ExitCode::from(2));
         }
         Ok(Self {
             command,
@@ -293,10 +342,7 @@ fn write_trace_out(args: &Args, trace: &Trace) -> Result<(), ExitCode> {
         return Ok(());
     };
     match trace.write_chrome_trace(std::path::Path::new(path)) {
-        Ok(true) => {
-            println!("chrome trace written to {path} (load in Perfetto or chrome://tracing)");
-            Ok(())
-        }
+        Ok(true) => say!("chrome trace written to {path} (load in Perfetto or chrome://tracing)"),
         // Unreachable from the CLI — the trace is enabled whenever
         // --trace-out is given — but a disabled trace is not an error.
         Ok(false) => Ok(()),
@@ -323,19 +369,18 @@ fn list(json: bool) -> Result<(), ExitCode> {
     let catalog = catalog();
     if json {
         let json = serde_json::to_string_pretty(&catalog).expect("catalog serializes");
-        println!("{json}");
-        return Ok(());
+        return say!("{json}");
     }
-    println!("experiments:");
+    say!("experiments:")?;
     for name in &catalog.experiments {
-        println!("  {name}");
+        say!("  {name}")?;
     }
-    println!("\nprefetcher plugins (built-in registry):");
+    say!("\nprefetcher plugins (built-in registry):")?;
     for plugin in &catalog.plugins {
         if plugin.description.is_empty() {
-            println!("  {}", plugin.name);
+            say!("  {}", plugin.name)?;
         } else {
-            println!("  {:<14} {}", plugin.name, plugin.description);
+            say!("  {:<14} {}", plugin.name, plugin.description)?;
         }
     }
     Ok(())
@@ -351,18 +396,15 @@ fn trace_check(args: &Args) -> Result<(), ExitCode> {
     let required: Vec<&str> = args.values("--require").collect();
     let text = read_file(path)?;
     match tracelog::check_chrome_trace(&text, &required) {
-        Ok(check) => {
-            println!(
-                "{path}: valid chrome trace: {} events, {} spans ({} distinct names), \
-                 ends at {} us, {} events dropped to ring overflow",
-                check.events,
-                check.spans,
-                check.span_names.len(),
-                check.end_us,
-                check.dropped,
-            );
-            Ok(())
-        }
+        Ok(check) => say!(
+            "{path}: valid chrome trace: {} events, {} spans ({} distinct names), \
+             ends at {} us, {} events dropped to ring overflow",
+            check.events,
+            check.spans,
+            check.span_names.len(),
+            check.end_us,
+            check.dropped,
+        ),
         Err(e) => {
             eprintln!("{path}: {e}");
             Err(ExitCode::FAILURE)
@@ -377,8 +419,8 @@ const SPEC_TABLE_HEADER: &str =
 
 /// Prints one row of the per-job summary table (shared by `run --spec` and
 /// `submit`).
-fn print_spec_row(job: &engine::SimJob, result: &JobResult) {
-    println!(
+fn print_spec_row(job: &engine::SimJob, result: &JobResult) -> Result<(), ExitCode> {
+    say!(
         "{:<4} {:<14} {:<21} {:>8}  {:>7.2}  {:>7.2}  {:>10}",
         result.job_index,
         job.sim.prefetcher.plugin,
@@ -387,7 +429,7 @@ fn print_spec_row(job: &engine::SimJob, result: &JobResult) {
         result.summary.l1_read_mpki(),
         result.summary.l2_read_mpki(),
         result.summary.prefetch_requests,
-    );
+    )
 }
 
 /// Prints a job's warnings to stderr (shared by `run --spec` and `submit`).
@@ -427,34 +469,33 @@ fn run_serve(args: &Args, trace: &Trace) -> Result<(), ExitCode> {
         ExitCode::FAILURE
     })?;
     if let Some(path) = server.unix_socket() {
-        println!("serving on unix:{}", path.display());
+        say!("serving on unix:{}", path.display())?;
     }
     if let Some(addr) = server.tcp_addr() {
-        println!("serving on tcp:{addr}");
+        say!("serving on tcp:{addr}")?;
     }
     if quota > 0 {
-        println!("per-client quota: {quota} jobs queued or running");
+        say!("per-client quota: {quota} jobs queued or running")?;
     }
     if cache_max_entries > 0 || cache_max_bytes > 0 {
-        println!(
+        say!(
             "result cache budget: {cache_max_entries} entries, {cache_max_bytes} bytes (0 = unlimited)"
-        );
+        )?;
     }
     if queue_max > 0 {
-        println!(
-            "submission queue bound: {queue_max} (excess submissions are shed as `overloaded`)"
-        );
+        say!("submission queue bound: {queue_max} (excess submissions are shed as `overloaded`)")?;
     }
     if let Some(dir) = cache_dir {
         let m = server.metrics();
-        println!(
+        say!(
             "result cache persisted in {dir}: {} entries reloaded, {} skipped as corrupt",
-            m.cache_loaded, m.cache_load_skipped
-        );
+            m.cache_loaded,
+            m.cache_load_skipped
+        )?;
     }
-    println!("waiting for submissions; stop with `sms-experiments submit --shutdown`");
+    say!("waiting for submissions; stop with `sms-experiments submit --shutdown`")?;
     let metrics = server.wait();
-    println!(
+    say!(
         "served {} submissions / {} jobs ({} cache hits, {} misses, {} evictions); \
          max queue depth {}",
         metrics.submissions,
@@ -463,23 +504,23 @@ fn run_serve(args: &Args, trace: &Trace) -> Result<(), ExitCode> {
         metrics.cache_misses,
         metrics.cache_evictions,
         metrics.max_queue_depth,
-    );
+    )?;
     if metrics.deadline_cancellations > 0
         || metrics.disconnect_cancellations > 0
         || metrics.overload_rejections > 0
     {
-        println!(
+        say!(
             "faults tolerated: {} deadline cancellations, {} client disconnects, {} overload sheds",
             metrics.deadline_cancellations,
             metrics.disconnect_cancellations,
             metrics.overload_rejections,
-        );
+        )?;
     }
     if let Some(path) = args.value("--metrics-out") {
         let json = serde_json::to_string_pretty(&metrics.report())
             .expect("server metrics report serializes");
         write_file(path, json)?;
-        println!("server metrics written to {path}");
+        say!("server metrics written to {path}")?;
     }
     write_trace_out(args, trace)
 }
@@ -581,11 +622,10 @@ fn run_submit(args: &Args) -> Result<(), ExitCode> {
     if args.switch("--status") {
         let report = server::client::status(&endpoint).map_err(|e| failed(&e))?;
         if args.switch("--json") {
-            println!(
+            return say!(
                 "{}",
                 serde_json::to_string_pretty(&report).expect("server metrics report serializes")
             );
-            return Ok(());
         }
         let metrics = match report.decode::<ServerMetrics>(server::REPORT_KIND) {
             Ok(Some(metrics)) => metrics,
@@ -597,16 +637,14 @@ fn run_submit(args: &Args) -> Result<(), ExitCode> {
             }
             Err(e) => return Err(failed(&format!("undecodable status report: {e}"))),
         };
-        print!("{}", render_status(&metrics));
-        return Ok(());
+        return write_stdout(format_args!("{}", render_status(&metrics)));
     }
     if args.switch("--shutdown") {
         let ack = server::client::shutdown(&endpoint).map_err(|e| failed(&e))?;
-        println!(
+        return say!(
             "server shutting down ({} submissions draining)",
             ack.draining
         );
-        return Ok(());
     }
     let Some(spec_path) = args.value("--spec") else {
         eprintln!("submit requires --spec JOBS.json (or --status / --shutdown)");
@@ -626,22 +664,28 @@ fn run_submit(args: &Args) -> Result<(), ExitCode> {
         retries,
     };
     // Rows stream as frames arrive; the header waits for the first frame so
-    // a refused submission leaves stdout untouched.
+    // a refused submission leaves stdout untouched.  After a failed write
+    // the rest of the rows are dropped.
     let mut header_printed = false;
+    let mut printed = Ok(());
     let mut print_frame = |frame: &server::JobFrame| {
+        if printed.is_err() {
+            return;
+        }
         if !header_printed {
-            println!("{SPEC_TABLE_HEADER}");
+            printed = say!("{SPEC_TABLE_HEADER}");
             header_printed = true;
         }
         if let Some(job) = list.jobs.get(frame.result.job_index) {
-            print_spec_row(job, &frame.result);
+            printed = printed.and_then(|()| print_spec_row(job, &frame.result));
         }
     };
     let outcome = server::client::submit(&endpoint, &list, &options, &mut print_frame)
         .map_err(|e| failed(&e))?;
+    printed?;
     if !header_printed {
         // `run --spec` prints the header even for an empty job list.
-        println!("{SPEC_TABLE_HEADER}");
+        say!("{SPEC_TABLE_HEADER}")?;
     }
     for frame in &outcome.frames {
         print_spec_warnings(&frame.result);
@@ -703,9 +747,9 @@ fn run_spec(args: &Args, trace: &Trace) -> Result<(), ExitCode> {
             eprintln!("{e}");
             ExitCode::FAILURE
         })?;
-    println!("{SPEC_TABLE_HEADER}");
+    say!("{SPEC_TABLE_HEADER}")?;
     for (job, result) in list.jobs.iter().zip(&results) {
-        print_spec_row(job, result);
+        print_spec_row(job, result)?;
     }
     for result in &results {
         print_spec_warnings(result);
@@ -733,8 +777,7 @@ fn run_spec(args: &Args, trace: &Trace) -> Result<(), ExitCode> {
 fn write_results(path: &str, results: &[JobResult]) -> Result<(), ExitCode> {
     let json = serde_json::to_string_pretty(results).expect("results serialize");
     write_file(path, json)?;
-    println!("\nraw engine results written to {path}");
-    Ok(())
+    say!("\nraw engine results written to {path}")
 }
 
 /// Runs the experiments the command selects from the experiment table
@@ -774,8 +817,7 @@ fn run_experiments(args: &Args, trace: &Trace) -> Result<(), ExitCode> {
         }
         let json = serde_json::to_string_pretty(&JobList::new(jobs)).expect("jobs serialize");
         write_file(path, json)?;
-        println!("engine job spec written to {path}");
-        return Ok(());
+        return say!("engine job spec written to {path}");
     }
 
     // The --out dump continues job indices from one list to the next, so it
@@ -806,7 +848,7 @@ fn run_experiments(args: &Args, trace: &Trace) -> Result<(), ExitCode> {
         }
         let report = (experiment.report)(&config, representative_only, &results);
         for table in &report.tables {
-            println!("{table}");
+            say!("{table}")?;
         }
         if let Some(entry) = document
             .iter_mut()
@@ -823,7 +865,7 @@ fn run_experiments(args: &Args, trace: &Trace) -> Result<(), ExitCode> {
         let json =
             serde_json::to_string_pretty(&Value::Object(document)).expect("results serialize");
         write_file(path, json)?;
-        println!("\nraw results written to {path}");
+        say!("\nraw results written to {path}")?;
     }
     write_trace_out(args, trace)
 }

@@ -1,8 +1,11 @@
-//! The CLI rejects any `--flag` its subcommand does not take, before doing
-//! any work: a mistyped flag gets a "did you mean" suggestion, and a retired
-//! one fails instead of being silently ignored.
+//! The CLI rejects any `--flag` its subcommand does not take, and any
+//! argument that is neither the command nor an operand it takes, before
+//! doing any work: a mistyped flag gets a "did you mean" suggestion, and a
+//! retired one fails instead of being silently ignored.  A stdout closed by
+//! its reader ends a command quietly.
 
-use std::process::{Command, Output};
+use std::io::Read;
+use std::process::{Command, Output, Stdio};
 
 fn sms_experiments(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_sms-experiments"))
@@ -163,4 +166,70 @@ fn a_flag_that_takes_a_value_cannot_come_last_without_one() {
         );
         assert!(output.stdout.is_empty(), "{args:?} ran anyway");
     }
+}
+
+#[test]
+fn an_argument_the_command_does_not_take_exits_2_and_names_it() {
+    for (args, message) in [
+        (
+            &["fig05", "quick"][..],
+            r#"fig5: unexpected argument "quick" (did you mean "--quick"?)"#,
+        ),
+        (
+            &["table1", "quick"],
+            r#"table1: unexpected argument "quick" (did you mean "--quick"?)"#,
+        ),
+        (&["fig05", "fig06"], r#"unexpected argument "fig06""#),
+        (
+            &["run", "--spec", "jobs.json", "extra"],
+            r#"run: unexpected argument "extra""#,
+        ),
+        (&["list", "extra"], r#"list: unexpected argument "extra""#),
+        (
+            &["trace-check", "a.json", "b.json"],
+            r#"trace-check: unexpected argument "b.json""#,
+        ),
+        // Two commands, however they are named.
+        (
+            &["fig05", "--figure", "fig06"],
+            r#"not both "fig05" and "fig06""#,
+        ),
+        (
+            &["--figure", "fig05", "--quick", "--figure", "fig06"],
+            r#"not both "fig05" and "fig06""#,
+        ),
+    ] {
+        let output = sms_experiments(args);
+        assert_eq!(
+            output.status.code(),
+            Some(2),
+            "{args:?}: {}",
+            stderr(&output)
+        );
+        assert!(
+            stderr(&output).contains(message),
+            "{args:?}: {}",
+            stderr(&output)
+        );
+        assert!(output.stdout.is_empty(), "{args:?} ran anyway");
+    }
+}
+
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    // `all` prints Table 1 at once and Figure 4 after its jobs run, so the
+    // second write comes after the reader has gone.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_sms-experiments"))
+        .args(["all", "--quick", "--jobs", "1"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("the CLI runs");
+    let mut head = [0; 16];
+    let mut stdout = child.stdout.take().expect("piped stdout");
+    stdout.read_exact(&mut head).expect("the CLI prints");
+    drop(stdout);
+    let output = child.wait_with_output().expect("the CLI exits");
+    assert!(output.stderr.is_empty(), "{}", stderr(&output));
+    assert_eq!(output.status.code(), Some(1));
 }

@@ -184,6 +184,9 @@ pub struct GhbPredictor {
     index: PcIndex,
     /// Insertion order of index-table entries for capacity eviction.
     index_fifo: std::collections::VecDeque<Pc>,
+    /// The deltas of the current miss's PC, newest first; reused across
+    /// misses.
+    deltas: Vec<i64>,
     misses_observed: u64,
     prefetches_issued: u64,
 }
@@ -205,6 +208,7 @@ impl GhbPredictor {
             next_seq: 0,
             index: PcIndex::with_capacity(config.index_entries),
             index_fifo: std::collections::VecDeque::new(),
+            deltas: Vec::new(),
             misses_observed: 0,
             prefetches_issued: 0,
         }
@@ -236,35 +240,10 @@ impl GhbPredictor {
         seq < self.next_seq && self.next_seq - seq <= self.config.history_entries as u64
     }
 
-    /// Reconstructs this PC's miss-address history, oldest first.
-    fn pc_history(&self, pc: Pc) -> Vec<u64> {
-        let mut history = Vec::new();
-        let mut cursor = self.index.get(pc);
-        while let Some(seq) = cursor {
-            if !self.resident(seq) {
-                break;
-            }
-            let slot = self.slot(seq);
-            history.push(self.block_addrs[slot]);
-            if history.len() >= self.config.max_chain {
-                break;
-            }
-            cursor = match self.prevs[slot] {
-                NO_PREV => None,
-                prev => Some(prev),
-            };
-        }
-        history.reverse();
-        history
-    }
-
-    /// Observes a miss by instruction `pc` to address `addr` and returns the
-    /// block addresses to prefetch into the L2.
-    pub fn on_miss(&mut self, pc: Pc, addr: u64) -> Vec<u64> {
-        self.misses_observed += 1;
-        let block_addr = addr & !(self.config.block_bytes - 1);
-
-        // Insert the new entry, linking it to the PC's previous entry.
+    /// Appends the history entry for a miss by `pc` to `block_addr`,
+    /// linked to the PC's previous resident entry, and returns its sequence
+    /// number and slot.
+    fn record(&mut self, pc: Pc, block_addr: u64) -> (u64, usize) {
         let prev = self
             .index
             .get(pc)
@@ -284,37 +263,58 @@ impl GhbPredictor {
             self.index_fifo.push_back(pc);
         }
         self.index.insert(pc, seq);
+        (seq, slot)
+    }
 
-        // Delta correlation over this PC's history.
-        let history = self.pc_history(pc);
-        if history.len() < 4 {
-            return Vec::new();
-        }
-        let deltas: Vec<i64> = history
-            .windows(2)
-            .map(|w| (w[1] as i64 - w[0] as i64) / self.config.block_bytes as i64)
-            .collect();
-        let n = deltas.len();
-        let key = (deltas[n - 2], deltas[n - 1]);
-        // Search backwards (excluding the key itself) for the most recent
-        // earlier occurrence of the delta pair.
-        let mut predicted_deltas = Vec::new();
-        for i in (1..n - 1).rev() {
-            if (deltas[i - 1], deltas[i]) == key {
-                // Predict the deltas that followed the earlier occurrence.
-                for &d in deltas.iter().skip(i + 1).take(self.config.degree) {
-                    predicted_deltas.push(d);
-                }
+    /// Observes a miss by instruction `pc` to address `addr` and returns the
+    /// block addresses to prefetch into the L2.
+    ///
+    /// PC/DC looks for the newest earlier occurrence of the PC's two newest
+    /// deltas among its last `max_chain` misses and predicts the deltas that
+    /// followed it; the walk back along the PC's chain stops there.
+    pub fn on_miss(&mut self, pc: Pc, addr: u64) -> Vec<u64> {
+        self.misses_observed += 1;
+        let block_bytes = self.config.block_bytes as i64;
+        let block_addr = addr & !(self.config.block_bytes - 1);
+        let (mut seq, mut slot) = self.record(pc, block_addr);
+
+        // Counting this miss as the PC's miss 0 and its previous one as miss
+        // 1, `deltas[k]` is the step in blocks from miss k + 1 to miss k.
+        self.deltas.clear();
+        let mut newer = block_addr;
+        let mut matched = None;
+        for _ in 1..self.config.max_chain {
+            let prev = self.prevs[slot];
+            if !self.resident(prev) {
+                break;
+            }
+            // A resident entry is fewer than `history_entries` misses older
+            // than a newer one, so its slot is at most one wrap back.
+            let distance = (seq - prev) as usize;
+            slot = match slot.checked_sub(distance) {
+                Some(slot) => slot,
+                None => slot + self.config.history_entries - distance,
+            };
+            seq = prev;
+            let older = self.block_addrs[slot];
+            self.deltas
+                .push((newer as i64 - older as i64) / block_bytes);
+            newer = older;
+            let d = &self.deltas;
+            if d.len() >= 3 && (d[d.len() - 1], d[d.len() - 2]) == (d[1], d[0]) {
+                matched = Some(d.len() - 2);
                 break;
             }
         }
-        if predicted_deltas.is_empty() {
+        let Some(k) = matched else {
             return Vec::new();
-        }
-        let mut out = Vec::with_capacity(predicted_deltas.len());
+        };
+        // The deltas that followed the earlier pair, newest first.
+        let following = &self.deltas[k.saturating_sub(self.config.degree)..k];
+        let mut out = Vec::with_capacity(following.len());
         let mut next = block_addr as i64;
-        for d in predicted_deltas {
-            next += d * self.config.block_bytes as i64;
+        for &d in following.iter().rev() {
+            next += d * block_bytes;
             if next >= 0 {
                 out.push(next as u64);
             }
@@ -327,6 +327,107 @@ impl GhbPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `on_miss` as it was before its walk stopped at the first match: the
+    /// reference the walk is checked against.  It rebuilds the PC's whole
+    /// history (up to `max_chain` entries) oldest first, takes every delta,
+    /// and searches back for the newest earlier occurrence of the last pair.
+    fn reference_on_miss(ghb: &mut GhbPredictor, pc: Pc, addr: u64) -> Vec<u64> {
+        ghb.misses_observed += 1;
+        let block_addr = addr & !(ghb.config.block_bytes - 1);
+        ghb.record(pc, block_addr);
+        let mut history = Vec::new();
+        let mut cursor = ghb.index.get(pc);
+        while let Some(seq) = cursor {
+            if !ghb.resident(seq) {
+                break;
+            }
+            let slot = ghb.slot(seq);
+            history.push(ghb.block_addrs[slot]);
+            if history.len() >= ghb.config.max_chain {
+                break;
+            }
+            cursor = match ghb.prevs[slot] {
+                NO_PREV => None,
+                prev => Some(prev),
+            };
+        }
+        history.reverse();
+        if history.len() < 4 {
+            return Vec::new();
+        }
+        let deltas: Vec<i64> = history
+            .windows(2)
+            .map(|w| (w[1] as i64 - w[0] as i64) / ghb.config.block_bytes as i64)
+            .collect();
+        let n = deltas.len();
+        let key = (deltas[n - 2], deltas[n - 1]);
+        let mut predicted_deltas = Vec::new();
+        for i in (1..n - 1).rev() {
+            if (deltas[i - 1], deltas[i]) == key {
+                for &d in deltas.iter().skip(i + 1).take(ghb.config.degree) {
+                    predicted_deltas.push(d);
+                }
+                break;
+            }
+        }
+        let mut out = Vec::new();
+        let mut next = block_addr as i64;
+        for d in predicted_deltas {
+            next += d * ghb.config.block_bytes as i64;
+            if next >= 0 {
+                out.push(next as u64);
+            }
+        }
+        ghb.prefetches_issued += out.len() as u64;
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// Each PC steps through a repeating stride cycle of its own, with
+        /// random jumps, so delta pairs recur at every distance; buffers
+        /// of 1–999 entries wrap, and small index tables evict PCs.
+        #[test]
+        fn on_miss_matches_the_full_history_walk(
+            (history_entries, index_entries, degree, max_chain) in (1usize..1000, 1usize..16, 1usize..9, 1usize..65),
+            misses in proptest::collection::vec((0usize..8, proptest::bool::weighted(0.1), 0u64..1 << 16), 1..600),
+        ) {
+            const STRIDES: [i64; 7] = [1, 2, -1, 3, 1, 2, -4];
+            let config = GhbConfig {
+                history_entries,
+                index_entries,
+                block_bytes: 64,
+                degree,
+                max_chain,
+            };
+            let mut ghb = GhbPredictor::new(&config);
+            let mut reference = GhbPredictor::new(&config);
+            let mut addrs = [0x10_0000u64; 8];
+            let mut counts = [0usize; 8];
+            for (step, &(pc, jump, random)) in misses.iter().enumerate() {
+                let delta = if jump {
+                    random as i64 - (1 << 15)
+                } else {
+                    STRIDES[counts[pc] % (1 + pc % STRIDES.len())]
+                };
+                counts[pc] += 1;
+                addrs[pc] = addrs[pc].wrapping_add_signed(delta * 64);
+                let addr = addrs[pc] + random % 64;
+                let pc = 0x400 + 4 * pc as u64;
+                prop_assert_eq!(
+                    ghb.on_miss(pc, addr),
+                    reference_on_miss(&mut reference, pc, addr),
+                    "miss {} of {:?}",
+                    step,
+                    config
+                );
+            }
+            prop_assert_eq!(ghb.prefetches_issued(), reference.prefetches_issued());
+        }
+    }
 
     #[test]
     fn constant_stride_is_predicted() {

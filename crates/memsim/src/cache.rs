@@ -48,73 +48,31 @@ pub struct AccessOutcome {
     pub evicted: Option<EvictedLine>,
 }
 
-/// One cache line in 16 bytes: the tag, and the LRU stamp with the line's
-/// three state bits packed above it.
-#[derive(Debug, Clone, Copy)]
-struct Line {
-    tag: u64,
-    meta: u64,
+/// A line's state word, stored beside its block address: the valid, dirty
+/// and prefetched-unused bits above a 29-bit LRU stamp.  A line is 12 bytes
+/// (an 8-byte block address and this word), and an all-zero line is
+/// invalid, so a new cache is zeroed memory.
+const VALID: u32 = 1 << 31;
+const DIRTY: u32 = 1 << 30;
+const PREFETCHED: u32 = 1 << 29;
+/// The LRU stamp's bits, and the largest stamp the clock reaches before
+/// [`SetAssocCache::renumber`] restarts it.
+const LRU: u32 = PREFETCHED - 1;
+
+/// How a line with state word `meta` and block address `tag` departs.
+fn departed(tag: u64, meta: u32) -> EvictedLine {
+    EvictedLine {
+        block_addr: tag,
+        dirty: meta & DIRTY != 0,
+        state: line_state(meta),
+    }
 }
 
-impl Line {
-    const VALID: u64 = 1 << 63;
-    const DIRTY: u64 = 1 << 62;
-    const PREFETCHED: u64 = 1 << 61;
-    /// The LRU stamp's bits; the clock must stay below 2^61.
-    const LRU: u64 = Self::PREFETCHED - 1;
-
-    const INVALID: Line = Line { tag: 0, meta: 0 };
-
-    fn new(tag: u64, dirty: bool, prefetched_unused: bool) -> Line {
-        let mut line = Line {
-            tag,
-            meta: Self::VALID,
-        };
-        line.set(Self::DIRTY, dirty);
-        line.set(Self::PREFETCHED, prefetched_unused);
-        line
-    }
-
-    fn set(&mut self, bit: u64, on: bool) {
-        if on {
-            self.meta |= bit;
-        } else {
-            self.meta &= !bit;
-        }
-    }
-
-    fn valid(&self) -> bool {
-        self.meta & Self::VALID != 0
-    }
-
-    fn dirty(&self) -> bool {
-        self.meta & Self::DIRTY != 0
-    }
-
-    fn prefetched_unused(&self) -> bool {
-        self.meta & Self::PREFETCHED != 0
-    }
-
-    fn lru(&self) -> u64 {
-        self.meta & Self::LRU
-    }
-
-    fn set_lru(&mut self, tick: u64) {
-        debug_assert!(tick <= Self::LRU, "LRU clock overflowed its 61 bits");
-        self.meta = (self.meta & !Self::LRU) | tick;
-    }
-
-    /// How the line departs when evicted or invalidated.
-    fn departed(&self) -> EvictedLine {
-        EvictedLine {
-            block_addr: self.tag,
-            dirty: self.dirty(),
-            state: if self.prefetched_unused() {
-                CacheLineState::PrefetchedUnused
-            } else {
-                CacheLineState::Demand
-            },
-        }
+fn line_state(meta: u32) -> CacheLineState {
+    if meta & PREFETCHED != 0 {
+        CacheLineState::PrefetchedUnused
+    } else {
+        CacheLineState::Demand
     }
 }
 
@@ -137,11 +95,19 @@ impl Residency for () {
 }
 
 /// A set-associative cache model.
+///
+/// Line `i` is `tags[i]` and `meta[i]`; set `s` owns lines
+/// `s * associativity .. (s + 1) * associativity`.  Within a set the valid
+/// lines' LRU stamps are unique and at least 1.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     config: CacheConfig,
-    lines: Vec<Line>,
-    tick: u64,
+    /// Each line's block address (0 for an invalid line).
+    tags: Vec<u64>,
+    /// Each line's state word (0 for an invalid line).
+    meta: Vec<u32>,
+    /// The last LRU stamp handed out.
+    tick: u32,
     /// `log2(block_bytes)`: an address shifted right by it is its block
     /// index.
     block_shift: u32,
@@ -151,14 +117,37 @@ pub struct SetAssocCache {
 
 impl SetAssocCache {
     /// Creates an empty cache with the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the associativity is not below the LRU clock's limit
+    /// (2^29 - 1).
     pub fn new(config: CacheConfig) -> Self {
-        let lines = vec![Line::INVALID; config.num_lines() as usize];
+        assert!(
+            config.associativity < LRU,
+            "associativity must be below the LRU clock's limit"
+        );
+        let lines = config.num_lines() as usize;
         Self {
             config,
-            lines,
+            // Zeroed allocations: every line starts invalid, and the pages
+            // are mapped only when first written.
+            tags: vec![0; lines],
+            meta: vec![0; lines],
             tick: 0,
             block_shift: config.block_bytes.trailing_zeros(),
             set_mask: config.num_sets() - 1,
+        }
+    }
+
+    /// An empty cache whose clock starts at `tick`, to test the stamps'
+    /// renumbering without 2^29 accesses.
+    #[cfg(test)]
+    fn with_clock(config: CacheConfig, tick: u32) -> Self {
+        assert!(tick <= LRU);
+        Self {
+            tick,
+            ..Self::new(config)
         }
     }
 
@@ -178,15 +167,37 @@ impl SetAssocCache {
     }
 
     fn touch(&mut self, index: usize) {
+        if self.tick == LRU {
+            self.renumber();
+        }
         self.tick += 1;
-        self.lines[index].set_lru(self.tick);
+        self.meta[index] = (self.meta[index] & !LRU) | self.tick;
+    }
+
+    /// Renumbers the valid stamps of each set 1..k in their current order
+    /// and restarts the clock at the associativity, above every renumbered
+    /// stamp.  Stamps stay unique within each set and keep their order, so
+    /// every later victim is the one the unbounded clock would have chosen.
+    #[cold]
+    fn renumber(&mut self) {
+        let assoc = self.config.associativity as usize;
+        let mut order = Vec::with_capacity(assoc);
+        for set in self.meta.chunks_exact_mut(assoc) {
+            order.clear();
+            order.extend((0..assoc).filter(|&way| set[way] & VALID != 0));
+            order.sort_unstable_by_key(|&way| set[way] & LRU);
+            for (stamp, &way) in (1..).zip(&order) {
+                set[way] = (set[way] & !LRU) | stamp;
+            }
+        }
+        self.tick = self.config.associativity;
     }
 
     /// The way holding the block containing `addr`, if present.
     pub(crate) fn find(&self, addr: u64) -> Option<usize> {
         let tag = self.tag(addr);
         self.set_range(addr)
-            .find(|&i| self.lines[i].valid() && self.lines[i].tag == tag)
+            .find(|&i| self.meta[i] & VALID != 0 && self.tags[i] == tag)
     }
 
     /// Returns `true` if the block containing `addr` is present.
@@ -196,13 +207,7 @@ impl SetAssocCache {
 
     /// Returns the usage state of the block containing `addr`, if present.
     pub fn line_state(&self, addr: u64) -> Option<CacheLineState> {
-        self.find(addr).map(|i| {
-            if self.lines[i].prefetched_unused() {
-                CacheLineState::PrefetchedUnused
-            } else {
-                CacheLineState::Demand
-            }
-        })
+        self.find(addr).map(|i| line_state(self.meta[i]))
     }
 
     /// One pass over the set holding `addr`: `Ok` with the way that holds
@@ -211,27 +216,23 @@ impl SetAssocCache {
     fn lookup(&self, addr: u64) -> Result<usize, usize> {
         let tag = self.tag(addr);
         let range = self.set_range(addr);
-        let mut victim = range.start;
-        let mut victim_rank = u64::MAX;
-        for i in range {
-            let line = &self.lines[i];
-            // Valid lines carry LRU stamps of at least 1 (`touch` advances
-            // the clock before stamping), so ranking an invalid way 0 makes
-            // the first invalid way win and the LRU way win otherwise.
-            let rank = if line.valid() {
-                if line.tag == tag {
-                    return Ok(i);
-                }
-                line.lru()
-            } else {
-                0
-            };
+        let (tags, meta) = (&self.tags[range.clone()], &self.meta[range.clone()]);
+        let mut victim = 0;
+        let mut victim_rank = u32::MAX;
+        for (way, (&line_tag, &line_meta)) in tags.iter().zip(meta).enumerate() {
+            if line_meta & VALID != 0 && line_tag == tag {
+                return Ok(range.start + way);
+            }
+            // An invalid line's word is 0, so it ranks 0, below every valid
+            // line's stamp (at least 1): the first invalid way wins, and the
+            // LRU way wins otherwise.
+            let rank = line_meta & LRU;
             if rank < victim_rank {
                 victim_rank = rank;
-                victim = i;
+                victim = way;
             }
         }
-        Err(victim)
+        Err(range.start + victim)
     }
 
     /// Performs a demand access (load or store) to `addr`.
@@ -260,11 +261,11 @@ impl SetAssocCache {
     ) -> AccessOutcome {
         match self.lookup(addr) {
             Ok(i) => {
-                let line = &mut self.lines[i];
-                let was_prefetched = line.prefetched_unused();
-                line.set(Line::PREFETCHED, false);
+                let meta = &mut self.meta[i];
+                let was_prefetched = *meta & PREFETCHED != 0;
+                *meta &= !PREFETCHED;
                 if kind.is_write() {
-                    line.set(Line::DIRTY, true);
+                    *meta |= DIRTY;
                 }
                 self.touch(i);
                 let upgrade = kind.is_write() && was_prefetched;
@@ -318,7 +319,7 @@ impl SetAssocCache {
         match self.lookup(addr) {
             Ok(i) => {
                 if dirty {
-                    self.lines[i].set(Line::DIRTY, true);
+                    self.meta[i] |= DIRTY;
                 }
                 self.touch(i);
                 None
@@ -336,14 +337,16 @@ impl SetAssocCache {
         prefetched: bool,
         residency: &mut impl Residency,
     ) -> Option<EvictedLine> {
-        let old = self.lines[victim];
+        let (old_tag, old_meta) = (self.tags[victim], self.meta[victim]);
         let tag = self.tag(addr);
-        self.lines[victim] = Line::new(tag, dirty, prefetched);
+        self.tags[victim] = tag;
+        self.meta[victim] =
+            VALID | if dirty { DIRTY } else { 0 } | if prefetched { PREFETCHED } else { 0 };
         self.touch(victim);
         residency.installed(tag);
-        old.valid().then(|| {
-            residency.departed(old.tag);
-            old.departed()
+        (old_meta & VALID != 0).then(|| {
+            residency.departed(old_tag);
+            departed(old_tag, old_meta)
         })
     }
 
@@ -360,21 +363,27 @@ impl SetAssocCache {
         way: usize,
         residency: &mut impl Residency,
     ) -> EvictedLine {
-        let old = self.lines[way];
-        self.lines[way] = Line::INVALID;
-        residency.departed(old.tag);
-        old.departed()
+        let (tag, meta) = (self.tags[way], self.meta[way]);
+        self.tags[way] = 0;
+        self.meta[way] = 0;
+        residency.departed(tag);
+        departed(tag, meta)
     }
 
     /// Iterates over the block addresses of all resident lines.
     pub fn resident_blocks(&self) -> impl Iterator<Item = u64> + '_ {
-        self.lines.iter().filter(|l| l.valid()).map(|l| l.tag)
+        self.tags
+            .iter()
+            .zip(&self.meta)
+            .filter(|&(_, &meta)| meta & VALID != 0)
+            .map(|(&tag, _)| tag)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tiny() -> SetAssocCache {
         // 4 sets x 2 ways x 64B = 512B cache.
@@ -514,8 +523,10 @@ mod tests {
     }
 
     #[test]
-    fn a_line_is_sixteen_bytes() {
-        assert_eq!(std::mem::size_of::<Line>(), 16);
+    fn a_line_is_twelve_bytes() {
+        let c = SetAssocCache::new(CacheConfig::l2_table1());
+        let bytes = std::mem::size_of_val(&c.tags[..]) + std::mem::size_of_val(&c.meta[..]);
+        assert_eq!(bytes, 12 * c.config.num_lines() as usize);
     }
 
     #[test]
@@ -524,5 +535,215 @@ mod tests {
         let mut c = SetAssocCache::new(CacheConfig::new(16 * 1024, 2, 2048));
         assert!(!c.access(0x0000, AccessKind::Read).hit);
         assert!(c.access(0x0400, AccessKind::Read).hit);
+    }
+
+    /// A naive set-associative cache, written from the model's description:
+    /// a `Vec` of ways per set, and each set's valid ways in an explicit
+    /// recency list, least recently used first.  A fill takes the first
+    /// invalid way, else the head of the list.
+    struct Reference {
+        block_bytes: u64,
+        sets: Vec<Vec<Option<RefLine>>>,
+        recency: Vec<Vec<usize>>,
+        /// LRU updates made, to know when the model's clock must wrap.
+        touches: usize,
+    }
+
+    #[derive(Clone, Copy)]
+    struct RefLine {
+        block: u64,
+        dirty: bool,
+        prefetched: bool,
+    }
+
+    impl RefLine {
+        fn departed(self) -> EvictedLine {
+            EvictedLine {
+                block_addr: self.block,
+                dirty: self.dirty,
+                state: if self.prefetched {
+                    CacheLineState::PrefetchedUnused
+                } else {
+                    CacheLineState::Demand
+                },
+            }
+        }
+    }
+
+    impl Reference {
+        fn new(config: CacheConfig) -> Self {
+            let (sets, ways) = (config.num_sets() as usize, config.associativity as usize);
+            Self {
+                block_bytes: config.block_bytes,
+                sets: vec![vec![None; ways]; sets],
+                recency: vec![Vec::new(); sets],
+                touches: 0,
+            }
+        }
+
+        /// The set of `addr`, its block address, and the way holding it.
+        fn locate(&self, addr: u64) -> (usize, u64, Option<usize>) {
+            let block = addr - addr % self.block_bytes;
+            let set = (addr / self.block_bytes) as usize % self.sets.len();
+            let way = self.sets[set]
+                .iter()
+                .position(|line| line.is_some_and(|line| line.block == block));
+            (set, block, way)
+        }
+
+        fn touch(&mut self, set: usize, way: usize) {
+            self.recency[set].retain(|&w| w != way);
+            self.recency[set].push(way);
+            self.touches += 1;
+        }
+
+        fn replace(
+            &mut self,
+            set: usize,
+            block: u64,
+            dirty: bool,
+            prefetched: bool,
+        ) -> Option<EvictedLine> {
+            let way = match self.sets[set].iter().position(Option::is_none) {
+                Some(free) => free,
+                None => self.recency[set][0],
+            };
+            let old = self.sets[set][way].replace(RefLine {
+                block,
+                dirty,
+                prefetched,
+            });
+            self.touch(set, way);
+            old.map(RefLine::departed)
+        }
+
+        fn access(&mut self, addr: u64, kind: AccessKind) -> AccessOutcome {
+            match self.locate(addr) {
+                (set, _, Some(way)) => {
+                    let line = self.sets[set][way].as_mut().expect("located");
+                    let was_prefetched = line.prefetched;
+                    line.prefetched = false;
+                    line.dirty |= kind.is_write();
+                    self.touch(set, way);
+                    let upgrade = kind.is_write() && was_prefetched;
+                    AccessOutcome {
+                        hit: !upgrade,
+                        hit_on_prefetched: was_prefetched && !upgrade,
+                        evicted: None,
+                    }
+                }
+                (set, block, None) => AccessOutcome {
+                    hit: false,
+                    hit_on_prefetched: false,
+                    evicted: self.replace(set, block, kind.is_write(), false),
+                },
+            }
+        }
+
+        fn prefetch_fill(&mut self, addr: u64) -> Option<Option<EvictedLine>> {
+            match self.locate(addr) {
+                (_, _, Some(_)) => None,
+                (set, block, None) => Some(self.replace(set, block, false, true)),
+            }
+        }
+
+        fn fill(&mut self, addr: u64, dirty: bool) -> Option<EvictedLine> {
+            match self.locate(addr) {
+                (set, _, Some(way)) => {
+                    self.sets[set][way].as_mut().expect("located").dirty |= dirty;
+                    self.touch(set, way);
+                    None
+                }
+                (set, block, None) => self.replace(set, block, dirty, false),
+            }
+        }
+
+        fn invalidate(&mut self, addr: u64) -> Option<EvictedLine> {
+            let (set, _, way) = self.locate(addr);
+            let way = way?;
+            self.recency[set].retain(|&w| w != way);
+            self.sets[set][way].take().map(RefLine::departed)
+        }
+
+        /// Every valid line's block and state, in way order.
+        fn lines(&self) -> Vec<(u64, CacheLineState)> {
+            let lines = self.sets.iter().flatten().flatten();
+            lines
+                .map(|line| (line.block, line.departed().state))
+                .collect()
+        }
+
+        /// Applies operation `op` (see [`run`]) to `addr`.
+        fn run(&mut self, op: u8, addr: u64) -> Outcome {
+            match op {
+                0 => Outcome::Access(self.access(addr, AccessKind::Read)),
+                1 => Outcome::Access(self.access(addr, AccessKind::Write)),
+                2 | 3 => Outcome::Prefetch(self.prefetch_fill(addr)),
+                4 | 5 => Outcome::Departed(self.fill(addr, op == 5)),
+                _ => Outcome::Departed(self.invalidate(addr)),
+            }
+        }
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum Outcome {
+        Access(AccessOutcome),
+        Prefetch(Option<Option<EvictedLine>>),
+        Departed(Option<EvictedLine>),
+    }
+
+    /// Applies operation `op` to `addr`: a read, a write, a prefetch fill,
+    /// a clean or a dirty fill, or an invalidation.
+    fn run(cache: &mut SetAssocCache, op: u8, addr: u64) -> Outcome {
+        match op {
+            0 => Outcome::Access(cache.access(addr, AccessKind::Read)),
+            1 => Outcome::Access(cache.access(addr, AccessKind::Write)),
+            2 | 3 => Outcome::Prefetch(cache.prefetch_fill_absent(addr, &mut ())),
+            4 | 5 => Outcome::Departed(cache.fill(addr, op == 5)),
+            _ => Outcome::Departed(cache.invalidate(addr)),
+        }
+    }
+
+    fn lines(cache: &SetAssocCache) -> Vec<(u64, CacheLineState)> {
+        let blocks = cache.resident_blocks();
+        blocks
+            .map(|block| (block, cache.line_state(block).expect("resident")))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// Every outcome, victim and line state matches the reference, from a
+        /// new cache and from one whose clock reaches its limit halfway
+        /// through the sequence and renumbers the stamps.
+        #[test]
+        fn matches_the_reference_model(
+            (set_shift, ways, block_shift) in (0u32..5, 1u32..17, 6u32..12),
+            ops in proptest::collection::vec((0u8..7, 0u64..1 << 20, 0u64..4096), 1..400),
+        ) {
+            let block_bytes = 1u64 << block_shift;
+            let sets = 1u64 << set_shift;
+            let config = CacheConfig::new(sets * u64::from(ways) * block_bytes, ways, block_bytes);
+            let start = LRU - ops.len() as u32 / 2;
+            let mut caches = [SetAssocCache::new(config), SetAssocCache::with_clock(config, start)];
+            let mut reference = Reference::new(config);
+            // Twice as many blocks as lines in each of two ranges far apart
+            // in the address space, so every set overflows.
+            let blocks = 2 * sets * u64::from(ways);
+            for (step, &(op, block, byte)) in ops.iter().enumerate() {
+                let high = if block & 1 == 0 { 0 } else { 1 << 40 };
+                let addr = high + (block >> 1) % blocks * block_bytes + byte % block_bytes;
+                let expected = reference.run(op, addr);
+                for cache in &mut caches {
+                    let context = format!("step {step}, op {op}, addr {addr:#x}, {config:?}");
+                    prop_assert_eq!(run(cache, op, addr), expected, "{}", context);
+                    prop_assert_eq!(lines(cache), reference.lines(), "{}", context);
+                }
+            }
+            if reference.touches > ops.len() / 2 {
+                prop_assert!(caches[1].tick < start, "the clock was renumbered");
+            }
+        }
     }
 }

@@ -22,16 +22,20 @@
 //! # How the history is stored
 //!
 //! A miss is cold when its processor has never cached the block at that
-//! level, so the classifier remembers, per processor, every block it has ever
-//! cached.  Traces bring in a new block every few accesses, so that history
-//! grows for the whole run and is probed on every L1 and off-chip miss.  It
-//! is kept as a bitmap per group of 64 consecutive blocks (block index =
-//! `addr >> log2(block_bytes)`, group = index >> 6) in a map from group to
-//! one 64-bit word: programs touch blocks in clusters, so each group holds
-//! several blocks and the map is several times smaller than a set of block
-//! addresses, and a lookup is one probe of that smaller map plus a bit
-//! test-and-set.  Invalidations are rare (tens per thousand accesses), so
-//! the blocks awaiting a sharing miss stay in a sparse map from block to the
+//! level, so the accounting remembers, per processor, every block it has
+//! ever cached at each level.  Traces bring in a new block every few
+//! accesses, so that history grows for the whole run and is probed on every
+//! L1 and off-chip miss.  It is kept as bitmaps: per processor, one map from
+//! each group of 64 consecutive blocks (block index = `addr >>
+//! log2(block_bytes)`, group = index >> 6) to two 64-bit words, the group's
+//! L1 and L2 seen-bits, 24 bytes per group.  Programs touch blocks in
+//! clusters, so each group holds several blocks and the map is several
+//! times smaller than a set of block addresses.  When the two levels' block
+//! sizes match, an address has one group at both levels, so an off-chip
+//! miss finds both words with one probe; when they differ, each level keys
+//! its own groups in the same map and reads only its own word.
+//! Invalidations are rare (tens per thousand accesses), so the blocks
+//! awaiting a sharing miss stay in sparse per-level maps from block to the
 //! remote writer's address.
 
 use crate::config::HierarchyConfig;
@@ -52,104 +56,6 @@ pub enum MissKind {
     /// The block was invalidated by a remote write to a *different* 64 B
     /// chunk — an artifact of the block size, not of actual data sharing.
     FalseSharing,
-}
-
-/// A set of block indices stored as one bit per block in a map from each
-/// group of 64 consecutive blocks to its 64-bit word.
-#[derive(Debug, Clone, Default)]
-struct BlockSet {
-    groups: FastMap<u64, u64>,
-}
-
-impl BlockSet {
-    /// Adds block `index`; returns whether it was absent.
-    #[inline]
-    fn insert(&mut self, index: u64) -> bool {
-        let word = self.groups.entry(index >> 6).or_insert(0);
-        let bit = 1 << (index & 63);
-        let absent = *word & bit == 0;
-        *word |= bit;
-        absent
-    }
-}
-
-/// Classifies misses for one cache level across all processors.
-#[derive(Debug, Clone)]
-pub struct MissClassifier {
-    /// `log2(block_bytes)`: an address shifted right by it is a block index.
-    block_shift: u32,
-    /// Per-CPU set of blocks that have been cached at some point.
-    seen: Vec<BlockSet>,
-    /// Per-CPU map from invalidated block index to the address the remote
-    /// writer touched.
-    invalidated: Vec<FastMap<u64, u64>>,
-}
-
-impl MissClassifier {
-    /// Creates a classifier for `cpus` processors at `block_bytes`
-    /// granularity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cpus` is zero or `block_bytes` is not a power of two.
-    pub fn new(cpus: usize, block_bytes: u64) -> Self {
-        assert!(cpus > 0, "need at least one cpu");
-        assert!(
-            block_bytes.is_power_of_two(),
-            "block size must be a power of two"
-        );
-        Self {
-            block_shift: block_bytes.trailing_zeros(),
-            seen: vec![BlockSet::default(); cpus],
-            invalidated: vec![FastMap::default(); cpus],
-        }
-    }
-
-    fn block(&self, addr: u64) -> u64 {
-        addr >> self.block_shift
-    }
-
-    fn chunk(addr: u64) -> u64 {
-        addr & !63
-    }
-
-    /// Records that `cpu`'s copy of the block containing `addr` was
-    /// invalidated because a remote processor wrote `written_addr`.
-    pub fn record_invalidation(&mut self, cpu: u8, addr: u64, written_addr: u64) {
-        let block = self.block(addr);
-        self.invalidated[cpu as usize].insert(block, written_addr);
-    }
-
-    /// Classifies a demand miss by `cpu` to `addr` and updates history so the
-    /// block is considered seen afterwards.
-    pub fn classify_miss(&mut self, cpu: u8, addr: u64) -> MissKind {
-        let block = self.block(addr);
-        let cpu_idx = cpu as usize;
-        let first_fill = self.seen[cpu_idx].insert(block);
-        if let Some(written) = self.invalidated[cpu_idx].remove(&block) {
-            if Self::chunk(written) == Self::chunk(addr) {
-                return MissKind::TrueSharing;
-            }
-            return MissKind::FalseSharing;
-        }
-        if first_fill {
-            MissKind::Cold
-        } else {
-            MissKind::Replacement
-        }
-    }
-
-    /// Marks a block as resident for `cpu` without classifying a miss (used
-    /// for prefetch fills so later misses are not misreported as cold).
-    pub fn note_fill(&mut self, cpu: u8, addr: u64) {
-        let block = self.block(addr);
-        self.seen[cpu as usize].insert(block);
-    }
-
-    /// The block granularity this classifier operates at.
-    pub fn block_bytes(&self) -> u64 {
-        1 << self.block_shift
-    }
 }
 
 /// Per-kind miss counters.
@@ -211,7 +117,7 @@ pub struct OutcomeTape {
     flags: Vec<u8>,
     /// `(access index within this tape, invalidated cpu)`, in the exact
     /// order the inline path would call
-    /// [`MissClassifier::record_invalidation`].
+    /// [`MissAccounting::on_invalidation`].
     invalidations: Vec<(u32, u8)>,
 }
 
@@ -296,7 +202,7 @@ impl OutcomeTape {
 }
 
 /// The accounting half of a [`MultiCpuSystem`](crate::system::MultiCpuSystem):
-/// both levels' miss classifiers and the breakdowns they feed.
+/// both levels' miss history and the breakdowns it feeds.
 ///
 /// The system drives an embedded instance inline on the per-access
 /// [`access`](crate::system::MultiCpuSystem::access) path; the engine's job
@@ -306,32 +212,52 @@ impl OutcomeTape {
 /// [`MissBreakdown`]s are bit-identical.
 #[derive(Debug, Clone)]
 pub struct MissAccounting {
-    l1: MissClassifier,
-    l2: MissClassifier,
-    l1_breakdown: MissBreakdown,
-    l2_breakdown: MissBreakdown,
+    /// `log2(block_bytes)` of the L1 and of the L2: an address shifted
+    /// right by a level's is its block index at that level.
+    shifts: [u32; 2],
+    /// Per CPU: from each 64-block group to its `[L1, L2]` words of blocks
+    /// cached at some point.  Level `l` keys its groups by `block index >>
+    /// 6` at its own block size and reads only word `l`.
+    seen: Vec<FastMap<u64, [u64; 2]>>,
+    /// Per CPU and level: from each invalidated block index to the address
+    /// the remote writer touched.
+    invalidated: Vec<[FastMap<u64, u64>; 2]>,
+    /// The L1 and the off-chip read-miss breakdowns.
+    breakdowns: [MissBreakdown; 2],
 }
 
 impl MissAccounting {
     /// Creates accounting state for a `cpus`-processor system with the given
     /// hierarchy's block sizes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cpus` is zero or a block size is not a power of two.
     pub fn new(cpus: usize, config: &HierarchyConfig) -> Self {
+        assert!(cpus > 0, "need at least one cpu");
+        let shift = |block_bytes: u64| {
+            assert!(
+                block_bytes.is_power_of_two(),
+                "block size must be a power of two"
+            );
+            block_bytes.trailing_zeros()
+        };
         Self {
-            l1: MissClassifier::new(cpus, config.l1.block_bytes),
-            l2: MissClassifier::new(cpus, config.l2.block_bytes),
-            l1_breakdown: MissBreakdown::default(),
-            l2_breakdown: MissBreakdown::default(),
+            shifts: [shift(config.l1.block_bytes), shift(config.l2.block_bytes)],
+            seen: vec![FastMap::default(); cpus],
+            invalidated: vec![Default::default(); cpus],
+            breakdowns: Default::default(),
         }
     }
 
     /// Classification of L1 read misses accumulated so far.
     pub fn l1_breakdown(&self) -> &MissBreakdown {
-        &self.l1_breakdown
+        &self.breakdowns[0]
     }
 
     /// Classification of off-chip read misses accumulated so far.
     pub fn l2_breakdown(&self) -> &MissBreakdown {
-        &self.l2_breakdown
+        &self.breakdowns[1]
     }
 
     /// Accounts one demand access, given its outcome bits.  Returns the
@@ -343,61 +269,77 @@ impl MissAccounting {
         l1_miss: bool,
         offchip: bool,
     ) -> (Option<MissKind>, Option<MissKind>) {
-        Self::classify(
-            &mut self.l1,
-            &mut self.l2,
-            access,
-            l1_miss,
-            offchip,
-            &mut self.l1_breakdown,
-            &mut self.l2_breakdown,
-        )
+        let mut breakdowns = self.breakdowns;
+        let kinds = self.classify(access, [l1_miss, offchip], &mut breakdowns);
+        self.breakdowns = breakdowns;
+        kinds
     }
 
-    /// The shared classification body: updates the classifiers in place and
-    /// records kinds into the given breakdown accumulators — the struct's
-    /// own breakdowns on the inline path, per-segment locals on the batched
-    /// replay path.
-    #[allow(clippy::too_many_arguments)]
+    /// The shared classification body: updates the history of each level
+    /// the access `missed` and records the kinds of read misses into
+    /// `breakdowns` — the struct's own on the inline path, per-segment
+    /// locals on the batched replay path.
+    ///
+    /// A miss at a level marks the block seen there.  A read miss is then
+    /// classified: a sharing miss if a remote write invalidated the block
+    /// since (true sharing when the writer touched the same 64 B chunk),
+    /// else cold the first time the processor caches the block and a
+    /// replacement miss after that.  A write miss only marks the block.
     fn classify(
-        l1: &mut MissClassifier,
-        l2: &mut MissClassifier,
+        &mut self,
         access: &MemAccess,
-        l1_miss: bool,
-        offchip: bool,
-        l1_acc: &mut MissBreakdown,
-        l2_acc: &mut MissBreakdown,
+        missed: [bool; 2],
+        breakdowns: &mut [MissBreakdown; 2],
     ) -> (Option<MissKind>, Option<MissKind>) {
-        let l1_kind = if l1_miss && access.kind.is_read() {
-            let kind = l1.classify_miss(access.cpu, access.addr);
-            l1_acc.record(kind);
-            Some(kind)
-        } else if l1_miss {
-            // Track residency for write misses without counting them in the
-            // read-miss breakdown the figures report.
-            l1.note_fill(access.cpu, access.addr);
-            None
-        } else {
-            None
+        if missed == [false; 2] {
+            return (None, None);
+        }
+        let cpu = access.cpu as usize;
+        let seen = &mut self.seen[cpu];
+        let index = self.shifts.map(|shift| access.addr >> shift);
+        let group = index.map(|index| index >> 6);
+        // Whether each level missed and had never cached the block.
+        let mut first = [false; 2];
+        let mut mark = |words: &mut [u64; 2], level: usize| {
+            let bit = 1 << (index[level] & 63);
+            first[level] = words[level] & bit == 0;
+            words[level] |= bit;
         };
-        let l2_kind = if offchip && access.kind.is_read() {
-            let kind = l2.classify_miss(access.cpu, access.addr);
-            l2_acc.record(kind);
-            Some(kind)
-        } else if offchip {
-            l2.note_fill(access.cpu, access.addr);
-            None
+        if group[0] == group[1] {
+            // Always so when the block sizes match: one probe.
+            let words = seen.entry(group[0]).or_insert([0; 2]);
+            for level in (0..2).filter(|&level| missed[level]) {
+                mark(words, level);
+            }
         } else {
-            None
-        };
-        (l1_kind, l2_kind)
+            for level in (0..2).filter(|&level| missed[level]) {
+                mark(seen.entry(group[level]).or_insert([0; 2]), level);
+            }
+        }
+        let mut kinds = [None; 2];
+        if access.kind.is_read() {
+            for level in (0..2).filter(|&level| missed[level]) {
+                let invalidated = &mut self.invalidated[cpu][level];
+                let kind = match invalidated.remove(&index[level]) {
+                    Some(written) if written >> 6 == access.addr >> 6 => MissKind::TrueSharing,
+                    Some(_) => MissKind::FalseSharing,
+                    None if first[level] => MissKind::Cold,
+                    None => MissKind::Replacement,
+                };
+                breakdowns[level].record(kind);
+                kinds[level] = Some(kind);
+            }
+        }
+        (kinds[0], kinds[1])
     }
 
     /// Accounts a coherence invalidation of `cpu`'s copy of the block
     /// containing `written_addr` (the remote writer's address).
     pub fn on_invalidation(&mut self, cpu: u8, written_addr: u64) {
-        self.l1.record_invalidation(cpu, written_addr, written_addr);
-        self.l2.record_invalidation(cpu, written_addr, written_addr);
+        let invalidated = &mut self.invalidated[cpu as usize];
+        for (level, shift) in self.shifts.into_iter().enumerate() {
+            invalidated[level].insert(written_addr >> shift, written_addr);
+        }
     }
 
     /// Replays one segment's tape against its access buffer, applying
@@ -442,20 +384,15 @@ impl MissAccounting {
         // a read-modify-write on the struct fields per access.  Counter
         // addition commutes, so the committed totals are identical; the
         // classifier updates themselves still happen per access, in order.
-        let mut l1_acc = MissBreakdown::default();
-        let mut l2_acc = MissBreakdown::default();
+        let mut breakdowns = [MissBreakdown::default(); 2];
         let mut invalidations = tape.invalidations.iter().peekable();
         for (index, (access, &flags)) in accesses.iter().zip(&tape.flags).enumerate() {
             if flags & OutcomeTape::SKIPPED == 0 {
-                let (l1, l2) = Self::classify(
-                    &mut self.l1,
-                    &mut self.l2,
-                    access,
+                let missed = [
                     flags & OutcomeTape::L1_MISS != 0,
                     flags & OutcomeTape::OFFCHIP != 0,
-                    &mut l1_acc,
-                    &mut l2_acc,
-                );
+                ];
+                let (l1, l2) = self.classify(access, missed, &mut breakdowns);
                 observe(access, l1, l2);
             }
             while let Some(&&(event_index, cpu)) = invalidations.peek() {
@@ -470,42 +407,67 @@ impl MissAccounting {
             invalidations.next().is_none(),
             "tape records invalidations past the access buffer"
         );
-        self.l1_breakdown.merge(&l1_acc);
-        self.l2_breakdown.merge(&l2_acc);
+        for (total, segment) in self.breakdowns.iter_mut().zip(&breakdowns) {
+            total.merge(segment);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CacheConfig;
+
+    /// The L1 classification of a read miss by `cpu` to `addr`.
+    fn l1_read_miss(accounting: &mut MissAccounting, cpu: u8, addr: u64) -> Option<MissKind> {
+        accounting
+            .on_access(&MemAccess::read(cpu, 0x400, addr), true, false)
+            .0
+    }
 
     #[test]
     fn first_miss_is_cold_then_replacement() {
-        let mut c = MissClassifier::new(2, 64);
-        assert_eq!(c.classify_miss(0, 0x1000), MissKind::Cold);
-        assert_eq!(c.classify_miss(0, 0x1000), MissKind::Replacement);
+        let mut c = MissAccounting::new(2, &HierarchyConfig::scaled());
+        assert_eq!(l1_read_miss(&mut c, 0, 0x1000), Some(MissKind::Cold));
+        assert_eq!(l1_read_miss(&mut c, 0, 0x1000), Some(MissKind::Replacement));
         // A different cpu still sees its own cold miss.
-        assert_eq!(c.classify_miss(1, 0x1000), MissKind::Cold);
+        assert_eq!(l1_read_miss(&mut c, 1, 0x1000), Some(MissKind::Cold));
+        // The L2 keeps its own history: the block is new there.
+        let offchip = c.on_access(&MemAccess::read(0, 0x400, 0x1000), true, true);
+        assert_eq!(offchip, (Some(MissKind::Replacement), Some(MissKind::Cold)));
     }
 
     #[test]
     fn sharing_classification_same_vs_different_chunk() {
-        let mut c = MissClassifier::new(2, 2048);
+        // 2 kB L1 blocks over 64 B L2 blocks.
+        let config = HierarchyConfig {
+            l1: CacheConfig::new(64 * 1024, 2, 2048),
+            l2: CacheConfig::l2_table1(),
+        };
+        let mut c = MissAccounting::new(2, &config);
         // CPU 0 has block 0x0000..0x0800 cached; CPU 1 writes within it.
-        assert_eq!(c.classify_miss(0, 0x0100), MissKind::Cold);
+        assert_eq!(l1_read_miss(&mut c, 0, 0x0100), Some(MissKind::Cold));
         // Remote write to the same 64B chunk that cpu0 will re-read.
-        c.record_invalidation(0, 0x0100, 0x0100);
-        assert_eq!(c.classify_miss(0, 0x0110), MissKind::TrueSharing);
+        c.on_invalidation(0, 0x0100);
+        assert_eq!(l1_read_miss(&mut c, 0, 0x0110), Some(MissKind::TrueSharing));
         // Remote write to a different chunk of the same 2kB block.
-        c.record_invalidation(0, 0x0100, 0x0700);
-        assert_eq!(c.classify_miss(0, 0x0100), MissKind::FalseSharing);
+        c.on_invalidation(0, 0x0700);
+        assert_eq!(
+            l1_read_miss(&mut c, 0, 0x0100),
+            Some(MissKind::FalseSharing)
+        );
     }
 
     #[test]
     fn note_fill_prevents_cold_classification() {
-        let mut c = MissClassifier::new(1, 64);
-        c.note_fill(0, 0x2000);
-        assert_eq!(c.classify_miss(0, 0x2000), MissKind::Replacement);
+        let mut c = MissAccounting::new(1, &HierarchyConfig::scaled());
+        let write_miss = c.on_access(&MemAccess::write(0, 0x400, 0x2000), true, true);
+        assert_eq!(write_miss, (None, None), "write misses are not classified");
+        let read_miss = c.on_access(&MemAccess::read(0, 0x400, 0x2000), true, true);
+        assert_eq!(
+            read_miss,
+            (Some(MissKind::Replacement), Some(MissKind::Replacement))
+        );
     }
 
     #[test]
@@ -523,7 +485,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "power of two")]
     fn bad_block_size_rejected() {
-        let _ = MissClassifier::new(1, 100);
+        let mut config = HierarchyConfig::scaled();
+        config.l2.block_bytes = 100;
+        let _ = MissAccounting::new(1, &config);
     }
 
     #[test]

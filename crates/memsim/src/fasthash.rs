@@ -1,6 +1,6 @@
 //! A fast, deterministic hasher for the simulator's hot-path tables.
 //!
-//! The miss classifiers' block-group bitmaps, the AGT's region index, the
+//! The miss history's block-group bitmaps, the AGT's region index, the
 //! unbounded PHT and the generation probes hash a `u64` key on every miss
 //! (or every access);
 //! `std`'s default SipHash is hardening against adversarial keys the

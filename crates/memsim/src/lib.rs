@@ -53,9 +53,7 @@ pub mod stats;
 pub mod system;
 
 pub use cache::{AccessOutcome, CacheLineState, EvictedLine, SetAssocCache};
-pub use classify::{
-    AccessFlags, MissAccounting, MissBreakdown, MissClassifier, MissKind, OutcomeTape,
-};
+pub use classify::{AccessFlags, MissAccounting, MissBreakdown, MissKind, OutcomeTape};
 pub use config::{CacheConfig, GeometryError, HierarchyConfig};
 pub use driver::{
     run, run_job, run_segment_deferred, summarize_segmented, PrefetcherFactory, RunSummary,
