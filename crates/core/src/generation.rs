@@ -207,7 +207,12 @@ impl DensityObserver {
 }
 
 impl Prefetcher for DensityObserver {
-    fn on_access(&mut self, access: &MemAccess, outcome: &SystemOutcome) -> Vec<PrefetchRequest> {
+    fn on_access_into(
+        &mut self,
+        access: &MemAccess,
+        outcome: &SystemOutcome,
+        _out: &mut Vec<PrefetchRequest>,
+    ) {
         if access.kind.is_read() {
             self.l1
                 .on_access(access.cpu, access.addr, outcome.hierarchy.l1_miss());
@@ -224,7 +229,6 @@ impl Prefetcher for DensityObserver {
             self.l1.on_block_removed(*cpu, *block);
             self.l2.on_block_removed(*cpu, *block);
         }
-        Vec::new()
     }
 
     fn name(&self) -> &str {

@@ -141,7 +141,12 @@ impl OracleObserver {
 }
 
 impl Prefetcher for OracleObserver {
-    fn on_access(&mut self, access: &MemAccess, outcome: &SystemOutcome) -> Vec<PrefetchRequest> {
+    fn on_access_into(
+        &mut self,
+        access: &MemAccess,
+        outcome: &SystemOutcome,
+        _out: &mut Vec<PrefetchRequest>,
+    ) {
         if !(self.read_only && access.kind.is_write()) {
             self.l1
                 .on_access(access.cpu, access.addr, outcome.hierarchy.l1_miss());
@@ -158,7 +163,6 @@ impl Prefetcher for OracleObserver {
             self.l1.on_block_removed(*cpu, *block);
             self.l2.on_block_removed(*cpu, *block);
         }
-        Vec::new()
     }
 
     fn name(&self) -> &str {

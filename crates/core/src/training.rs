@@ -248,12 +248,6 @@ impl TrainingPrefetcher {
 }
 
 impl Prefetcher for TrainingPrefetcher {
-    fn on_access(&mut self, access: &MemAccess, outcome: &SystemOutcome) -> Vec<PrefetchRequest> {
-        let mut out = Vec::new();
-        self.on_access_into(access, outcome, &mut out);
-        out
-    }
-
     fn on_access_into(
         &mut self,
         access: &MemAccess,

@@ -31,8 +31,9 @@
 //! * results reach the caller's sink in submission order, each carrying the
 //!   run's [`memsim::RunSummary`], an open serializable [`ProbeReport`]
 //!   (`{kind, data}` — density histograms, oracle misses, predictor
-//!   counters), and the [`timing::TimingResult`] for timing jobs, beside the
-//!   job's [`JobMetrics`];
+//!   counters), and the [`timing::TimingResult`] for timing jobs; a job's
+//!   result is its only output, and a traced run's spans
+//!   ([`RunOptions::trace`]) are the only record of where its time went;
 //! * whole job lists round-trip through JSON spec files ([`JobList`]), which
 //!   is what `sms-experiments run --spec jobs.json` executes and every
 //!   figure's `--emit-spec` writes.
@@ -59,9 +60,7 @@
 //!     })
 //!     .collect();
 //! let mut results = Vec::new();
-//! let delivered = execute(&jobs, &RunOptions::new(2), &mut |result, _metrics| {
-//!     results.push(result)
-//! })
+//! let delivered = execute(&jobs, &RunOptions::new(2), &mut |result| results.push(result))
 //!     .expect("built-in plugins over synthetic traces always run");
 //! assert_eq!(delivered, 2);
 //! // SMS must not increase the baseline's L1 read misses.
@@ -77,7 +76,6 @@ pub mod runner;
 pub mod segment;
 mod shared;
 pub mod spec;
-pub mod telemetry;
 
 pub use hash::{canonical_json, fnv1a_64, list_fingerprint, spec_fingerprint};
 pub use plugin::{
@@ -89,4 +87,3 @@ pub use runner::{
     SpecError, TimingSpec,
 };
 pub use spec::{MultiOracle, OracleProbeSpec, PrefetcherSpec, TrainingSpec};
-pub use telemetry::JobMetrics;

@@ -14,9 +14,9 @@
 //! * a [`ProbeReport`] is an open `{kind, data}` pair rather than an enum,
 //!   so new probes serialize their own payloads.
 //!
-//! Specs stay plain data ([`PrefetcherSpec`](crate::spec::PrefetcherSpec) is
-//! a plugin name plus a parameter tree), which is what makes whole job lists
-//! round-trippable through JSON files.
+//! Specs stay plain data (a [`PrefetcherSpec`] is a plugin name plus a
+//! parameter tree), which is what makes whole job lists round-trippable
+//! through JSON files.
 
 use memsim::Prefetcher;
 use serde::{Deserialize, Serialize};
@@ -42,11 +42,11 @@ pub trait Probe: Prefetcher + Send {
     /// the *miss-kind classifications* (`SystemOutcome::l1_miss_kind` /
     /// `l2_miss_kind`).
     ///
-    /// The engine simulates with classification deferred, so the outcomes a
-    /// probe's `on_access` sees carry `None` for both kinds.  A probe that
-    /// needs them keeps that state in a [`KindSink`] and returns it here;
-    /// the engine calls this once before the run and feeds the sink from its
-    /// bit-identical
+    /// The engine simulates with classification deferred, so the outcomes
+    /// a probe's `on_access_into` sees carry `None` for both kinds.  A probe
+    /// that needs them keeps that state in a [`KindSink`] and returns it
+    /// here; the engine calls this once before the run and feeds the sink
+    /// from its bit-identical
     /// [`MissAccounting::replay_with_kinds`](memsim::MissAccounting::replay_with_kinds)
     /// pass.  The default `None` suits every built-in prefetcher and probe:
     /// they consume hit/miss outcomes, evictions and invalidations, never the
@@ -129,22 +129,12 @@ impl fmt::Debug for BuiltPrefetcher {
 }
 
 impl Prefetcher for BuiltPrefetcher {
-    fn on_access(
-        &mut self,
-        access: &trace::MemAccess,
-        outcome: &memsim::SystemOutcome,
-    ) -> Vec<memsim::PrefetchRequest> {
-        self.inner.on_access(access, outcome)
-    }
-
     fn on_access_into(
         &mut self,
         access: &trace::MemAccess,
         outcome: &memsim::SystemOutcome,
         out: &mut Vec<memsim::PrefetchRequest>,
     ) {
-        // Forward explicitly so the inner probe's batched override is used
-        // (the trait default would route through the allocating `on_access`).
         self.inner.on_access_into(access, outcome, out);
     }
 

@@ -18,7 +18,6 @@ use crate::plugin::{PluginError, ProbeReport, Registry};
 use crate::segment::run_job_on;
 use crate::shared::{SharedTraces, LIVE_CAP_BYTES};
 use crate::spec::PrefetcherSpec;
-use crate::telemetry::JobMetrics;
 use memsim::RunSummary;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -272,8 +271,8 @@ pub struct JobResult {
     pub timing: Option<TimingResult>,
     /// Non-fatal conditions observed during the run (e.g. a file-backed
     /// trace shorter than the access budget).  Deterministic — never
-    /// timing- or telemetry-dependent — so results stay bit-identical
-    /// for every worker count, traced or not.
+    /// dependent on the clock — so results stay bit-identical for every
+    /// worker count, traced or not.
     pub warnings: Vec<JobWarning>,
 }
 
@@ -433,8 +432,8 @@ impl CancelToken {
     }
 }
 
-/// Runs `jobs` and hands each result, with its [`JobMetrics`], to `sink` in
-/// submission order, returning how many results the sink received.
+/// Runs `jobs` and hands each result to `sink` in submission order,
+/// returning how many results the sink received.
 ///
 /// Workers claim jobs in index order from a shared cursor.  With one
 /// effective worker the calling thread runs every job itself; with more,
@@ -459,7 +458,7 @@ impl CancelToken {
 pub fn execute(
     jobs: &[SimJob],
     options: &RunOptions<'_>,
-    sink: &mut dyn FnMut(JobResult, JobMetrics),
+    sink: &mut dyn FnMut(JobResult),
 ) -> Result<usize, EngineError> {
     let run = Run {
         jobs,
@@ -504,8 +503,8 @@ pub fn execute(
     delivery.finish(options, || options.trace.recorder("engine"))
 }
 
-/// One executed job's result and metrics, or the error that failed it.
-type Outcome = Result<(JobResult, JobMetrics), EngineError>;
+/// One executed job's result, or the error that failed it.
+type Outcome = Result<JobResult, EngineError>;
 
 /// What every worker of one [`execute`] call shares.
 struct Run<'a> {
@@ -553,7 +552,7 @@ impl Run<'_> {
 /// The in-order half of [`execute`]: holds outcomes that arrive early and
 /// hands the sink the clean prefix, stopping at the lowest-index error.
 struct Delivery<'a> {
-    sink: &'a mut dyn FnMut(JobResult, JobMetrics),
+    sink: &'a mut dyn FnMut(JobResult),
     /// Outcomes that arrived before an earlier job's.
     pending: BTreeMap<usize, Outcome>,
     /// Results handed to the sink, which is also the next index due.
@@ -566,8 +565,8 @@ impl Delivery<'_> {
         self.pending.insert(index, outcome);
         while self.error.is_none() {
             match self.pending.remove(&self.delivered) {
-                Some(Ok((result, metrics))) => {
-                    (self.sink)(result, metrics);
+                Some(Ok(result)) => {
+                    (self.sink)(result);
                     self.delivered += 1;
                 }
                 // Everything before it was delivered, so this is the
@@ -665,7 +664,7 @@ pub(crate) mod tests {
         options: &RunOptions<'_>,
     ) -> Result<Vec<JobResult>, EngineError> {
         let mut results = Vec::new();
-        execute(jobs, options, &mut |result, _| results.push(result))?;
+        execute(jobs, options, &mut |result| results.push(result))?;
         Ok(results)
     }
 
@@ -961,27 +960,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn metered_results_are_bit_identical_and_metrics_cover_the_run() {
-        let jobs = job_list();
-        let serial = run(&jobs, 1);
-        let mut metered = Vec::new();
-        let mut metrics = Vec::new();
-        let delivered = execute(&jobs, &RunOptions::new(2), &mut |result, job_metrics| {
-            metered.push(result);
-            metrics.push(job_metrics);
-        })
-        .expect("jobs prepare");
-        assert_eq!(delivered, jobs.len());
-        assert_eq!(serial, metered, "telemetry must not perturb results");
-        for (result, job_metrics) in metered.iter().zip(&metrics) {
-            assert_eq!(job_metrics.job_index, result.job_index);
-            assert_eq!(job_metrics.accesses, result.summary.accesses);
-            assert!(job_metrics.elapsed_seconds > 0.0);
-            assert!(job_metrics.accesses_per_sec > 0.0);
-        }
-    }
-
-    #[test]
     fn streamed_error_follows_the_delivered_prefix() {
         let mut jobs = job_list();
         jobs.insert(
@@ -996,7 +974,7 @@ pub(crate) mod tests {
         );
         for workers in [1, 4] {
             let mut streamed = Vec::new();
-            let err = execute(&jobs, &RunOptions::new(workers), &mut |result, _| {
+            let err = execute(&jobs, &RunOptions::new(workers), &mut |result| {
                 streamed.push(result.job_index)
             })
             .expect_err("unknown plugin must fail");
@@ -1020,7 +998,7 @@ pub(crate) mod tests {
                 cancel: Some(&cancel),
                 ..RunOptions::new(workers)
             };
-            let delivered = execute(&jobs, &options, &mut |result, _| {
+            let delivered = execute(&jobs, &options, &mut |result| {
                 streamed.push(result.job_index);
                 // Cancel from inside the sink: jobs already claimed may
                 // still land, but the stream stays an in-order prefix.
@@ -1048,7 +1026,7 @@ pub(crate) mod tests {
                 ..RunOptions::new(workers)
             };
             let mut streamed = 0;
-            let delivered = execute(&jobs, &options, &mut |_, _| streamed += 1)
+            let delivered = execute(&jobs, &options, &mut |_| streamed += 1)
                 .expect("a passed deadline is not an error");
             assert_eq!((delivered, streamed), (0, 0), "workers = {workers}");
 
@@ -1057,7 +1035,7 @@ pub(crate) mod tests {
                 cancel: Some(&far),
                 ..RunOptions::new(workers)
             };
-            let delivered = execute(&jobs, &options, &mut |_, _| {}).expect("runs");
+            let delivered = execute(&jobs, &options, &mut |_| {}).expect("runs");
             assert_eq!(delivered, jobs.len(), "workers = {workers}");
             assert!(!far.is_cancelled());
         }
@@ -1101,16 +1079,16 @@ pub(crate) mod tests {
     }
 
     impl memsim::Prefetcher for PanicAtPrefetcher {
-        fn on_access(
+        fn on_access_into(
             &mut self,
             _access: &trace::MemAccess,
             _outcome: &memsim::SystemOutcome,
-        ) -> Vec<memsim::PrefetchRequest> {
+            _out: &mut Vec<memsim::PrefetchRequest>,
+        ) {
             if self.countdown == 0 {
                 panic!("injected prefetcher panic");
             }
             self.countdown -= 1;
-            Vec::new()
         }
 
         fn name(&self) -> &str {
@@ -1192,7 +1170,7 @@ pub(crate) mod tests {
                 registry: &registry,
                 ..RunOptions::new(workers)
             };
-            let err = execute(&jobs, &options, &mut |result, _| {
+            let err = execute(&jobs, &options, &mut |result| {
                 streamed.push(result.job_index)
             })
             .expect_err("panicking plugin must fail the run");

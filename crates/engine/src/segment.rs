@@ -27,17 +27,15 @@
 //! the same calls at the same segment boundaries, so its per-layer split
 //! describes the loop every measured run takes.
 //!
-//! The loop reads the clock once at each step boundary — a segment starts
-//! at the instant the previous one ended — and those instants feed both the
-//! job's [`JobMetrics`] stage times and, in a traced run, the `seg.pull`,
-//! `seg.simulate` and `seg.account` spans, so the two agree by construction.
+//! A traced run records each step as a `seg.pull`, `seg.simulate` or
+//! `seg.account` span carrying its segment number; those spans are the
+//! engine's only record of where a job's time went.  An untraced job never
+//! reads the clock: the loop keeps no timings of its own.
 
 use crate::plugin::{BuiltPrefetcher, KindSink, Registry};
 use crate::runner::{EngineError, JobResult, JobWarning, SimJob};
 use crate::shared::SharedTraces;
-use crate::telemetry::JobMetrics;
 use memsim::{MissAccounting, MultiCpuSystem, OutcomeTape, PrefetchRequest, SegmentCounts};
-use std::time::{Duration, Instant};
 use timing::TimingAccounting;
 use trace::{fill_segment, BoxedStream, MemAccess};
 use tracelog::{Recorder, Trace};
@@ -51,10 +49,6 @@ pub const SEGMENT: usize = 4096;
 /// `seg.account` and `job.finalize` spans into `trace`, on a track of its
 /// own.
 ///
-/// The returned [`JobMetrics`] carries the loop's wall-clock, the driver's
-/// counters and per-segment stage timings; none of them touches the
-/// [`JobResult`].
-///
 /// # Errors
 ///
 /// [`EngineError::Plugin`] if the spec does not resolve or build, and
@@ -67,7 +61,7 @@ pub(crate) fn run_job_on(
     registry: &Registry,
     trace: &Trace,
     shared: &SharedTraces,
-) -> Result<(JobResult, JobMetrics), EngineError> {
+) -> Result<JobResult, EngineError> {
     let sim = &job.sim;
     let trace_error = |message: String| EngineError::Trace {
         job_index: index,
@@ -109,7 +103,7 @@ pub(crate) fn run_job_on(
     };
     drop(prepare_span);
 
-    let stages = state.run(&recorder);
+    state.run(&recorder);
     if let Some(e) = state.stream.take_error() {
         return Err(trace_error(format!("corrupt mid-stream: {e}")));
     }
@@ -149,22 +143,7 @@ pub(crate) fn run_job_on(
         ));
     }
     drop(finalize_span);
-
-    let job_metrics = JobMetrics {
-        segments: stages.segments,
-        pull_seconds: stages.pull_seconds,
-        account_seconds: stages.account_seconds,
-        pull_segment_us: stages.pull_segment_us,
-        simulate_segment_us: stages.simulate_segment_us,
-        account_segment_us: stages.account_segment_us,
-        ..JobMetrics::from_driver(index, &counts, stages.elapsed_seconds)
-    };
-    Ok((result, job_metrics))
-}
-
-/// Whole microseconds of a stage, as the stage histograms bucket them.
-fn micros(stage: Duration) -> u64 {
-    stage.as_micros() as u64
+    Ok(result)
 }
 
 /// One job's simulation state, advanced segment by segment.
@@ -181,61 +160,50 @@ struct JobState {
 }
 
 impl JobState {
-    /// Runs pull → simulate → account over the job's access budget and
-    /// returns the loop's wall-clock, segment count and stage timings.
-    /// Stops early when the stream runs dry; the caller checks the stream
-    /// for an error.
-    fn run(&mut self, recorder: &Recorder) -> JobMetrics {
-        let mut stages = JobMetrics::default();
+    /// Runs pull → simulate → account over the job's access budget,
+    /// recording each step as a span on `recorder`.  Stops early when the
+    /// stream runs dry; the caller checks the stream for an error.
+    fn run(&mut self, recorder: &Recorder) {
         let mut batch: Vec<PrefetchRequest> = Vec::new();
         let mut buffer = Vec::with_capacity(SEGMENT.min(self.budget));
         let mut tape = OutcomeTape::new();
-        let start = Instant::now();
-        let mut pull_start = start;
+        let mut segment = 0;
         while self.budget > 0 {
-            let segment = stages.segments;
-            let stage = |name, from, to| {
-                recorder.span_between(name, from, to, |args| {
-                    args.u64("segment", segment);
-                });
-                to - from
+            let step = |name| {
+                let mut span = recorder.span(name);
+                span.arg_u64("segment", segment);
+                span
             };
             let want = SEGMENT.min(self.budget);
-            let got = fill_segment(&mut *self.stream, &mut buffer, want);
-            let pulled = Instant::now();
-            let pull = stage("seg.pull", pull_start, pulled);
-            stages.pull_seconds += pull.as_secs_f64();
-            stages.pull_segment_us.record(micros(pull));
-            pull_start = pulled;
+            let got = {
+                let _span = step("seg.pull");
+                fill_segment(&mut *self.stream, &mut buffer, want)
+            };
             self.budget -= got;
             if got == 0 {
                 break;
             }
-            tape.clear();
-            memsim::run_segment_deferred(
-                &mut self.system,
-                &mut self.prefetcher,
-                &buffer,
-                &mut batch,
-                &mut tape,
-                &mut self.counts,
-            );
-            let simulated = Instant::now();
-            let simulate = stage("seg.simulate", pulled, simulated);
-            stages.simulate_segment_us.record(micros(simulate));
-            self.account(&buffer, &tape);
-            let accounted = Instant::now();
-            let account = stage("seg.account", simulated, accounted);
-            stages.account_seconds += account.as_secs_f64();
-            stages.account_segment_us.record(micros(account));
-            stages.segments += 1;
-            pull_start = accounted;
+            {
+                let _span = step("seg.simulate");
+                tape.clear();
+                memsim::run_segment_deferred(
+                    &mut self.system,
+                    &mut self.prefetcher,
+                    &buffer,
+                    &mut batch,
+                    &mut tape,
+                    &mut self.counts,
+                );
+            }
+            {
+                let _span = step("seg.account");
+                self.account(&buffer, &tape);
+            }
+            segment += 1;
             if got < want {
                 break;
             }
         }
-        stages.elapsed_seconds = (pull_start - start).as_secs_f64();
-        stages
     }
 
     /// Replays one segment's tape into the classifiers, the probe's kind
@@ -485,7 +453,7 @@ pub(crate) mod tests {
     }
 
     /// A probe that consumes miss kinds through the [`KindSink`] seam.  Its
-    /// own `on_access` never reads the outcome's kind fields — they are
+    /// own `on_access_into` never reads the outcome's kind fields — they are
     /// `None` under deferred classification.
     struct KindCountingProbe {
         inner: memsim::NullPrefetcher,
@@ -493,12 +461,13 @@ pub(crate) mod tests {
     }
 
     impl memsim::Prefetcher for KindCountingProbe {
-        fn on_access(
+        fn on_access_into(
             &mut self,
             access: &trace::MemAccess,
             outcome: &memsim::SystemOutcome,
-        ) -> Vec<memsim::PrefetchRequest> {
-            self.inner.on_access(access, outcome)
+            out: &mut Vec<memsim::PrefetchRequest>,
+        ) {
+            self.inner.on_access_into(access, outcome, out);
         }
 
         fn name(&self) -> &str {

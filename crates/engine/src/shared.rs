@@ -306,7 +306,7 @@ mod tests {
                             let Some(job) = jobs.get(index) else { break };
                             let outcome =
                                 exec_job_isolated(index, job, registry, &trace, shared, &rec);
-                            done.push((index, outcome.map(|(result, _)| result)));
+                            done.push((index, outcome));
                         }
                         done
                     })

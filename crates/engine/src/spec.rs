@@ -2,13 +2,12 @@
 //! realize them.
 //!
 //! A [`PrefetcherSpec`] is plain data: the stable name of a registered
-//! [`PrefetcherPlugin`](crate::plugin::PrefetcherPlugin) plus a
-//! plugin-specific JSON parameter tree.  Jobs carry specs rather than live
-//! prefetchers so they can be shipped to any worker thread (and to and from
-//! job files on disk); the engine resolves the spec through a
-//! [`Registry`](crate::plugin::Registry) on the executing thread and, after
-//! the run, extracts a [`ProbeReport`](crate::plugin::ProbeReport) from the
-//! built prefetcher.
+//! [`PrefetcherPlugin`] plus a plugin-specific JSON parameter tree.  Jobs
+//! carry specs rather than live prefetchers so they can be shipped to any
+//! worker thread (and to and from job files on disk); the engine resolves
+//! the spec through a [`Registry`](crate::plugin::Registry) on the executing
+//! thread and, after the run, extracts a [`ProbeReport`] from the built
+//! prefetcher.
 //!
 //! This module also houses the six built-in plugins the registry ships
 //! with — `null`, `sms`, `ghb`, `training`, `density-probe` and
@@ -123,19 +122,14 @@ pub struct MultiOracle {
 }
 
 impl Prefetcher for MultiOracle {
-    fn on_access(&mut self, access: &MemAccess, outcome: &SystemOutcome) -> Vec<PrefetchRequest> {
-        self.on_access_into(access, outcome, &mut Vec::new());
-        Vec::new()
-    }
-
     fn on_access_into(
         &mut self,
         access: &MemAccess,
         outcome: &SystemOutcome,
-        _out: &mut Vec<PrefetchRequest>,
+        out: &mut Vec<PrefetchRequest>,
     ) {
         for oracle in &mut self.oracles {
-            let _ = oracle.on_access(access, outcome);
+            oracle.on_access_into(access, outcome, out);
         }
     }
 
@@ -692,20 +686,19 @@ mod tests {
             issued: u64,
         }
         impl Prefetcher for NextLine {
-            fn on_access(
+            fn on_access_into(
                 &mut self,
                 access: &MemAccess,
                 outcome: &SystemOutcome,
-            ) -> Vec<PrefetchRequest> {
+                out: &mut Vec<PrefetchRequest>,
+            ) {
                 if outcome.hierarchy.l1_miss() {
                     self.issued += 1;
-                    vec![PrefetchRequest {
+                    out.push(PrefetchRequest {
                         cpu: access.cpu,
                         addr: access.addr + 64,
                         level: memsim::PrefetchLevel::L1,
-                    }]
-                } else {
-                    Vec::new()
+                    });
                 }
             }
             fn name(&self) -> &str {

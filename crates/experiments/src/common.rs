@@ -139,7 +139,7 @@ impl ExperimentConfig {
             ..self.engine()
         };
         let mut results = Vec::with_capacity(jobs.len());
-        engine::execute(jobs, &options, &mut |result, _| results.push(result))
+        engine::execute(jobs, &options, &mut |result| results.push(result))
             .expect("job failed to prepare");
         results
     }

@@ -742,7 +742,7 @@ fn run_spec(args: &Args, trace: &Trace) -> Result<(), ExitCode> {
         ..RunOptions::new(workers)
     };
     let mut results: Vec<JobResult> = Vec::new();
-    let delivered = engine::execute(&list.jobs, &options, &mut |result, _| results.push(result))
+    let delivered = engine::execute(&list.jobs, &options, &mut |result| results.push(result))
         .map_err(|e| {
             eprintln!("{e}");
             ExitCode::FAILURE

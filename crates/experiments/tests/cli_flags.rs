@@ -2,7 +2,8 @@
 //! argument that is neither the command nor an operand it takes, before
 //! doing any work: a mistyped flag gets a "did you mean" suggestion, and a
 //! retired one fails instead of being silently ignored.  A stdout closed by
-//! its reader ends a command quietly.
+//! its reader ends a command quietly, and a spec nested too deeply to parse
+//! is an error, not a crash.
 
 use std::io::Read;
 use std::process::{Command, Output, Stdio};
@@ -232,4 +233,21 @@ fn a_closed_stdout_ends_the_command_quietly() {
     let output = child.wait_with_output().expect("the CLI exits");
     assert!(output.stderr.is_empty(), "{}", stderr(&output));
     assert_eq!(output.status.code(), Some(1));
+}
+
+#[test]
+fn a_spec_nested_too_deeply_exits_1_with_a_parse_message() {
+    // A parser that recursed once per `[` would overflow the stack and
+    // abort (exit 134) instead of reporting the bad spec.
+    let spec = std::env::temp_dir().join(format!("sms-cli-nested-{}.json", std::process::id()));
+    std::fs::write(&spec, "[".repeat(100_000)).unwrap();
+    let output = sms_experiments(&["run", "--spec", &spec.to_string_lossy()]);
+    std::fs::remove_file(&spec).ok();
+    assert_eq!(output.status.code(), Some(1), "{}", stderr(&output));
+    assert!(
+        stderr(&output).contains("invalid job spec: nesting deeper than 128 levels"),
+        "{}",
+        stderr(&output)
+    );
+    assert!(output.stdout.is_empty());
 }

@@ -169,11 +169,6 @@ impl ChaosPrefetcher {
 }
 
 impl Prefetcher for ChaosPrefetcher {
-    fn on_access(&mut self, _access: &MemAccess, _outcome: &SystemOutcome) -> Vec<PrefetchRequest> {
-        self.observe();
-        Vec::new()
-    }
-
     fn on_access_into(
         &mut self,
         _access: &MemAccess,
@@ -190,7 +185,7 @@ impl Prefetcher for ChaosPrefetcher {
 
 impl Probe for ChaosPrefetcher {}
 
-/// The registry plugin wrapping [`ChaosPrefetcher`]; see the crate docs.
+/// The registry plugin wrapping the chaos prefetcher; see the crate docs.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ChaosPlugin;
 

@@ -35,12 +35,6 @@ impl GhbPrefetcher {
 }
 
 impl Prefetcher for GhbPrefetcher {
-    fn on_access(&mut self, access: &MemAccess, outcome: &SystemOutcome) -> Vec<PrefetchRequest> {
-        let mut out = Vec::new();
-        self.on_access_into(access, outcome, &mut out);
-        out
-    }
-
     fn on_access_into(
         &mut self,
         access: &MemAccess,

@@ -12,12 +12,13 @@
 //! Classification is pure *accounting*: its results feed the summary's
 //! [`MissBreakdown`]s and nothing else — no cache, coherence or prefetcher
 //! decision ever depends on a [`MissKind`].  That independence is what the
-//! engine's job loop exploits: [`MultiCpuSystem::access_deferred`]
-//! (crate::system::MultiCpuSystem::access_deferred) records the per-access
-//! facts the classifier needs in an [`OutcomeTape`], and a [`MissAccounting`]
-//! replays the tape once per segment with bit-identical results, because
-//! [`MissAccounting::replay`] applies exactly the updates the inline path
-//! applies, in exactly the same order.
+//! engine's job loop exploits: [`MultiCpuSystem::access_deferred`] records
+//! the per-access facts the classifier needs in an [`OutcomeTape`], and a
+//! [`MissAccounting`] replays the tape once per segment with bit-identical
+//! results, because [`MissAccounting::replay`] applies exactly the updates
+//! the inline path applies, in exactly the same order.
+//!
+//! [`MultiCpuSystem::access_deferred`]: crate::system::MultiCpuSystem::access_deferred
 //!
 //! # How the history is stored
 //!

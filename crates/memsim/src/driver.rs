@@ -17,11 +17,9 @@
 //! instead: [`run_segment_deferred`] simulates a buffered segment with miss
 //! classification deferred onto an outcome tape, a standalone
 //! [`MissAccounting`](crate::classify::MissAccounting) replays the tape, and
-//! [`summarize_segmented`] assembles the same [`RunSummary`] [`run`] builds.
-//! The [`SegmentCounts`] that [`run_segment_deferred`] accumulates also
-//! count the prefetch fills it applied and the request batches it drained,
-//! which the engine reports per job; nothing counted feeds back into the
-//! simulation.
+//! [`summarize_segmented`] assembles the same [`RunSummary`] [`run`] builds
+//! from the [`SegmentCounts`] that [`run_segment_deferred`] accumulates:
+//! exactly the summary fields the cache statistics do not cover.
 
 use crate::classify::MissBreakdown;
 use crate::config::HierarchyConfig;
@@ -210,9 +208,7 @@ pub fn run_job<F: PrefetcherFactory>(job: &SimJob<F>) -> io::Result<(RunSummary,
 /// The loop is batched: one request buffer lives across the whole run,
 /// every access's requests are appended by [`Prefetcher::on_access_into`]
 /// and drained immediately, in order, so no per-access vector is ever
-/// allocated and the applied request sequence is exactly what one
-/// [`Prefetcher::on_access`] vector per access would produce (the driver
-/// and telemetry tests compare both).
+/// allocated.
 pub fn run<S>(
     system: &mut MultiCpuSystem,
     prefetcher: &mut dyn Prefetcher,
@@ -266,12 +262,6 @@ pub struct SegmentCounts {
     pub skipped_accesses: u64,
     /// Prefetch requests issued by the attached prefetcher.
     pub prefetch_requests: u64,
-    /// Prefetch fills applied to a cache: the issued requests that name a
-    /// CPU of the system (stream fills into the L1 plus conventional fills
-    /// into the L2).
-    pub prefetch_issues: u64,
-    /// Accesses whose prefetcher returned a non-empty request batch.
-    pub request_batches: u64,
 }
 
 /// Runs one buffered segment through the system with classification
@@ -301,12 +291,10 @@ pub fn run_segment_deferred(
         counts.accesses += 1;
         prefetcher.on_access_into(access, &outcome, batch);
         counts.prefetch_requests += batch.len() as u64;
-        counts.request_batches += u64::from(!batch.is_empty());
         for req in batch.drain(..) {
             if (req.cpu as usize) >= system.num_cpus() {
                 continue;
             }
-            counts.prefetch_issues += 1;
             match req.level {
                 PrefetchLevel::L1 => {
                     if let Some(victim) = system.cpu_mut(req.cpu).stream_fill(req.addr) {
@@ -375,19 +363,18 @@ mod tests {
     /// A prefetcher that always requests the next sequential block.
     struct NextLine;
     impl Prefetcher for NextLine {
-        fn on_access(
+        fn on_access_into(
             &mut self,
             access: &MemAccess,
             outcome: &SystemOutcome,
-        ) -> Vec<PrefetchRequest> {
+            out: &mut Vec<PrefetchRequest>,
+        ) {
             if outcome.hierarchy.l1_miss() {
-                vec![PrefetchRequest {
+                out.push(PrefetchRequest {
                     cpu: access.cpu,
                     addr: access.addr + 64,
                     level: PrefetchLevel::L1,
-                }]
-            } else {
-                Vec::new()
+                });
             }
         }
         fn name(&self) -> &str {
@@ -480,49 +467,6 @@ mod tests {
         assert_eq!(job, back);
     }
 
-    #[test]
-    fn batched_and_unbatched_loops_agree_bit_for_bit() {
-        // NextLine issues a request on every L1 miss, so both the batching
-        // seam and the eviction-callback ordering are exercised.
-        let accesses: Vec<MemAccess> = (0..400)
-            .map(|i| MemAccess::read(0, 0x400, (i % 97) * 64))
-            .collect();
-
-        let mut sys_a = MultiCpuSystem::new(1, &tiny_config());
-        let mut a_pref = NextLine;
-        let batched = run(
-            &mut sys_a,
-            &mut a_pref,
-            &mut accesses.clone().into_iter(),
-            400,
-        );
-
-        // The pre-batching loop: one request vector per access through
-        // `Prefetcher::on_access`, applied in order.
-        let mut sys_b = MultiCpuSystem::new(1, &tiny_config());
-        let mut b_pref = NextLine;
-        let mut unbatched = RunSummary::default();
-        for access in &accesses {
-            let outcome = sys_b.access(access);
-            unbatched.accesses += 1;
-            let requests = b_pref.on_access(access, &outcome);
-            unbatched.prefetch_requests += requests.len() as u64;
-            for req in requests {
-                assert_eq!(req.level, PrefetchLevel::L1);
-                if let Some(victim) = sys_b.cpu_mut(req.cpu).stream_fill(req.addr) {
-                    b_pref.on_stream_eviction(req.cpu, victim.block_addr);
-                }
-            }
-        }
-        unbatched.l1 = sys_b.l1_stats_total();
-        unbatched.l2 = sys_b.l2_stats_total();
-        unbatched.l1_breakdown = *sys_b.l1_breakdown();
-        unbatched.l2_breakdown = *sys_b.l2_breakdown();
-
-        assert_eq!(batched, unbatched);
-        assert!(batched.prefetch_requests > 0);
-    }
-
     /// Runs `accesses` as one deferred segment and assembles the summary the
     /// way the engine's job loop does.
     fn run_deferred(
@@ -562,9 +506,11 @@ mod tests {
         let mut sys = MultiCpuSystem::new(2, &HierarchyConfig::scaled());
         let (metered, counts) = run_deferred(&mut sys, &mut NullPrefetcher::new(), &accesses);
         assert_eq!(plain, metered, "counting must not perturb the simulation");
-        assert_eq!(counts.accesses, 5_000, "null prefetcher: demand ops only");
-        assert_eq!(counts.prefetch_issues, 0);
-        assert_eq!(counts.request_batches, 0);
+        assert_eq!(counts.accesses, 5_000);
+        assert_eq!(
+            counts.prefetch_requests, 0,
+            "the null prefetcher requests nothing"
+        );
     }
 
     #[test]
@@ -583,11 +529,7 @@ mod tests {
         let (summary, counts) = run_deferred(&mut sys, &mut NextLine, &accesses);
         assert_eq!(summary, reference);
         assert!(summary.prefetch_requests > 0);
-        assert_eq!(counts.prefetch_issues, summary.prefetch_requests);
-        assert_eq!(
-            counts.request_batches, summary.prefetch_requests,
-            "NextLine issues one request at a time"
-        );
+        assert_eq!(counts.prefetch_requests, summary.prefetch_requests);
     }
 
     #[test]

@@ -36,26 +36,18 @@ pub struct PrefetchRequest {
 /// Implementations hold per-processor state internally; the driver calls them
 /// with accesses from all processors in global order.
 pub trait Prefetcher {
-    /// Observes a demand access and its outcome; returns blocks to fetch.
-    fn on_access(&mut self, access: &MemAccess, outcome: &SystemOutcome) -> Vec<PrefetchRequest>;
-
-    /// Batched variant of [`on_access`](Prefetcher::on_access): appends this
-    /// access's requests to `out` instead of allocating a fresh vector.
+    /// Observes a demand access and its outcome, appending the blocks to
+    /// fetch to `out`.
     ///
-    /// The driver's hot loop owns one request buffer, drains it after every
-    /// access, and hands it back here, so issuing prefetchers stop paying one
-    /// allocation per triggering access.  Requests must be appended in the
-    /// same order `on_access` would return them — the driver applies them in
-    /// order, and simulation results must not depend on which entry point ran.
-    /// The default forwards to `on_access`; hot prefetchers override it.
+    /// The driver's loop owns one request buffer, drains it after every
+    /// access, in order, and hands it back here, so no access allocates a
+    /// vector of its own.
     fn on_access_into(
         &mut self,
         access: &MemAccess,
         outcome: &SystemOutcome,
         out: &mut Vec<PrefetchRequest>,
-    ) {
-        out.extend(self.on_access(access, outcome));
-    }
+    );
 
     /// Notifies the prefetcher that applying one of its own fills displaced
     /// `block_addr` from `cpu`'s primary cache.
@@ -77,10 +69,6 @@ impl NullPrefetcher {
 }
 
 impl Prefetcher for NullPrefetcher {
-    fn on_access(&mut self, _access: &MemAccess, _outcome: &SystemOutcome) -> Vec<PrefetchRequest> {
-        Vec::new()
-    }
-
     fn on_access_into(
         &mut self,
         _access: &MemAccess,
@@ -106,7 +94,9 @@ mod tests {
         let mut p = NullPrefetcher::new();
         let a = MemAccess::read(0, 0x400, 0x1000);
         let out = sys.access(&a);
-        assert!(p.on_access(&a, &out).is_empty());
+        let mut requests = Vec::new();
+        p.on_access_into(&a, &out, &mut requests);
+        assert!(requests.is_empty());
         assert_eq!(p.name(), "baseline");
     }
 }

@@ -8,10 +8,9 @@
 //! by construction.  Count, min, max, sum and estimated percentiles are all
 //! derivable from the serialized form.
 //!
-//! The struct is `Copy` (one fixed-size array, no heap) so it can ride in
-//! the by-value telemetry type (`JobMetrics`) the engine moves across
-//! threads, and recording is a bounds-free array increment — cheap enough
-//! for per-segment call sites.
+//! The struct is `Copy` (one fixed-size array, no heap), and recording is a
+//! bounds-free array increment, cheap enough to take under the server's
+//! counter lock.
 //!
 //! Serialization is sparse: only non-empty buckets appear, as
 //! `[[index, count], ...]` pairs, so an empty histogram costs a few bytes in

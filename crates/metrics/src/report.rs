@@ -1,4 +1,4 @@
-//! The serializable report envelope shared by every telemetry producer.
+//! The serializable report envelope of the job server's counters.
 
 use serde::{Deserialize, Serialize};
 

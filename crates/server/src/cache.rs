@@ -3,8 +3,7 @@
 //! Jobs are deterministic, so [`engine::spec_fingerprint`] — the canonical
 //! hash of the jobs — fully identifies a submission's result bytes.  The cache maps that fingerprint
 //! to the recorded stream of [`JobFrame`]s; a hit replays the original
-//! frames verbatim, including the original run's [`engine::JobMetrics`]
-//! (telemetry of the run that produced the bytes, not of the lookup).
+//! frames verbatim.
 //!
 //! The cache is bounded by an optional entry budget and an optional byte
 //! budget (serialized frame bytes).  When an insert pushes the cache over
@@ -274,18 +273,24 @@ fn entry_path(dir: &Path, fingerprint: &str) -> PathBuf {
     dir.join(format!("{fingerprint}.{ENTRY_EXTENSION}"))
 }
 
-/// Encodes a frame stream as a self-validating entry file:
-/// `SMSCACHE 3 <fnv1a-hex> <payload-len>\n` followed by the JSON payload.
-/// The length catches truncation cheaply; the checksum catches corruption.
+/// Encodes a frame stream as a self-validating entry file (see
+/// [`entry_bytes`]).
 fn encode_entry(frames: &[JobFrame]) -> Vec<u8> {
     let payload = serde_json::to_string(&frames).expect("value-tree serialization cannot fail");
+    entry_bytes(payload.as_bytes())
+}
+
+/// An entry file holding `payload`: `SMSCACHE 3 <fnv1a-hex> <payload-len>\n`
+/// followed by the payload.  The length catches truncation cheaply; the
+/// checksum catches corruption.
+fn entry_bytes(payload: &[u8]) -> Vec<u8> {
     let mut bytes = format!(
         "{ENTRY_MAGIC} {:016x} {}\n",
-        engine::fnv1a_64(payload.as_bytes()),
+        engine::fnv1a_64(payload),
         payload.len()
     )
     .into_bytes();
-    bytes.extend_from_slice(payload.as_bytes());
+    bytes.extend_from_slice(payload);
     bytes
 }
 
@@ -337,7 +342,8 @@ fn serialized_bytes(frames: &[JobFrame]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use engine::JobMetrics;
+    use engine::{PrefetcherSpec, RunOptions, SimJob};
+    use proptest::prelude::*;
 
     #[test]
     fn lookup_counts_and_replays_identical_frames() {
@@ -363,7 +369,6 @@ mod tests {
                 timing: None,
                 warnings: Vec::new(),
             },
-            metrics: JobMetrics::default(),
         }
     }
 
@@ -525,5 +530,98 @@ mod tests {
         *tampered.last_mut().unwrap() ^= 0x40;
         assert_eq!(decode_entry(&tampered), None, "checksum");
         assert_eq!(decode_entry(&bytes[..bytes.len() - 1]), None, "length");
+    }
+
+    /// An entry written while every frame also carried its job's timing
+    /// record (`metrics`, since removed): the two jobs of [`entry_jobs`].
+    const ENTRY_WITH_METRICS: &[u8] = include_bytes!("../testdata/entry_with_metrics.smsc");
+
+    /// 2,000 accesses of 2-CPU OltpDb2 at seed 2006: a baseline, and SMS
+    /// under Figure 12's timing model.
+    fn entry_jobs() -> Vec<SimJob> {
+        let job = |prefetcher| {
+            SimJob::new(memsim::SimJob::synthetic(
+                trace::Application::OltpDb2,
+                trace::GeneratorConfig::default().with_cpus(2),
+                2006,
+                2,
+                memsim::HierarchyConfig::scaled(),
+                prefetcher,
+                2_000,
+            ))
+        };
+        let timing = timing::TimingConfig::table1().with_system_busy_fraction(0.25);
+        vec![
+            job(PrefetcherSpec::null()),
+            job(PrefetcherSpec::sms_paper_default()).with_timing(timing, 20),
+        ]
+    }
+
+    /// The entry's payload: everything after its header line.
+    fn payload(entry: &[u8]) -> &[u8] {
+        let newline = entry
+            .iter()
+            .position(|&b| b == b'\n')
+            .expect("a header line");
+        &entry[newline + 1..]
+    }
+
+    #[test]
+    fn an_entry_whose_frames_carry_metrics_replays_the_same_result_bytes() {
+        let jobs = entry_jobs();
+        assert_eq!(engine::spec_fingerprint(&jobs), "7e1d613d8ceab465");
+        let frames = decode_entry(ENTRY_WITH_METRICS).expect("the entry still loads");
+        let recorded: serde_json::Value =
+            serde_json::from_str(std::str::from_utf8(payload(ENTRY_WITH_METRICS)).unwrap())
+                .unwrap();
+        let recorded = recorded.as_array().expect("a frame list");
+        let mut computed = Vec::new();
+        engine::execute(&jobs, &RunOptions::new(1), &mut |result| {
+            computed.push(result)
+        })
+        .expect("the jobs run");
+        assert_eq!(frames.len(), jobs.len());
+        assert_eq!(recorded.len(), jobs.len());
+        for ((frame, recorded), computed) in frames.iter().zip(recorded).zip(&computed) {
+            assert!(recorded.get("metrics").is_some(), "the fixture has metrics");
+            let replayed = serde_json::to_string(&frame.result).unwrap();
+            assert_eq!(
+                replayed,
+                serde_json::to_string(recorded.get("result").expect("a result")).unwrap()
+            );
+            assert_eq!(replayed, serde_json::to_string(computed).unwrap());
+        }
+    }
+
+    /// The bytes JSON is made of, weighted towards its structure.
+    const JSON_BYTES: &[u8] = b"{}[]{}[]\"\":,:,0123456789.-+eE truefalsenull\\u\n\t";
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random bytes rarely get past the header, so random JSON text and
+        /// one-byte mutations of a real payload go under a header whose
+        /// length and checksum are correct, to reach the JSON decoder.
+        #[test]
+        fn entry_files_decode_or_are_refused(
+            random in proptest::collection::vec(0u8..=255, 0..2048),
+            picks in proptest::collection::vec(0..JSON_BYTES.len(), 0..2048),
+            (position, byte) in (0usize..1 << 20, 0u8..=255),
+        ) {
+            let _ = decode_entry(&random);
+            let text: Vec<u8> = picks.into_iter().map(|pick| JSON_BYTES[pick]).collect();
+            let _ = decode_entry(&entry_bytes(&text));
+            let mut mutated = payload(ENTRY_WITH_METRICS).to_vec();
+            let at = position % mutated.len();
+            mutated[at] = byte;
+            let _ = decode_entry(&entry_bytes(&mutated));
+            let _ = decode_entry(&entry_bytes(&mutated[..at]));
+        }
+    }
+
+    #[test]
+    fn a_payload_nested_past_the_parser_limit_is_refused() {
+        let deep = "[".repeat(100_000);
+        assert_eq!(decode_entry(&entry_bytes(deep.as_bytes())), None);
     }
 }

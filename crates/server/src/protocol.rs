@@ -13,11 +13,11 @@
 //! 1. [`Frame::Accepted`] (or a terminal [`Frame::Error`] — bad spec, quota
 //!    exceeded, server shutting down);
 //! 2. one [`Frame::Result`] per job, **in submission order**, each carrying
-//!    the job's [`JobResult`] and [`JobMetrics`] as it completes;
+//!    the job's [`JobResult`] as it completes;
 //! 3. a terminal [`Frame::Done`] (or [`Frame::Error`] if the engine
 //!    rejected a job after the results streamed so far).
 
-use engine::{JobMetrics, JobResult};
+use engine::JobResult;
 use metrics::MetricsReport;
 use serde::{Deserialize, Serialize};
 use std::io::{self, BufRead, Write};
@@ -80,17 +80,12 @@ pub struct Accepted {
     pub cache_hit: bool,
 }
 
-/// One completed job: the deterministic result plus its telemetry.
-///
-/// Cache hits replay the frames recorded by the original run — including
-/// the original [`JobMetrics`] (the telemetry of the run that produced the
-/// bytes, not of the cache lookup).
+/// One completed job.  Cache hits replay the frames the original run
+/// recorded.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobFrame {
     /// The job's result, bit-identical to a direct engine run.
     pub result: JobResult,
-    /// Telemetry of the run that produced the result.
-    pub metrics: JobMetrics,
 }
 
 /// Terminal frame of a successful submission.

@@ -505,8 +505,8 @@ fn scheduler(shared: &Arc<Shared>) {
             trace,
             cancel: Some(&cancel),
         };
-        let outcome = engine::execute(&jobs, &options, &mut |result, metrics| {
-            let frame = JobFrame { result, metrics };
+        let outcome = engine::execute(&jobs, &options, &mut |result| {
+            let frame = JobFrame { result };
             recorded.push(frame.clone());
             // A vanished client must not kill the run: the frames are still
             // recorded into the cache.

@@ -90,7 +90,7 @@ fn start_unix(tag: &str, config: ServerConfig) -> (Server, Endpoint) {
 fn served_results_are_byte_identical_to_a_direct_run() {
     let list = job_list(6_000);
     let mut direct = Vec::new();
-    engine::execute(&list.jobs, &RunOptions::new(2), &mut |result, _| {
+    engine::execute(&list.jobs, &RunOptions::new(2), &mut |result| {
         direct.push(result)
     })
     .expect("direct run");
@@ -107,12 +107,12 @@ fn served_results_are_byte_identical_to_a_direct_run() {
     })
     .expect("submission succeeds");
 
-    // Streamed strictly in submission order, metrics attached per job.
+    // Streamed strictly in submission order.
     assert_eq!(streamed_indices, vec![0, 1]);
     assert!(!outcome.accepted.cache_hit);
     assert!(!outcome.done.cache_hit);
     assert_eq!(outcome.done.jobs, 2);
-    assert!(outcome.frames.iter().all(|f| f.metrics.accesses > 0));
+    assert!(outcome.frames.iter().all(|f| f.result.summary.accesses > 0));
 
     // The served result bytes are exactly what `run --spec --out` writes.
     let served: Vec<engine::JobResult> = outcome.frames.iter().map(|f| f.result.clone()).collect();
@@ -347,6 +347,38 @@ fn bad_specs_get_structured_errors_with_the_cli_version_message() {
 
     let metrics = server.shutdown();
     assert_eq!(metrics.jobs_served, 2, "only the healthy submission ran");
+}
+
+#[test]
+fn a_deeply_nested_request_line_gets_bad_request_and_the_server_lives_on() {
+    use server::Frame;
+    use std::io::{BufReader, Write};
+    use std::os::unix::net::UnixStream;
+
+    let (server, endpoint) = start_unix("nested", ServerConfig::default());
+    let Endpoint::Unix(path) = &endpoint else {
+        unreachable!()
+    };
+    // Nested far past the parser's 128 levels: a parser that recursed once
+    // per level would overflow the connection thread's stack and abort the
+    // whole server.
+    let mut stream = UnixStream::connect(path).expect("connect");
+    stream
+        .write_all(format!("{}\n", "[".repeat(10_000)).as_bytes())
+        .unwrap();
+    let mut reader = BufReader::new(stream);
+    let frame: Frame = server::protocol::read_line(&mut reader)
+        .expect("read")
+        .expect("one frame");
+    match frame {
+        Frame::Error(error) => {
+            assert_eq!(error.code, ErrorFrame::BAD_REQUEST);
+            assert!(error.message.contains("nesting"), "{}", error.message);
+        }
+        other => panic!("expected Error frame, got {other:?}"),
+    }
+    client::status(&endpoint).expect("the same server still answers Status");
+    server.shutdown();
 }
 
 #[test]

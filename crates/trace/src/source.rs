@@ -81,9 +81,8 @@ impl TraceSource {
     /// Synthetic sources cannot fail; file sources validate that the file
     /// opens (and, for binary traces, that the header is well-formed) before
     /// returning.  A record-level corruption later in a file ends the stream
-    /// early and is reported through
-    /// [`AccessStream::take_error`](crate::stream::AccessStream::take_error)
-    /// (the engine turns it into a job failure); tools that need per-record
+    /// early and is reported through [`AccessStream::take_error`] (the
+    /// engine turns it into a job failure); tools that need per-record
     /// errors should use the iterators in [`crate::io`] directly.
     ///
     /// # Errors

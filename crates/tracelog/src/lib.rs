@@ -1,17 +1,16 @@
 //! Span-based pipeline tracing with Chrome trace-event export.
 //!
-//! The engine's per-job metrics say *that* simulate dominates; this crate
-//! says *where time goes within and between stages*:
+//! A traced run's spans are the engine's only record of where its time
+//! went: per job, per segment and per step of the job loop.
 //!
 //! - **Nothing recorded when disabled.**  A disabled [`Trace`] hands out
 //!   disabled [`Recorder`]s whose spans and events are no-ops that never
 //!   read the clock and never allocate.  Simulation results are
 //!   byte-identical with tracing on or off (pinned by
 //!   `tests/metrics_telemetry.rs`).
-//! - **One clock for spans and metrics.**  A loop that already reads the
-//!   clock at its stage boundaries records those same instants as spans
-//!   ([`Recorder::span_between`]), so its trace and its own stage timings
-//!   agree by construction.
+//! - **One clock.**  Spans and events from every thread read the trace's
+//!   one clock, so they line up on one timeline; the engine keeps no other
+//!   timings of a job.
 //! - **The hot loop never locks.**  Each thread records into its own bounded
 //!   ring buffer through a [`Recorder`]; buffers are drained into the shared
 //!   collector exactly once, when the recorder is dropped.  When a ring
@@ -310,37 +309,6 @@ impl Recorder {
         }
     }
 
-    /// Records a span named `name` that ran from `start` to `end`, for a
-    /// caller that reads the clock itself.  `fill` attaches arguments; like
-    /// [`instant`](Self::instant), nothing happens on a disabled recorder.
-    pub fn span_between<F: FnOnce(&mut Args)>(
-        &self,
-        name: &'static str,
-        start: Instant,
-        end: Instant,
-        fill: F,
-    ) {
-        if let Some(inner) = &self.inner {
-            let at = |instant: Instant| {
-                instant
-                    .saturating_duration_since(inner.trace.origin)
-                    .as_micros() as u64
-            };
-            let start_us = at(start);
-            let mut args = Args(Vec::new());
-            fill(&mut args);
-            let event = TraceEvent {
-                name,
-                kind: EventKind::Span {
-                    start_us,
-                    dur_us: at(end).saturating_sub(start_us),
-                },
-                args: args.0,
-            };
-            inner.ring.borrow_mut().push(event);
-        }
-    }
-
     /// Records a point-in-time event.  `fill` attaches arguments and only
     /// runs when the recorder is enabled, so call sites pay nothing for
     /// argument construction when tracing is off.
@@ -541,33 +509,6 @@ mod tests {
         assert!(outer_start <= inner_start);
         assert!(inner_start + inner_dur <= outer_start + outer_dur);
         assert!(inner_dur <= outer_dur);
-    }
-
-    #[test]
-    fn span_between_records_the_given_interval() {
-        let trace = Trace::enabled();
-        let start = Instant::now();
-        let end = start + std::time::Duration::from_micros(1_500);
-        {
-            let rec = trace.recorder("t0");
-            rec.span_between("stage", start, end, |a| {
-                a.u64("segment", 7);
-            });
-            Recorder::disabled().span_between("never", start, end, |_| {
-                panic!("a disabled recorder never builds arguments")
-            });
-        }
-        let logs = trace.logs();
-        assert_eq!(logs.len(), 1);
-        let event = &logs[0].events[0];
-        assert_eq!(event.name, "stage");
-        assert_eq!(event.args, vec![("segment", ArgValue::U64(7))]);
-        match event.kind {
-            // Both ends round down to whole microseconds of the run, which
-            // keeps a whole number of microseconds exact.
-            EventKind::Span { dur_us, .. } => assert_eq!(dur_us, 1_500),
-            _ => panic!("a span"),
-        }
     }
 
     #[test]

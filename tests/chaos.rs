@@ -44,7 +44,7 @@ fn run_in(
         registry,
         ..RunOptions::new(workers)
     };
-    engine::execute(jobs, &options, &mut |result, _| results.push(result))?;
+    engine::execute(jobs, &options, &mut |result| results.push(result))?;
     Ok(results)
 }
 
@@ -376,7 +376,7 @@ fn a_panic_inside_a_shared_trace_group_fails_only_its_own_job() {
                 registry: &registry,
                 ..RunOptions::new(workers)
             };
-            let err = engine::execute(&jobs, &options, &mut |result, _| delivered.push(result))
+            let err = engine::execute(&jobs, &options, &mut |result| delivered.push(result))
                 .expect_err("the panicking job fails the run");
             assert_eq!(
                 err.to_string(),

@@ -41,7 +41,7 @@ fn run_in(
         registry,
         ..RunOptions::new(workers)
     };
-    engine::execute(jobs, &options, &mut |result, _| results.push(result))?;
+    engine::execute(jobs, &options, &mut |result| results.push(result))?;
     Ok(results)
 }
 

@@ -1,17 +1,17 @@
 //! The Chrome-trace export must be structurally valid and must actually
 //! account for the run it claims to describe: a job's stage spans have to
-//! cover (nearly) all of its measured wall-clock and agree with the job's
-//! own metrics, and the job server has to record the full submission
-//! lifecycle.
+//! cover (nearly) all of its measured wall-clock, one per step of each
+//! segment the loop ran, and the job server has to record the full
+//! submission lifecycle.
 
 use engine::segment::SEGMENT;
-use engine::{JobList, JobMetrics, PrefetcherSpec, RunOptions, SimJob};
+use engine::{JobList, PrefetcherSpec, RunOptions, SimJob};
 use ghb::GhbConfig;
 use memsim::HierarchyConfig;
 use sms::SmsConfig;
 use timing::TimingConfig;
 use trace::{Application, GeneratorConfig};
-use tracelog::{check_chrome_trace, span_total_us, EventKind, Trace};
+use tracelog::{check_chrome_trace, span_total_us, ArgValue, EventKind, Trace};
 
 const CPUS: usize = 2;
 const SEED: u64 = 2006;
@@ -38,7 +38,7 @@ fn segmented_job_spans_cover_the_measured_wall_clock() {
         ..RunOptions::new(0)
     };
     let start = std::time::Instant::now();
-    let delivered = engine::execute(&jobs, &options, &mut |_, _| {}).expect("job prepares");
+    let delivered = engine::execute(&jobs, &options, &mut |_| {}).expect("job prepares");
     let wall_us = start.elapsed().as_micros() as u64;
     assert_eq!(delivered, 1);
 
@@ -71,28 +71,37 @@ fn segmented_job_spans_cover_the_measured_wall_clock() {
     );
 }
 
-/// Summed durations of the spans named `name` in the log labelled `label`,
-/// microseconds.
-fn span_sum_us(trace: &Trace, label: &str, name: &str) -> u64 {
+/// One `seg.*` span of a job's track: its name, the segment it names, and
+/// its run-relative start and end, microseconds.
+type StepSpan = (&'static str, u64, u64, u64);
+
+/// The `seg.*` spans of the log labelled `label`, in recording order.
+fn step_spans(trace: &Trace, label: &str) -> Vec<StepSpan> {
     trace
         .logs()
         .iter()
         .filter(|log| log.label == label)
         .flat_map(|log| &log.events)
-        .filter(|event| event.name == name)
-        .map(|event| match event.kind {
-            EventKind::Span { dur_us, .. } => dur_us,
-            _ => panic!("{name} must be a span"),
+        .filter(|event| event.name.starts_with("seg."))
+        .map(|event| {
+            let EventKind::Span { start_us, dur_us } = event.kind else {
+                panic!("{} must be a span", event.name)
+            };
+            let segment = match event.args.as_slice() {
+                [("segment", ArgValue::U64(segment))] => *segment,
+                other => panic!("{} carries {other:?}, not its segment", event.name),
+            };
+            (event.name, segment, start_us, start_us + dur_us)
         })
-        .sum()
+        .collect()
 }
 
 #[test]
 fn stage_spans_and_job_metrics_read_the_same_clock() {
-    // Baseline, SMS, GHB and a timing job, on the calling thread and on
-    // scoped workers: every job's stage spans sum to its metrics' stage
-    // times.  A span's two ends are each rounded down to whole run-relative
-    // microseconds, so the sums may differ by less than 1 us per span.
+    // Baseline, SMS, GHB with a partial last segment, and a timing job, on
+    // the calling thread and on scoped workers: every job's track records
+    // one `seg.pull`, `seg.simulate` and `seg.account` span per segment,
+    // each naming its segment, back to back on the trace's one clock.
     let jobs = vec![
         sms_job(),
         SimJob::new(memsim::SimJob {
@@ -112,42 +121,35 @@ fn stage_spans_and_job_metrics_read_the_same_clock() {
             trace: &trace,
             ..RunOptions::new(workers)
         };
-        let mut delivered: Vec<(u64, JobMetrics)> = Vec::new();
-        engine::execute(&jobs, &options, &mut |result, metrics| {
-            delivered.push((result.summary.accesses, metrics));
+        let mut accesses = Vec::new();
+        engine::execute(&jobs, &options, &mut |result| {
+            accesses.push(result.summary.accesses);
         })
         .expect("every job runs");
-        assert_eq!(delivered.len(), jobs.len());
-        for (index, (accesses, metrics)) in delivered.iter().enumerate() {
-            assert_eq!(metrics.job_index, index);
-            assert_eq!(metrics.accesses, *accesses);
-            assert_eq!(
-                metrics.cache_ops,
-                metrics.accesses + metrics.prefetch_issues
-            );
-            assert!(metrics.segments > 0 && metrics.elapsed_seconds > 0.0);
-            assert!(metrics.pull_seconds > 0.0 && metrics.account_seconds > 0.0);
-            assert!(metrics.simulate_segment_us.sum() > 0);
-
-            let label = format!("job{index}.pipeline");
-            let tolerance = metrics.pull_segment_us.count() as f64;
-            let stages = [
-                ("seg.pull", metrics.pull_seconds * 1e6),
-                ("seg.simulate", metrics.simulate_segment_us.sum() as f64),
-                ("seg.account", metrics.account_seconds * 1e6),
-            ];
-            for (name, metric_us) in stages {
-                let spans_us = span_sum_us(&trace, &label, name) as f64;
+        assert_eq!(accesses.len(), jobs.len());
+        for (index, job) in jobs.iter().enumerate() {
+            assert_eq!(accesses[index], job.sim.accesses as u64);
+            let segments = job.sim.accesses.div_ceil(SEGMENT) as u64;
+            let expected: Vec<(&str, u64)> = (0..segments)
+                .flat_map(|segment| {
+                    ["seg.pull", "seg.simulate", "seg.account"].map(|name| (name, segment))
+                })
+                .collect();
+            let steps = step_spans(&trace, &format!("job{index}.pipeline"));
+            let recorded: Vec<(&str, u64)> = steps
+                .iter()
+                .map(|&(name, segment, ..)| (name, segment))
+                .collect();
+            assert_eq!(recorded, expected, "workers={workers} job {index}");
+            for pair in steps.windows(2) {
                 assert!(
-                    (spans_us - metric_us).abs() <= tolerance,
-                    "workers={workers} job {index}: {name} spans sum to {spans_us} us, \
-                     its metrics to {metric_us} us"
+                    pair[0].3 <= pair[1].2,
+                    "workers={workers} job {index}: {:?} overlaps {:?}",
+                    pair[0],
+                    pair[1]
                 );
             }
         }
-        // Prefetching jobs issue fills; the baseline issues none.
-        assert!(delivered[0].1.prefetch_issues > 0 && delivered[0].1.request_batches > 0);
-        assert_eq!(delivered[1].1.prefetch_issues, 0);
     }
 }
 
