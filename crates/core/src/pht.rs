@@ -44,8 +44,9 @@ impl PhtCapacity {
         }
     }
 
-    /// Checks that a bounded table has entries and ways, whole sets, and a
-    /// power-of-two number of sets (a key finds its set by mask).
+    /// Checks that a bounded table has entries and ways, whole sets, a
+    /// power-of-two number of sets (a key finds its set by mask), and at
+    /// most [`memsim::MAX_TABLE_ENTRIES`] entries.
     ///
     /// # Errors
     ///
@@ -63,6 +64,8 @@ impl PhtCapacity {
                     Err(PhtError::PartialSet)
                 } else if !(entries / associativity).is_power_of_two() {
                     Err(PhtError::SetsNotPowerOfTwo)
+                } else if entries > memsim::MAX_TABLE_ENTRIES {
+                    Err(PhtError::TooLarge)
                 } else {
                     Ok(())
                 }
@@ -80,6 +83,8 @@ pub enum PhtError {
     PartialSet,
     /// The number of sets is not a power of two.
     SetsNotPowerOfTwo,
+    /// The table holds more than [`memsim::MAX_TABLE_ENTRIES`] entries.
+    TooLarge,
 }
 
 impl fmt::Display for PhtError {
@@ -88,6 +93,9 @@ impl fmt::Display for PhtError {
             PhtError::Empty => "PHT capacity must be positive",
             PhtError::PartialSet => "entries must be a multiple of associativity",
             PhtError::SetsNotPowerOfTwo => "number of sets must be a power of two",
+            PhtError::TooLarge => {
+                return write!(f, "entries must be at most {}", memsim::MAX_TABLE_ENTRIES)
+            }
         })
     }
 }

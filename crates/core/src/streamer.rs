@@ -37,12 +37,19 @@ pub struct StreamerConfig {
 pub enum StreamerError {
     /// The file has no prediction register.
     NoRegisters,
+    /// The file has more than [`memsim::MAX_TABLE_ENTRIES`] registers.
+    TooManyRegisters,
 }
 
 impl fmt::Display for StreamerError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StreamerError::NoRegisters => f.write_str("need at least one prediction register"),
+            StreamerError::TooManyRegisters => write!(
+                f,
+                "at most {} prediction registers",
+                memsim::MAX_TABLE_ENTRIES
+            ),
         }
     }
 }
@@ -59,14 +66,19 @@ impl StreamerConfig {
         }
     }
 
-    /// Checks that the file has at least one register.
+    /// Checks that the file has at least one register and at most
+    /// [`memsim::MAX_TABLE_ENTRIES`].
     ///
     /// # Errors
     ///
-    /// [`StreamerError::NoRegisters`] for a file of zero registers.
+    /// [`StreamerError::NoRegisters`] for a file of zero registers,
+    /// [`StreamerError::TooManyRegisters`] past the bound.
     pub fn validate(&self) -> Result<(), StreamerError> {
         if self.registers == 0 {
             return Err(StreamerError::NoRegisters);
+        }
+        if self.registers > memsim::MAX_TABLE_ENTRIES {
+            return Err(StreamerError::TooManyRegisters);
         }
         Ok(())
     }

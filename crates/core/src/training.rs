@@ -29,6 +29,9 @@ use memsim::{
 use serde::{Deserialize, Serialize};
 use trace::MemAccess;
 
+/// Ways per set of the sectored trainers' tag arrays.
+pub const SECTOR_WAYS: usize = 2;
+
 /// Which training structure observes spatial patterns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum TrainerKind {
@@ -130,7 +133,7 @@ impl TrainingPrefetcher {
                                 l1_capacity_bytes,
                                 region.region_bytes,
                                 region.block_bytes,
-                                2,
+                                SECTOR_WAYS,
                                 2,
                             ))
                         }
@@ -138,7 +141,7 @@ impl TrainingPrefetcher {
                             l1_capacity_bytes,
                             region.region_bytes,
                             region.block_bytes,
-                            2,
+                            SECTOR_WAYS,
                         )),
                     };
                     sectored.push(SectoredCpu {

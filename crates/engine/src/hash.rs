@@ -1,22 +1,22 @@
 //! Canonical hashing of job specs: the content-addressed result-cache key.
 //!
-//! Engine jobs are deterministic — the jobs of a [`JobList`] fully
-//! determine every byte of the results — so a canonical hash of the jobs
-//! *is* the identity of the result set.  The job server (`crates/server`)
-//! uses [`spec_fingerprint`] as its cache key; anything that cannot change
-//! the results is deliberately excluded:
+//! Engine jobs are deterministic — the jobs of a [`JobList`](crate::JobList)
+//! fully determine every byte of the results — so a canonical hash of the
+//! jobs *is* the identity of the result set.  The job server
+//! (`crates/server`) uses [`spec_fingerprint`] as its cache key; anything
+//! that cannot change the results is deliberately excluded:
 //!
 //! * every engine setting — the worker count is a scheduling choice, and
 //!   results are bit-identical across worker counts by construction;
-//! * the spec's `version` and `name` fields — the version is normalized on
-//!   load and the name is a client-facing label;
+//! * the spec's `version` and `name` fields — [`spec_fingerprint`] takes
+//!   the jobs alone, so neither reaches it;
 //! * JSON presentation — object key order and whitespace are erased by
 //!   [`canonical_json`], so a reordered or reformatted spec file hashes
 //!   identically.
 //!
 //! Two submissions share a cache line exactly when their jobs are equal.
 
-use crate::runner::{JobList, SimJob};
+use crate::runner::SimJob;
 use serde::Serialize;
 use serde_json::Value;
 
@@ -72,13 +72,6 @@ pub fn spec_fingerprint(jobs: &[SimJob]) -> String {
     format!("{:016x}", fnv1a_64(canonical.as_bytes()))
 }
 
-/// [`spec_fingerprint`] for a whole spec file: hashes the list's jobs,
-/// ignoring its `version` and `name` fields (both presentation, neither
-/// affects execution).
-pub fn list_fingerprint(list: &JobList) -> String {
-    spec_fingerprint(&list.jobs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,13 +113,6 @@ mod tests {
         let reordered = reverse_keys(&serde_json::from_str::<Value>(&pretty).unwrap());
         let reloaded: Vec<SimJob> = serde::Deserialize::from_value(&reordered).unwrap();
         assert_eq!(spec_fingerprint(&reloaded), baseline);
-
-        // The list wrapper's version/name labels are not identity either.
-        let named = JobList {
-            name: Some("fig05 rerun".to_string()),
-            ..JobList::new(jobs())
-        };
-        assert_eq!(list_fingerprint(&named), baseline);
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub mod segment;
 mod shared;
 pub mod spec;
 
-pub use hash::{canonical_json, fnv1a_64, list_fingerprint, spec_fingerprint};
+pub use hash::{canonical_json, fnv1a_64, spec_fingerprint};
 pub use plugin::{
     closest_match, decode_params, BuiltPrefetcher, DensityReport, KindSink, OracleReport,
     PluginError, PrefetcherPlugin, Probe, ProbeReport, Registry, TrainingReport,

@@ -18,15 +18,21 @@ use crate::plugin::{PluginError, ProbeReport, Registry};
 use crate::segment::run_job_on;
 use crate::shared::{SharedTraces, LIVE_CAP_BYTES};
 use crate::spec::PrefetcherSpec;
-use memsim::RunSummary;
+use memsim::{RunSummary, MAX_TABLE_ENTRIES};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
 use timing::{TimingConfig, TimingResult};
+use trace::{GeneratorConfig, TraceSource};
 use tracelog::{Recorder, Trace};
+
+/// The most CPUs a job may simulate: a [`trace::MemAccess`] names its CPU
+/// in a `u8`.
+const MAX_CPUS: usize = u8::MAX as usize + 1;
 
 /// Timing-model parameters attached to a job whose run also feeds the
 /// timing model's cycle accounting (Figures 12 and 13).
@@ -60,6 +66,40 @@ impl SimJob {
     pub fn with_timing(mut self, config: TimingConfig, segments: usize) -> Self {
         self.timing = Some(TimingSpec { config, segments });
         self
+    }
+
+    /// Checks the job's counts that name a CPU or size a table outside the
+    /// prefetcher: each must lie in the range the simulator can allocate.
+    fn check_bounds(&self) -> Result<(), String> {
+        in_range("cpus", self.sim.cpus, 1..=MAX_CPUS)?;
+        if let TraceSource::Synthetic { generator, .. } = &self.sim.source {
+            in_range(
+                "generator.cpus",
+                generator.cpus,
+                1..=GeneratorConfig::MAX_CPUS,
+            )?;
+        }
+        if let Some(timing) = &self.timing {
+            in_range("timing.segments", timing.segments, 1..=MAX_TABLE_ENTRIES)?;
+        }
+        Ok(())
+    }
+}
+
+/// Checks that `value` lies in `range`; the message names the field.
+pub(crate) fn in_range<T: PartialOrd + fmt::Display>(
+    name: &str,
+    value: T,
+    range: RangeInclusive<T>,
+) -> Result<(), String> {
+    if range.contains(&value) {
+        Ok(())
+    } else {
+        Err(format!(
+            "{name} must be in {}..={}, got {value}",
+            range.start(),
+            range.end()
+        ))
     }
 }
 
@@ -119,9 +159,11 @@ impl JobList {
     ///
     /// [`SpecError::UnsupportedVersion`] when the spec's version is outside
     /// the supported range, [`SpecError::Parse`] for anything that is not a
-    /// well-formed job list of its declared version, and
+    /// well-formed job list of its declared version,
     /// [`SpecError::InvalidCache`] for a job whose cache geometry
-    /// [`memsim::CacheConfig::validate`] rejects.
+    /// [`memsim::CacheConfig::validate`] rejects, and
+    /// [`SpecError::OutOfRange`] for a job whose CPU count or timing
+    /// segment count the simulator cannot allocate.
     pub fn from_json(text: &str) -> Result<Self, SpecError> {
         let value: serde_json::Value =
             serde_json::from_str(text).map_err(|e| SpecError::Parse(e.to_string()))?;
@@ -153,6 +195,9 @@ impl JobList {
                     .validate()
                     .map_err(|error| SpecError::InvalidCache { job, level, error })?;
             }
+            entry
+                .check_bounds()
+                .map_err(|message| SpecError::OutOfRange { job, message })?;
         }
         list.version = Self::VERSION;
         Ok(list)
@@ -200,6 +245,14 @@ pub enum SpecError {
         /// The invariant the cache breaks.
         error: memsim::GeometryError,
     },
+    /// A job's CPU count or timing segment count lies outside the range
+    /// the simulator can model.
+    OutOfRange {
+        /// Index of the job in the list.
+        job: usize,
+        /// The field, its range and the value given.
+        message: String,
+    },
     /// A job's prefetcher spec names an unknown plugin or carries
     /// parameters its plugin rejects ([`JobList::check`]).
     Plugin {
@@ -222,6 +275,9 @@ impl fmt::Display for SpecError {
             ),
             SpecError::InvalidCache { job, level, error } => {
                 write!(f, "invalid job spec: job {job}: {level} {error}")
+            }
+            SpecError::OutOfRange { job, message } => {
+                write!(f, "invalid job spec: job {job}: {message}")
             }
             SpecError::Plugin { job, error } => write!(f, "invalid job spec: job {job}: {error}"),
         }

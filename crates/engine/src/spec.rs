@@ -17,9 +17,11 @@ use crate::plugin::{
     decode_params, BuiltPrefetcher, DensityReport, OracleReport, PluginError, PrefetcherPlugin,
     Probe, ProbeReport, TrainingReport,
 };
+use crate::runner::in_range;
 use ghb::{GhbConfig, GhbPrefetcher};
-use memsim::{NullPrefetcher, PrefetchRequest, Prefetcher, SystemOutcome};
+use memsim::{NullPrefetcher, PrefetchRequest, Prefetcher, SystemOutcome, MAX_TABLE_ENTRIES};
 use serde::{Deserialize, Serialize};
+use sms::training::SECTOR_WAYS;
 use sms::{
     DensityObserver, IndexScheme, OracleObserver, PhtCapacity, RegionConfig, SmsConfig,
     SmsPrefetcher, TrainerKind, TrainingPrefetcher,
@@ -362,7 +364,16 @@ trait BuiltinParams: Deserialize {
     }
 }
 
-impl BuiltinParams for GhbConfig {}
+impl BuiltinParams for GhbConfig {
+    fn validate(&self) -> Result<(), String> {
+        in_range(
+            "history_entries",
+            self.history_entries,
+            1..=MAX_TABLE_ENTRIES,
+        )?;
+        in_range("index_entries", self.index_entries, 1..=MAX_TABLE_ENTRIES)
+    }
+}
 
 impl BuiltinParams for RegionConfig {
     fn validate(&self) -> Result<(), String> {
@@ -381,7 +392,17 @@ impl BuiltinParams for SmsConfig {
 impl BuiltinParams for TrainingSpec {
     fn validate(&self) -> Result<(), String> {
         field("region", self.region.validate())?;
-        field("pht", self.pht.validate())
+        field("pht", self.pht.validate())?;
+        if self.trainer == TrainerKind::Agt {
+            return Ok(());
+        }
+        // A sectored trainer sizes its tag array by the sectors the L1
+        // holds, and needs one sector per way.
+        in_range(
+            "l1_capacity_bytes / region_bytes",
+            self.l1_capacity_bytes / self.region.region_bytes,
+            SECTOR_WAYS as u64..=MAX_TABLE_ENTRIES as u64,
+        )
     }
 }
 

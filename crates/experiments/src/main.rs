@@ -12,13 +12,11 @@
 //! sms-experiments run --spec <jobs.json> [--jobs N]
 //!                 [--timeout MS] [--out <path>] [--trace-out <path>]
 //! sms-experiments list [--json]
-//! sms-experiments serve (--socket PATH | --tcp ADDR) [--quota N] [--jobs N]
-//!                 [--cache-max-entries N] [--cache-max-bytes N]
-//!                 [--queue-max N] [--cache-dir DIR]
+//! sms-experiments serve (--socket PATH | --tcp ADDR) [--jobs N]
+//!                 [--cache-dir DIR]
 //!                 [--metrics-out <path>] [--trace-out <path>]
 //! sms-experiments submit (--socket PATH | --tcp ADDR) --spec <jobs.json>
-//!                 [--client NAME] [--priority N] [--jobs N]
-//!                 [--timeout MS] [--retries N]
+//!                 [--client NAME] [--jobs N] [--timeout MS]
 //!                 [--out <path>] [--expect-cache-hit]
 //! sms-experiments submit (--socket PATH | --tcp ADDR) --status [--json]
 //! sms-experiments submit (--socket PATH | --tcp ADDR) --shutdown
@@ -33,11 +31,8 @@
 //!                and/or loopback TCP; submissions stream back results as
 //!                jobs finish, identical resubmissions are answered from the
 //!                content-addressed result cache, and graceful shutdown
-//!                drains the queue (--quota caps jobs queued+running per
-//!                client; --cache-max-entries / --cache-max-bytes bound the
-//!                result cache with LRU eviction, 0 = unlimited;
-//!                --metrics-out writes the server's counters as a metrics
-//!                report on exit)
+//!                drains the queue (--metrics-out writes the server's
+//!                counters as a metrics report on exit)
 //! submit         send a serialized job list to a running server; prints the
 //!                same table and writes the same --out file as `run --spec`,
 //!                byte for byte (--expect-cache-hit fails unless the reply
@@ -57,15 +52,6 @@
 //!                next job boundary and fails with a structured
 //!                deadline-exceeded error instead of hanging; results
 //!                finished before the deadline are still printed (0 = none)
-//! --retries N    (submit) reconnect and resubmit up to N times after a
-//!                connection-level failure, with exponential backoff.  Safe:
-//!                submissions are content-addressed, so work the server
-//!                already finished replays from its result cache instead of
-//!                recomputing.  Structured refusals are never retried
-//! --queue-max N  (serve) bound the submission queue: submissions arriving
-//!                when N are already queued are shed with a structured
-//!                `overloaded` error instead of growing the backlog without
-//!                limit; cache hits are still answered (0 = unbounded)
 //! --cache-dir DIR
 //!                (serve) persist the result cache in DIR as checksummed
 //!                entry files and reload them on start, so a restarted
@@ -127,11 +113,10 @@ fn usage() -> ExitCode {
          [--quick] [--jobs N] [--json PATH] [--out PATH] [--emit-spec PATH] [--trace-out PATH]\n\
        \x20      sms-experiments run --spec JOBS.json [--jobs N] [--timeout MS] [--out PATH] [--trace-out PATH]\n\
        \x20      sms-experiments list [--json]\n\
-       \x20      sms-experiments serve (--socket PATH | --tcp ADDR) [--quota N] [--jobs N] [--cache-max-entries N]\n\
-       \x20                            [--cache-max-bytes N] [--queue-max N] [--cache-dir DIR] [--metrics-out PATH] [--trace-out PATH]\n\
-       \x20      sms-experiments submit (--socket PATH | --tcp ADDR) --spec JOBS.json [--client NAME] [--priority N]\n\
-       \x20                             [--jobs N] [--timeout MS] [--retries N]\n\
-       \x20                             [--out PATH] [--expect-cache-hit]\n\
+       \x20      sms-experiments serve (--socket PATH | --tcp ADDR) [--jobs N] [--cache-dir DIR]\n\
+       \x20                            [--metrics-out PATH] [--trace-out PATH]\n\
+       \x20      sms-experiments submit (--socket PATH | --tcp ADDR) --spec JOBS.json [--client NAME]\n\
+       \x20                             [--jobs N] [--timeout MS] [--out PATH] [--expect-cache-hit]\n\
        \x20      sms-experiments submit (--socket PATH | --tcp ADDR) --status [--json] | --shutdown\n\
        \x20      sms-experiments trace-check TRACE.json [--require NAME]...",
         catalog::names().collect::<Vec<_>>().join("|")
@@ -145,17 +130,12 @@ fn usage() -> ExitCode {
 type Flag = (&'static str, &'static str, Option<&'static str>);
 
 /// Every flag, in the order a command suggests them for a mistyped flag.
-const FLAGS: [Flag; 24] = [
+const FLAGS: [Flag; 18] = [
     ("--socket", "serve submit", Some("a socket path")),
     ("--tcp", "serve submit", Some("an address")),
     ("--spec", "run submit", Some("a job spec path")),
     ("--client", "submit", Some("a client name")),
-    ("--priority", "submit", Some("an integer")),
-    ("--quota", "serve", Some("a number of jobs")),
     ("--jobs", "run serve submit experiment", Some("a number")),
-    ("--cache-max-entries", "serve", Some("a number of entries")),
-    ("--cache-max-bytes", "serve", Some("a number of bytes")),
-    ("--queue-max", "serve", Some("a number of submissions")),
     ("--cache-dir", "serve", Some("a directory")),
     ("--metrics-out", "serve", Some("an output path")),
     ("--json", "experiment", Some("an output path")),
@@ -164,7 +144,6 @@ const FLAGS: [Flag; 24] = [
         "run submit",
         Some("a deadline in milliseconds"),
     ),
-    ("--retries", "submit", Some("a retry count")),
     ("--out", "run submit experiment", Some("an output path")),
     ("--emit-spec", "experiment", Some("an output path")),
     (
@@ -447,19 +426,11 @@ fn print_spec_warnings(result: &JobResult) {
 /// metrics report and its recorded spans as a Chrome trace.
 fn run_serve(args: &Args, trace: &Trace) -> Result<(), ExitCode> {
     let workers = args.number("--jobs")?;
-    let quota = args.number("--quota")?;
-    let cache_max_entries = args.number("--cache-max-entries")?;
-    let cache_max_bytes = args.number("--cache-max-bytes")?;
-    let queue_max = args.number("--queue-max")?;
     let cache_dir = args.value("--cache-dir");
     let server = Server::start(ServerConfig {
         unix_socket: args.value("--socket").map(PathBuf::from),
         tcp: args.value("--tcp").map(str::to_string),
-        quota,
         workers,
-        cache_max_entries,
-        cache_max_bytes,
-        queue_max,
         cache_dir: cache_dir.map(PathBuf::from),
         trace: trace.clone(),
         ..ServerConfig::default()
@@ -474,17 +445,6 @@ fn run_serve(args: &Args, trace: &Trace) -> Result<(), ExitCode> {
     if let Some(addr) = server.tcp_addr() {
         say!("serving on tcp:{addr}")?;
     }
-    if quota > 0 {
-        say!("per-client quota: {quota} jobs queued or running")?;
-    }
-    if cache_max_entries > 0 || cache_max_bytes > 0 {
-        say!(
-            "result cache budget: {cache_max_entries} entries, {cache_max_bytes} bytes (0 = unlimited)"
-        )?;
-    }
-    if queue_max > 0 {
-        say!("submission queue bound: {queue_max} (excess submissions are shed as `overloaded`)")?;
-    }
     if let Some(dir) = cache_dir {
         let m = server.metrics();
         say!(
@@ -496,24 +456,18 @@ fn run_serve(args: &Args, trace: &Trace) -> Result<(), ExitCode> {
     say!("waiting for submissions; stop with `sms-experiments submit --shutdown`")?;
     let metrics = server.wait();
     say!(
-        "served {} submissions / {} jobs ({} cache hits, {} misses, {} evictions); \
-         max queue depth {}",
+        "served {} submissions / {} jobs ({} cache hits, {} misses); max queue depth {}",
         metrics.submissions,
         metrics.jobs_served,
         metrics.cache_hits,
         metrics.cache_misses,
-        metrics.cache_evictions,
         metrics.max_queue_depth,
     )?;
-    if metrics.deadline_cancellations > 0
-        || metrics.disconnect_cancellations > 0
-        || metrics.overload_rejections > 0
-    {
+    if metrics.deadline_cancellations > 0 || metrics.disconnect_cancellations > 0 {
         say!(
-            "faults tolerated: {} deadline cancellations, {} client disconnects, {} overload sheds",
+            "faults tolerated: {} deadline cancellations, {} client disconnects",
             metrics.deadline_cancellations,
             metrics.disconnect_cancellations,
-            metrics.overload_rejections,
         )?;
     }
     if let Some(path) = args.value("--metrics-out") {
@@ -543,19 +497,8 @@ fn render_status(m: &ServerMetrics) -> String {
     );
     let _ = writeln!(
         out,
-        "cache             {:>10}  hits, {} misses ({} entries / {} bytes resident)",
-        m.cache_hits, m.cache_misses, m.cache_entries, m.cache_bytes
-    );
-    let _ = writeln!(
-        out,
-        "cache evictions   {:>10}  ({} bytes reclaimed)",
-        m.cache_evictions, m.cache_evicted_bytes
-    );
-    let _ = writeln!(out, "quota rejections  {:>10}", m.quota_rejections);
-    let _ = writeln!(
-        out,
-        "overload sheds    {:>10}  (queue at its bound on arrival)",
-        m.overload_rejections
+        "cache             {:>10}  hits, {} misses ({} entries resident)",
+        m.cache_hits, m.cache_misses, m.cache_entries
     );
     let _ = writeln!(
         out,
@@ -580,18 +523,6 @@ fn render_status(m: &ServerMetrics) -> String {
             m.queue_wait_us.count()
         );
     }
-    if m.clients.is_empty() {
-        let _ = writeln!(out, "clients           {:>10}  with active jobs", 0);
-    } else {
-        let _ = writeln!(out, "clients with active jobs:");
-        for client in &m.clients {
-            let _ = writeln!(
-                out,
-                "  {:<24} {:>6} jobs",
-                client.client, client.active_jobs
-            );
-        }
-    }
     out
 }
 
@@ -601,8 +532,6 @@ fn render_status(m: &ServerMetrics) -> String {
 fn run_submit(args: &Args) -> Result<(), ExitCode> {
     let workers = args.number("--jobs")?;
     let timeout_ms = args.number("--timeout")?;
-    let priority = args.number("--priority")?;
-    let retries = args.number("--retries")?;
     let endpoint = match (args.value("--socket"), args.value("--tcp")) {
         (Some(path), None) => Endpoint::Unix(PathBuf::from(path)),
         (None, Some(addr)) => Endpoint::Tcp(addr.to_string()),
@@ -658,10 +587,8 @@ fn run_submit(args: &Args) -> Result<(), ExitCode> {
     })?;
     let options = SubmitOptions {
         client: args.value("--client").unwrap_or("anonymous").to_string(),
-        priority,
         workers,
         timeout_ms,
-        retries,
     };
     // Rows stream as frames arrive; the header waits for the first frame so
     // a refused submission leaves stdout untouched.  After a failed write

@@ -3,10 +3,16 @@
 //! doing any work: a mistyped flag gets a "did you mean" suggestion, and a
 //! retired one fails instead of being silently ignored.  A stdout closed by
 //! its reader ends a command quietly, and a spec nested too deeply to parse
-//! is an error, not a crash.
+//! or sized past what the simulator can allocate is an error, not a crash.
 
+use engine::{JobList, PrefetcherSpec, SimJob, TrainingSpec};
+use ghb::GhbConfig;
+use memsim::{CacheConfig, HierarchyConfig};
+use sms::{IndexScheme, PhtCapacity, RegionConfig, SmsConfig, StreamerConfig, TrainerKind};
 use std::io::Read;
 use std::process::{Command, Output, Stdio};
+use timing::TimingConfig;
+use trace::{Application, GeneratorConfig};
 
 fn sms_experiments(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_sms-experiments"))
@@ -35,6 +41,7 @@ fn a_mistyped_flag_exits_2_with_a_suggestion_and_writes_nothing() {
 
 #[test]
 fn flags_a_subcommand_does_not_take_are_rejected() {
+    let serve = ["serve", "--socket", "/nonexistent/dir/sms.sock"];
     let submit = [
         "submit",
         "--socket",
@@ -63,6 +70,20 @@ fn flags_a_subcommand_does_not_take_are_rejected() {
         // One subcommand's flags are not another's.
         (&["run", "--spec", "jobs.json", "--quick"], "--quick"),
         (&["fig05", "--status"], "--status"),
+        // The removed server policies: quotas, load shedding, cache
+        // budgets, priorities and client retries.
+        (&[&serve[..], &["--quota", "8"]].concat(), "--quota"),
+        (&[&serve[..], &["--queue-max", "8"]].concat(), "--queue-max"),
+        (
+            &[&serve[..], &["--cache-max-entries", "8"]].concat(),
+            "--cache-max-entries",
+        ),
+        (
+            &[&serve[..], &["--cache-max-bytes", "8"]].concat(),
+            "--cache-max-bytes",
+        ),
+        (&[&submit[..], &["--priority", "8"]].concat(), "--priority"),
+        (&[&submit[..], &["--retries", "8"]].concat(), "--retries"),
     ] {
         let output = sms_experiments(args);
         assert_eq!(
@@ -85,14 +106,6 @@ fn flags_a_subcommand_does_not_take_are_rejected() {
 
 #[test]
 fn every_numeric_flag_rejects_a_value_that_is_not_a_number() {
-    let serve = ["serve", "--socket", "/nonexistent/dir/sms.sock"];
-    let submit = [
-        "submit",
-        "--socket",
-        "/nonexistent.sock",
-        "--spec",
-        "jobs.json",
-    ];
     for (command, flag, message) in [
         (
             &["fig05", "--quick"][..],
@@ -104,24 +117,6 @@ fn every_numeric_flag_rejects_a_value_that_is_not_a_number() {
             "--timeout",
             "--timeout expects a deadline in milliseconds",
         ),
-        (&serve, "--quota", "--quota expects a number of jobs"),
-        (
-            &serve,
-            "--cache-max-entries",
-            "--cache-max-entries expects a number of entries",
-        ),
-        (
-            &serve,
-            "--cache-max-bytes",
-            "--cache-max-bytes expects a number of bytes",
-        ),
-        (
-            &serve,
-            "--queue-max",
-            "--queue-max expects a number of submissions",
-        ),
-        (&submit, "--priority", "--priority expects an integer"),
-        (&submit, "--retries", "--retries expects a retry count"),
     ] {
         let args = [command, &[flag, "many"]].concat();
         let output = sms_experiments(&args);
@@ -250,4 +245,128 @@ fn a_spec_nested_too_deeply_exits_1_with_a_parse_message() {
         stderr(&output)
     );
     assert!(output.stdout.is_empty());
+}
+
+/// A one-job spec on 2 CPUs whose prefetcher is `prefetcher`.
+fn one_job(prefetcher: PrefetcherSpec) -> SimJob {
+    SimJob::new(memsim::SimJob::synthetic(
+        Application::OltpDb2,
+        GeneratorConfig::default().with_cpus(2),
+        2006,
+        2,
+        HierarchyConfig::scaled(),
+        prefetcher,
+        1_000,
+    ))
+}
+
+#[test]
+fn a_spec_sized_past_what_the_simulator_can_allocate_exits_1_naming_the_field() {
+    let huge = 1usize << 40;
+    let sms = |config: SmsConfig| one_job(PrefetcherSpec::sms(&config));
+    let sectored = |l1_capacity_bytes| {
+        one_job(PrefetcherSpec::training(&TrainingSpec {
+            trainer: TrainerKind::DecoupledSectored,
+            region: RegionConfig::paper_default(),
+            index_scheme: IndexScheme::PcOffset,
+            pht: PhtCapacity::Unbounded,
+            l1_capacity_bytes,
+        }))
+    };
+    let mut no_cpus = one_job(PrefetcherSpec::null());
+    no_cpus.sim.cpus = 0;
+    let mut many_cpus = one_job(PrefetcherSpec::null());
+    many_cpus.sim.cpus = 257;
+    let mut no_streams = one_job(PrefetcherSpec::null());
+    no_streams.sim.source = trace::TraceSource::synthetic(
+        Application::OltpDb2,
+        GeneratorConfig {
+            cpus: 0,
+            ..GeneratorConfig::default()
+        },
+        2006,
+    );
+    let mut huge_l1 = one_job(PrefetcherSpec::null());
+    huge_l1.sim.hierarchy.l1 = CacheConfig {
+        capacity_bytes: 1 << 50,
+        associativity: 8,
+        block_bytes: 64,
+    };
+    let mut huge_l2 = one_job(PrefetcherSpec::null());
+    huge_l2.sim.hierarchy.l2.capacity_bytes = 1 << 50;
+    for (job, message) in [
+        (no_cpus, "cpus must be in 1..=256, got 0"),
+        (many_cpus, "cpus must be in 1..=256, got 257"),
+        (no_streams, "generator.cpus must be in 1..=64, got 0"),
+        (huge_l1, "L1 capacity must be at most 1048576 lines"),
+        (huge_l2, "L2 capacity must be at most 1048576 lines"),
+        (
+            sms(SmsConfig {
+                pht: PhtCapacity::Bounded {
+                    entries: huge,
+                    associativity: 16,
+                },
+                ..SmsConfig::paper_default()
+            }),
+            r#"bad parameters for plugin "sms": pht: entries must be at most 1048576"#,
+        ),
+        (
+            sms(SmsConfig {
+                streamer: StreamerConfig {
+                    registers: huge,
+                    ..StreamerConfig::paper_default()
+                },
+                ..SmsConfig::paper_default()
+            }),
+            r#"bad parameters for plugin "sms": streamer: at most 1048576 prediction registers"#,
+        ),
+        (
+            one_job(PrefetcherSpec::ghb(&GhbConfig {
+                history_entries: huge,
+                ..GhbConfig::paper_small()
+            })),
+            r#"bad parameters for plugin "ghb": history_entries must be in 1..=1048576, got 1099511627776"#,
+        ),
+        (
+            one_job(PrefetcherSpec::ghb(&GhbConfig {
+                index_entries: huge,
+                ..GhbConfig::paper_small()
+            })),
+            r#"bad parameters for plugin "ghb": index_entries must be in 1..=1048576, got 1099511627776"#,
+        ),
+        (
+            sectored(1 << 50),
+            r#"bad parameters for plugin "training": l1_capacity_bytes / region_bytes must be in 2..=1048576, got 549755813888"#,
+        ),
+        (
+            sectored(2048),
+            r#"bad parameters for plugin "training": l1_capacity_bytes / region_bytes must be in 2..=1048576, got 1"#,
+        ),
+        (
+            one_job(PrefetcherSpec::sms_paper_default()).with_timing(TimingConfig::table1(), huge),
+            "timing.segments must be in 1..=1048576, got 1099511627776",
+        ),
+        (
+            one_job(PrefetcherSpec::sms_paper_default()).with_timing(TimingConfig::table1(), 0),
+            "timing.segments must be in 1..=1048576, got 0",
+        ),
+    ] {
+        let spec = std::env::temp_dir().join(format!("sms-cli-bounds-{}.json", std::process::id()));
+        let list = JobList::new(vec![one_job(PrefetcherSpec::null()), job]);
+        std::fs::write(&spec, serde_json::to_string(&list).unwrap()).unwrap();
+        let output = sms_experiments(&["run", "--spec", &spec.to_string_lossy(), "--jobs", "1"]);
+        std::fs::remove_file(&spec).ok();
+        assert_eq!(
+            output.status.code(),
+            Some(1),
+            "{message}: {}",
+            stderr(&output)
+        );
+        assert!(
+            stderr(&output).contains(&format!("invalid job spec: job 1: {message}")),
+            "{message}: {}",
+            stderr(&output)
+        );
+        assert!(output.stdout.is_empty(), "{message}: a job ran");
+    }
 }

@@ -3,6 +3,14 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
+/// The most entries one simulated table may hold: cache lines per level,
+/// PHT entries, prediction registers, GHB entries, sectored-tag sectors and
+/// timing segments.  2^20 is 8x the Table-1 L2's 2^17 lines and 64x the
+/// paper's 16 k-entry PHT.  A job spec asking for more is refused when it is
+/// loaded, instead of aborting the process on an allocation the host
+/// cannot back.
+pub const MAX_TABLE_ENTRIES: usize = 1 << 20;
+
 /// Geometry of a single set-associative cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheConfig {
@@ -34,9 +42,10 @@ impl CacheConfig {
 
     /// Checks that the geometry describes a cache the model can simulate: a
     /// positive capacity and associativity, a power-of-two block size, a
-    /// capacity that is a multiple of `associativity * block_bytes`, and a
-    /// power-of-two set count.  A cache finds a set by shift and mask, so a
-    /// geometry that fails is rejected rather than simulated.
+    /// capacity that is a multiple of `associativity * block_bytes`, a
+    /// power-of-two set count, and at most [`MAX_TABLE_ENTRIES`] lines.  A
+    /// cache finds a set by shift and mask, so a geometry that fails is
+    /// rejected rather than simulated.
     ///
     /// # Errors
     ///
@@ -57,6 +66,9 @@ impl CacheConfig {
         }
         if !self.num_sets().is_power_of_two() {
             return Err(GeometryError::SetsNotPowerOfTwo);
+        }
+        if self.num_lines() > MAX_TABLE_ENTRIES as u64 {
+            return Err(GeometryError::TooManyLines);
         }
         Ok(())
     }
@@ -111,6 +123,8 @@ pub enum GeometryError {
     CapacityNotMultiple,
     /// The number of sets is not a power of two.
     SetsNotPowerOfTwo,
+    /// The cache holds more than [`MAX_TABLE_ENTRIES`] lines.
+    TooManyLines,
 }
 
 impl fmt::Display for GeometryError {
@@ -123,6 +137,9 @@ impl fmt::Display for GeometryError {
                 "capacity must be a multiple of associativity * block size"
             }
             GeometryError::SetsNotPowerOfTwo => "number of sets must be a power of two",
+            GeometryError::TooManyLines => {
+                return write!(f, "capacity must be at most {MAX_TABLE_ENTRIES} lines")
+            }
         })
     }
 }

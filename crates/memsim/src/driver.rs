@@ -7,11 +7,10 @@
 //! access's stream requests ([`Prefetcher::on_access_into`]), so issuing
 //! prefetchers stop paying one vector allocation per triggering access.
 //!
-//! [`run_job`] is the self-contained variant: a [`SimJob`] fully describes
-//! one run (trace source, system, prefetcher spec, access budget) so that
-//! jobs can be executed on any thread and always reproduce bit-identical
-//! summaries.  These two are the per-access reference loop, which tests,
-//! examples and the core crates use.
+//! A [`SimJob`] fully describes one run (trace source, system, prefetcher
+//! spec, access budget) so that jobs can be executed on any thread and
+//! always reproduce bit-identical summaries.  [`run`] is the per-access
+//! reference loop, which tests, examples and the core crates use.
 //!
 //! The `engine` crate runs every job through the segment primitives
 //! instead: [`run_segment_deferred`] simulates a buffered segment with miss
@@ -23,11 +22,10 @@
 
 use crate::classify::MissBreakdown;
 use crate::config::HierarchyConfig;
-use crate::prefetch::{NullPrefetcher, PrefetchLevel, PrefetchRequest, Prefetcher};
+use crate::prefetch::{PrefetchLevel, PrefetchRequest, Prefetcher};
 use crate::stats::CacheStats;
 use crate::system::MultiCpuSystem;
 use serde::{Deserialize, Serialize, Value};
-use std::io;
 use trace::{MemAccess, TraceSource};
 
 /// Aggregate results of one simulation run.
@@ -69,38 +67,6 @@ impl RunSummary {
         } else {
             1000.0 * self.l2.read_misses as f64 / self.accesses as f64
         }
-    }
-}
-
-/// Builds a [`Prefetcher`] from a (typically serializable) specification.
-///
-/// The driver and the `engine` crate construct prefetchers from specs rather
-/// than taking live instances, so a [`SimJob`] can be shipped to any worker
-/// thread and instantiated there.  Implementations must be deterministic:
-/// building twice from the same spec yields prefetchers with identical
-/// behavior.
-pub trait PrefetcherFactory {
-    /// The concrete prefetcher this factory builds.
-    type Output: Prefetcher;
-
-    /// Instantiates a fresh prefetcher for a `num_cpus`-processor system.
-    fn build(&self, num_cpus: usize) -> Self::Output;
-}
-
-impl<F: PrefetcherFactory> PrefetcherFactory for &F {
-    type Output = F::Output;
-
-    fn build(&self, num_cpus: usize) -> Self::Output {
-        (*self).build(num_cpus)
-    }
-}
-
-/// The stateless null prefetcher is its own factory.
-impl PrefetcherFactory for NullPrefetcher {
-    type Output = NullPrefetcher;
-
-    fn build(&self, _num_cpus: usize) -> NullPrefetcher {
-        NullPrefetcher::new()
     }
 }
 
@@ -177,24 +143,6 @@ impl<F: Deserialize> Deserialize for SimJob<F> {
             accesses: Deserialize::from_value(serde::field(obj, "accesses"))?,
         })
     }
-}
-
-/// Runs one [`SimJob`] from scratch: builds the system, instantiates the
-/// prefetcher from its spec, opens the trace source, and drives [`run`].
-///
-/// The built prefetcher is returned alongside the summary so callers can
-/// extract post-run state (predictor counters, observer histograms).
-///
-/// # Errors
-///
-/// Any I/O error from opening a file-backed trace source; synthetic sources
-/// cannot fail.
-pub fn run_job<F: PrefetcherFactory>(job: &SimJob<F>) -> io::Result<(RunSummary, F::Output)> {
-    let mut system = MultiCpuSystem::new(job.cpus, &job.hierarchy);
-    let mut prefetcher = job.prefetcher.build(job.cpus);
-    let mut stream = job.source.open()?;
-    let summary = run(&mut system, &mut prefetcher, &mut stream, job.accesses);
-    Ok((summary, prefetcher))
 }
 
 /// Runs `num_accesses` accesses from `stream` through `system` with
@@ -413,6 +361,19 @@ mod tests {
         assert_eq!(summary.skipped_accesses, 1);
     }
 
+    /// Runs `job` from scratch through [`run`] over its opened source, with
+    /// no prefetcher attached.
+    fn run_from_scratch(job: &SimJob<()>) -> RunSummary {
+        let mut system = MultiCpuSystem::new(job.cpus, &job.hierarchy);
+        let mut stream = job.source.open().expect("synthetic source");
+        run(
+            &mut system,
+            &mut NullPrefetcher::new(),
+            &mut stream,
+            job.accesses,
+        )
+    }
+
     #[test]
     fn run_job_is_reproducible_and_skips_nothing() {
         let job = SimJob::synthetic(
@@ -421,11 +382,11 @@ mod tests {
             7,
             2,
             HierarchyConfig::scaled(),
-            NullPrefetcher::new(),
+            (),
             5_000,
         );
-        let (first, _) = run_job(&job).expect("synthetic source");
-        let (second, _) = run_job(&job).expect("synthetic source");
+        let first = run_from_scratch(&job);
+        let second = run_from_scratch(&job);
         assert_eq!(first, second, "same job must give bit-identical summaries");
         assert_eq!(first.accesses, 5_000);
         // A well-formed job pairs generator and system CPU counts, so nothing
@@ -443,10 +404,10 @@ mod tests {
             7,
             2,
             HierarchyConfig::scaled(),
-            NullPrefetcher::new(),
+            (),
             4_000,
         );
-        let (summary, _) = run_job(&job).expect("synthetic source");
+        let summary = run_from_scratch(&job);
         assert!(summary.skipped_accesses > 0, "mismatch must be visible");
         assert_eq!(summary.accesses + summary.skipped_accesses, 4_000);
     }
@@ -491,17 +452,17 @@ mod tests {
     }
 
     #[test]
-    fn metered_run_counts_ops_without_changing_results() {
+    fn a_deferred_segment_reproduces_the_reference_run() {
         let job = SimJob::synthetic(
             trace::Application::Sparse,
             trace::GeneratorConfig::default().with_cpus(2),
             11,
             2,
             HierarchyConfig::scaled(),
-            NullPrefetcher::new(),
+            (),
             5_000,
         );
-        let (plain, _) = run_job(&job).expect("synthetic source");
+        let plain = run_from_scratch(&job);
         let accesses: Vec<MemAccess> = job.source.open().expect("synthetic").take(5_000).collect();
         let mut sys = MultiCpuSystem::new(2, &HierarchyConfig::scaled());
         let (metered, counts) = run_deferred(&mut sys, &mut NullPrefetcher::new(), &accesses);
@@ -514,7 +475,7 @@ mod tests {
     }
 
     #[test]
-    fn meter_counts_prefetch_issues_and_batches() {
+    fn a_deferred_segment_counts_prefetch_requests() {
         let accesses: Vec<MemAccess> = (0..100)
             .map(|i| MemAccess::read(0, 0x400, i * 64))
             .collect();
@@ -530,17 +491,5 @@ mod tests {
         assert_eq!(summary, reference);
         assert!(summary.prefetch_requests > 0);
         assert_eq!(counts.prefetch_requests, summary.prefetch_requests);
-    }
-
-    #[test]
-    fn job_with_missing_trace_file_fails_cleanly() {
-        let job = SimJob {
-            source: TraceSource::binary_file("/nonexistent/trace.bin"),
-            cpus: 1,
-            hierarchy: HierarchyConfig::scaled(),
-            prefetcher: NullPrefetcher::new(),
-            accesses: 100,
-        };
-        assert!(run_job(&job).is_err());
     }
 }

@@ -54,10 +54,9 @@ pub mod system;
 
 pub use cache::{AccessOutcome, CacheLineState, EvictedLine, SetAssocCache};
 pub use classify::{AccessFlags, MissAccounting, MissBreakdown, MissKind, OutcomeTape};
-pub use config::{CacheConfig, GeometryError, HierarchyConfig};
+pub use config::{CacheConfig, GeometryError, HierarchyConfig, MAX_TABLE_ENTRIES};
 pub use driver::{
-    run, run_job, run_segment_deferred, summarize_segmented, PrefetcherFactory, RunSummary,
-    SegmentCounts, SimJob,
+    run, run_segment_deferred, summarize_segmented, RunSummary, SegmentCounts, SimJob,
 };
 pub use fasthash::{FastMap, FxBuildHasher, FxHasher};
 pub use hierarchy::{CpuHierarchy, HierarchyOutcome};

@@ -3,10 +3,9 @@
 //! A [`Histogram`] counts `u64` samples (the workspace records microseconds)
 //! into power-of-two buckets: bucket 0 holds the value 0 and bucket *i* ≥ 1
 //! holds the half-open range `[2^(i-1), 2^i)`.  The layout is fixed —
-//! [`Histogram::BUCKETS`] covers the full `u64` range — so two histograms
-//! always merge bucket-by-bucket, and merging is commutative and associative
-//! by construction.  Count, min, max, sum and estimated percentiles are all
-//! derivable from the serialized form.
+//! [`Histogram::BUCKETS`] covers the full `u64` range.  Count, min, max,
+//! sum and estimated percentiles are all derivable from the serialized
+//! form.
 //!
 //! The struct is `Copy` (one fixed-size array, no heap), and recording is a
 //! bounds-free array increment, cheap enough to take under the server's
@@ -18,7 +17,7 @@
 
 use serde::{de, Deserialize, Serialize, Value};
 
-/// A mergeable log2-bucketed histogram over `u64` samples.
+/// A log2-bucketed histogram over `u64` samples.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Histogram {
     count: u64,
@@ -87,26 +86,6 @@ impl Histogram {
         self.buckets[Self::bucket_index(value)] += 1;
     }
 
-    /// Folds another histogram into this one, bucket by bucket.  Merging is
-    /// commutative: `a.merge(b)` and `b.merge(a)` produce equal histograms.
-    pub fn merge(&mut self, other: &Histogram) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            self.min = other.min;
-            self.max = other.max;
-        } else {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *mine += *theirs;
-        }
-    }
-
     /// Total samples recorded.
     pub fn count(&self) -> u64 {
         self.count
@@ -125,15 +104,6 @@ impl Histogram {
     /// Largest sample, or `None` when empty.
     pub fn max(&self) -> Option<u64> {
         (self.count > 0).then_some(self.max)
-    }
-
-    /// Mean sample value, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
     }
 
     /// Estimates the `q`-quantile (`0.0 ..= 1.0`) from the bucket counts:
@@ -277,37 +247,9 @@ mod tests {
         assert_eq!(h.min(), Some(10));
         assert_eq!(h.max(), Some(1000));
         assert_eq!(h.sum(), 1100);
-        assert!((h.mean() - 220.0).abs() < 1e-9);
         // Median falls in the [16,32) bucket; the estimate is its upper edge.
         assert_eq!(h.p50(), 31);
         assert_eq!(h.p99(), 1000, "p99 clamps to the observed max");
-    }
-
-    #[test]
-    fn merge_is_commutative_and_matches_recording_everything() {
-        let xs = [0u64, 1, 1, 7, 90, 4096, 5, 65_000];
-        let ys = [2u64, 2, 300, 12, 0];
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        for &x in &xs {
-            a.record(x);
-        }
-        for &y in &ys {
-            b.record(y);
-        }
-        let mut ab = a;
-        ab.merge(&b);
-        let mut ba = b;
-        ba.merge(&a);
-        assert_eq!(ab, ba, "merge is commutative");
-        let mut all = Histogram::new();
-        for &v in xs.iter().chain(ys.iter()) {
-            all.record(v);
-        }
-        assert_eq!(ab, all, "merge equals recording the union");
-        let mut with_empty = a;
-        with_empty.merge(&Histogram::new());
-        assert_eq!(with_empty, a, "empty is the merge identity");
     }
 
     #[test]

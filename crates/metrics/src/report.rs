@@ -44,8 +44,12 @@ impl MetricsReport {
     /// `bench-diff` kinds were retired with the `sms-experiments bench`
     /// harness.  The `engine-run` kind went later with the engine's
     /// whole-run metrics, which only tests ever reported; no envelope
-    /// changed, so the version did not.
-    pub const SCHEMA_VERSION: u32 = 7;
+    /// changed, so the version did not;
+    /// **8** — the `server` payload lost six fields with the server's
+    /// multi-tenant policies: `quota_rejections` and `clients` (client
+    /// quotas), `overload_rejections` (load shedding), and `cache_bytes`,
+    /// `cache_evictions` and `cache_evicted_bytes` (result-cache budgets).
+    pub const SCHEMA_VERSION: u32 = 8;
 
     /// A report of the given kind carrying `payload` serialized as JSON.
     pub fn new<T: Serialize + ?Sized>(kind: &str, payload: &T) -> Self {

@@ -13,7 +13,6 @@ use std::io::{self, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
-use std::time::Duration;
 
 /// Where the server lives.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,32 +105,22 @@ impl From<io::Error> for ClientError {
 /// Per-submission options (everything except the spec itself).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SubmitOptions {
-    /// Client identity for quota accounting.
+    /// Client identity, the label on the submission's trace spans
+    /// (non-empty).
     pub client: String,
-    /// Queue priority: higher runs first.
-    pub priority: i64,
     /// Worker threads (`0` = server default).
     pub workers: usize,
     /// Submission deadline in milliseconds, measured from admission
     /// (`0` = none).
     pub timeout_ms: u64,
-    /// Transport-failure retries: how many times [`submit`] reconnects and
-    /// resubmits after a connection-level failure (`0` = fail fast).
-    /// Resubmission is safe — the submission is content-addressed, so a
-    /// retry of work the server already finished replays the cached frames
-    /// instead of recomputing.  Structured server refusals and protocol
-    /// violations are never retried.
-    pub retries: usize,
 }
 
 impl Default for SubmitOptions {
     fn default() -> Self {
         Self {
             client: "anonymous".to_string(),
-            priority: 0,
             workers: 0,
             timeout_ms: 0,
-            retries: 0,
         }
     }
 }
@@ -149,43 +138,15 @@ pub struct SubmitOutcome {
 
 /// Submits a job list and blocks until the result stream completes,
 /// invoking `on_frame` for each per-job frame as it arrives (before the
-/// frame is appended to the returned outcome).
-///
-/// Connection-level failures ([`ClientError::Io`]) are retried up to
-/// `options.retries` times with exponential backoff (50 ms doubling, capped
-/// at 1 s), reconnecting and resubmitting from scratch each time; `on_frame`
-/// may therefore see a prefix of frames more than once across attempts.
-/// Structured refusals and protocol violations fail immediately — the
-/// server answered, so resubmitting the same request cannot help.
+/// frame is appended to the returned outcome).  One connection, one
+/// attempt: a transport failure is returned, not retried.
 ///
 /// # Errors
 ///
-/// [`ClientError::Server`] for a structured refusal (bad spec, quota,
-/// shutdown, engine failure), [`ClientError::Io`] /
-/// [`ClientError::Protocol`] for transport or grammar violations
-/// ([`ClientError::Io`] only after the configured retries are exhausted).
+/// [`ClientError::Server`] for a structured refusal (bad spec, shutdown,
+/// deadline, engine failure), [`ClientError::Io`] /
+/// [`ClientError::Protocol`] for transport or grammar violations.
 pub fn submit(
-    endpoint: &Endpoint,
-    list: &JobList,
-    options: &SubmitOptions,
-    on_frame: &mut dyn FnMut(&JobFrame),
-) -> Result<SubmitOutcome, ClientError> {
-    let mut backoff = Duration::from_millis(50);
-    let mut attempts_left = options.retries;
-    loop {
-        match submit_once(endpoint, list, options, on_frame) {
-            Err(ClientError::Io(_)) if attempts_left > 0 => {
-                attempts_left -= 1;
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(Duration::from_secs(1));
-            }
-            outcome => return outcome,
-        }
-    }
-}
-
-/// One connect-submit-stream attempt; [`submit`] adds the retry loop.
-fn submit_once(
     endpoint: &Endpoint,
     list: &JobList,
     options: &SubmitOptions,
@@ -193,7 +154,7 @@ fn submit_once(
 ) -> Result<SubmitOutcome, ClientError> {
     let request = Request::Submit(SubmitRequest {
         client: options.client.clone(),
-        priority: options.priority,
+        priority: 0,
         workers: options.workers,
         segment_size: 0,
         speculate: 0,

@@ -8,14 +8,16 @@
 //! * **transport** — a line-delimited JSON protocol over a unix-domain
 //!   socket and/or loopback TCP ([`protocol`]): one request per
 //!   connection, results streamed back frame by frame as jobs complete;
-//! * **scheduling** — a prioritized submission queue ([`queue`]) drained by
-//!   a single scheduler thread driving [`engine::execute`], so priorities
-//!   are strict and each submission gets the full worker budget;
+//! * **scheduling** — a FIFO submission queue ([`queue`]) drained by a
+//!   single scheduler thread driving [`engine::execute`], so submissions
+//!   run in arrival order and each one gets the full worker budget;
 //! * **caching** — a content-addressed result cache ([`cache`]) keyed by
 //!   [`engine::spec_fingerprint`]: identical resubmissions replay the
 //!   recorded frames byte for byte without touching the engine;
-//! * **protection** — per-client job quotas, loopback-only TCP, and
-//!   graceful shutdown that drains the queue before exit;
+//! * **protection** — loopback-only TCP, per-submission deadlines,
+//!   cancellation of a run whose client disconnected, a panicking job
+//!   failing its own submission only, and graceful shutdown that drains the
+//!   queue before exit;
 //! * **observability** — server counters ([`ServerMetrics`]) exported
 //!   through the workspace's standard [`metrics::MetricsReport`] envelope
 //!   (`kind: "server"`).
@@ -62,4 +64,4 @@ pub use protocol::{
     Accepted, Done, ErrorFrame, Frame, JobFrame, Request, ShutdownAck, SubmitRequest,
     PROTOCOL_VERSION,
 };
-pub use server::{ClientUsage, Server, ServerConfig, ServerError, ServerMetrics, REPORT_KIND};
+pub use server::{Server, ServerConfig, ServerError, ServerMetrics, REPORT_KIND};

@@ -10,12 +10,13 @@
 //!
 //! Reply sequence for a `Submit`:
 //!
-//! 1. [`Frame::Accepted`] (or a terminal [`Frame::Error`] — bad spec, quota
-//!    exceeded, server shutting down);
+//! 1. [`Frame::Accepted`] (or a terminal [`Frame::Error`] — bad request,
+//!    bad spec, server shutting down);
 //! 2. one [`Frame::Result`] per job, **in submission order**, each carrying
 //!    the job's [`JobResult`] as it completes;
-//! 3. a terminal [`Frame::Done`] (or [`Frame::Error`] if the engine
-//!    rejected a job after the results streamed so far).
+//! 3. a terminal [`Frame::Done`] (or [`Frame::Error`] if the deadline
+//!    passed or the engine rejected a job after the results streamed so
+//!    far).
 
 use engine::JobResult;
 use metrics::MetricsReport;
@@ -28,9 +29,13 @@ pub const PROTOCOL_VERSION: u32 = 1;
 /// A job submission.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SubmitRequest {
-    /// Client identity for quota accounting (free-form, non-empty).
+    /// Client identity, the label on the submission's trace spans
+    /// (free-form, non-empty).
     pub client: String,
-    /// Queue priority: higher runs first; ties run in arrival order.
+    /// Ignored.  Kept on the wire so requests from clients that still send
+    /// a queue priority decode; the queue runs submissions in arrival order
+    /// and the priority was never part of the cache key, so any value runs
+    /// (and caches) exactly like `0`.  Current clients send `0`.
     pub priority: i64,
     /// Worker threads for this submission (`0` = the server's default).
     pub workers: usize,
@@ -120,8 +125,6 @@ impl ErrorFrame {
     pub const BAD_REQUEST: &'static str = "bad_request";
     /// The submitted spec failed to load (parse or version error).
     pub const BAD_SPEC: &'static str = "bad_spec";
-    /// The submission would take the client over its job quota.
-    pub const QUOTA_EXCEEDED: &'static str = "quota_exceeded";
     /// The engine rejected a job (unknown plugin, unopenable trace, ...).
     pub const ENGINE: &'static str = "engine";
     /// The server is draining for shutdown and accepts no new submissions.
@@ -129,9 +132,6 @@ impl ErrorFrame {
     /// The submission's deadline (`timeout_ms`) passed before it completed;
     /// results streamed before the cancellation stand.
     pub const DEADLINE_EXCEEDED: &'static str = "deadline_exceeded";
-    /// The submission queue is at its configured bound (`--queue-max`);
-    /// resubmit later.  Cache hits are never shed — they bypass the queue.
-    pub const OVERLOADED: &'static str = "overloaded";
 
     /// An error frame with the given code and message.
     pub fn new(code: &str, message: impl Into<String>) -> Self {
@@ -232,7 +232,7 @@ mod tests {
                 cache_hit: true,
             }),
             Frame::ShutdownAck(ShutdownAck { draining: 2 }),
-            Frame::Error(ErrorFrame::new(ErrorFrame::QUOTA_EXCEEDED, "over quota")),
+            Frame::Error(ErrorFrame::new(ErrorFrame::SHUTTING_DOWN, "draining")),
         ] {
             let mut bytes = Vec::new();
             write_line(&mut bytes, &frame).unwrap();

@@ -1,15 +1,11 @@
-//! The prioritized submission queue between connection handlers and the
-//! scheduler.
+//! What passes between connection handlers and the scheduler: the queued
+//! [`Submission`] and the [`Event`]s streamed back for it.
 //!
-//! Ordering is strict: higher [`Queued::priority`] first, ties broken by
-//! arrival sequence (lower [`Queued::seq`] first), so equal-priority
-//! traffic is FIFO and a flood of low-priority submissions can never starve
-//! a later high-priority one.
+//! The queue itself is a FIFO (`VecDeque<Submission>` behind the server's
+//! state mutex): the scheduler runs submissions in arrival order.
 
 use crate::protocol::{ErrorFrame, JobFrame};
 use engine::{CancelToken, SimJob};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::sync::mpsc;
 use std::time::Instant;
 
@@ -31,7 +27,9 @@ pub enum Event {
 /// needs to run them and to account for the outcome.
 #[derive(Debug)]
 pub struct Submission {
-    /// Client identity, for quota release on completion.
+    /// Arrival sequence number (unique, monotonically increasing).
+    pub seq: u64,
+    /// Client identity, the label on the submission's trace spans.
     pub client: String,
     /// The jobs, in submission order.
     pub jobs: Vec<SimJob>,
@@ -53,109 +51,4 @@ pub struct Submission {
     /// from admission; `None` means the submission never times out.  The
     /// scheduler reads it to tell a deadline from a client disconnect.
     pub deadline: Option<Instant>,
-}
-
-/// A [`Submission`] with its queue ordering key.
-#[derive(Debug)]
-pub struct Queued {
-    /// Arrival sequence number (unique, monotonically increasing).
-    pub seq: u64,
-    /// Queue priority: higher runs first.
-    pub priority: i64,
-    /// The submission itself.
-    pub submission: Submission,
-}
-
-impl PartialEq for Queued {
-    fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
-    }
-}
-
-impl Eq for Queued {}
-
-impl PartialOrd for Queued {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Queued {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Max-heap: higher priority first, then earlier arrival (reversed
-        // seq comparison, because BinaryHeap pops the maximum).
-        self.priority
-            .cmp(&other.priority)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// The priority queue proper.
-#[derive(Debug, Default)]
-pub struct SubmissionQueue {
-    heap: BinaryHeap<Queued>,
-}
-
-impl SubmissionQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Enqueues a submission.
-    pub fn push(&mut self, queued: Queued) {
-        self.heap.push(queued);
-    }
-
-    /// Removes and returns the highest-priority (then oldest) submission.
-    pub fn pop(&mut self) -> Option<Queued> {
-        self.heap.pop()
-    }
-
-    /// Submissions currently queued.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn queued(seq: u64, priority: i64) -> Queued {
-        let (reply, _rx) = mpsc::channel();
-        Queued {
-            seq,
-            priority,
-            submission: Submission {
-                client: format!("client-{seq}"),
-                jobs: Vec::new(),
-                workers: 1,
-                fingerprint: format!("fp-{seq}"),
-                reply,
-                queued_at: Instant::now(),
-                cancel: CancelToken::new(),
-                deadline: None,
-            },
-        }
-    }
-
-    #[test]
-    fn orders_by_priority_then_arrival() {
-        let mut queue = SubmissionQueue::new();
-        for (seq, priority) in [(0, 0), (1, 5), (2, 0), (3, 5), (4, -1)] {
-            queue.push(queued(seq, priority));
-        }
-        let order: Vec<u64> = std::iter::from_fn(|| queue.pop().map(|q| q.seq)).collect();
-        // Priority 5 first in arrival order, then priority 0 in arrival
-        // order, then the negative priority.
-        assert_eq!(order, vec![1, 3, 0, 2, 4]);
-        assert!(queue.is_empty());
-        assert_eq!(queue.len(), 0);
-    }
 }

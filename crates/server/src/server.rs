@@ -1,12 +1,12 @@
 //! The resident server: listeners, connection handlers, the scheduler
-//! thread, quotas, counters, and graceful shutdown.
+//! thread, counters, and graceful shutdown.
 //!
 //! Threading model: one acceptor thread per listener (unix socket, loopback
 //! TCP), one short-lived handler thread per connection, and a single
-//! scheduler thread that pops the [`SubmissionQueue`] and drives the engine
-//! via [`engine::execute`], forwarding each result frame through the
-//! submission's channel as it completes.  One scheduler means queued
-//! submissions run strictly in priority order and each one gets the
+//! scheduler thread that pops the FIFO queue of [`Submission`]s and drives
+//! the engine via [`engine::execute`], forwarding each result frame through
+//! the submission's channel as it completes.  One scheduler means queued
+//! submissions run strictly in arrival order and each one gets the
 //! server's full worker budget — throughput *within* a submission comes
 //! from the engine's own worker pool, not from racing submissions.
 
@@ -15,11 +15,11 @@ use crate::protocol::{
     read_line, write_line, Accepted, Done, ErrorFrame, Frame, JobFrame, Request, ShutdownAck,
     SubmitRequest,
 };
-use crate::queue::{Event, Queued, Submission, SubmissionQueue};
+use crate::queue::{Event, Submission};
 use engine::{CancelToken, JobList, Registry, RunOptions};
 use metrics::{Histogram, MetricsReport};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::fmt;
 use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener};
@@ -53,28 +53,13 @@ pub struct ServerConfig {
     /// picks a free port — see [`Server::tcp_addr`]).  Non-loopback
     /// addresses are refused: the protocol has no authentication.
     pub tcp: Option<String>,
-    /// Per-client job quota: the maximum jobs a client may have queued or
-    /// running at once (`0` = unlimited).  Cache hits never count — they
-    /// consume no engine capacity.
-    pub quota: usize,
     /// Default engine worker count for submissions that do not name one
     /// (`0` = one per available hardware thread).
     pub workers: usize,
-    /// Result-cache entry budget: least recently used entries are evicted
-    /// past this many (`0` = unlimited).
-    pub cache_max_entries: usize,
-    /// Result-cache byte budget, in serialized frame bytes (`0` =
-    /// unlimited).
-    pub cache_max_bytes: u64,
     /// Directory the result cache persists into (`None` = memory only).
     /// Attached at startup: surviving entries are reloaded, corrupt ones
     /// skipped and counted — see [`ResultCache::attach_dir`].
     pub cache_dir: Option<PathBuf>,
-    /// Submission-queue bound for load shedding (`0` = unbounded).  A
-    /// submission arriving while this many are already queued is refused
-    /// with a terminal [`ErrorFrame::OVERLOADED`]; cache hits are never
-    /// shed — they bypass the queue entirely.
-    pub queue_max: usize,
     /// Plugin registry the scheduler resolves prefetcher specs through
     /// (`None` = the built-ins).  Lets embedders and the chaos harness
     /// serve custom plugins.
@@ -116,15 +101,6 @@ impl fmt::Display for ServerError {
 
 impl std::error::Error for ServerError {}
 
-/// One client's live quota usage, reported in [`ServerMetrics::clients`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ClientUsage {
-    /// Client identity as given at submission.
-    pub client: String,
-    /// Jobs this client currently has queued or running.
-    pub active_jobs: u64,
-}
-
 /// The server's counters, exported through the standard [`MetricsReport`]
 /// envelope as kind [`REPORT_KIND`].
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
@@ -147,22 +123,12 @@ pub struct ServerMetrics {
     pub cache_misses: u64,
     /// Distinct fingerprints currently resident in the cache.
     pub cache_entries: u64,
-    /// Serialized bytes currently resident in the cache.
-    pub cache_bytes: u64,
-    /// Cache entries evicted to hold the configured budgets.
-    pub cache_evictions: u64,
-    /// Serialized bytes reclaimed by cache evictions.
-    pub cache_evicted_bytes: u64,
     /// Cache entries reloaded from the persistence directory at startup.
     pub cache_loaded: u64,
     /// Corrupt or truncated cache files skipped at startup.
     pub cache_load_skipped: u64,
     /// Cache entry writes that failed (persistence is best-effort).
     pub cache_persist_failures: u64,
-    /// Submissions refused because they would exceed the client's quota.
-    pub quota_rejections: u64,
-    /// Submissions shed because the queue was at its configured bound.
-    pub overload_rejections: u64,
     /// Submissions cancelled because their deadline passed.
     pub deadline_cancellations: u64,
     /// Submissions cancelled because their client disconnected mid-stream.
@@ -171,8 +137,6 @@ pub struct ServerMetrics {
     /// scheduler starting the submission (cache hits never queue and never
     /// land here).
     pub queue_wait_us: Histogram,
-    /// Per-client live quota usage, sorted by client identity.
-    pub clients: Vec<ClientUsage>,
 }
 
 impl ServerMetrics {
@@ -185,16 +149,13 @@ impl ServerMetrics {
 /// Mutable server state behind the state mutex.
 #[derive(Debug, Default)]
 struct State {
-    queue: SubmissionQueue,
+    /// Submissions waiting for the scheduler, in arrival order.
+    queue: VecDeque<Submission>,
     next_seq: u64,
     shutting_down: bool,
-    /// Jobs queued or running per client, for quota accounting.
-    active: HashMap<String, u64>,
     submissions: u64,
     jobs_served: u64,
     results_streamed: u64,
-    quota_rejections: u64,
-    overload_rejections: u64,
     deadline_cancellations: u64,
     disconnect_cancellations: u64,
     max_queue_depth: u64,
@@ -229,15 +190,6 @@ impl Shared {
     fn metrics(&self) -> ServerMetrics {
         let state = self.state.lock().expect("state mutex poisoned");
         let cache = self.cache.lock().expect("cache mutex poisoned");
-        let mut clients: Vec<ClientUsage> = state
-            .active
-            .iter()
-            .map(|(client, &active_jobs)| ClientUsage {
-                client: client.clone(),
-                active_jobs,
-            })
-            .collect();
-        clients.sort_by(|a, b| a.client.cmp(&b.client));
         ServerMetrics {
             queue_depth: state.queue.len() as u64,
             max_queue_depth: state.max_queue_depth,
@@ -248,18 +200,12 @@ impl Shared {
             cache_hits: cache.hits(),
             cache_misses: cache.misses(),
             cache_entries: cache.entries(),
-            cache_bytes: cache.bytes(),
-            cache_evictions: cache.evictions(),
-            cache_evicted_bytes: cache.evicted_bytes(),
             cache_loaded: cache.loaded(),
             cache_load_skipped: cache.load_skipped(),
             cache_persist_failures: cache.persist_failures(),
-            quota_rejections: state.quota_rejections,
-            overload_rejections: state.overload_rejections,
             deadline_cancellations: state.deadline_cancellations,
             disconnect_cancellations: state.disconnect_cancellations,
             queue_wait_us: state.queue_wait_us,
-            clients,
         }
     }
 
@@ -347,7 +293,7 @@ impl Server {
             None => None,
         };
 
-        let mut cache = ResultCache::with_budget(config.cache_max_entries, config.cache_max_bytes);
+        let mut cache = ResultCache::new();
         if let Some(dir) = &config.cache_dir {
             cache
                 .attach_dir(dir)
@@ -439,21 +385,21 @@ impl Server {
     }
 }
 
-/// The scheduler: pops submissions in priority order and streams each one
+/// The scheduler: pops submissions in arrival order and streams each one
 /// through the engine, draining the queue even during shutdown.
 fn scheduler(shared: &Arc<Shared>) {
     let registry = shared.config.plugins();
     let trace = &shared.config.trace;
     let recorder = trace.recorder("scheduler");
     loop {
-        let (queued, queue_depth) = {
+        let (submission, queue_depth) = {
             let mut state = shared.state.lock().expect("state mutex poisoned");
             loop {
-                if let Some(queued) = state.queue.pop() {
-                    let waited = queued.submission.queued_at.elapsed();
+                if let Some(submission) = state.queue.pop_front() {
+                    let waited = submission.queued_at.elapsed();
                     state.queue_wait_us.record(waited.as_micros() as u64);
                     state.running += 1;
-                    break (queued, state.queue.len() as u64);
+                    break (submission, state.queue.len() as u64);
                 }
                 if state.shutting_down {
                     return;
@@ -463,6 +409,7 @@ fn scheduler(shared: &Arc<Shared>) {
         };
         recorder.counter("queue_depth", queue_depth as f64);
         let Submission {
+            seq,
             client,
             jobs,
             workers,
@@ -471,7 +418,7 @@ fn scheduler(shared: &Arc<Shared>) {
             queued_at,
             cancel,
             deadline,
-        } = queued.submission;
+        } = submission;
         let job_count = jobs.len() as u64;
 
         // A deadline that expired while the submission sat in the queue:
@@ -479,18 +426,17 @@ fn scheduler(shared: &Arc<Shared>) {
         // already given up on the result.
         if deadline.is_some_and(|d| Instant::now() >= d) {
             recorder.instant("deadline_expired_in_queue", |args| {
-                args.u64("seq", queued.seq);
+                args.u64("seq", seq);
             });
             let _ = reply.send(Event::Error(deadline_error()));
             let mut state = shared.state.lock().expect("state mutex poisoned");
             state.deadline_cancellations += 1;
             state.running -= 1;
-            release_quota(&mut state, &client, job_count);
             continue;
         }
 
         let mut span = recorder.span("submission");
-        span.arg_u64("seq", queued.seq);
+        span.arg_u64("seq", seq);
         span.arg_u64("jobs", job_count);
         span.arg_text("client", &client);
         span.arg_f64("queue_wait_seconds", queued_at.elapsed().as_secs_f64());
@@ -536,13 +482,13 @@ fn scheduler(shared: &Arc<Shared>) {
                 if deadline.is_some_and(|d| Instant::now() >= d) {
                     deadline_cancelled = true;
                     recorder.instant("deadline_exceeded", |args| {
-                        args.u64("seq", queued.seq);
+                        args.u64("seq", seq);
                         args.u64("delivered", delivered as u64);
                     });
                     let _ = reply.send(Event::Error(deadline_error()));
                 } else {
                     recorder.instant("run_abandoned", |args| {
-                        args.u64("seq", queued.seq);
+                        args.u64("seq", seq);
                         args.u64("delivered", delivered as u64);
                     });
                 }
@@ -563,7 +509,6 @@ fn scheduler(shared: &Arc<Shared>) {
         if deadline_cancelled {
             state.deadline_cancellations += 1;
         }
-        release_quota(&mut state, &client, job_count);
     }
 }
 
@@ -573,16 +518,6 @@ fn deadline_error() -> ErrorFrame {
         ErrorFrame::DEADLINE_EXCEEDED,
         "submission deadline passed before completion; results streamed so far stand",
     )
-}
-
-/// Returns a client's jobs to its quota budget.
-fn release_quota(state: &mut State, client: &str, jobs: u64) {
-    if let Some(active) = state.active.get_mut(client) {
-        *active = active.saturating_sub(jobs);
-        if *active == 0 {
-            state.active.remove(client);
-        }
-    }
 }
 
 fn accept_unix(shared: &Arc<Shared>, listener: &UnixListener) {
@@ -656,8 +591,8 @@ fn handle_connection<S: Read + Write>(shared: &Arc<Shared>, mut stream: S) -> io
 enum Admission {
     /// Replay these recorded frames; the submission never queues.
     CacheHit(Vec<JobFrame>),
-    /// Queued; stream events from this receiver.
-    Queued {
+    /// Waiting in the queue; stream events from this receiver.
+    Enqueued {
         receiver: std::sync::mpsc::Receiver<Event>,
         queue_depth: u64,
         /// The submission's cancel token: tripped by this handler when the
@@ -717,8 +652,8 @@ fn handle_submit<S: Write>(
         let mut state = shared.state.lock().expect("state mutex poisoned");
         // Cache admission happens under the state lock so an identical
         // concurrent submission cannot double-run ahead of the insert.  It
-        // comes before every refusal: a hit consumes no engine capacity, so
-        // it is served even while draining or shedding load.
+        // comes before the shutdown refusal: a hit consumes no engine
+        // capacity, so it is served even while draining.
         let cached = shared
             .cache
             .lock()
@@ -741,62 +676,34 @@ fn handle_submit<S: Write>(
                 recorder.instant("cache.miss", |args| {
                     args.u64("jobs", job_count);
                 });
-                let queue_max = shared.config.queue_max;
-                let quota = shared.config.quota as u64;
-                let active = state.active.get(&submit.client).copied().unwrap_or(0);
-                if queue_max > 0 && state.queue.len() >= queue_max {
-                    state.overload_rejections += 1;
-                    recorder.instant("overloaded", |args| {
-                        args.u64("queue_depth", state.queue.len() as u64);
-                    });
-                    Admission::Refused(ErrorFrame::new(
-                        ErrorFrame::OVERLOADED,
-                        format!("submission queue is at its bound of {queue_max}; resubmit later"),
-                    ))
-                } else if quota > 0 && active + job_count > quota {
-                    state.quota_rejections += 1;
-                    Admission::Refused(ErrorFrame::new(
-                        ErrorFrame::QUOTA_EXCEEDED,
-                        format!(
-                            "client {:?} has {active} jobs outstanding; {job_count} more \
-                             would exceed the quota of {quota}",
-                            submit.client
-                        ),
-                    ))
-                } else {
-                    let (reply, receiver) = std::sync::mpsc::channel();
-                    let deadline = submit
-                        .timeout_ms
-                        .filter(|&ms| ms > 0)
-                        .map(|ms| Instant::now() + Duration::from_millis(ms));
-                    let cancel = deadline.map_or_else(CancelToken::new, CancelToken::with_deadline);
-                    let seq = state.next_seq;
-                    state.next_seq += 1;
-                    state.submissions += 1;
-                    *state.active.entry(submit.client.clone()).or_default() += job_count;
-                    state.queue.push(Queued {
-                        seq,
-                        priority: submit.priority,
-                        submission: Submission {
-                            client: submit.client.clone(),
-                            jobs: list.jobs,
-                            workers,
-                            fingerprint,
-                            reply,
-                            queued_at: Instant::now(),
-                            cancel: cancel.clone(),
-                            deadline,
-                        },
-                    });
-                    let queue_depth = state.queue.len() as u64;
-                    state.max_queue_depth = state.max_queue_depth.max(queue_depth);
-                    recorder.counter("queue_depth", queue_depth as f64);
-                    shared.queue_cv.notify_one();
-                    Admission::Queued {
-                        receiver,
-                        queue_depth,
-                        cancel,
-                    }
+                let (reply, receiver) = std::sync::mpsc::channel();
+                let deadline = submit
+                    .timeout_ms
+                    .filter(|&ms| ms > 0)
+                    .map(|ms| Instant::now() + Duration::from_millis(ms));
+                let cancel = deadline.map_or_else(CancelToken::new, CancelToken::with_deadline);
+                let seq = state.next_seq;
+                state.next_seq += 1;
+                state.submissions += 1;
+                state.queue.push_back(Submission {
+                    seq,
+                    client: submit.client,
+                    jobs: list.jobs,
+                    workers,
+                    fingerprint,
+                    reply,
+                    queued_at: Instant::now(),
+                    cancel: cancel.clone(),
+                    deadline,
+                });
+                let queue_depth = state.queue.len() as u64;
+                state.max_queue_depth = state.max_queue_depth.max(queue_depth);
+                recorder.counter("queue_depth", queue_depth as f64);
+                shared.queue_cv.notify_one();
+                Admission::Enqueued {
+                    receiver,
+                    queue_depth,
+                    cancel,
                 }
             }
         }
@@ -828,16 +735,15 @@ fn handle_submit<S: Write>(
                 }),
             )
         }
-        Admission::Queued {
+        Admission::Enqueued {
             receiver,
             queue_depth,
             cancel,
         } => {
             // Forward events until the terminal frame.  A failed write means
             // the client hung up: trip the submission's cancel token so the
-            // scheduler stops the run at the next job boundary and the
-            // client's quota frees promptly, instead of finishing a reply
-            // nobody is reading.
+            // scheduler stops the run at the next job boundary instead of
+            // finishing a reply nobody is reading.
             let mut forward = || -> io::Result<()> {
                 write_line(
                     stream,

@@ -1,6 +1,6 @@
 //! Server lifecycle coverage: byte-identity with the direct engine path,
-//! cache-hit replay, quota enforcement, structured errors, and graceful
-//! shutdown draining the queue.
+//! cache-hit replay, arrival-order scheduling, structured errors, and
+//! graceful shutdown draining the queue.
 
 use engine::{JobList, PrefetcherSpec, RunOptions, SimJob};
 use memsim::HierarchyConfig;
@@ -139,10 +139,9 @@ fn identical_resubmission_is_a_cache_hit_with_identical_bytes() {
     let first = client::submit(&endpoint, &list, &options, &mut |_| {}).expect("first submission");
     assert!(!first.done.cache_hit);
 
-    // Same spec, different client and priority: still the same fingerprint.
+    // Same spec, different client: still the same fingerprint.
     let resubmit_options = SubmitOptions {
         client: "someone-else".to_string(),
-        priority: 9,
         workers: 2,
         ..SubmitOptions::default()
     };
@@ -191,46 +190,6 @@ fn identical_resubmission_is_a_cache_hit_with_identical_bytes() {
     assert_eq!(metrics.cache_entries, 1);
     assert_eq!(metrics.jobs_served, 2, "only the miss ran");
     assert_eq!(metrics.results_streamed, 8);
-}
-
-#[test]
-fn quota_exceeded_is_a_structured_error() {
-    let (server, endpoint) = start_unix(
-        "quota",
-        ServerConfig {
-            quota: 3,
-            ..ServerConfig::default()
-        },
-    );
-
-    // Two jobs fit the quota of three...
-    let small = job_list(2_000);
-    client::submit(&endpoint, &small, &SubmitOptions::default(), &mut |_| {})
-        .expect("within quota");
-
-    // ...four do not, even for a fresh client with nothing outstanding.
-    let big = JobList::new(vec![
-        job(Application::OltpDb2, PrefetcherSpec::null(), 2_000),
-        job(Application::Ocean, PrefetcherSpec::null(), 2_000),
-        job(Application::Sparse, PrefetcherSpec::null(), 2_000),
-        job(Application::DssQry1, PrefetcherSpec::null(), 2_000),
-    ]);
-    let err = client::submit(&endpoint, &big, &SubmitOptions::default(), &mut |_| {})
-        .expect_err("over quota");
-    match err {
-        client::ClientError::Server(frame) => {
-            assert_eq!(frame.code, ErrorFrame::QUOTA_EXCEEDED);
-            assert!(frame.message.contains("quota of 3"), "{}", frame.message);
-        }
-        other => panic!("expected a structured server error, got {other:?}"),
-    }
-
-    let metrics = server.shutdown();
-    assert_eq!(metrics.quota_rejections, 1);
-    assert_eq!(
-        metrics.submissions, 1,
-        "the refused submission never counts"
-    );
 }
 
 #[test]
@@ -308,6 +267,17 @@ fn bad_specs_get_structured_errors_with_the_cli_version_message() {
     ));
     let mut unknown_plugin = job_list(2_000);
     unknown_plugin.jobs[1].sim.prefetcher.plugin = "smss".to_string();
+    // A 2^40-entry PHT passes every structural check; building it would
+    // ask for 8 TiB and abort the whole process, which no panic guard
+    // catches.
+    let mut huge_pht = job_list(2_000);
+    huge_pht.jobs[1].sim.prefetcher = PrefetcherSpec::sms(&SmsConfig {
+        pht: sms::PhtCapacity::Bounded {
+            entries: 1 << 40,
+            associativity: 16,
+        },
+        ..SmsConfig::paper_default()
+    });
     for (list, message) in [
         (
             bad_region,
@@ -316,6 +286,11 @@ fn bad_specs_get_structured_errors_with_the_cli_version_message() {
         (
             unknown_plugin,
             "invalid job spec: job 1: unknown prefetcher plugin \"smss\" (did you mean \"sms\"?)",
+        ),
+        (
+            huge_pht,
+            "invalid job spec: job 1: bad parameters for plugin \"sms\": \
+             pht: entries must be at most 1048576",
         ),
     ] {
         let message = message.to_string();
@@ -487,6 +462,94 @@ fn graceful_shutdown_drains_queued_submissions() {
 }
 
 #[test]
+fn queued_submissions_run_in_arrival_order_whatever_priority_they_send() {
+    use tracelog::ArgValue;
+
+    let trace = tracelog::Trace::enabled();
+    let (server, endpoint) = start_unix(
+        "fifo",
+        ServerConfig {
+            registry: Some(std::sync::Arc::new(faultinject::registry())),
+            trace: trace.clone(),
+            ..ServerConfig::default()
+        },
+    );
+    // Hold the scheduler on a job gated on a file only this test creates,
+    // so both submissions below provably wait in the queue together.
+    let token = u64::from(std::process::id());
+    faultinject::close_gate(token).ok();
+    let gated = JobList::new(vec![job(
+        Application::OltpDb2,
+        faultinject::Fault::Gate { token }.spec(),
+        3_000,
+    )]);
+    let gated_thread = {
+        let endpoint = endpoint.clone();
+        std::thread::spawn(move || {
+            client::submit(&endpoint, &gated, &SubmitOptions::default(), &mut |_| {})
+        })
+    };
+    wait_for(|| server.metrics().running == 1, "gated submission running");
+
+    // The first arrives with priority 0, the second with priority 9: the
+    // priority decodes and is ignored.
+    let mut queued = Vec::new();
+    for (client, priority, app) in [
+        ("first", 0, Application::Ocean),
+        ("second", 9, Application::Sparse),
+    ] {
+        let request = server::SubmitRequest {
+            client: client.to_string(),
+            priority,
+            workers: 0,
+            segment_size: 0,
+            speculate: 0,
+            timeout_ms: None,
+            spec: serde_json::to_value(&JobList::new(vec![job(
+                app,
+                PrefetcherSpec::null(),
+                3_000,
+            )]))
+            .unwrap(),
+        };
+        let endpoint = endpoint.clone();
+        queued.push(std::thread::spawn(move || submit_raw(&endpoint, request)));
+        let depth = queued.len() as u64;
+        wait_for(
+            || server.metrics().queue_depth == depth,
+            "submission queued",
+        );
+    }
+
+    faultinject::open_gate(token).expect("open gate");
+    gated_thread.join().unwrap().expect("gated submission");
+    for thread in queued {
+        let (hit, results) = thread.join().unwrap();
+        assert!(!hit);
+        assert_eq!(results.len(), 1);
+    }
+    faultinject::close_gate(token).ok();
+    server.shutdown();
+
+    // One scheduler runs one submission at a time, so its submission spans,
+    // each labelled with its client, close in the order they ran.
+    let ran: Vec<String> = trace
+        .logs()
+        .iter()
+        .filter(|log| log.label == "scheduler")
+        .flat_map(|log| &log.events)
+        .filter(|event| event.name == "submission")
+        .filter_map(
+            |event| match event.args.iter().find(|(key, _)| *key == "client") {
+                Some((_, ArgValue::Text(client))) => Some(client.clone()),
+                _ => None,
+            },
+        )
+        .collect();
+    assert_eq!(ran, ["anonymous", "first", "second"]);
+}
+
+#[test]
 fn tcp_endpoint_is_loopback_only() {
     // Loopback works end to end.
     let server = Server::start(ServerConfig {
@@ -578,117 +641,6 @@ fn timed_out_submission_gets_deadline_exceeded_and_the_server_moves_on() {
 }
 
 #[test]
-fn overloaded_queue_sheds_new_submissions_but_still_serves_cache_hits() {
-    let (server, endpoint) = start_unix(
-        "overload",
-        ServerConfig {
-            queue_max: 1,
-            registry: Some(std::sync::Arc::new(faultinject::registry())),
-            ..ServerConfig::default()
-        },
-    );
-    // Warm the cache while the server is idle.
-    let warm = job_list(2_000);
-    client::submit(&endpoint, &warm, &SubmitOptions::default(), &mut |_| {}).expect("warm-up");
-    // The warm-up client returns on its Done frame, a moment before the
-    // scheduler's own bookkeeping marks it idle; wait that out so the
-    // `running == 1` below can only mean the gated submission.
-    wait_for(
-        || server.metrics().running == 0,
-        "scheduler idle after warm-up",
-    );
-
-    // Occupy the scheduler with a job gated on a file only this test
-    // creates: the queue provably cannot drain until the gate opens, so
-    // the shed below is a certainty, not a race against the scheduler.
-    let token = u64::from(std::process::id());
-    faultinject::close_gate(token).ok();
-    let slow = JobList::new(vec![job(
-        Application::OltpDb2,
-        faultinject::Fault::Gate { token }.spec(),
-        3_000,
-    )]);
-    let slow_thread = {
-        let endpoint = endpoint.clone();
-        std::thread::spawn(move || {
-            client::submit(&endpoint, &slow, &SubmitOptions::default(), &mut |_| {})
-        })
-    };
-    wait_for(|| server.metrics().running == 1, "slow submission running");
-    let queued = JobList::new(vec![job(Application::Ocean, PrefetcherSpec::null(), 3_000)]);
-    let queued_thread = {
-        let endpoint = endpoint.clone();
-        std::thread::spawn(move || {
-            client::submit(&endpoint, &queued, &SubmitOptions::default(), &mut |_| {})
-        })
-    };
-    wait_for(|| server.metrics().queue_depth == 1, "queue at its bound");
-
-    // The next distinct submission is shed with a structured error...
-    let shed = JobList::new(vec![job(
-        Application::Sparse,
-        PrefetcherSpec::null(),
-        3_000,
-    )]);
-    let err = client::submit(&endpoint, &shed, &SubmitOptions::default(), &mut |_| {})
-        .expect_err("must be shed");
-    match err {
-        client::ClientError::Server(frame) => {
-            assert_eq!(frame.code, ErrorFrame::OVERLOADED);
-            assert!(frame.message.contains("bound of 1"), "{}", frame.message);
-        }
-        other => panic!("expected overloaded, got {other:?}"),
-    }
-
-    // ...but a cache hit is still served: it consumes no engine capacity.
-    let hit = client::submit(&endpoint, &warm, &SubmitOptions::default(), &mut |_| {})
-        .expect("cache hit bypasses the full queue");
-    assert!(hit.accepted.cache_hit);
-
-    // Release the gated run; everything left drains and completes.
-    faultinject::open_gate(token).expect("open gate");
-    slow_thread.join().unwrap().expect("slow submission");
-    queued_thread.join().unwrap().expect("queued submission");
-    faultinject::close_gate(token).ok();
-    let metrics = server.shutdown();
-    assert_eq!(metrics.overload_rejections, 1);
-}
-
-#[test]
-fn client_retries_ride_out_a_late_starting_server() {
-    let socket = unique_socket("retry");
-    let endpoint = Endpoint::Unix(socket.clone());
-    let list = job_list(2_000);
-
-    // Without retries, a missing server fails fast with a transport error.
-    let err = client::submit(&endpoint, &list, &SubmitOptions::default(), &mut |_| {})
-        .expect_err("no server yet");
-    assert!(matches!(err, client::ClientError::Io(_)), "{err:?}");
-
-    // With retries, the client reconnects through the outage: the server
-    // comes up ~200 ms in, well inside the retry budget.
-    let starter = {
-        let socket = socket.clone();
-        std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(200));
-            Server::start(ServerConfig {
-                unix_socket: Some(socket),
-                ..ServerConfig::default()
-            })
-            .expect("server starts")
-        })
-    };
-    let options = SubmitOptions {
-        retries: 6,
-        ..SubmitOptions::default()
-    };
-    let outcome =
-        client::submit(&endpoint, &list, &options, &mut |_| {}).expect("retried submission");
-    assert_eq!(outcome.frames.len(), 2);
-    starter.join().unwrap().shutdown();
-}
-
-#[test]
 fn panicking_plugin_fails_its_submission_not_the_server() {
     let (server, endpoint) = start_unix(
         "panic",
@@ -750,7 +702,6 @@ fn client_disconnect_mid_stream_cancels_the_rest_of_the_run() {
     let (server, endpoint) = start_unix(
         "disconnect",
         ServerConfig {
-            quota: 100,
             registry: Some(std::sync::Arc::new(faultinject::registry())),
             ..ServerConfig::default()
         },
@@ -797,15 +748,13 @@ fn client_disconnect_mid_stream_cancels_the_rest_of_the_run() {
     drop(reader); // hang up mid-stream
 
     // The handler notices on its next write, trips the cancel token, and
-    // the client's quota frees without waiting for all eight jobs.
+    // the scheduler stops without waiting for all eight jobs.
     wait_for(
         || {
             let metrics = server.metrics();
-            metrics.disconnect_cancellations >= 1
-                && metrics.running == 0
-                && metrics.clients.is_empty()
+            metrics.disconnect_cancellations >= 1 && metrics.running == 0
         },
-        "disconnect cancelled the run and freed the quota",
+        "disconnect cancelled the run",
     );
     assert!(
         server.metrics().jobs_served < 8,

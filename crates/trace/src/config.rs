@@ -33,6 +33,9 @@ impl GeneratorConfig {
     /// Default number of simulated processors.
     pub const DEFAULT_CPUS: usize = 4;
 
+    /// Most processors a generator models.
+    pub const MAX_CPUS: usize = 64;
+
     /// Creates a config with the default parameters.
     pub fn new() -> Self {
         Self::default()
@@ -42,9 +45,13 @@ impl GeneratorConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `cpus` is zero or greater than 64.
+    /// Panics if `cpus` is zero or greater than [`MAX_CPUS`](Self::MAX_CPUS).
     pub fn with_cpus(mut self, cpus: usize) -> Self {
-        assert!(cpus > 0 && cpus <= 64, "cpu count must be in 1..=64");
+        assert!(
+            (1..=Self::MAX_CPUS).contains(&cpus),
+            "cpu count must be in 1..={}",
+            Self::MAX_CPUS
+        );
         self.cpus = cpus;
         self
     }

@@ -7,7 +7,7 @@
 //!   disabled [`Recorder`]s whose spans and events are no-ops that never
 //!   read the clock and never allocate.  Simulation results are
 //!   byte-identical with tracing on or off (pinned by
-//!   `tests/metrics_telemetry.rs`).
+//!   `tests/engine_matches_reference.rs`).
 //! - **One clock.**  Spans and events from every thread read the trace's
 //!   one clock, so they line up on one timeline; the engine keeps no other
 //!   timings of a job.

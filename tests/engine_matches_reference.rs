@@ -88,7 +88,7 @@ fn reference(index: usize, job: &SimJob) -> JobResult {
 }
 
 #[test]
-fn metrics_collection_disabled_vs_enabled_is_byte_identical() {
+fn engine_reproduces_the_per_access_reference_byte_for_byte() {
     // The engine's segment loop must not alter a single result byte of the
     // per-access reference.
     let jobs = job_list();
@@ -109,7 +109,7 @@ fn metrics_collection_disabled_vs_enabled_is_byte_identical() {
 }
 
 #[test]
-fn segmented_metrics_collection_is_byte_identical_and_counts_segments() {
+fn every_worker_count_gives_the_same_bytes_and_traces_each_segment() {
     // Every job runs the segment loop: the worker count must not change a
     // byte, and each job's trace track must record the segments the loop
     // actually ran.
@@ -174,7 +174,7 @@ fn tracing_enabled_vs_disabled_is_byte_identical() {
 }
 
 #[test]
-fn driver_metrics_reconcile_with_the_summary() {
+fn segment_primitives_reproduce_the_per_access_summary() {
     // The engine's simulate step: driving a trace through
     // `run_segment_deferred` one segment at a time and replaying each tape
     // reproduces the per-access reference.

@@ -97,7 +97,7 @@ fn step_spans(trace: &Trace, label: &str) -> Vec<StepSpan> {
 }
 
 #[test]
-fn stage_spans_and_job_metrics_read_the_same_clock() {
+fn every_segment_records_its_three_step_spans_back_to_back() {
     // Baseline, SMS, GHB with a partial last segment, and a timing job, on
     // the calling thread and on scoped workers: every job's track records
     // one `seg.pull`, `seg.simulate` and `seg.account` span per segment,
